@@ -16,7 +16,7 @@ let benches =
     ("micro", "micro-benchmarks (Bechamel)", Bench_micro.run);
     ("read", "authenticated read path (Bloom + block cache)", Bench_read_path.run);
     ("cc", "concurrency-control ablation (2PL vs OCC + ro fast path)", Bench_cc.run);
-    ("scale", "100-node million-key event-engine stress", Bench_scale.run);
+    ("scale", "10/30/100-node million-key scale sweep", Bench_scale.run);
   ]
 
 let run_selected only full =

@@ -18,6 +18,7 @@ type config = {
   read_opt : bool;
   cc : Types.isolation;
   trace : bool;
+  client_op_timeout_ns : int;
 }
 
 let ms n = n * 1_000_000
@@ -36,12 +37,14 @@ let default_config =
     read_opt = true;
     cc = Types.Pessimistic;
     trace = false;
+    client_op_timeout_ns = Config.default.client_op_timeout_ns;
   }
 
 type report = {
   schedule : Schedule.t;
   committed : int;
   aborted : int;
+  aborts : (Types.abort_reason * int) list;
   history_txs : int;
 }
 
@@ -78,6 +81,7 @@ let cluster_config cfg ~seed =
     part_stale_abort_ns = ms 500;
     coord_tx_abandon_ns = ms 1_000;
     dedup_ttl_ns = ms 600;
+    client_op_timeout_ns = cfg.client_op_timeout_ns;
     seed = Int64.of_int (0x6b05 lxor seed);
   }
 
@@ -190,7 +194,7 @@ let spawn_crash_faults sim cluster (sched : Schedule.t) ~on_done =
   List.length crashes
 
 let spawn_workload sim workload_clients cfg ~seed ~t0 ~acked ~committed
-    ~aborted ~on_done =
+    ~aborts ~on_done =
   Array.iteri
     (fun cid c ->
       let rng = Rng.create (Int64.of_int ((seed * 1009) + cid)) in
@@ -271,7 +275,9 @@ let spawn_workload sim workload_clients cfg ~seed ~t0 ~acked ~committed
             in
             (match outcome with
             | Ok () -> incr committed
-            | Error _ -> incr aborted);
+            | Error e ->
+                Hashtbl.replace aborts e
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt aborts e)));
             Sim.sleep sim (500_000 + Rng.int rng 2_000_000)
           done;
           Client.disconnect c;
@@ -319,6 +325,23 @@ let check_invariants sim cluster cfg ~acked =
               acked.(cid).(k) v
     done
   done;
+  (* Liveness: once the faults heal every node commits again — a fresh write
+     it both coordinates and owns, so its own WAL must stabilize through its
+     protection group. *)
+  List.iter
+    (fun node ->
+      let rec probe_key i =
+        let k = Printf.sprintf "probe%d.%d" node i in
+        if Cluster.route_key cluster k = node then k else probe_key (i + 1)
+      in
+      let key = probe_key 0 in
+      match
+        Client.with_txn checker ~coord:node (fun txn ->
+            Client.put checker txn key "live")
+      with
+      | Ok () -> ()
+      | Error e -> failf "node %d cannot commit after recovery: %s" node (reason e))
+    (Cluster.node_ids cluster);
   Client.disconnect checker;
   (* Leak-freedom: let TTLs and sweeps fire with zero traffic, then demand
      empty residual state everywhere. *)
@@ -340,10 +363,15 @@ let check_invariants sim cluster cfg ~acked =
       | Serializability.Cycle txs ->
           failf "history not serializable: %s" (Serializability.dump_cycle h txs))
 
-let run_seed ?(config = default_config) ~seed () =
+let run_seed ?(config = default_config) ?schedule ~seed () =
   let cfg = config in
   let sched =
-    Schedule.generate ~seed ~nodes:cfg.nodes ~horizon_ns:cfg.horizon_ns
+    match schedule with
+    | None -> Schedule.generate ~seed ~nodes:cfg.nodes ~horizon_ns:cfg.horizon_ns
+    | Some (s : Schedule.t) ->
+        if s.nodes <> cfg.nodes then
+          invalid_arg "Chaos.run_seed: schedule is for another cluster size";
+        s
   in
   let sim = Sim.create ~seed:(Int64.of_int (0x7ea7_0000 lxor seed)) () in
   (* The sanitizer collector is global: start each seed from a clean slate. *)
@@ -361,7 +389,7 @@ let run_seed ?(config = default_config) ~seed () =
                Array.init cfg.clients (fun cid ->
                    Client.connect_exn cluster ~client_id:(100 + cid))
              in
-             let committed = ref 0 and aborted = ref 0 in
+             let committed = ref 0 and aborts = Hashtbl.create 8 in
              let acked =
                Array.init cfg.clients (fun _ ->
                    Array.make cfg.keys_per_client 0)
@@ -377,7 +405,7 @@ let run_seed ?(config = default_config) ~seed () =
              let crashes = spawn_crash_faults sim cluster sched ~on_done in
              pending := !pending + crashes;
              spawn_workload sim workload_clients cfg ~seed ~t0 ~acked
-               ~committed ~aborted ~on_done;
+               ~committed ~aborts ~on_done;
              Sim.read sim latch;
              Net.clear_adversary (Cluster.net cluster);
              (* Belt and braces: every crash fiber restarts its node, but a
@@ -395,7 +423,10 @@ let run_seed ?(config = default_config) ~seed () =
                  {
                    schedule = sched;
                    committed = !committed;
-                   aborted = !aborted;
+                   aborted = Hashtbl.fold (fun _ n acc -> acc + n) aborts 0;
+                   aborts =
+                     List.sort compare
+                       (Hashtbl.fold (fun e n acc -> (e, n) :: acc) aborts []);
                    history_txs;
                  })
    with Fail m ->

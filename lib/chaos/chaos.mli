@@ -8,6 +8,8 @@
       crashes have been recovered;
     - {b atomicity} — bank-transfer conservation: the sum over all accounts
       never changes;
+    - {b liveness} — once the faults heal, every node commits a fresh write
+      it coordinates and owns (its own protection group stabilizes again);
     - {b leak-freedom} — once traffic stops and sweeps/TTLs run, every node's
       residual protocol state drains to zero
       ({!Treaty_core.Cluster.check_quiescent}).
@@ -48,6 +50,11 @@ type config = {
           creation, frozen when {!run_seed} returns — the caller exports it).
           Traces are a pure function of the seed: same seed, byte-identical
           JSON. *)
+  client_op_timeout_ns : int;
+      (** Client RPC timeout (default: {!Treaty_core.Config.default}'s).
+          Raise it above the trusted-counter retry budget to see a commit
+          the protection group cannot stabilize come back as typed
+          [Stabilization_unavailable] instead of a client-side timeout. *)
 }
 
 val default_config : config
@@ -56,13 +63,22 @@ type report = {
   schedule : Schedule.t;
   committed : int;  (** Client-acked commits across the workload. *)
   aborted : int;
+  aborts : (Treaty_core.Types.abort_reason * int) list;
+      (** [aborted] by client-visible reason, sorted by reason. *)
   history_txs : int;  (** Transactions fed to the serializability checker. *)
 }
 
 val pp_report : Format.formatter -> report -> unit
 
-val run_seed : ?config:config -> seed:int -> unit -> (report, string) result
-(** Build the schedule for [seed], run it, check every invariant. [Error]
+val run_seed :
+  ?config:config ->
+  ?schedule:Schedule.t ->
+  seed:int ->
+  unit ->
+  (report, string) result
+(** Build the schedule for [seed] (or run the given [schedule], which must be
+    for [config.nodes] nodes), run it, check every invariant. [seed] still
+    drives the simulation and the workload. [Error]
     carries the failed invariant plus the schedule rendering, enough to
     replay the exact run. Creates and drives its own simulation — call from
     plain code, not from inside [Sim.run]. *)

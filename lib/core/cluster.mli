@@ -3,11 +3,14 @@
     [create] runs the full §VI trust-establishment flow inside the calling
     fiber: bootstrap the CAS (attested once over the slow IAS), deploy a LAS
     on every machine, attest every Treaty instance through its LAS, and
-    provision the attested instances with the cluster secrets. Nodes then
-    form the trusted-counter protection group among themselves.
+    provision the attested instances with the cluster secrets. Each node's
+    trusted counters are then replicated across its protection group of
+    2f+1 storage nodes ({!Treaty_counter.Rote.protection_group}); a
+    restarting node recovers against that group, so it needs one of its
+    group peers live.
 
     Node indexes are 0-based; the wire-level node ids are index+1, the CAS
-    sits at id 90, clients at 1000+. *)
+    sits at id 900, clients at 1000+. *)
 
 type t
 

@@ -1083,6 +1083,12 @@ let resolve_in_doubt t ~coord ~tx_seq =
     Erpc.call t.rpc ~dst:coord ~kind:k_query_decision
       ~timeout_ns:t.deps.config.decision_query_timeout_ns (Buffer.contents b)
   with
+  | Ok _ when coord = t.deps.node_id && Hashtbl.mem t.coord_txs tx_seq ->
+      (* This node's own prepared slice of a transaction it is still
+         coordinating: the commit phase resolves it, installs, and only then
+         releases the locks. Resolving it here would release them before the
+         install, and a waiting writer would read the old version. *)
+      ()
   | Ok "c" ->
       ignore (Engine.resolve t.engine ~tx:(coord, tx_seq) ~commit:true);
       finish_participant t ~coord ~tx_seq
@@ -1223,8 +1229,9 @@ let build_parts (deps : deps) ssd =
     end
   in
   let rote =
-    Rote.create_replica rpc ~group:deps.peers ~persist:rote_persist
-      ~restore:rote_restore ()
+    Rote.create_replica rpc
+      ~group:(Rote.protection_group ~self:deps.node_id ~members:deps.peers)
+      ~persist:rote_persist ~restore:rote_restore ()
   in
   let counter_client =
     if cfg.profile.stabilization then

@@ -49,7 +49,10 @@ type deps = {
   config : Config.t;
   net : Treaty_netsim.Net.t;
   node_id : int;
-  peers : int list;  (** All storage node ids, self included. *)
+  peers : int list;
+      (** All storage node ids, self included. The counter replica's
+          protection group is derived from it
+          ({!Treaty_counter.Rote.protection_group}). *)
   route : string -> int;  (** Key -> owning node id (the shard map). *)
   master : Treaty_crypto.Keys.master;  (** Provisioned by the CAS. *)
   history : Serializability.t option;
@@ -60,7 +63,7 @@ val create : deps -> t
 
 val recover_with : deps -> ssd:Treaty_storage.Ssd.t -> (t, string) result
 (** Rebuild a node from its surviving SSD (§VI): replay + verify the logs
-    (against the trusted counter group when stabilization is on), re-lock
+    (against the node's protection group when stabilization is on), re-lock
     and re-resolve prepared transactions by querying their coordinators, and
     finish or abort in-doubt coordinator transactions from the Clog. *)
 

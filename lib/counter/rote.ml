@@ -7,6 +7,25 @@ let kind_echo1 = 101
 let kind_echo2 = 102
 let kind_query = 103
 
+let fault_threshold = 1
+
+(* The node plus its [2f] ring successors in id order. Successor rings put
+   every node in exactly [2f+1] groups, so replica load is balanced. With
+   [N <= 2f+1] the group is the whole membership in its given order, which
+   also fixes the order [round] contacts it in. *)
+let protection_group ~self ~members =
+  if not (List.mem self members) then
+    invalid_arg "Rote.protection_group: self is not a member";
+  let size = (2 * fault_threshold) + 1 in
+  if List.length members <= size then members
+  else begin
+    let ring = Array.of_list (List.sort_uniq compare members) in
+    let n = Array.length ring in
+    let rec index i = if ring.(i) = self then i else index (i + 1) in
+    let at = index 0 in
+    List.sort compare (List.init (min n size) (fun k -> ring.((at + k) mod n)))
+  end
+
 type stats = {
   mutable increments : int;
   mutable rounds : int;
@@ -142,23 +161,32 @@ let create_replica rpc ~group ?(persist = fun _ -> ()) ?(restore = fun () -> [])
         | Error (`Mac_mismatch | `Truncated) -> try_restore older)
   in
   try_restore (List.rev (restore ()));
-  Erpc.register rpc ~kind:kind_echo1 (fun _meta payload ->
-      proc_cost t;
-      let owner, targets = decode_batch payload in
-      apply_echo1 t ~owner targets);
-  Erpc.register rpc ~kind:kind_echo2 (fun _meta payload ->
-      proc_cost t;
-      let owner, targets = decode_batch payload in
-      apply_echo2 t ~owner targets);
+  (* Handlers are total over peer bytes: an authenticated peer that sends a
+     malformed echo gets a nack, and a malformed query an empty reply, which
+     [query] discards like any other non-value. *)
+  let on_echo apply _meta payload =
+    proc_cost t;
+    match decode_batch payload with
+    | owner, targets -> apply t ~owner targets
+    | exception Wire.Malformed _ -> "nack"
+  in
+  Erpc.register rpc ~kind:kind_echo1 (on_echo apply_echo1);
+  Erpc.register rpc ~kind:kind_echo2 (on_echo apply_echo2);
   Erpc.register rpc ~kind:kind_query (fun _meta payload ->
       proc_cost t;
       let r = Wire.reader payload in
-      let owner = Wire.r64 r in
-      let log = Wire.rstr r in
-      let v = Option.value ~default:0 (Hashtbl.find_opt t.committed (owner, log)) in
-      let b = Buffer.create 8 in
-      Wire.w64 b v;
-      Buffer.contents b);
+      match
+        let owner = Wire.r64 r in
+        (owner, Wire.rstr r)
+      with
+      | exception Wire.Malformed _ -> ""
+      | owner, log ->
+          let v =
+            Option.value ~default:0 (Hashtbl.find_opt t.committed (owner, log))
+          in
+          let b = Buffer.create 8 in
+          Wire.w64 b v;
+          Buffer.contents b);
   t
 
 let stats t = t.stats

@@ -14,9 +14,23 @@
 
     Counters are named by (owner node, log name) — one per authenticated log
     file. A counter value is *trusted* once incremented through the group:
-    recovery asks the group ({!query}) and compares log tails against it. *)
+    recovery asks the group ({!query}) and compares log tails against it.
+
+    Each node's group has [2f+1] replicas ({!protection_group}), so a round
+    costs the same at 3 nodes and at 100, and a quorum is [f+1] of them. *)
 
 type replica
+
+val fault_threshold : int
+(** [f]: crashed replicas one protection group tolerates. Groups have
+    [2f+1] members and quorums [f+1]. *)
+
+val protection_group : self:int -> members:int list -> int list
+(** The protection group of node [self] among the storage nodes [members]:
+    [self] plus its [2f] ring successors in id order, returned sorted by id.
+    When [members] has at most [2f+1] nodes the group is [members] itself,
+    in its given order. Every member is in exactly [min N (2f+1)] groups.
+    Raises [Invalid_argument] if [self] is not in [members]. *)
 
 val kind_echo1 : int
 val kind_echo2 : int
@@ -41,8 +55,10 @@ val create_replica :
   ?restore:(unit -> string list) ->
   unit ->
   replica
-(** Join the protection group [group] (node ids, self included), registering
-    the counter RPC handlers on this node's endpoint. [persist] receives the
+(** Join the protection group [group] (node ids, self included, normally
+    {!protection_group}), registering the counter RPC handlers on this
+    node's endpoint. The handlers are total: a malformed echo is nacked and
+    a malformed query gets an empty reply. [persist] receives the
     sealed counter state after each confirmed increment; [restore] returns
     previously persisted blobs, oldest first — the newest one that unseals
     under this enclave's identity re-seeds the replica (ROTE step 5: a

@@ -1,7 +1,9 @@
 (* The fault-injection harness itself: determinism of the schedule
    generator, same-seed reproducibility of whole runs, a fault-free
-   leak-freedom baseline for the quiescence checker, and the 50-seed
-   invariant sweep — the tier-1 gate for crash/partition/replay handling. *)
+   leak-freedom baseline for the quiescence checker, quorum loss inside one
+   protection group, a sweeper regression found at 5 nodes, and the 7-node
+   and 50-seed invariant sweeps — the tier-1 gate for crash/partition/replay
+   handling. *)
 
 open Treaty_core
 module Sim = Treaty_sim.Sim
@@ -165,6 +167,67 @@ let sweep_50_seeds () =
       Alcotest.failf "%d/50 seeds failed; first: seed %d: %s" (List.length fs)
         seed m
 
+(* Seven nodes make every protection group a proper subset. Node 1's group
+   is wire ids [1; 2; 3]; crashing 2 and 3 (cluster indexes 1 and 2) with
+   overlapping downtime takes it below quorum while every other group keeps
+   one. *)
+let group_crash_schedule =
+  let ms n = n * 1_000_000 in
+  {
+    Schedule.seed = 0;
+    nodes = 7;
+    horizon_ns = ms 600;
+    faults =
+      [ Schedule.Crash_restart { node = 1; at_ns = ms 50; down_ns = ms 900 };
+        Schedule.Crash_restart { node = 2; at_ns = ms 100; down_ns = ms 900 } ];
+  }
+
+let group_quorum_loss () =
+  (* The client timeout outlasts the counter client's retry budget, so node
+     1's unprotectable commits come back typed. The run's invariants then
+     demand that acked writes survived and that node 1 commits again once
+     its group is back. *)
+  let config =
+    {
+      Chaos.default_config with
+      Chaos.nodes = 7;
+      clients = 7;
+      client_op_timeout_ns = 2_000_000_000;
+    }
+  in
+  match Chaos.run_seed ~config ~schedule:group_crash_schedule ~seed:3 () with
+  | Error m -> Alcotest.failf "group crash: %s" m
+  | Ok r ->
+      let unstable =
+        Option.value ~default:0
+          (List.assoc_opt Types.Stabilization_unavailable r.Chaos.aborts)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "typed Stabilization_unavailable aborts (%d)" unstable)
+        true (unstable > 0);
+      Alcotest.(check bool) "other groups kept committing" true
+        (r.Chaos.committed > 0)
+
+let sweep_7_nodes () =
+  (* Random schedules where groups are proper subsets: a crash or partition
+     now costs quorum only in the groups that hold the node. *)
+  let config = { Chaos.default_config with Chaos.nodes = 7 } in
+  for seed = 1 to 12 do
+    match Chaos.run_seed ~config ~seed () with
+    | Ok _ -> ()
+    | Error m -> Alcotest.failf "7 nodes, seed %d: %s" seed m
+  done
+
+let sweeper_spares_live_coordinator () =
+  (* Regression: the sweeper took a coordinator's own prepared slice for an
+     orphan, resolved it against its own decision and released the
+     coordinator's locks while the commit phase was still installing — a
+     waiting transfer then read the old balance and conservation broke. *)
+  let config = { Chaos.default_config with Chaos.nodes = 5 } in
+  match Chaos.run_seed ~config ~seed:16 () with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "5 nodes, seed 16: %s" m
+
 let suite =
   [
     Alcotest.test_case "schedule generation is deterministic" `Quick
@@ -176,6 +239,11 @@ let suite =
       `Quick wire_modes_reproducible;
     Alcotest.test_case "fault-free runs drain to zero residual state" `Quick
       quiescent_baseline;
+    Alcotest.test_case "group quorum loss fails typed, then recovers" `Quick
+      group_quorum_loss;
+    Alcotest.test_case "12-seed 7-node fault sweep" `Slow sweep_7_nodes;
+    Alcotest.test_case "sweeper spares a live coordinator's own slice" `Quick
+      sweeper_spares_live_coordinator;
     Alcotest.test_case "100-node same-seed traces are byte-identical" `Slow
       hundred_node_trace_identity;
     Alcotest.test_case "50-seed fault sweep holds all invariants" `Slow

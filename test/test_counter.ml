@@ -8,20 +8,24 @@ module Erpc = Treaty_rpc.Erpc
 module Rote = Treaty_counter.Rote
 module CC = Treaty_counter.Counter_client
 
+(* One replica per node id in [members], each joined to its own
+   protection group — the whole membership while [n <= 2f+1]. *)
+let mk_replica sim net ~members id =
+  let enclave =
+    Enclave.create sim ~mode:Enclave.Scone ~cost:Treaty_sim.Costmodel.default
+      ~cores:4 ~node_id:id ~code_identity:"rote-test"
+  in
+  let pool = Treaty_memalloc.Mempool.create enclave in
+  let rpc =
+    Erpc.create sim ~net ~enclave ~pool
+      ~config:(Erpc.default_config ~security:Treaty_rpc.Secure_msg.Plain)
+      ~node_id:id ()
+  in
+  (rpc, Rote.create_replica rpc ~group:(Rote.protection_group ~self:id ~members) ())
+
 let mk_group ?(n = 3) sim net =
-  List.init n (fun i ->
-      let id = i + 1 in
-      let enclave =
-        Enclave.create sim ~mode:Enclave.Scone ~cost:Treaty_sim.Costmodel.default
-          ~cores:4 ~node_id:id ~code_identity:"rote-test"
-      in
-      let pool = Treaty_memalloc.Mempool.create enclave in
-      let rpc =
-        Erpc.create sim ~net ~enclave ~pool
-          ~config:(Erpc.default_config ~security:Treaty_rpc.Secure_msg.Plain)
-          ~node_id:id ()
-      in
-      (rpc, Rote.create_replica rpc ~group:(List.init n (fun j -> j + 1)) ()))
+  let members = List.init n (fun j -> j + 1) in
+  List.map (mk_replica sim net ~members) members
 
 let with_group ?n f =
   let sim = Sim.create () in
@@ -213,6 +217,122 @@ let abandoned_round_fails_waiters () =
       Alcotest.(check int) "failure counted" 1 (CC.stats cc).CC.failed_waits;
       Alcotest.(check int) "nothing stable" 0 (CC.stable_value cc ~log:"WAL"))
 
+let protection_groups () =
+  let size = (2 * Rote.fault_threshold) + 1 in
+  for n = 1 to 120 do
+    let members = List.init n (fun i -> i + 1) in
+    let load = Array.make (n + 1) 0 in
+    List.iter
+      (fun self ->
+        let g = Rote.protection_group ~self ~members in
+        let what = Printf.sprintf "N=%d self=%d" n self in
+        Alcotest.(check bool) (what ^ ": contains self") true (List.mem self g);
+        Alcotest.(check int) (what ^ ": size") (min n size) (List.length g);
+        Alcotest.(check (list int)) (what ^ ": deterministic") g
+          (Rote.protection_group ~self ~members);
+        Alcotest.(check int) (what ^ ": distinct members") (List.length g)
+          (List.length (List.sort_uniq compare g));
+        if n <= size then
+          Alcotest.(check (list int)) (what ^ ": whole membership") members g;
+        List.iter (fun m -> load.(m) <- load.(m) + 1) g)
+      members;
+    List.iter
+      (fun m ->
+        Alcotest.(check int)
+          (Printf.sprintf "N=%d: node %d replica load" n m)
+          (min n size) load.(m))
+      members
+  done;
+  (* Small memberships keep their given order (it fixes the round's spawn
+     order, hence the trace); larger ones are ring successors by id. *)
+  Alcotest.(check (list int)) "N<=2f+1 keeps order" [ 3; 1; 2 ]
+    (Rote.protection_group ~self:1 ~members:[ 3; 1; 2 ]);
+  Alcotest.(check (list int)) "ring wraps" [ 1; 4; 5 ]
+    (Rote.protection_group ~self:4 ~members:[ 5; 4; 3; 2; 1 ])
+
+let malformed_payloads_are_refused () =
+  (* A peer that authenticates but sends garbage must get a typed refusal,
+     not kill the replica's handler fiber. *)
+  with_group (fun sim group ->
+      let (rpc1, r1), (_, r2), _ =
+        match group with [ a; b; c ] -> (a, b, c) | _ -> assert false
+      in
+      let truncated = "\001\002\003" in
+      let call kind = Erpc.call rpc1 ~dst:2 ~kind ~timeout_ns:10_000_000 truncated in
+      (match call Rote.kind_echo1 with
+      | Ok "nack" -> ()
+      | Ok r -> Alcotest.failf "echo1 replied %S" r
+      | Error _ -> Alcotest.fail "echo1 got no reply");
+      (match call Rote.kind_echo2 with
+      | Ok "nack" -> ()
+      | Ok r -> Alcotest.failf "echo2 replied %S" r
+      | Error _ -> Alcotest.fail "echo2 got no reply");
+      (match call Rote.kind_query with
+      | Ok "" -> ()
+      | Ok r -> Alcotest.failf "query replied %S" r
+      | Error _ -> Alcotest.fail "query got no reply");
+      (* The simulation and the replicas keep working. *)
+      let t0 = Sim.now sim in
+      Sim.sleep sim 1_000_000;
+      Alcotest.(check int) "clock advances" (t0 + 1_000_000) (Sim.now sim);
+      (match Rote.increment r1 ~owner:1 ~log:"WAL" ~value:3 with
+      | Ok () -> ()
+      | Error `No_quorum -> Alcotest.fail "quorum after malformed traffic");
+      Alcotest.(check int) "peer holds the value" 3
+        (Rote.local_value r2 ~owner:1 ~log:"WAL"))
+
+(* Five replicas: every protection group is a proper subset (node 1's is
+   [1; 2; 3]), so these pin down that rounds stay inside the group. *)
+let with_five f =
+  let sim = Sim.create () in
+  let net = Net.create sim Treaty_sim.Costmodel.default in
+  Sim.run sim (fun () -> f sim net (Array.of_list (mk_group ~n:5 sim net)))
+
+let increment_stays_in_group () =
+  with_five (fun _sim _net g ->
+      (match Rote.increment (snd g.(0)) ~owner:1 ~log:"WAL" ~value:9 with
+      | Ok () -> ()
+      | Error `No_quorum -> Alcotest.fail "quorum available");
+      Array.iteri
+        (fun i (_, r) ->
+          Alcotest.(check int)
+            (Printf.sprintf "replica %d" (i + 1))
+            (if i < 3 then 9 else 0)
+            (Rote.local_value r ~owner:1 ~log:"WAL"))
+        g)
+
+let wiped_owner_recovers_from_group () =
+  with_five (fun sim net g ->
+      ignore (Rote.increment (snd g.(0)) ~owner:1 ~log:"WAL" ~value:42);
+      (* Node 1 loses its replica state and comes back on a new endpoint. *)
+      Erpc.shutdown (fst g.(0));
+      let _, fresh = mk_replica sim net ~members:[ 1; 2; 3; 4; 5 ] 1 in
+      Alcotest.(check int) "wiped" 0 (Rote.local_value fresh ~owner:1 ~log:"WAL");
+      match Rote.query fresh ~owner:1 ~log:"WAL" with
+      | Ok 42 -> ()
+      | Ok v -> Alcotest.failf "group returned %d" v
+      | Error `No_quorum -> Alcotest.fail "group quorum")
+
+let non_members_do_not_matter () =
+  with_five (fun sim _net g ->
+      (* Nodes 4 and 5 hold none of node 1's counters: with both down a
+         round neither fails nor waits out their RPC timeouts. *)
+      Erpc.shutdown (fst g.(3));
+      Erpc.shutdown (fst g.(4));
+      let t0 = Sim.now sim in
+      (match Rote.increment (snd g.(0)) ~owner:1 ~log:"L" ~value:1 with
+      | Ok () -> ()
+      | Error `No_quorum -> Alcotest.fail "owner's group is intact");
+      let took = Sim.now sim - t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "no timeout waited (%d ns)" took)
+        true (took < 10_000_000);
+      (* One crashed member is within f: still a quorum. *)
+      Erpc.shutdown (fst g.(1));
+      match Rote.increment (snd g.(0)) ~owner:1 ~log:"L" ~value:2 with
+      | Ok () -> ()
+      | Error `No_quorum -> Alcotest.fail "2 of 3 is a quorum")
+
 let suite =
   [
     Alcotest.test_case "increment + quorum query" `Quick increment_and_query;
@@ -225,4 +345,13 @@ let suite =
     Alcotest.test_case "epoch rounds span all logs" `Quick multi_log_epoch_rounds;
     Alcotest.test_case "per-log knob costs more rounds" `Quick per_log_knob_costs_more_rounds;
     Alcotest.test_case "abandoned round fails waiters" `Quick abandoned_round_fails_waiters;
+    Alcotest.test_case "protection groups for N = 1..120" `Quick protection_groups;
+    Alcotest.test_case "malformed payloads are refused" `Quick
+      malformed_payloads_are_refused;
+    Alcotest.test_case "5 replicas: increment stays in group" `Quick
+      increment_stays_in_group;
+    Alcotest.test_case "5 replicas: wiped owner recovers from group" `Quick
+      wiped_owner_recovers_from_group;
+    Alcotest.test_case "5 replicas: non-members do not matter" `Quick
+      non_members_do_not_matter;
   ]
