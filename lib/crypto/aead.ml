@@ -4,6 +4,8 @@ let iv_size = 12
 let mac_size = 16
 let overhead = iv_size + mac_size
 
+let check_iv fn iv = if String.length iv <> iv_size then invalid_arg (fn ^ ": iv size")
+
 let key_of_string material =
   let enc = Sha256.digest_string ("treaty-aead-enc:" ^ material) in
   let mac_key = Sha256.digest_string ("treaty-aead-mac:" ^ material) in
@@ -25,7 +27,7 @@ let tag key ~iv ~aad ct =
   String.sub full 0 mac_size
 
 let seal key ~iv ?(aad = "") pt =
-  if String.length iv <> iv_size then invalid_arg "Aead.seal: iv size";
+  check_iv "Aead.seal" iv;
   Taint.register pt;
   let ct = Chacha20.xor ~key:key.enc ~nonce:iv pt in
   (ct, tag key ~iv ~aad ct)
@@ -55,13 +57,14 @@ let open_packed key ?aad packed =
   end
 
 let xor_region key ~iv buf ~off ~len =
-  if String.length iv <> iv_size then invalid_arg "Aead.xor_region: iv size";
+  check_iv "Aead.xor_region" iv;
   Chacha20.xor_into ~key:key.enc ~nonce:iv buf ~off ~len
 
 let tag_region key ~iv buf ~aad_off ~aad_len ~ct_off ~ct_len =
   (* Same transcript as {!tag}: iv, len32 aad, aad, len32 ct, ct — so a
      region-sealed message verifies against a string-sealed one and vice
      versa. The regions are fed straight from the packet buffer. *)
+  check_iv "Aead.tag_region" iv;
   let s = Hmac.stream key.mac in
   Hmac.feed_string s iv;
   Hmac.feed_string s (len32_int aad_len);
@@ -71,8 +74,7 @@ let tag_region key ~iv buf ~aad_off ~aad_len ~ct_off ~ct_len =
   String.sub (Hmac.stream_mac s) 0 mac_size
 
 let check_region key ~iv buf ~aad_off ~aad_len ~ct_off ~ct_len ~mac =
-  String.length iv = iv_size
-  && String.length mac = mac_size
+  String.length mac = mac_size
   && Hmac.equal_tags mac (tag_region key ~iv buf ~aad_off ~aad_len ~ct_off ~ct_len)
 
 module Iv_gen = struct

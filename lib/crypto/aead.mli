@@ -43,7 +43,9 @@ val open_packed :
     The zero-copy wire path seals and opens whole packet regions inside a
     mempool-backed buffer: one keystream pass and one MAC per packet, no
     intermediate strings. The tag transcript matches {!seal}/{!open_}
-    exactly, so region-sealed and string-sealed messages interverify. *)
+    exactly, so region-sealed and string-sealed messages interverify. Each
+    raises [Invalid_argument] on an IV that is not {!iv_size} bytes or a
+    region outside the buffer, before any byte of the buffer is read. *)
 
 val xor_region : key -> iv:string -> Bytes.t -> off:int -> len:int -> unit
 (** Encrypt (or decrypt — it is an involution) [buf.[off .. off+len)] in
@@ -71,7 +73,8 @@ val check_region :
   ct_len:int ->
   mac:string ->
   bool
-(** Timing-safe verification of {!tag_region}. *)
+(** Timing-safe verification of {!tag_region}; [false] on a [mac] that is
+    not {!mac_size} bytes. *)
 
 (** Deterministic IV generator: a per-key 96-bit counter, never reused. *)
 module Iv_gen : sig

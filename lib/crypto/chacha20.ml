@@ -1,88 +1,23 @@
 let key_size = 32
 let nonce_size = 12
-let mask = 0xffffffff
 
-let[@inline] rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
-
-let[@inline] quarter st a b c d =
-  st.(a) <- (st.(a) + st.(b)) land mask;
-  st.(d) <- rotl (st.(d) lxor st.(a)) 16;
-  st.(c) <- (st.(c) + st.(d)) land mask;
-  st.(b) <- rotl (st.(b) lxor st.(c)) 12;
-  st.(a) <- (st.(a) + st.(b)) land mask;
-  st.(d) <- rotl (st.(d) lxor st.(a)) 8;
-  st.(c) <- (st.(c) + st.(d)) land mask;
-  st.(b) <- rotl (st.(b) lxor st.(c)) 7
-
-let le32 s off =
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
-
-let init_state ~key ~nonce ~counter =
-  if String.length key <> key_size then invalid_arg "Chacha20: key size";
-  if String.length nonce <> nonce_size then invalid_arg "Chacha20: nonce size";
-  let st = Array.make 16 0 in
-  st.(0) <- 0x61707865;
-  st.(1) <- 0x3320646e;
-  st.(2) <- 0x79622d32;
-  st.(3) <- 0x6b206574;
-  for i = 0 to 7 do
-    st.(4 + i) <- le32 key (4 * i)
-  done;
-  st.(12) <- counter land mask;
-  for i = 0 to 2 do
-    st.(13 + i) <- le32 nonce (4 * i)
-  done;
-  st
-
-let block_into ~state ~working out out_off =
-  Array.blit state 0 working 0 16;
-  for _round = 1 to 10 do
-    quarter working 0 4 8 12;
-    quarter working 1 5 9 13;
-    quarter working 2 6 10 14;
-    quarter working 3 7 11 15;
-    quarter working 0 5 10 15;
-    quarter working 1 6 11 12;
-    quarter working 2 7 8 13;
-    quarter working 3 4 9 14
-  done;
-  for i = 0 to 15 do
-    let v = (working.(i) + state.(i)) land mask in
-    Bytes.unsafe_set out (out_off + (4 * i)) (Char.unsafe_chr (v land 0xff));
-    Bytes.unsafe_set out (out_off + (4 * i) + 1) (Char.unsafe_chr ((v lsr 8) land 0xff));
-    Bytes.unsafe_set out (out_off + (4 * i) + 2) (Char.unsafe_chr ((v lsr 16) land 0xff));
-    Bytes.unsafe_set out (out_off + (4 * i) + 3) (Char.unsafe_chr ((v lsr 24) land 0xff))
-  done
-
-let block ~key ~nonce ~counter =
-  let state = init_state ~key ~nonce ~counter in
-  let out = Bytes.create 64 in
-  block_into ~state ~working:(Array.make 16 0) out 0;
-  Bytes.unsafe_to_string out
+(* Keystream XOR over buf.[off .. off+len) from block [counter] (mod 2^32),
+   in crypto_stubs.c. Callers validate key, nonce and region first. *)
+external xor_stub : string -> string -> int -> Bytes.t -> int -> int -> unit
+  = "caml_treaty_chacha20_xor_byte" "caml_treaty_chacha20_xor"
+[@@noalloc]
 
 let xor_into ~key ~nonce ?(counter = 1) buf ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length buf then
+  if String.length key <> key_size then invalid_arg "Chacha20: key size";
+  if String.length nonce <> nonce_size then invalid_arg "Chacha20: nonce size";
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
     invalid_arg "Chacha20.xor_into: region out of bounds";
-  let state = init_state ~key ~nonce ~counter in
-  let working = Array.make 16 0 in
-  let ks = Bytes.create 64 in
-  let pos = ref 0 and blk = ref counter in
-  while !pos < len do
-    state.(12) <- !blk land mask;
-    block_into ~state ~working ks 0;
-    let n = min 64 (len - !pos) in
-    for i = 0 to n - 1 do
-      Bytes.unsafe_set buf (off + !pos + i)
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get buf (off + !pos + i))
-           lxor Char.code (Bytes.unsafe_get ks i)))
-    done;
-    pos := !pos + n;
-    incr blk
-  done
+  xor_stub key nonce counter buf off len
+
+let block ~key ~nonce ~counter =
+  let out = Bytes.make 64 '\000' in
+  xor_into ~key ~nonce ~counter out ~off:0 ~len:64;
+  Bytes.unsafe_to_string out
 
 let xor ~key ~nonce ?(counter = 1) msg =
   let out = Bytes.of_string msg in

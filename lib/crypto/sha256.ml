@@ -1,129 +1,59 @@
-(* SHA-256, FIPS 180-4. 32-bit words are kept in OCaml ints masked to 32
-   bits; on a 64-bit platform this is exact. *)
+(* SHA-256, FIPS 180-4. The compression function is the C kernel in
+   crypto_stubs.c; this module does the buffering, padding and bounds
+   checks around it. *)
 
 let digest_size = 32
 
-let k =
-  [|
-    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
-    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
-    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
-    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
-    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
-    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
-    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
-    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
-    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
-    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
-    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
-  |]
+(* Absorb [n] whole 64-byte blocks of [src] from [off] into the state.
+   Callers guarantee [off + 64 * n <= Bytes.length src]. *)
+external compress : Bytes.t -> Bytes.t -> int -> int -> unit
+  = "caml_treaty_sha256_blocks"
+[@@noalloc]
 
 type ctx = {
-  h : int array; (* 8 state words *)
-  buf : bytes; (* 64-byte block buffer *)
+  h : Bytes.t; (* 8 state words, big-endian: the digest once finalized *)
+  buf : Bytes.t; (* 64-byte partial-block buffer *)
   mutable buf_len : int;
   mutable total : int; (* total bytes absorbed *)
-  w : int array; (* message schedule scratch *)
 }
 
+let iv =
+  let b = Bytes.create 32 in
+  Array.iteri
+    (fun i v -> Bytes.set_int32_be b (4 * i) (Int32.of_int v))
+    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+       0x1f83d9ab; 0x5be0cd19 |];
+  Bytes.unsafe_to_string b
+
 let init () =
-  {
-    h =
-      [|
-        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-        0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
-      |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
+  { h = Bytes.of_string iv; buf = Bytes.create 64; buf_len = 0; total = 0 }
 
 let copy c =
-  {
-    h = Array.copy c.h;
-    buf = Bytes.copy c.buf;
-    buf_len = c.buf_len;
-    total = c.total;
-    w = Array.make 64 0;
-  }
-
-let mask = 0xffffffff
-
-let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
-
-let compress ctx block off =
-  let w = ctx.w in
-  for i = 0 to 15 do
-    let j = off + (i * 4) in
-    w.(i) <-
-      (Char.code (Bytes.unsafe_get block j) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (j + 3))
-  done;
-  for i = 16 to 63 do
-    let w15 = w.(i - 15) and w2 = w.(i - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
-  done;
-  let h = ctx.h in
-  let a = ref h.(0)
-  and b = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask
-  done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  { h = Bytes.copy c.h; buf = Bytes.copy c.buf; buf_len = c.buf_len; total = c.total }
 
 let update ctx src off len =
-  if off < 0 || len < 0 || off + len > Bytes.length src then
+  if off < 0 || len < 0 || off > Bytes.length src - len then
     invalid_arg "Sha256.update";
   ctx.total <- ctx.total + len;
   let pos = ref off and remaining = ref len in
   (* Top up a partial block first. *)
   if ctx.buf_len > 0 then begin
-    let take = min !remaining (64 - ctx.buf_len) in
-    Bytes.blit src !pos ctx.buf ctx.buf_len take;
+    let take = min len (64 - ctx.buf_len) in
+    Bytes.blit src off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := !pos + take;
-    remaining := !remaining - take;
+    pos := off + take;
+    remaining := len - take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress ctx.h ctx.buf 0 1;
       ctx.buf_len <- 0
     end
   end;
-  while !remaining >= 64 do
-    compress ctx src !pos;
-    pos := !pos + 64;
-    remaining := !remaining - 64
-  done;
+  let blocks = !remaining / 64 in
+  if blocks > 0 then begin
+    compress ctx.h src !pos blocks;
+    pos := !pos + (64 * blocks);
+    remaining := !remaining - (64 * blocks)
+  end;
   if !remaining > 0 then begin
     Bytes.blit src !pos ctx.buf 0 !remaining;
     ctx.buf_len <- !remaining
@@ -132,33 +62,20 @@ let update ctx src off len =
 let update_string ctx s = update ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let finalize ctx =
-  let bit_len = ctx.total * 8 in
-  (* Padding: 0x80, zeros, 8-byte big-endian bit length. *)
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad
-      (pad_len + i)
-      (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  (* Bypass the [total] accounting while absorbing padding. *)
-  let saved = ctx.total in
-  update ctx pad 0 (Bytes.length pad);
-  ctx.total <- saved;
-  assert (ctx.buf_len = 0);
-  let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (i * 4) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((i * 4) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((i * 4) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((i * 4) + 3) (Char.chr (v land 0xff))
-  done;
-  Bytes.unsafe_to_string out
+  (* Padding, in place: 0x80, zeros, 8-byte big-endian bit length — spilling
+     into a second block when the length field does not fit. *)
+  let buf = ctx.buf in
+  let n = ctx.buf_len + 1 in
+  Bytes.set buf ctx.buf_len '\x80';
+  if n > 56 then begin
+    Bytes.fill buf n (64 - n) '\000';
+    compress ctx.h buf 0 1;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf n (56 - n) '\000';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx.h buf 0 1;
+  Bytes.to_string ctx.h
 
 let digest_bytes b =
   let ctx = init () in

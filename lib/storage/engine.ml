@@ -63,6 +63,7 @@ type stats = {
   mutable cache_evictions : int;
   mutable bloom_negatives : int;
   mutable bloom_false_positives : int;
+  mutable get_retries : int;
 }
 
 type recovery_info = {
@@ -174,6 +175,7 @@ let fresh_stats () =
     cache_evictions = 0;
     bloom_negatives = 0;
     bloom_false_positives = 0;
+    get_retries = 0;
   }
 
 let manifest_append t edit =
@@ -472,9 +474,15 @@ let rec get_attempt t ?span ~key ~snapshot attempts =
                   incr level
                 done;
                 lookup_of_sst !deep_hit
-          with Invalid_argument _ when attempts > 0 ->
+          with Ssd.No_such_file name ->
             (* A compaction deleted a file under us between the index lookup
-               and the block read; the new version has the data. *)
+               and the block read; the new version has the data. A file
+               still missing after the retries was deleted by the host, and
+               a file cut short is not a race either: that read raises
+               [Sec.Integrity_violation] and is not retried. *)
+            if attempts = 0 then
+              raise (Sec.Integrity_violation (name ^ ": live SSTable missing"));
+            t.stats.get_retries <- t.stats.get_retries + 1;
             get_attempt t ?span ~key ~snapshot (attempts - 1)))
 
 (* Range read of one SSTable through the block cache. *)

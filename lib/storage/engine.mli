@@ -79,6 +79,9 @@ type stats = {
   mutable bloom_negatives : int;  (** Files skipped entirely by a Bloom probe. *)
   mutable bloom_false_positives : int;
       (** Bloom said "maybe", the verified block said no. *)
+  mutable get_retries : int;
+      (** Point reads restarted because a compaction deleted a file between
+          the index lookup and the block read. *)
 }
 
 type recovery_info = {
@@ -128,7 +131,10 @@ val get :
     newest-first, then (via fence-array binary search) the one candidate
     file per deeper level. With [read_opt], each SSTable probe consults the
     file's Bloom filter first and block reads go through the verified block
-    cache. [span] parents the [sst.read] spans of any block fetches. *)
+    cache. [span] parents the [sst.read] spans of any block fetches.
+    A block read that finds its file deleted by a concurrent compaction is
+    retried (up to 3 times, counted in [get_retries]); a tampered, truncated
+    or persistently missing SSTable raises {!Sec.Integrity_violation}. *)
 
 val scan :
   ?span:Treaty_obs.Trace.span ->

@@ -1,6 +1,8 @@
 module Sim = Treaty_sim.Sim
 module Enclave = Treaty_tee.Enclave
 
+exception No_such_file of string
+
 type stats = {
   mutable writes : int;
   mutable reads : int;
@@ -50,7 +52,7 @@ let append t ~enclave name data =
 
 let read t ~enclave name ~off ~len =
   match Hashtbl.find_opt t.files name with
-  | None -> invalid_arg (Printf.sprintf "Ssd.read: no such file %s" name)
+  | None -> raise (No_such_file name)
   | Some buf ->
       if off < 0 || len < 0 || off + len > Buffer.length buf then
         invalid_arg (Printf.sprintf "Ssd.read: out of bounds %s" name);

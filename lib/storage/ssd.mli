@@ -14,6 +14,11 @@
 
 type t
 
+exception No_such_file of string
+(** {!read} of a file that does not exist (never created, or deleted —
+    e.g. by a compaction that retired it while a reader still held its
+    handle). *)
+
 type stats = {
   mutable writes : int;
   mutable reads : int;
@@ -31,8 +36,9 @@ val append : t -> enclave:Treaty_tee.Enclave.t -> string -> string -> int
     write. *)
 
 val read : t -> enclave:Treaty_tee.Enclave.t -> string -> off:int -> len:int -> string
-(** Random read; raises [Invalid_argument] past EOF. Charges one read
-    syscall and a page-cache hit. *)
+(** Random read. Raises {!No_such_file} if [name] does not exist and
+    [Invalid_argument] past EOF. Charges one read syscall and a page-cache
+    hit. *)
 
 val size : t -> string -> int
 (** Size in bytes; 0 if the file does not exist. *)

@@ -239,6 +239,10 @@ let may_contain h key =
   match h.bloom with None -> true | Some bloom -> Bloom.mem bloom key
 
 let read_stored_block ssd sec h meta =
+  (* The enclave-resident index says where the block lives; the host decides
+     how long the file is. A block past the end means the file was cut. *)
+  if Ssd.exists ssd h.name && meta.offset + meta.length > Ssd.size ssd h.name then
+    raise (Sec.Integrity_violation (h.name ^ ": block past end of file"));
   let stored =
     Ssd.read ssd ~enclave:(Sec.enclave sec) h.name ~off:meta.offset ~len:meta.length
   in

@@ -75,8 +75,8 @@ val read_block_idx : Ssd.t -> Sec.t -> handle -> int -> entry list * string
 (** Read, verify and decrypt one block; returns the decoded entries and the
     plaintext bytes (the engine caches both — the plaintext string is what
     TreatySan taint-tracks, and its length is the cache-budget charge).
-    Raises [Invalid_argument] if the file was deleted under the reader
-    (compaction); {!Sec.Integrity_violation} on tampering. *)
+    Raises {!Ssd.No_such_file} if the file was deleted under the reader
+    (compaction); {!Sec.Integrity_violation} on tampering or truncation. *)
 
 val search_entries : entry list -> key:string -> max_seq:int -> (int * Op.t) option
 (** Freshest version of [key] with [seq <= max_seq] in one block's entries

@@ -226,6 +226,143 @@ let prop_sha_distinct =
     QCheck.(pair small_string small_string)
     (fun (a, b) -> a = b || Sha256.digest_string a <> Sha256.digest_string b)
 
+(* --- native kernels vs the pure-OCaml oracle --- *)
+
+let bytes_gen n = QCheck.Gen.(string_size ~gen:char (return n))
+
+(* Counters cluster near the top of the 32-bit block counter so a long
+   region wraps it back to 0 mid-stream. *)
+let counter_gen =
+  QCheck.Gen.(
+    oneof
+      [ int_bound 1000; map (fun d -> 0xffff_ffff - d) (int_bound 70); return 0xffff_ffff ])
+
+let prop_chacha_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* key = bytes_gen 32 and* nonce = bytes_gen 12 and* counter = counter_gen in
+      let* len = int_bound 4200 and* pre = int_bound 100 and* post = int_bound 100 in
+      let* buf = bytes_gen (pre + len + post) in
+      return (key, nonce, counter, pre, len, buf))
+  in
+  let print (_, _, counter, pre, len, _) =
+    Printf.sprintf "counter=%#x off=%d len=%d" counter pre len
+  in
+  QCheck.Test.make ~name:"chacha20 kernel = oracle, region only" ~count:200
+    (QCheck.make ~print gen)
+    (fun (key, nonce, counter, off, len, buf) ->
+      let b = Bytes.of_string buf in
+      Chacha20.xor_into ~key ~nonce ~counter b ~off ~len;
+      let region = Bytes.sub_string b off len in
+      region = Crypto_oracle.chacha20_xor ~key ~nonce ~counter (String.sub buf off len)
+      && Bytes.sub_string b 0 off = String.sub buf 0 off
+      && Bytes.sub_string b (off + len) (Bytes.length b - off - len)
+         = String.sub buf (off + len) (String.length buf - off - len))
+
+let prop_sha_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* len = int_bound 4200 and* pre = int_bound 64 in
+      let* msg = bytes_gen len and* cuts = list_size (int_bound 6) (int_bound len) in
+      return (pre, msg, List.sort compare cuts))
+  in
+  let print (pre, msg, cuts) =
+    Printf.sprintf "off=%d len=%d cuts=[%s]" pre (String.length msg)
+      (String.concat ";" (List.map string_of_int cuts))
+  in
+  QCheck.Test.make ~name:"sha256 kernel = oracle at any split" ~count:200
+    (QCheck.make ~print gen)
+    (fun (pre, msg, cuts) ->
+      (* The message sits at an offset inside a larger buffer and is fed
+         in pieces cut at arbitrary points. *)
+      let len = String.length msg in
+      let b = Bytes.make (pre + len + 7) '\xa5' in
+      Bytes.blit_string msg 0 b pre len;
+      let ctx = Sha256.init () in
+      let last =
+        List.fold_left
+          (fun from cut ->
+            Sha256.update ctx b (pre + from) (cut - from);
+            cut)
+          0 cuts
+      in
+      Sha256.update ctx b (pre + last) (len - last);
+      let expected = Crypto_oracle.sha256 msg in
+      Sha256.finalize ctx = expected && Sha256.digest_string msg = expected)
+
+let prop_sha_copy =
+  QCheck.Test.make ~name:"sha256 copy diverges independently" ~count:200
+    QCheck.(
+      triple (string_of_size Gen.(0 -- 300)) (string_of_size Gen.(0 -- 300))
+        (string_of_size Gen.(0 -- 300)))
+    (fun (prefix, left, right) ->
+      let ctx = Sha256.init () in
+      Sha256.update_string ctx prefix;
+      let ctx2 = Sha256.copy ctx in
+      Sha256.update_string ctx left;
+      Sha256.update_string ctx2 right;
+      Sha256.finalize ctx = Crypto_oracle.sha256 (prefix ^ left)
+      && Sha256.finalize ctx2 = Crypto_oracle.sha256 (prefix ^ right))
+
+(* Every entry point into the kernels validates sizes and regions in OCaml:
+   a bad call raises [Invalid_argument] and leaves the buffer and the hash
+   state exactly as they were, i.e. it never reached C. *)
+let kernel_entry_points_reject_bad_calls () =
+  let key = String.make 32 'k' and nonce = String.make 12 'n' in
+  let sentinel = String.init 64 (fun i -> Char.chr (i * 3)) in
+  let bad_regions = [ (-1, 4); (0, -1); (60, 5); (65, 0); (1, max_int); (max_int, 1) ] in
+  let rejects what f =
+    let b = Bytes.of_string sentinel in
+    (match f b with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ());
+    Alcotest.(check string) (what ^ ": buffer untouched") sentinel (Bytes.to_string b)
+  in
+  let region_cases name f =
+    List.iter
+      (fun (off, len) -> rejects (Printf.sprintf "%s off=%d len=%d" name off len) (f ~off ~len))
+      bad_regions
+  in
+  region_cases "Chacha20.xor_into" (fun ~off ~len b -> Chacha20.xor_into ~key ~nonce b ~off ~len);
+  rejects "Chacha20.xor_into short key" (fun b ->
+      Chacha20.xor_into ~key:(String.make 31 'k') ~nonce b ~off:0 ~len:8);
+  rejects "Chacha20.xor_into long nonce" (fun b ->
+      Chacha20.xor_into ~key ~nonce:(String.make 13 'n') b ~off:0 ~len:8);
+  (match Chacha20.xor ~key:"short" ~nonce "msg" with
+  | _ -> Alcotest.fail "Chacha20.xor accepted a short key"
+  | exception Invalid_argument _ -> ());
+  let ctx = Sha256.init () in
+  Sha256.update_string ctx "state before";
+  region_cases "Sha256.update" (fun ~off ~len b -> Sha256.update ctx b off len);
+  Alcotest.(check string) "failed updates left the hash state alone"
+    (Crypto_oracle.sha256 "state before")
+    (Sha256.finalize ctx);
+  let h = Hmac.create "k" in
+  region_cases "Hmac.mac_bytes" (fun ~off ~len b -> ignore (Hmac.mac_bytes h b off len));
+  let s = Hmac.stream h in
+  Hmac.feed_string s "ab";
+  region_cases "Hmac.feed_bytes" (fun ~off ~len b -> Hmac.feed_bytes s b off len);
+  Alcotest.(check string) "failed feeds left the stream alone" (Hmac.mac h "ab")
+    (Hmac.stream_mac s);
+  let k = Aead.key_of_string "k" and iv = String.make 12 'i' in
+  region_cases "Aead.xor_region" (fun ~off ~len b -> Aead.xor_region k ~iv b ~off ~len);
+  rejects "Aead.xor_region short iv" (fun b ->
+      Aead.xor_region k ~iv:"short" b ~off:0 ~len:8);
+  region_cases "Aead.tag_region aad" (fun ~off ~len b ->
+      ignore (Aead.tag_region k ~iv b ~aad_off:off ~aad_len:len ~ct_off:0 ~ct_len:8));
+  region_cases "Aead.tag_region ct" (fun ~off ~len b ->
+      ignore (Aead.tag_region k ~iv b ~aad_off:0 ~aad_len:8 ~ct_off:off ~ct_len:len));
+  rejects "Aead.tag_region short iv" (fun b ->
+      ignore (Aead.tag_region k ~iv:"short" b ~aad_off:0 ~aad_len:0 ~ct_off:0 ~ct_len:8));
+  let mac = String.make 16 'm' in
+  region_cases "Aead.check_region" (fun ~off ~len b ->
+      ignore
+        (Aead.check_region k ~iv b ~aad_off:0 ~aad_len:0 ~ct_off:off ~ct_len:len ~mac));
+  rejects "Aead.check_region long iv" (fun b ->
+      ignore
+        (Aead.check_region k ~iv:(String.make 16 'i') b ~aad_off:0 ~aad_len:0 ~ct_off:0
+           ~ct_len:8 ~mac))
+
 let suite =
   [
     Alcotest.test_case "sha256 vectors" `Quick sha256_vectors;
@@ -244,7 +381,12 @@ let suite =
       aead_region_interverifies;
     Alcotest.test_case "iv_gen next_into = next" `Quick iv_gen_next_into;
     Alcotest.test_case "key derivation" `Quick keys_derivation;
+    Alcotest.test_case "kernel entry points reject bad calls" `Quick
+      kernel_entry_points_reject_bad_calls;
     QCheck_alcotest.to_alcotest prop_aead_roundtrip;
     QCheck_alcotest.to_alcotest prop_chacha_involution;
     QCheck_alcotest.to_alcotest prop_sha_distinct;
+    QCheck_alcotest.to_alcotest prop_chacha_oracle;
+    QCheck_alcotest.to_alcotest prop_sha_oracle;
+    QCheck_alcotest.to_alcotest prop_sha_copy;
   ]

@@ -1051,6 +1051,83 @@ let engine_cache_invalidation_on_compaction () =
       | Some (used, cap) ->
           Alcotest.(check bool) "cache budget holds" true (used <= cap))
 
+(* A reader holds a level's file list across yields; a compaction that
+   retires one of those files in between makes the block read miss. That
+   typed miss (Ssd.No_such_file) is the one case get retries. *)
+let engine_get_retries_compaction_race () =
+  with_sim (fun sim ->
+      let eng, _, _ = mk_engine sim in
+      let n = 300 in
+      let key i = Printf.sprintf "race%04d" i in
+      let write round =
+        for i = 0 to n - 1 do
+          ignore
+            (Engine.commit eng
+               ~writes:[ (key i, Op.Put (Printf.sprintf "r%d-%d" round i)) ]
+               ())
+        done
+      in
+      write 0;
+      Engine.flush_now eng;
+      let stop = ref false and reader_done = Sim.ivar () in
+      Sim.spawn sim (fun () ->
+          while not !stop do
+            let snap = Engine.snapshot eng in
+            Engine.retain_snapshot eng snap;
+            for i = 0 to n - 1 do
+              match Engine.get eng ~key:(key i) ~snapshot:snap with
+              | Memtable.Found _ -> ()
+              | _ -> Alcotest.failf "key %d lost to a concurrent compaction" i
+            done;
+            Engine.release_snapshot eng snap
+          done;
+          Sim.fill reader_done ());
+      for round = 1 to 6 do
+        write round;
+        Engine.flush_now eng;
+        Engine.compact_now eng
+      done;
+      stop := true;
+      Sim.read sim reader_done;
+      Alcotest.(check bool) "the race was hit and retried" true
+        ((Engine.stats eng).Engine.get_retries > 0))
+
+(* The host cutting a live SSTable short is an attack, not a race: the
+   read of a block past the new end fails verification and is not retried.
+   Deleting it outright looks like a race at first, so it is retried, and
+   reported once the retries run out. *)
+let engine_truncated_sstable_detected () =
+  with_sim (fun sim ->
+      let eng, ssd, _ = mk_engine sim in
+      for i = 0 to 299 do
+        ignore
+          (Engine.commit eng
+             ~writes:[ (Printf.sprintf "tr%04d" i, Op.Put (String.make 20 'v')) ]
+             ())
+      done;
+      Engine.flush_now eng;
+      Sim.sleep sim 500_000_000 (* let background flushes and compactions drain *);
+      Alcotest.(check bool) "engine idle" true (Engine.compaction_idle eng);
+      let ssts =
+        List.filter (String.starts_with ~prefix:"sst-") (Ssd.list_files ssd)
+      in
+      Alcotest.(check bool) "flushed to SSTables" true (ssts <> []);
+      List.iter (fun name -> Ssd.truncate ssd name (Ssd.size ssd name / 4)) ssts;
+      let snap = Engine.snapshot eng in
+      (match Engine.get eng ~key:"tr0299" ~snapshot:snap with
+      | _ -> Alcotest.fail "read of a truncated SSTable succeeded"
+      | exception Sec.Integrity_violation _ -> ());
+      Alcotest.(check int) "truncation is not retried as a race" 0
+        (Engine.stats eng).Engine.get_retries;
+      (* A live file that stays gone is a deletion attack: retried as a
+         possible race, then reported as an integrity failure. *)
+      List.iter (Ssd.delete ssd) ssts;
+      (match Engine.get eng ~key:"tr0299" ~snapshot:snap with
+      | _ -> Alcotest.fail "read of a deleted SSTable succeeded"
+      | exception Sec.Integrity_violation _ -> ());
+      Alcotest.(check int) "deletion retried before it is reported" 3
+        (Engine.stats eng).Engine.get_retries)
+
 let engine_cache_capacity_eviction () =
   with_sim (fun sim ->
       let sec = mk_sec sim in
@@ -1087,6 +1164,10 @@ let suite =
     Alcotest.test_case "log roundtrip" `Quick log_roundtrip;
     Alcotest.test_case "log tamper detection" `Quick log_tamper_detection;
     Alcotest.test_case "log truncation detection" `Quick log_truncation_detection;
+    Alcotest.test_case "engine get retries a compaction race" `Quick
+      engine_get_retries_compaction_race;
+    Alcotest.test_case "engine truncated sstable detected" `Quick
+      engine_truncated_sstable_detected;
     Alcotest.test_case "log rollback detection (trusted counter)" `Quick log_rollback_detection;
     Alcotest.test_case "log unstable tail dropped" `Quick log_unstable_tail_dropped;
     Alcotest.test_case "plain mode stores plaintext" `Quick log_plain_mode_no_auth;

@@ -27,6 +27,11 @@
      byte-region cursors over packet buffers; String.sub and ( ^ ) there
      reintroduce the per-message copy-and-concat the zero-copy path exists
      to eliminate.
+   - foreign-zone: [external] declarations (C stubs, runtime primitives)
+     are allowed only in lib/crypto, whose native kernels are validated by
+     OCaml wrappers before any call crosses into C. Anywhere else an
+     external is an unchecked escape from the type system and from the
+     simulator's determinism and trust-zone rules.
    - nondeterminism: ambient sources of nondeterminism (Random,
      Unix.gettimeofday, Sys.time, Hashtbl.hash, Obj.magic) break the
      seeded-simulation reproducibility contract.
@@ -211,7 +216,15 @@ let lint ~path structure =
     | _ -> ());
     super.module_expr self m
   in
-  let it = { super with expr; pat; typ; module_expr } in
+  let value_description self (vd : Parsetree.value_description) =
+    if vd.pval_prim <> [] && zone <> Crypto then
+      report vd.pval_loc "foreign-zone"
+        ("external " ^ vd.pval_name.txt
+       ^ ": foreign declarations are private to lib/crypto, where OCaml \
+          wrappers check every region before calling into C");
+    super.value_description self vd
+  in
+  let it = { super with expr; pat; typ; module_expr; value_description } in
   it.structure it structure;
   List.rev !out
 
@@ -309,7 +322,16 @@ let self_tests =
     ("lib/rpc/erpc.ml", "let x = a ^ b", [ "wire-zone" ]);
     ("lib/rpc/erpc.ml", "let x = Bytes.sub_string b 0 4", []);
     ("lib/rpc/transport.ml", "let x = a ^ b", [ "wire-zone" ]);
-    ("lib/core/node.ml", "let x = String.sub s 0 4", [])
+    ("lib/core/node.ml", "let x = String.sub s 0 4", []);
+    ("lib/crypto/chacha20.ml",
+     "external xor : bytes -> int -> unit = \"c_xor\" [@@noalloc]", []);
+    ("lib/storage/sstable.ml", "external crc : string -> int = \"c_crc\"",
+     [ "foreign-zone" ]);
+    ("lib/core/node.ml",
+     "module F : sig external f : int -> int = \"c_f\" end = struct \
+      external f : int -> int = \"c_f\" end",
+     [ "foreign-zone" ]);
+    ("lib/core/node.ml", "module type S = sig val f : int -> int end", [])
   ]
 
 let run_self_test () =
@@ -346,4 +368,4 @@ let run_self_test () =
 let rules =
   [ "wildcard-match"; "crypto-primitive"; "untrusted-zone"; "hw-counter";
     "obs-zone"; "nondeterminism"; "partial-failure"; "cache-zone";
-    "wire-zone" ]
+    "wire-zone"; "foreign-zone" ]

@@ -1,0 +1,13 @@
+(* Seeded foreign-zone violations: C stubs are private to lib/crypto, whose
+   wrappers check every region before the call. An external in the storage
+   layer (or in a signature inside it) bypasses that. The runtest rule
+   asserts the lint flags this file (non-zero exit). Parsed by the lint,
+   never compiled. *)
+
+external block_crc : bytes -> int -> int -> int = "storage_block_crc" [@@noalloc]
+
+module Fast : sig
+  external memcmp : string -> string -> int = "storage_memcmp"
+end = struct
+  external memcmp : string -> string -> int = "storage_memcmp"
+end

@@ -7,7 +7,8 @@
    themselves:
 
      crypto-primitive, untrusted-zone, hw-counter, obs-zone, cache-zone,
-     wire-zone, nondeterminism, wildcard-match, partial-failure
+     wire-zone, foreign-zone, nondeterminism, wildcard-match,
+     partial-failure
 
    Violations print as "file:line: [rule] message" and make the exit status
    non-zero. Justified exceptions live in the allowlist file shared with
