@@ -7,10 +7,7 @@
    C. Message buffers in host memory vs the naive SCONE port of eRPC that
       allocates them in the enclave and keeps rdtsc OCALLs (§VII-A).
    D. SGX hardware monotonic counters vs the ROTE-style service (§VI):
-      per-stabilization latency and the wear-out budget.
-   E. Commit-pipeline batching on/off: epoch stabilization rounds, Clog
-      group commit and RPC burst coalescing together (§VII-B applied across
-      transactions). *)
+      per-stabilization latency and the wear-out budget. *)
 
 open Treaty_core
 module Sim = Treaty_sim.Sim
@@ -38,23 +35,6 @@ let throughput ~engine_overrides ~config_overrides =
 
 let row label (tps, ms) =
   Printf.printf "  %-36s %10.1f tps   lat %6.2f ms\n%!" label tps ms
-
-(* Like [throughput] but distributed, parameterized on the full security
-   profile (profiles carry the engine knobs with_profile applies). *)
-let throughput_profile profile ~nodes =
-  let r = ref None in
-  Common.run_sim (fun sim ->
-      let config = { (Common.base_config profile) with Config.nodes } in
-      let cluster = Common.make_cluster sim config () in
-      Common.load_ycsb cluster ycsb;
-      let res =
-        W.Driver.run_clients cluster ~clients:(Common.scale_clients 32)
-          ~duration_ns:(Common.duration_ns ()) ~warmup_ns:(Common.warmup_ns ())
-          ~txn:(Common.ycsb_txn ycsb) ()
-      in
-      Cluster.shutdown cluster;
-      r := Some (W.Driver.tps res, W.Driver.mean_ms res));
-  Option.get !r
 
 (* Group commit amortizes device write latency: evaluate it on a device
    where that latency is material (SATA-class fsync), not the fast-NVMe
@@ -125,13 +105,4 @@ let run () =
       | Ok () -> ()
       | Error `No_quorum -> failwith "no quorum");
       Printf.printf "  ROTE echo-broadcast increment: %.2f ms (no wear, survives CPU loss)\n%!"
-        (float_of_int (Sim.now sim2 - t0) /. 1e6));
-
-  Common.subsection
-    "E. commit-pipeline batching (3 nodes, YCSB 20%R, stabilization on)";
-  row "batching ON (epoch rounds, group commit, bursts)"
-    (throughput_profile Config.treaty_enc_stab ~nodes:3);
-  row "batching OFF (per-log rounds, per-record appends)"
-    (throughput_profile
-       { Config.treaty_enc_stab with Config.batching = false }
-       ~nodes:3)
+        (float_of_int (Sim.now sim2 - t0) /. 1e6))

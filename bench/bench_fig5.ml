@@ -15,9 +15,6 @@ let systems =
     ("Treaty w/o Enc", Config.treaty_no_enc, Types.Pessimistic);
     ("Treaty w/ Enc", Config.treaty_enc, Types.Pessimistic);
     ("Treaty w/ Enc w/ Stab", Config.treaty_enc_stab, Types.Pessimistic);
-    ( "Treaty w/ Stab unbatched",
-      { Config.treaty_enc_stab with Config.batching = false },
-      Types.Pessimistic );
     (* cc ablation rider: same stack, OCC validation instead of 2PL, with
        all-read transactions taking the read-only snapshot fast path. *)
     ("Treaty w/ Stab OCC", Config.treaty_enc_stab, Types.Optimistic);

@@ -29,10 +29,8 @@ let meta =
     req_id = 99;
   }
 
-let wire = Treaty_rpc.Secure_msg.encode secure_key ~iv_gen:ivg meta value_1k
-
-(* An 8-message burst of 100 B payloads: one v2 packet (one IV, one
-   keystream pass, one MAC) vs eight individually sealed v1 messages. *)
+(* An 8-message burst of 100 B payloads: one packet, one IV, one keystream
+   pass, one MAC. *)
 let burst_msgs =
   List.init 8 (fun i -> ({ meta with Treaty_rpc.Secure_msg.op_id = i }, msg_100))
 
@@ -75,22 +73,10 @@ let tests =
              Crypto.Aead.seal_packed aead_key ~iv:(String.make 12 'i') value_1k));
       Test.make ~name:"aead-open-1KiB"
         (Staged.stage (fun () -> Crypto.Aead.open_packed aead_key sealed));
-      Test.make ~name:"secure-msg-encode-1KiB"
-        (Staged.stage (fun () ->
-             Treaty_rpc.Secure_msg.encode secure_key ~iv_gen:ivg meta value_1k));
-      Test.make ~name:"secure-msg-decode-1KiB"
-        (Staged.stage (fun () -> Treaty_rpc.Secure_msg.decode secure_key wire));
       Test.make ~name:"burst-seal-8x100B"
         (Staged.stage (fun () ->
              Treaty_rpc.Secure_msg.Burst.encode_into secure_key ~iv_gen:ivg
                burst_buf burst_msgs));
-      Test.make ~name:"per-msg-seal-8x100B"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun (m, data) ->
-                 ignore
-                   (Treaty_rpc.Secure_msg.encode secure_key ~iv_gen:ivg m data))
-               burst_msgs));
       Test.make ~name:"burst-open-8x100B"
         (Staged.stage (fun () ->
              Treaty_rpc.Secure_msg.Burst.decode secure_key burst_wire));
@@ -106,9 +92,8 @@ let tests =
 (* Rounds per transaction: the number the commit pipeline exists to shrink.
    N concurrent "transactions" each stabilize a Clog decision and a WAL
    entry; the epoch pump coalesces the pending targets of every log into one
-   ROTE round, so rounds/txn collapses with concurrency. [batch_logs:false]
-   reproduces the old one-round-per-log behaviour for comparison. *)
-let rounds_per_txn ~batch_logs =
+   ROTE round, so rounds/txn collapses with concurrency. *)
+let rounds_per_txn () =
   let module Sim = Treaty_sim.Sim in
   let sim = Sim.create ~seed:0xF00DF00DL () in
   let result = ref 0. in
@@ -128,7 +113,7 @@ let rounds_per_txn ~batch_logs =
       let r1 = Treaty_counter.Rote.create_replica (mk 1) ~group:[ 1; 2; 3 ] () in
       let _r2 = Treaty_counter.Rote.create_replica (mk 2) ~group:[ 1; 2; 3 ] () in
       let _r3 = Treaty_counter.Rote.create_replica (mk 3) ~group:[ 1; 2; 3 ] () in
-      let cc = Treaty_counter.Counter_client.create ~batch_logs r1 ~owner:1 in
+      let cc = Treaty_counter.Counter_client.create r1 ~owner:1 in
       let txns = 64 in
       let clog = ref 0 and wal = ref 0 in
       let latch = Sim.ivar () in
@@ -155,15 +140,14 @@ let rounds_per_txn ~batch_logs =
       result := float_of_int s.rounds_started /. float_of_int txns);
   !result
 
-(* Simulated AEAD cost per completed RPC, batched (v2 envelope) vs unbatched
-   (v1): an eRPC pair under the commit pipeline's message shape — 32
-   concurrent closed-loop callers, ~100 B requests, 1 KiB responses, the
-   default 5 µs doorbell window. The enclave's [crypto_ns] counter divided
-   by completed calls is the number the burst-level AEAD shrinks: one fixed
-   seal/open charge per *packet* instead of per message, plus 28 B of
-   per-message IV/pad/MAC framing saved. Also returns the coalescing factor
-   so the JSON records msgs/packet alongside the cost it buys. *)
-let crypto_ns_per_call ~batch_crypto =
+(* Simulated AEAD cost per completed RPC: an eRPC pair under the commit
+   pipeline's message shape — 32 concurrent closed-loop callers, ~100 B
+   requests, 1 KiB responses, the default 5 µs doorbell window. The
+   enclave's [crypto_ns] counter divided by completed calls is the number
+   the burst-level AEAD shrinks: one fixed seal/open charge per *packet*
+   instead of per message. Also returns the coalescing factor so the JSON
+   records msgs/packet alongside the cost it buys. *)
+let crypto_ns_per_call () =
   let module Sim = Treaty_sim.Sim in
   let module Erpc = Treaty_rpc.Erpc in
   let module Enclave = Treaty_tee.Enclave in
@@ -182,12 +166,7 @@ let crypto_ns_per_call ~batch_crypto =
         ( e,
           Erpc.create sim ~net ~enclave:e ~pool
             ~config:
-              {
-                (Erpc.default_config
-                   ~security:(Treaty_rpc.Secure_msg.Secure key))
-                with
-                Erpc.batch_crypto;
-              }
+              (Erpc.default_config ~security:(Treaty_rpc.Secure_msg.Secure key))
             ~node_id:id () )
       in
       let e1, a = mk 1 and e2, b = mk 2 in
@@ -300,22 +279,28 @@ let run_event_loop () =
         \"speedup\": %.2f }"
        seed wheel speedup)
 
+(* The same run over the deleted per-message envelope, which sealed every
+   sub-message on its own: frozen from its last run at commit
+   [Common.frozen_at]. Simulated time, so the values are exact on any
+   host. *)
+let no_batch_crypto_ns = 1670.0
+let no_batch_crypto_msgs_per_packet = 15.80
+
 let run_crypto_per_txn () =
-  let batched_ns, batched_mpp = crypto_ns_per_call ~batch_crypto:true in
-  let unbatched_ns, unbatched_mpp = crypto_ns_per_call ~batch_crypto:false in
+  let batched_ns, batched_mpp = crypto_ns_per_call () in
+  let reduction_pct = 100. *. (1. -. (batched_ns /. no_batch_crypto_ns)) in
   Printf.printf
-    "  AEAD ns/call (32 callers, 100B req / 1KiB resp): v2 burst-sealed \
-     %.0f (%.2f msgs/pkt), v1 per-message %.0f (%.2f msgs/pkt) — %.1f%% \
+    "  AEAD ns/call (32 callers, 100B req / 1KiB resp): burst-sealed %.0f \
+     (%.2f msgs/pkt), per-message (frozen) %.0f (%.2f msgs/pkt) — %.1f%% \
      less\n%!"
-    batched_ns batched_mpp unbatched_ns unbatched_mpp
-    (100. *. (1. -. (batched_ns /. unbatched_ns)));
+    batched_ns batched_mpp no_batch_crypto_ns no_batch_crypto_msgs_per_packet
+    reduction_pct;
   Printf.sprintf
     "{ \"batched\": %.1f, \"no_batch_crypto\": %.1f, \"reduction_pct\": \
      %.1f, \"batched_msgs_per_packet\": %.2f, \
-     \"no_batch_crypto_msgs_per_packet\": %.2f }"
-    batched_ns unbatched_ns
-    (100. *. (1. -. (batched_ns /. unbatched_ns)))
-    batched_mpp unbatched_mpp
+     \"no_batch_crypto_msgs_per_packet\": %.2f, \"frozen_at\": %S }"
+    batched_ns no_batch_crypto_ns reduction_pct batched_mpp
+    no_batch_crypto_msgs_per_packet Common.frozen_at
 
 (* Wall ns/op of the crypto rows with the native ChaCha20/SHA-256 kernels
    (this run), next to the same rows frozen from the pure-OCaml kernels they
@@ -360,9 +345,8 @@ let run () =
   in
   List.iter (fun (name, est) -> Printf.printf "  %-28s %12.1f ns/op\n" name est) estimates;
   Printf.printf
-    "  stabilization rounds/txn (64 concurrent txns, clog+wal): epoch-batched %.3f, per-log %.3f\n%!"
-    (rounds_per_txn ~batch_logs:true)
-    (rounds_per_txn ~batch_logs:false);
+    "  stabilization rounds/txn (64 concurrent txns, clog+wal): %.3f\n%!"
+    (rounds_per_txn ());
   let crypto_per_txn = run_crypto_per_txn () in
   Common.pipeline_json_set ~key:"micro"
     (Printf.sprintf "{ \"crypto_ns_per_txn\": %s, \"wall_ns_per_op\": %s }"

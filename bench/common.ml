@@ -119,6 +119,15 @@ let pipeline_json_set ~key fragment =
   output_string oc (Buffer.contents b);
   close_out oc
 
+(* The commit whose bench run last measured the deleted ablation knobs —
+   the per-message envelope, the unbatched commit pipeline and the
+   verify-every-block read path. Their rows are kept as frozen history,
+   tagged with this commit in the JSON. *)
+let frozen_at = "87e764d"
+
+(* JSON field appended to a frozen row. *)
+let frozen_field = Printf.sprintf ", \"frozen_at\": %S" frozen_at
+
 let id_engine e = e
 
 let pct x = x *. 100.0

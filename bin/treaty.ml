@@ -59,18 +59,8 @@ let report_obs ~trace_file ~metrics cluster =
       Trace.export_file f;
       Printf.printf "trace: wrote %s (chrome://tracing or ui.perfetto.dev)\n" f
 
-let run_cmd profile no_batching no_batch_crypto no_read_opt cc sanitize nodes
-    workload clients duration_ms warehouses read_pct trace_file metrics =
-  let profile =
-    if no_batching then { profile with Config.batching = false } else profile
-  in
-  let profile =
-    if no_batch_crypto then { profile with Config.batch_crypto = false }
-    else profile
-  in
-  let profile =
-    if no_read_opt then { profile with Config.read_opt = false } else profile
-  in
+let run_cmd profile cc sanitize nodes workload clients duration_ms warehouses
+    read_pct trace_file metrics =
   let profile = if sanitize then { profile with Config.sanitize = true } else profile in
   let profile =
     { profile with Config.trace = trace_file <> None; metrics }
@@ -246,8 +236,7 @@ let recover_cmd profile crash_after =
 
 (* --- chaos --------------------------------------------------------------- *)
 
-let chaos_cmd seeds first_seed nodes clients horizon_ms no_batching
-    no_batch_crypto no_read_opt cc seed_opt trace_file =
+let chaos_cmd seeds first_seed nodes clients horizon_ms cc seed_opt trace_file =
   (* --seed N: run exactly that one seed (the replay-and-trace workflow). *)
   let seeds, first_seed =
     match seed_opt with Some s -> (1, s) | None -> (seeds, first_seed)
@@ -258,9 +247,6 @@ let chaos_cmd seeds first_seed nodes clients horizon_ms no_batching
       Treaty_chaos.Chaos.nodes;
       clients;
       horizon_ns = horizon_ms * 1_000_000;
-      batching = not no_batching;
-      batch_crypto = not no_batch_crypto;
-      read_opt = not no_read_opt;
       cc;
       trace = trace_file <> None;
     }
@@ -305,26 +291,6 @@ let seeds_arg = Arg.(value & opt int 50 & info [ "seeds" ] ~doc:"How many fault 
 let first_seed_arg = Arg.(value & opt int 1 & info [ "first-seed" ] ~doc:"First seed of the sweep.")
 let chaos_clients_arg = Arg.(value & opt int 3 & info [ "clients" ] ~doc:"Workload clients per run.")
 let horizon_arg = Arg.(value & opt int 600 & info [ "horizon-ms" ] ~doc:"Fault window length (simulated ms).")
-let no_batching_arg =
-  Arg.(value & flag
-       & info [ "no-batching" ]
-           ~doc:"Disable commit-pipeline batching (epoch stabilization, Clog \
-                 group commit, RPC burst coalescing).")
-
-let no_batch_crypto_arg =
-  Arg.(value & flag
-       & info [ "no-batch-crypto" ]
-           ~doc:"Disable burst-level AEAD (the v2 packet envelope that seals \
-                 a whole RPC burst with one IV/keystream/MAC): fall back to \
-                 sealing every sub-message individually (v1 envelope).")
-
-let no_read_opt_arg =
-  Arg.(value & flag
-       & info [ "no-read-opt" ]
-           ~doc:"Disable the authenticated read-path acceleration (SSTable \
-                 Bloom filters and the enclave verified block cache): every \
-                 point read verifies and decrypts its block from the SSD.")
-
 let cc_arg =
   Arg.(value
        & opt (enum [ ("2pl", Types.Pessimistic); ("occ", Types.Optimistic) ])
@@ -365,10 +331,9 @@ let single_seed_arg =
            ~doc:"Run exactly this one seed (overrides --seeds/--first-seed).")
 
 let run_term =
-  Term.(const run_cmd $ profile_arg $ no_batching_arg $ no_batch_crypto_arg
-        $ no_read_opt_arg $ cc_arg $ sanitize_arg $ nodes_arg $ workload_arg
-        $ clients_arg $ duration_arg $ warehouses_arg $ read_pct_arg
-        $ trace_arg $ metrics_arg)
+  Term.(const run_cmd $ profile_arg $ cc_arg $ sanitize_arg $ nodes_arg
+        $ workload_arg $ clients_arg $ duration_arg $ warehouses_arg
+        $ read_pct_arg $ trace_arg $ metrics_arg)
 
 let cmds =
   [
@@ -384,8 +349,7 @@ let cmds =
             delay/duplication) and check serializability, durability, \
             atomicity and leak-freedom after each.")
       Term.(const chaos_cmd $ seeds_arg $ first_seed_arg $ nodes_arg
-            $ chaos_clients_arg $ horizon_arg $ no_batching_arg
-            $ no_batch_crypto_arg $ no_read_opt_arg $ cc_arg $ single_seed_arg
+            $ chaos_clients_arg $ horizon_arg $ cc_arg $ single_seed_arg
             $ trace_arg);
   ]
 

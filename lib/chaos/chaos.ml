@@ -13,9 +13,6 @@ type config = {
   initial_balance : int;
   keys_per_client : int;
   drain_ns : int;
-  batching : bool;
-  batch_crypto : bool;
-  read_opt : bool;
   cc : Types.isolation;
   trace : bool;
   client_op_timeout_ns : int;
@@ -32,9 +29,6 @@ let default_config =
     initial_balance = 100;
     keys_per_client = 2;
     drain_ns = ms 1_500;
-    batching = true;
-    batch_crypto = true;
-    read_opt = true;
     cc = Types.Pessimistic;
     trace = false;
     client_op_timeout_ns = Config.default.client_op_timeout_ns;
@@ -63,9 +57,6 @@ let cluster_config cfg ~seed =
   let profile =
     {
       Config.treaty_enc_stab with
-      batching = cfg.batching;
-      batch_crypto = cfg.batch_crypto;
-      read_opt = cfg.read_opt;
       sanitize = true;
       trace = cfg.trace;
     }
@@ -429,7 +420,7 @@ let run_seed ?(config = default_config) ?schedule ~seed () =
                        (Hashtbl.fold (fun e n acc -> (e, n) :: acc) aborts []);
                    history_txs;
                  })
-   with Fail m ->
+   with Fail m | Client.Connect_failed m ->
      result :=
        Error (Printf.sprintf "%s\n  schedule: %s" m (Schedule.to_string sched)));
   (* Freeze the trace buffer (export reads it after we return); the next

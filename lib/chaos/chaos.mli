@@ -25,21 +25,6 @@ type config = {
   initial_balance : int;
   keys_per_client : int;  (** Private keys per client for the kv workload. *)
   drain_ns : int;  (** Post-schedule settle time before invariant checks. *)
-  batching : bool;
-      (** Run with the commit-pipeline batching profile knob; [false]
-          exercises the unbatched (one round per log, one packet per
-          message) path under the same fault schedules. *)
-  batch_crypto : bool;
-      (** Run with the burst-level AEAD knob (v2 packet envelope,
-          {!Treaty_rpc.Secure_msg.Burst}); [false] exercises the v1
-          per-message-sealed envelope under the same fault schedules —
-          tampering detection and recovery must come out identical either
-          way. *)
-  read_opt : bool;
-      (** Run with the authenticated read-path acceleration knob (Bloom
-          filters + verified block cache); [false] exercises the
-          verify-every-block path under the same fault schedules — recovery
-          must come out identical either way. *)
   cc : Treaty_core.Types.isolation;
       (** Concurrency-control mode for the whole cluster:
           [Pessimistic] (2PL, the default) or [Optimistic]
@@ -78,7 +63,9 @@ val run_seed :
   (report, string) result
 (** Build the schedule for [seed] (or run the given [schedule], which must be
     for [config.nodes] nodes), run it, check every invariant. [seed] still
-    drives the simulation and the workload. [Error]
-    carries the failed invariant plus the schedule rendering, enough to
-    replay the exact run. Creates and drives its own simulation — call from
-    plain code, not from inside [Sim.run]. *)
+    drives the simulation and the workload. [Error] carries the failed
+    invariant (or a client that could not connect,
+    {!Treaty_core.Client.Connect_failed}) plus the schedule rendering,
+    enough to replay the exact run; a failed seed never raises. Creates and
+    drives its own simulation — call from plain code, not from inside
+    [Sim.run]. *)

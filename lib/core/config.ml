@@ -5,9 +5,6 @@ type security_profile = {
   encryption : bool;
   authentication : bool;
   stabilization : bool;
-  batching : bool;
-  batch_crypto : bool;
-  read_opt : bool;
   block_cache_bytes : int;
   sanitize : bool;
   trace : bool;
@@ -22,9 +19,6 @@ let ds_rocksdb =
     encryption = false;
     authentication = false;
     stabilization = false;
-    batching = true;
-    batch_crypto = true;
-    read_opt = true;
     block_cache_bytes = default_block_cache_bytes;
     sanitize = false;
     trace = false;
@@ -37,9 +31,6 @@ let native_treaty =
     encryption = false;
     authentication = true;
     stabilization = false;
-    batching = true;
-    batch_crypto = true;
-    read_opt = true;
     block_cache_bytes = default_block_cache_bytes;
     sanitize = false;
     trace = false;
@@ -54,9 +45,6 @@ let treaty_no_enc =
     encryption = false;
     authentication = true;
     stabilization = false;
-    batching = true;
-    batch_crypto = true;
-    read_opt = true;
     block_cache_bytes = default_block_cache_bytes;
     sanitize = false;
     trace = false;
@@ -67,9 +55,6 @@ let treaty_enc = { treaty_no_enc with encryption = true }
 let treaty_enc_stab = { treaty_enc with stabilization = true }
 
 let profile_name p =
-  let unbatched = if p.batching then "" else " unbatched" in
-  let unsealed = if p.batch_crypto then "" else " no-batch-crypto" in
-  let unread = if p.read_opt then "" else " no-readopt" in
   let sanitized = if p.sanitize then " +san" else "" in
   (match (p.tee, p.encryption, p.authentication, p.stabilization) with
   | Enclave.Native, false, false, false -> "DS-RocksDB"
@@ -80,7 +65,7 @@ let profile_name p =
   | Enclave.Scone, true, true, true -> "Treaty w/ Enc w/ Stab"
   | Enclave.Native, _, _, _ -> "custom (native)"
   | Enclave.Scone, _, _, _ -> "custom (scone)")
-  ^ unbatched ^ unsealed ^ unread ^ sanitized
+  ^ sanitized
 
 type t = {
   profile : security_profile;
@@ -147,8 +132,6 @@ let with_profile t profile =
       {
         t.engine with
         Treaty_storage.Engine.wait_commit_stable = profile.stabilization;
-        clog_group_commit = profile.batching;
-        read_opt = profile.read_opt;
         block_cache_bytes = profile.block_cache_bytes;
       };
   }

@@ -10,29 +10,10 @@ type security_profile = {
   encryption : bool;
   authentication : bool;
   stabilization : bool;
-  batching : bool;
-      (** Commit-pipeline batching (the ablation knob, on in every named
-          profile): cross-log epoch stabilization rounds, Clog group commit
-          and RPC burst coalescing. [false] reproduces the pre-pipeline
-          behaviour — one counter round per log, one Clog append and one
-          packet per record/message. *)
-  batch_crypto : bool;
-      (** Burst-level AEAD (the PR-7 ablation knob, on in every named
-          profile): seal each coalesced RPC burst as one v2 packet — one IV,
-          one keystream pass, one MAC per packet
-          ({!Treaty_rpc.Secure_msg.Burst}). [false] falls back to the v1
-          envelope that seals every sub-message individually. Orthogonal to
-          [batching]: with a zero burst window every packet still carries one
-          message, just framed as a 1-burst v2 packet. *)
-  read_opt : bool;
-      (** Authenticated read-path acceleration (the PR-5 ablation knob, on
-          in every named profile): per-SSTable Bloom filters consulted
-          before any block read, plus the enclave-resident verified block
-          cache. [false] reproduces the verify-every-block read path. *)
   block_cache_bytes : int;
       (** Byte budget for the verified block cache (enclave memory,
-          default 8 MiB); 0 disables the cache while keeping Bloom
-          filters. *)
+          default 8 MiB); 0 disables the cache. Bloom filters are always
+          consulted. *)
   sanitize : bool;
       (** TreatySan runtime sanitizer (off in every named profile): lockset
           tracking in [Lock_table], the fiber-starvation watchdog, and —
@@ -105,8 +86,7 @@ type t = {
           {!Treaty_rpc.Erpc.config}). *)
   burst_window_ns : int;
       (** Doorbell window for RPC burst coalescing on node endpoints
-          (applied when the profile has [batching]; clients stay
-          unbatched). *)
+          (clients stay unbatched). *)
   sanitize_fiber_stall_ns : int;
       (** Watchdog threshold for the TreatySan fiber-starvation detector
           (simulated time). Must sit above the longest legitimate wait in a

@@ -1182,8 +1182,7 @@ let build_parts (deps : deps) ssd =
       dedup_ttl_ns = cfg.dedup_ttl_ns;
       msgbuf_region = (if cfg.naive_rpc_port then Mempool.Enclave else Mempool.Host);
       rdtsc_ocalls = cfg.naive_rpc_port;
-      burst_window_ns = (if cfg.profile.batching then cfg.burst_window_ns else 0);
-      batch_crypto = cfg.profile.batch_crypto;
+      burst_window_ns = cfg.burst_window_ns;
     }
   in
   let rpc =
@@ -1235,9 +1234,7 @@ let build_parts (deps : deps) ssd =
   in
   let counter_client =
     if cfg.profile.stabilization then
-      Some
-        (Counter_client.create ~batch_logs:cfg.profile.batching rote
-           ~owner:deps.node_id)
+      Some (Counter_client.create rote ~owner:deps.node_id)
     else None
   in
   (enclave, pool, rpc, sec, locks, rote, counter_client, ssd)

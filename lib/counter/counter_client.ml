@@ -22,8 +22,6 @@ type t = {
   stats : stats;
   attempts : int;
   retry_backoff_ns : int;
-  batch_logs : bool;
-  epoch_window_ns : int;
   mutable pump_active : bool;
   mutable round_span : Trace.span;
       (* Open "rote.round" span: begun by the first submit since the last
@@ -32,15 +30,9 @@ type t = {
          round that covers it finishes. *)
 }
 
-let create ?(attempts = 40) ?(retry_backoff_ns = 2_000_000) ?(batch_logs = true)
-    ?epoch_window_ns replica ~owner =
-  let epoch_window_ns =
-    (* The accumulation window only exists for the batched pipeline; the
-       per-log ablation keeps the fire-immediately behaviour. *)
-    match epoch_window_ns with
-    | Some w -> w
-    | None -> if batch_logs then 250_000 else 0
-  in
+let epoch_window_ns = 250_000
+
+let create ?(attempts = 40) ?(retry_backoff_ns = 2_000_000) replica ~owner =
   {
     replica;
     owner;
@@ -49,8 +41,6 @@ let create ?(attempts = 40) ?(retry_backoff_ns = 2_000_000) ?(batch_logs = true)
     stats = { submits = 0; rounds_started = 0; waits = 0; failed_waits = 0 };
     attempts;
     retry_backoff_ns;
-    batch_logs;
-    epoch_window_ns;
     pump_active = false;
     round_span = Trace.none;
   }
@@ -97,11 +87,10 @@ let rec pump t ~attempts =
      round fires, so the ~per-round protocol cost is shared by every
      transaction that lands inside it (group commit applied to counter
      rounds). Pays up to [epoch_window_ns] extra stabilization latency. *)
-  if t.epoch_window_ns > 0 then Sim.sleep t.sim t.epoch_window_ns;
+  Sim.sleep t.sim epoch_window_ns;
   match pending_targets t with
   | [] -> t.pump_active <- false
   | targets -> (
-      let targets = if t.batch_logs then targets else [ List.hd targets ] in
       t.stats.rounds_started <- t.stats.rounds_started + 1;
       if Trace.enabled () && t.round_span = Trace.none then
         (* Back-to-back rounds drained by one pump run: targets landed while

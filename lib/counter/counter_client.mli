@@ -26,19 +26,15 @@ type stats = {
 val create :
   ?attempts:int ->
   ?retry_backoff_ns:int ->
-  ?batch_logs:bool ->
-  ?epoch_window_ns:int ->
   Rote.replica ->
   owner:int ->
   t
 (** [owner] is the node whose logs this client stabilizes. [attempts]
     (default 40) bounds consecutive no-quorum retries before pending waiters
     are failed; [retry_backoff_ns] (default 2 ms) is the sleep between
-    retries. [batch_logs:false] restricts each round to a single log — the
-    ablation knob reproducing the pre-batching one-round-per-log behaviour.
-    [epoch_window_ns] (default 250 µs batched, 0 unbatched) is how long the
-    pump accumulates submissions before each round: the group-commit trade
-    of a bounded latency hit for rounds amortized across transactions. *)
+    retries. Before each round the pump accumulates submissions for
+    250 µs: the group-commit trade of a bounded latency hit for rounds
+    amortized across transactions. *)
 
 val stats : t -> stats
 

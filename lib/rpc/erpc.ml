@@ -2,7 +2,6 @@ module Sim = Treaty_sim.Sim
 module Enclave = Treaty_tee.Enclave
 module Mempool = Treaty_memalloc.Mempool
 module Net = Treaty_netsim.Net
-module Wire = Treaty_util.Wire
 module Trace = Treaty_obs.Trace
 module Metrics = Treaty_obs.Metrics
 
@@ -16,7 +15,6 @@ type config = {
   dedup_ttl_ns : int;
   burst_window_ns : int;
   burst_max_msgs : int;
-  batch_crypto : bool;
 }
 
 let default_config ~security =
@@ -30,7 +28,6 @@ let default_config ~security =
     dedup_ttl_ns = 2_000_000_000 (* 2 s *);
     burst_window_ns = 5_000;
     burst_max_msgs = 32;
-    batch_crypto = true;
   }
 
 type error = [ `Timeout | `Tampered ]
@@ -74,7 +71,7 @@ type t = {
   mutable alive : bool;
   outq : (int, (Secure_msg.meta * string) list ref) Hashtbl.t;
       (* dst -> plaintext messages (newest first) awaiting the doorbell;
-         sealing happens at flush, once per packet in v2. *)
+         sealing happens at flush, once per packet. *)
   mutable doorbell_active : bool;
   stats : stats;
 }
@@ -84,39 +81,13 @@ let crypto_charge t ~bytes =
   | Secure_msg.Plain -> ()
   | Secure_msg.Secure _ -> Enclave.charge_crypto t.enclave ~bytes
 
-(* Allocate, touch and free a message buffer around an action — the paper's
-   "buffers remain allocated until the entire request has been served". *)
-let with_msgbuf t size f =
-  let buf = Mempool.alloc t.pool ~owner:t.node_id t.config.msgbuf_region size in
-  Fun.protect ~finally:(fun () -> Mempool.free t.pool ~owner:t.node_id buf) f
-
-(* Packet envelope v1: a version byte then a length-framed list of
-   individually sealed wires. Kept as the [batch_crypto = false] ablation —
-   each sub-message pays its own IV, keystream setup and MAC. *)
-let encode_packet_v1 t msgs =
-  let wires =
-    List.map
-      (fun ((meta : Secure_msg.meta), data) ->
-        let wire_len =
-          Secure_msg.wire_size t.config.security ~data_len:(String.length data)
-        in
-        with_msgbuf t wire_len (fun () ->
-            if t.config.rdtsc_ocalls then Enclave.world_switch t.enclave;
-            crypto_charge t ~bytes:wire_len;
-            Secure_msg.encode t.config.security ~iv_gen:t.iv_gen meta data))
-      msgs
-  in
-  let b = Buffer.create 256 in
-  Wire.w8 b 1;
-  Wire.wlist b Wire.wstr wires;
-  Buffer.contents b
-
-(* Packet envelope v2: the whole burst framed into one mempool-backed buffer
-   and sealed with a single packet-level AEAD — one IV, one keystream pass,
-   one MAC, one crypto charge per packet instead of per sub-message. The
-   buffer is allocated for exactly the packet's lifetime (TreatySan checks
-   it drains). *)
-let encode_packet_v2 t msgs =
+(* The whole burst framed into one mempool-backed buffer and sealed with a
+   single packet-level AEAD ({!Secure_msg.Burst}) — one IV, one keystream
+   pass, one MAC, one crypto charge per packet. The buffer is allocated for
+   exactly the packet's lifetime — the paper's "buffers remain allocated
+   until the entire request has been served" (TreatySan checks it
+   drains). *)
+let encode_packet t msgs =
   let size =
     Secure_msg.Burst.wire_size t.config.security
       ~data_lens:(List.map (fun (_, data) -> String.length data) msgs)
@@ -138,10 +109,7 @@ let flush_burst t ~dst msgs =
   match msgs with
   | [] -> ()
   | _ ->
-      let payload =
-        if t.config.batch_crypto then encode_packet_v2 t msgs
-        else encode_packet_v1 t msgs
-      in
+      let payload = encode_packet t msgs in
       let bytes = String.length payload in
       t.stats.bursts_sent <- t.stats.bursts_sent + 1;
       t.stats.burst_msgs <- t.stats.burst_msgs + List.length msgs;
@@ -308,16 +276,9 @@ let dispatch_decoded t (meta : Secure_msg.meta) data =
   end
   else handle_request t meta data
 
-let dispatch_wire t wire =
-  crypto_charge t ~bytes:(String.length wire);
-  match Secure_msg.decode t.config.security wire with
-  | Error (`Tampered | `Malformed) ->
-      t.stats.mac_failures <- t.stats.mac_failures + 1
-  | Ok (meta, data) -> dispatch_decoded t meta data
-
 let rx_malformed t (pkt : Treaty_netsim.Packet.t) =
-  (* Packet framing destroyed by tampering: nothing inside is
-     recoverable. *)
+  (* Empty packet, or one that does not lead with the burst version byte:
+     nothing inside is recoverable. *)
   Transport.charge t.config.params t.enclave t.config.transport ~rpc_layer:true
     ~dir:`Rx ~bytes:pkt.size;
   t.stats.mac_failures <- t.stats.mac_failures + 1
@@ -331,43 +292,29 @@ let on_packet t (pkt : Treaty_netsim.Packet.t) =
   Sim.spawn t.sim (fun () ->
       if t.alive then begin
         if t.config.rdtsc_ocalls then Enclave.world_switch t.enclave;
-        if String.length pkt.payload = 0 then rx_malformed t pkt
+        if
+          String.length pkt.payload = 0
+          || Char.code pkt.payload.[0] <> Secure_msg.Burst.version
+        then rx_malformed t pkt
         else
-          match Char.code pkt.payload.[0] with
-          | 1 -> (
-              (* v1 envelope: per-message seal; decode (and its crypto
-                 charge) happens in each sub-message's fiber. *)
-              match Wire.rlist (Wire.reader ~pos:1 pkt.payload) Wire.rstr with
-              | exception Wire.Malformed _ -> rx_malformed t pkt
-              | wires ->
-                  Transport.charge_burst t.config.params t.enclave
-                    t.config.transport ~dir:`Rx ~bytes:pkt.size
-                    ~msgs:(List.length wires);
-                  List.iter
-                    (fun wire ->
-                      Sim.spawn t.sim (fun () ->
-                          if t.alive then dispatch_wire t wire))
-                    wires)
-          | 2 -> (
-              (* v2 packet: verify and decrypt ONCE for the whole burst,
-                 then hand out plaintext sub-message views. *)
-              match Secure_msg.Burst.decode t.config.security pkt.payload with
-              | Error (`Tampered | `Malformed) ->
-                  Transport.charge t.config.params t.enclave t.config.transport
-                    ~rpc_layer:true ~dir:`Rx ~bytes:pkt.size;
-                  crypto_charge t ~bytes:pkt.size;
-                  t.stats.mac_failures <- t.stats.mac_failures + 1
-              | Ok msgs ->
-                  Transport.charge_burst t.config.params t.enclave
-                    t.config.transport ~dir:`Rx ~bytes:pkt.size
-                    ~msgs:(List.length msgs);
-                  crypto_charge t ~bytes:pkt.size;
-                  List.iter
-                    (fun (meta, data) ->
-                      Sim.spawn t.sim (fun () ->
-                          if t.alive then dispatch_decoded t meta data))
-                    msgs)
-          | _ -> rx_malformed t pkt
+          (* Verify and decrypt ONCE for the whole burst, then hand out
+             plaintext sub-message views. *)
+          match Secure_msg.Burst.decode t.config.security pkt.payload with
+          | Error (`Tampered | `Malformed) ->
+              Transport.charge t.config.params t.enclave t.config.transport
+                ~rpc_layer:true ~dir:`Rx ~bytes:pkt.size;
+              crypto_charge t ~bytes:pkt.size;
+              t.stats.mac_failures <- t.stats.mac_failures + 1
+          | Ok msgs ->
+              Transport.charge_burst t.config.params t.enclave
+                t.config.transport ~dir:`Rx ~bytes:pkt.size
+                ~msgs:(List.length msgs);
+              crypto_charge t ~bytes:pkt.size;
+              List.iter
+                (fun (meta, data) ->
+                  Sim.spawn t.sim (fun () ->
+                      if t.alive then dispatch_decoded t meta data))
+                msgs
       end)
 
 let create sim ~net ~enclave ~pool ~config ~node_id ?net_config () =

@@ -36,18 +36,10 @@ type config = {
           destination within this window ride one packet — one transport
           traversal and one serialization, fragmented by MTU (the paper's
           eRPC batching). [0] disables coalescing (every message is its own
-          packet, as before). *)
+          packet). Each packet is sealed once as a {!Secure_msg.Burst}. *)
   burst_max_msgs : int;
       (** Flush a destination's burst early once it holds this many
           messages. *)
-  batch_crypto : bool;
-      (** Packet envelope v2 ({!Secure_msg.Burst}): frame the whole burst
-          into one mempool-backed buffer and seal it with a single
-          packet-level AEAD — one IV, one keystream pass, one MAC and one
-          crypto charge per packet. [false] falls back to the v1 envelope
-          (every sub-message individually sealed) as the ablation. The
-          receive path decodes both versions regardless of this flag, so
-          mixed senders interoperate. *)
 }
 
 val default_config : security:Secure_msg.security -> config

@@ -12,7 +12,6 @@ type meta = {
 }
 
 let meta_size = 80
-let pad_size = 4
 
 type security = Plain | Secure of Aead.key
 
@@ -23,13 +22,6 @@ let put64 b off v =
   for i = 0 to 7 do
     Bytes.set b (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
   done
-
-let get64 s off =
-  let v = ref 0 in
-  for i = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code s.[off + i]
-  done;
-  !v
 
 let get64b b off =
   let v = ref 0 in
@@ -60,17 +52,6 @@ let encode_meta_into b off m =
   put64 b (off + 40) (if m.is_response then 1 else 0);
   put64 b (off + 48) m.req_id
 
-let decode_meta s off =
-  {
-    coord = get64 s off;
-    tx_seq = get64 s (off + 8);
-    op_id = get64 s (off + 16);
-    src = get64 s (off + 24);
-    kind = get64 s (off + 32);
-    is_response = get64 s (off + 40) = 1;
-    req_id = get64 s (off + 48);
-  }
-
 let decode_meta_bytes b off =
   {
     coord = get64b b off;
@@ -91,82 +72,6 @@ let at_most_once_key m = (m.coord, m.tx_seq, m.op_id)
    the program. *)
 let taint_data data = if String.length data > 0 then Taint.register data
 
-let wire_size security ~data_len =
-  match security with
-  | Plain -> 1 + meta_size + data_len
-  | Secure _ -> 1 + Aead.iv_size + pad_size + meta_size + data_len + Aead.mac_size
-
-let encode security ~iv_gen m data =
-  let data_len = String.length data in
-  match security with
-  | Plain ->
-      let b = Bytes.create (1 + meta_size + data_len) in
-      Bytes.set b 0 'P';
-      encode_meta_into b 1 m;
-      Bytes.blit_string data 0 b (1 + meta_size) data_len;
-      Bytes.unsafe_to_string b
-  | Secure key ->
-      let hdr = 1 + Aead.iv_size + pad_size in
-      let pt_len = meta_size + data_len in
-      let b = Bytes.create (hdr + pt_len + Aead.mac_size) in
-      Bytes.set b 0 'S';
-      Aead.Iv_gen.next_into iv_gen b 1;
-      let iv = Bytes.sub_string b 1 Aead.iv_size in
-      Bytes.fill b (1 + Aead.iv_size) pad_size '\000';
-      encode_meta_into b hdr m;
-      Bytes.blit_string data 0 b (hdr + meta_size) data_len;
-      taint_data data;
-      (* Encrypt-then-MAC in place: same transcript as [Aead.seal] with
-         empty AAD, so the wire format is unchanged. *)
-      Aead.xor_region key ~iv b ~off:hdr ~len:pt_len;
-      let mac =
-        Aead.tag_region key ~iv b ~aad_off:0 ~aad_len:0 ~ct_off:hdr ~ct_len:pt_len
-      in
-      Bytes.blit_string mac 0 b (hdr + pt_len) Aead.mac_size;
-      Bytes.unsafe_to_string b
-
-let decode security wire =
-  let n = String.length wire in
-  match security with
-  | Plain ->
-      if n < 1 + meta_size || wire.[0] <> 'P' then Error `Malformed
-      else begin
-        let data_len = n - 1 - meta_size in
-        let data = Bytes.create data_len in
-        Bytes.blit_string wire (1 + meta_size) data 0 data_len;
-        Ok (decode_meta wire 1, Bytes.unsafe_to_string data)
-      end
-  | Secure key ->
-      let hdr = 1 + Aead.iv_size + pad_size in
-      if n < hdr + meta_size + Aead.mac_size || wire.[0] <> 'S' then
-        Error `Malformed
-      else begin
-        let pad_ok = ref true in
-        for i = 1 + Aead.iv_size to hdr - 1 do
-          if wire.[i] <> '\000' then pad_ok := false
-        done;
-        if not !pad_ok then Error `Malformed
-        else begin
-          (* One copy of the wire into a scratch buffer; verify and decrypt
-             in place, then slice out the payload. *)
-          let b = Bytes.of_string wire in
-          let iv = Bytes.sub_string b 1 Aead.iv_size in
-          let ct_len = n - hdr - Aead.mac_size in
-          let mac = Bytes.sub_string b (hdr + ct_len) Aead.mac_size in
-          if
-            not
-              (Aead.check_region key ~iv b ~aad_off:0 ~aad_len:0 ~ct_off:hdr
-                 ~ct_len ~mac)
-          then Error `Tampered
-          else begin
-            Aead.xor_region key ~iv b ~off:hdr ~len:ct_len;
-            Ok
-              ( decode_meta_bytes b hdr,
-                Bytes.sub_string b (hdr + meta_size) (ct_len - meta_size) )
-          end
-        end
-      end
-
 module Burst = struct
   let version = 2
 
@@ -182,7 +87,7 @@ module Burst = struct
     + bodies
     + (match security with Plain -> 0 | Secure _ -> Aead.mac_size)
 
-  (* Packet layout (v2):
+  (* Packet layout:
 
      {v 0x02 | IV (12 B, Secure) | count (4 B) | len_0..len_n-1 (4 B each)
         | enc( meta_0|data_0 | ... | meta_n-1|data_n-1 ) | MAC (16 B, Secure) v}

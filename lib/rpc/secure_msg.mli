@@ -1,6 +1,6 @@
-(** Treaty's secure message layout (§VII-A).
+(** Treaty's secure message layout (§VII-A), sealed per packet.
 
-    On the wire a secure message is
+    The paper puts a secure message on the wire as
 
     {v IV (12 B) | pad (4 B) | enc( metadata (80 B) | data ) | MAC (16 B) v}
 
@@ -10,7 +10,14 @@
     (source node, handler kind, response flag, request id). Only metadata and
     data are encrypted; if the IV or MAC is altered the integrity check
     fails. Plain mode (the native baselines) sends the same metadata
-    unencrypted with no IV/MAC. *)
+    unencrypted with no IV/MAC.
+
+    Every packet is a {!Burst}: the eRPC burst to one destination, sealed
+    once. A one-message burst is the paper's layout with a version byte in
+    front, the count where the pad was, and one length word:
+
+    {v 0x02 | IV (12 B) | count = 1 (4 B) | len (4 B)
+       | enc( metadata (80 B) | data ) | MAC (16 B) v} *)
 
 type meta = {
   coord : int;  (** Coordinator node id (8 B on the wire). *)
@@ -30,20 +37,7 @@ val at_most_once_key : meta -> int * int * int
 
 type security = Plain | Secure of Treaty_crypto.Aead.key
 
-val encode :
-  security -> iv_gen:Treaty_crypto.Aead.Iv_gen.t -> meta -> string -> string
-(** Wire-encode metadata and payload data. *)
-
-val decode :
-  security -> string -> (meta * string, [ `Tampered | `Malformed ]) result
-(** [`Tampered] is a MAC mismatch — the signature of an adversary on the
-    wire; [`Malformed] a structurally invalid message. A plain-mode decoder
-    applied to a secure message (or vice versa) is [`Malformed]. *)
-
-val wire_size : security -> data_len:int -> int
-(** Size of the encoded message for a payload of [data_len] bytes. *)
-
-(** Packet envelope format v2: burst-level AEAD.
+(** The packet envelope: burst-level AEAD.
 
     A whole eRPC burst becomes ONE sealed packet —
 
@@ -61,7 +55,8 @@ val wire_size : security -> data_len:int -> int
     and hands out per-message views. *)
 module Burst : sig
   val version : int
-  (** Leading packet byte: [2]. (v1 envelopes lead with [1].) *)
+  (** Leading packet byte: [2]. A packet that leads with anything else is
+      malformed. *)
 
   val wire_size : security -> data_lens:int list -> int
   (** Exact packet size for a burst whose payloads have the given sizes. *)

@@ -23,12 +23,10 @@ type config = {
   l0_trigger : int;
   level_base_bytes : int;
   group_commit : bool;
-  clog_group_commit : bool;
   group_window_ns : int;
   values_in_enclave : bool;
   wait_commit_stable : bool;
   in_memory : bool;
-  read_opt : bool;
   block_cache_bytes : int;
 }
 
@@ -40,12 +38,10 @@ let default_config =
     l0_trigger = 4;
     level_base_bytes = 16 * 1024 * 1024;
     group_commit = true;
-    clog_group_commit = true;
     group_window_ns = 15_000;
     values_in_enclave = false;
     wait_commit_stable = true;
     in_memory = false;
-    read_opt = true;
     block_cache_bytes = 8 * 1024 * 1024;
   }
 
@@ -111,7 +107,7 @@ type t = {
          levels sorted by min_key with disjoint ranges — the fence arrays
          point lookups binary-search. *)
   cache : (Sstable.entry list * string) Block_cache.t option;
-      (* Verified block cache (read_opt): decoded entries + the decrypted
+      (* Verified block cache: decoded entries + the decrypted
          plaintext they came from, both enclave-resident. *)
   mutable next_file_id : int;
   mutable last_alloc_seq : int;
@@ -260,7 +256,7 @@ let create_internal ?(node = 0) sim ssd sec cfg stability =
       immutables = [];
       levels = Array.make n_levels [||];
       cache =
-        (if cfg.read_opt && not cfg.in_memory && cfg.block_cache_bytes > 0 then
+        (if cfg.block_cache_bytes > 0 && not cfg.in_memory then
            Some (Block_cache.create ~capacity_bytes:cfg.block_cache_bytes)
          else None);
       next_file_id = 1;
@@ -280,8 +276,7 @@ let create_internal ?(node = 0) sim ssd sec cfg stability =
     }
   in
   if cfg.group_commit then t.group <- Some (mk_group t);
-  if cfg.clog_group_commit && not cfg.in_memory then
-    t.clog_group <- Some (mk_clog_group t);
+  if not cfg.in_memory then t.clog_group <- Some (mk_clog_group t);
   t
 
 let create ?node ssd sec cfg stability =
@@ -397,11 +392,11 @@ let read_block_cached t ?span lf idx =
           end;
           finish "ssd" entries)
 
-(* Point probe of one SSTable: Bloom filter first (read_opt), then the
+(* Point probe of one SSTable: Bloom filter first, then the
    fence index, then the one candidate block through the cache. *)
 let sst_get t ?span lf ~key ~max_seq =
   Enclave.compute (enclave t) probe_ns;
-  if t.config.read_opt && not (Sstable.may_contain lf.handle key) then begin
+  if not (Sstable.may_contain lf.handle key) then begin
     t.stats.bloom_negatives <- t.stats.bloom_negatives + 1;
     Metrics.incr "engine.bloom.neg";
     None
@@ -409,20 +404,15 @@ let sst_get t ?span lf ~key ~max_seq =
   else
     match Sstable.find_block_idx lf.handle key with
     | None ->
-        if t.config.read_opt then begin
-          t.stats.bloom_false_positives <- t.stats.bloom_false_positives + 1;
-          Metrics.incr "engine.bloom.fp"
-        end;
+        t.stats.bloom_false_positives <- t.stats.bloom_false_positives + 1;
+        Metrics.incr "engine.bloom.fp";
         None
     | Some idx ->
         let entries = read_block_cached t ?span lf idx in
         (* A positive Bloom probe is only a hint: the verified block is the
            authority, and "the key is not actually here" is the filter's
            false positive. *)
-        if
-          t.config.read_opt
-          && not (List.exists (fun (k, _, _) -> k = key) entries)
-        then begin
+        if not (List.exists (fun (k, _, _) -> k = key) entries) then begin
           t.stats.bloom_false_positives <- t.stats.bloom_false_positives + 1;
           Metrics.incr "engine.bloom.fp"
         end;

@@ -39,10 +39,10 @@ type config = {
   l0_trigger : int;  (** L0 file count that triggers compaction. *)
   level_base_bytes : int;  (** L1 capacity; each level below is 10x. *)
   group_commit : bool;
-  clog_group_commit : bool;
-      (** Route Clog appends through their own group commit: one
-          authenticated append + one counter submission per yield window of
-          2PC records (the commit-pipeline batching knob). *)
+      (** WAL group commit (§VII-B; [false] is the paper's ablation A). Clog
+          appends always go through their own group commit unless
+          [in_memory]: one authenticated append + one counter submission
+          per yield window of 2PC records. *)
   group_window_ns : int;
   values_in_enclave : bool;  (** Ablation: MemTable values in EPC. *)
   wait_commit_stable : bool;
@@ -51,15 +51,10 @@ type config = {
       (** Skip all persistence (no WAL/MANIFEST/Clog writes, no flushes):
           isolates the 2PC protocol itself, as the paper's Figure 4 run
           "without any underlying storage". *)
-  read_opt : bool;
-      (** Authenticated read-path acceleration (the PR-5 ablation knob, on
-          in every named profile): Bloom-filter probes before block reads
-          and the verified block cache. [false] reproduces the
-          verify-every-block behaviour — fence-array lookups stay on either
-          way. *)
   block_cache_bytes : int;
-      (** Byte budget for the verified block cache (enclave memory);
-          [0] disables the cache even with [read_opt]. *)
+      (** Byte budget for the verified block cache (enclave memory). The
+          cache exists iff this is positive and the engine is not
+          [in_memory]. *)
 }
 
 val default_config : config
@@ -129,9 +124,8 @@ val get :
   ?span:Treaty_obs.Trace.span -> t -> key:string -> snapshot:int -> Memtable.lookup
 (** Point lookup at a snapshot: MemTable, then immutable MemTables, then L0
     newest-first, then (via fence-array binary search) the one candidate
-    file per deeper level. With [read_opt], each SSTable probe consults the
-    file's Bloom filter first and block reads go through the verified block
-    cache. [span] parents the [sst.read] spans of any block fetches.
+    file per deeper level. Each SSTable probe consults the file's Bloom
+    filter first and block reads go through the verified block cache. [span] parents the [sst.read] spans of any block fetches.
     A block read that finds its file deleted by a concurrent compaction is
     retried (up to 3 times, counted in [get_retries]); a tampered, truncated
     or persistently missing SSTable raises {!Sec.Integrity_violation}. *)
@@ -205,10 +199,10 @@ val key_prepared : t -> key:string -> bool
     read around it could miss a write serialized before data it returns. *)
 
 val clog_append : t -> ?span:Treaty_obs.Trace.span -> Clog_record.record -> int
-(** Append coordinator 2PC state; returns the Clog counter value. With
-    [clog_group_commit] the record is merged into the current yield window
-    (blocking until the window flushes) and the returned counter is shared
-    by every record in the window. [span] parents the Clog flush span. *)
+(** Append coordinator 2PC state; returns the Clog counter value. Unless
+    the engine is [in_memory], the record is merged into the current yield
+    window (blocking until the window flushes) and the returned counter is
+    shared by every record in the window. [span] parents the Clog flush span. *)
 
 val clog_wait_stable :
   t ->

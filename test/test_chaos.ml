@@ -57,26 +57,6 @@ let cc_modes_reproducible () =
   let pess_b = trace_of Types.Pessimistic in
   Alcotest.(check bool) "2pl trace byte-identical" true (pess_a = pess_b)
 
-let wire_modes_reproducible () =
-  (* Same contract for the burst-AEAD ablation: sealing a burst as one v2
-     packet or as v1 per-message envelopes changes the wire bytes but must
-     not change determinism — each mode replays a traced seed to
-     byte-identical trace JSON. *)
-  let trace_of batch_crypto =
-    let config = { Chaos.default_config with Chaos.batch_crypto; trace = true } in
-    (match Chaos.run_seed ~config ~seed:7 () with
-    | Ok _ -> ()
-    | Error m ->
-        Alcotest.failf "seed 7 (batch_crypto=%b): %s" batch_crypto m);
-    Treaty_obs.Trace.export_string ()
-  in
-  let v2_a = trace_of true in
-  let v2_b = trace_of true in
-  Alcotest.(check bool) "v2 envelope trace byte-identical" true (v2_a = v2_b);
-  let v1_a = trace_of false in
-  let v1_b = trace_of false in
-  Alcotest.(check bool) "v1 envelope trace byte-identical" true (v1_a = v1_b)
-
 let hundred_node_trace_identity () =
   (* The scale regime the event-engine rewrite targets: at 100 nodes the
      timer wheel's overflow heap, slot cascades and the network's same-tick
@@ -138,23 +118,15 @@ let quiescent_baseline () =
 let sweep_50_seeds () =
   let failures = ref [] in
   for seed = 1 to 50 do
-    (* Alternate the commit-pipeline batching, read-path acceleration and
-       concurrency-control knobs across the sweep: crash/partition faults
-       land inside batch windows on half the seeds and on the unbatched
-       path on the other half; each half also splits Bloom+block-cache
-       reads vs the verify-every-block path, and 2PL vs OCC (validation
-       aborts racing crashes and partitions). *)
+    (* Every seed runs the default profile, all optimisations on (burst
+       coalescing, burst-level AEAD, epoch stabilization, Clog group
+       commit, Bloom filters + verified block cache). Only the
+       concurrency control alternates: even seeds run 2PL, odd seeds OCC
+       (validation aborts racing crashes and partitions). *)
     let config =
       {
         Chaos.default_config with
-        Chaos.batching = seed mod 2 = 0;
-        (* Opposite phase to [batching]: odd seeds run v2 packets over
-           zero-window (single-message) bursts, even seeds run the v1
-           per-message envelope under real coalescing — both envelope
-           versions meet both burst shapes across the sweep. *)
-        batch_crypto = seed mod 2 = 1;
-        read_opt = seed mod 2 = 1;
-        cc = (if seed mod 2 = 0 then Types.Pessimistic else Types.Optimistic);
+        Chaos.cc = (if seed mod 2 = 0 then Types.Pessimistic else Types.Optimistic);
       }
     in
     match Chaos.run_seed ~config ~seed () with
@@ -228,6 +200,24 @@ let sweeper_spares_live_coordinator () =
   | Ok _ -> ()
   | Error m -> Alcotest.failf "5 nodes, seed 16: %s" m
 
+let connect_failure_is_a_failed_seed () =
+  (* Regression: a client that cannot connect mid-run (here a checker
+     connecting after the faults, rejected with "client authentication
+     failed") escaped [run_seed] as an uncaught [Client.Connect_failed].
+     Whatever the outcome, the seed must come back as a result, and a
+     failure must carry its replayable schedule. *)
+  let config = { Chaos.default_config with Chaos.nodes = 7 } in
+  match Chaos.run_seed ~config ~seed:157 () with
+  | Ok _ -> ()
+  | Error m ->
+      let contains hay needle =
+        let nh = String.length hay and nn = String.length needle in
+        let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) "failure carries the schedule" true
+        (contains m "schedule:")
+
 let suite =
   [
     Alcotest.test_case "schedule generation is deterministic" `Quick
@@ -235,8 +225,6 @@ let suite =
     Alcotest.test_case "same seed reproduces the run" `Quick run_reproducible;
     Alcotest.test_case "cc modes are individually deterministic" `Quick
       cc_modes_reproducible;
-    Alcotest.test_case "wire envelope modes are individually deterministic"
-      `Quick wire_modes_reproducible;
     Alcotest.test_case "fault-free runs drain to zero residual state" `Quick
       quiescent_baseline;
     Alcotest.test_case "group quorum loss fails typed, then recovers" `Quick
@@ -244,6 +232,8 @@ let suite =
     Alcotest.test_case "12-seed 7-node fault sweep" `Slow sweep_7_nodes;
     Alcotest.test_case "sweeper spares a live coordinator's own slice" `Quick
       sweeper_spares_live_coordinator;
+    Alcotest.test_case "a client connect failure fails the seed" `Quick
+      connect_failure_is_a_failed_seed;
     Alcotest.test_case "100-node same-seed traces are byte-identical" `Slow
       hundred_node_trace_identity;
     Alcotest.test_case "50-seed fault sweep holds all invariants" `Slow

@@ -127,15 +127,27 @@ let coordinator_crash_between_decision_and_fanout () =
       | Ok cluster ->
           let net = Cluster.net cluster in
           let k_commit = 3 (* node.ml's commit fan-out RPC kind *) in
+          (* Every packet is a burst: drop any that carries a k_commit
+             request, and count the drops so the test cannot pass without
+             ever exercising the window. *)
+          let dropped = ref 0 in
           Net.set_adversary net
             (Adversary.drop_matching (fun pkt ->
-                 pkt.Treaty_netsim.Packet.src = 1
-                 && pkt.Treaty_netsim.Packet.dst < 1000
-                 && pkt.Treaty_netsim.Packet.dst <> Cluster.cas_id
-                 &&
-                 match Secure_msg.decode Secure_msg.Plain pkt.payload with
-                 | Ok (m, _) -> (not m.Secure_msg.is_response) && m.kind = k_commit
-                 | Error _ -> false));
+                 let drop =
+                   pkt.Treaty_netsim.Packet.src = 1
+                   && pkt.Treaty_netsim.Packet.dst < 1000
+                   && pkt.Treaty_netsim.Packet.dst <> Cluster.cas_id
+                   &&
+                   match Secure_msg.Burst.decode Secure_msg.Plain pkt.payload with
+                   | Ok msgs ->
+                       List.exists
+                         (fun ((m : Secure_msg.meta), _) ->
+                           (not m.is_response) && m.kind = k_commit)
+                         msgs
+                   | Error _ -> false
+                 in
+                 if drop then incr dropped;
+                 drop));
           let c = Client.connect_exn cluster ~client_id:1 in
           (* The ack arrives only after the fan-out attempt times out — the
              decision itself was stabilized before it. *)
@@ -164,6 +176,8 @@ let coordinator_crash_between_decision_and_fanout () =
           | Error e ->
               Alcotest.failf "acked write lost in the decision/fan-out window: %s"
                 (Types.abort_reason_to_string e));
+          Alcotest.(check bool) "the k_commit fan-out was dropped" true
+            (!dropped > 0);
           Alcotest.(check bool) "participants resolved via decision query" true
             ((Node.stats (Cluster.node cluster 0)).Node.decisions_queried > 0);
           Client.disconnect c;

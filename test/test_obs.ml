@@ -197,31 +197,22 @@ let tpcc_trace_tree () =
 
 (* --- determinism ------------------------------------------------------- *)
 
-let chaos_trace ~batching ~seed =
-  let cfg = { Chaos.default_config with Chaos.trace = true; batching } in
+let chaos_trace ~seed =
+  let cfg = { Chaos.default_config with Chaos.trace = true } in
   (match Chaos.run_seed ~config:cfg ~seed () with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "chaos seed %d failed: %s" seed m);
   Trace.export_string ()
 
 let trace_determinism () =
-  List.iter
-    (fun batching ->
-      let a = chaos_trace ~batching ~seed:11 in
-      let b = chaos_trace ~batching ~seed:11 in
-      Alcotest.(check bool)
-        (Printf.sprintf "trace non-trivial (batching=%b)" batching)
-        true
-        (String.length a > 1000);
-      Alcotest.(check bool)
-        (Printf.sprintf "same seed, byte-identical trace (batching=%b)" batching)
-        true (String.equal a b))
-    [ true; false ];
+  let a = chaos_trace ~seed:11 in
+  let b = chaos_trace ~seed:11 in
+  Alcotest.(check bool) "trace non-trivial" true (String.length a > 1000);
+  Alcotest.(check bool) "same seed, byte-identical trace" true (String.equal a b);
   (* Different seeds must not happen to collide: the trace reflects the run. *)
-  let c = chaos_trace ~batching:true ~seed:12 in
-  let d = chaos_trace ~batching:true ~seed:11 in
+  let c = chaos_trace ~seed:12 in
   Alcotest.(check bool) "different seed, different trace" true
-    (not (String.equal c d));
+    (not (String.equal c a));
   Trace.reset ()
 
 let suite =

@@ -22,43 +22,51 @@ let meta =
     req_id = 99;
   }
 
+(* Seal [msgs] as one packet; checks the bytes written against
+   [Burst.wire_size]. *)
+let seal security ~iv_gen msgs =
+  let data_lens = List.map (fun (_, d) -> String.length d) msgs in
+  let buf = Bytes.create (Secure_msg.Burst.wire_size security ~data_lens) in
+  let n = Secure_msg.Burst.encode_into security ~iv_gen buf msgs in
+  Alcotest.(check int) "bytes written = wire_size" (Bytes.length buf) n;
+  Bytes.to_string buf
+
 let secure_msg_roundtrip () =
   let key = Aead.key_of_string "net" in
   List.iter
     (fun security ->
       let ivg = Aead.Iv_gen.create ~node_id:1 in
-      let wire = Secure_msg.encode security ~iv_gen:ivg meta "payload-data" in
-      Alcotest.(check int) "wire_size matches"
-        (String.length wire)
-        (Secure_msg.wire_size security ~data_len:12);
-      match Secure_msg.decode security wire with
-      | Ok (m, data) ->
+      let packet = seal security ~iv_gen:ivg [ (meta, "payload-data") ] in
+      match Secure_msg.Burst.decode security packet with
+      | Ok [ (m, data) ] ->
           Alcotest.(check bool) "meta preserved" true (m = meta);
           Alcotest.(check string) "data preserved" "payload-data" data
+      | Ok _ -> Alcotest.fail "decoded the wrong number of messages"
       | Error _ -> Alcotest.fail "decode failed")
     [ Secure_msg.Plain; Secure_msg.Secure key ]
 
 let secure_msg_confidentiality () =
   let key = Aead.key_of_string "net" in
   let ivg = Aead.Iv_gen.create ~node_id:1 in
-  let wire = Secure_msg.encode (Secure_msg.Secure key) ~iv_gen:ivg meta "SECRETVALUE" in
+  let msgs = [ (meta, "SECRETVALUE") ] in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
+  let wire = seal (Secure_msg.Secure key) ~iv_gen:ivg msgs in
   Alcotest.(check bool) "payload not on the wire" false (contains wire "SECRETVALUE");
-  let plain = Secure_msg.encode Secure_msg.Plain ~iv_gen:ivg meta "SECRETVALUE" in
+  let plain = seal Secure_msg.Plain ~iv_gen:ivg msgs in
   Alcotest.(check bool) "plain mode leaks (by design)" true (contains plain "SECRETVALUE")
 
 let secure_msg_tamper () =
   let key = Aead.key_of_string "net" in
   let ivg = Aead.Iv_gen.create ~node_id:1 in
-  let wire = Secure_msg.encode (Secure_msg.Secure key) ~iv_gen:ivg meta "data" in
+  let wire = seal (Secure_msg.Secure key) ~iv_gen:ivg [ (meta, "data") ] in
   for i = 0 to String.length wire - 1 do
     let b = Bytes.of_string wire in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
-    match Secure_msg.decode (Secure_msg.Secure key) (Bytes.to_string b) with
+    match Secure_msg.Burst.decode (Secure_msg.Secure key) (Bytes.to_string b) with
     | Error (`Tampered | `Malformed) -> ()
     | Ok _ -> Alcotest.failf "bit flip at %d undetected" i
   done
@@ -276,7 +284,7 @@ let rpc_burst_coalescing () =
         true
         (sa.Erpc.bursts_sent < sa.Erpc.burst_msgs))
 
-(* --- burst envelope (v2) ------------------------------------------------ *)
+(* --- burst envelope ------------------------------------------------------ *)
 
 let mk_meta i =
   {
@@ -290,9 +298,10 @@ let mk_meta i =
   }
 
 let burst_roundtrip_equiv =
-  (* Property: a burst sealed as one v2 packet decodes to exactly the
-     (meta, data) list that per-message v1 seal/decode yields — the batched
-     crypto changes the wire format, never the delivered messages. *)
+  (* Property: a burst sealed as one packet decodes to exactly the
+     (meta, data) list that went in, and to what sealing each message as
+     its own one-message packet yields — coalescing changes the wire
+     format, never the delivered messages. *)
   QCheck.Test.make ~name:"burst seal/decode = per-message seal/decode"
     ~count:100
     QCheck.(small_list (string_of_size Gen.(0 -- 300)))
@@ -301,29 +310,17 @@ let burst_roundtrip_equiv =
       let key = Aead.key_of_string "burst" in
       List.for_all
         (fun security ->
-          let per_message =
-            List.map
-              (fun (m, data) ->
-                let ivg = Aead.Iv_gen.create ~node_id:2 in
-                match
-                  Secure_msg.decode security
-                    (Secure_msg.encode security ~iv_gen:ivg m data)
-                with
-                | Ok md -> md
-                | Error _ -> QCheck.Test.fail_report "v1 roundtrip failed")
-              msgs
+          let decode packet =
+            match Secure_msg.Burst.decode security packet with
+            | Ok decoded -> decoded
+            | Error _ -> QCheck.Test.fail_report "burst decode failed"
           in
           let ivg = Aead.Iv_gen.create ~node_id:2 in
-          let data_lens = List.map (fun (_, d) -> String.length d) msgs in
-          let buf =
-            Bytes.create (Secure_msg.Burst.wire_size security ~data_lens)
+          let per_message =
+            List.concat_map (fun m -> decode (seal security ~iv_gen:ivg [ m ])) msgs
           in
-          let n = Secure_msg.Burst.encode_into security ~iv_gen:ivg buf msgs in
-          if n <> Bytes.length buf then
-            QCheck.Test.fail_report "encode_into size <> wire_size";
-          match Secure_msg.Burst.decode security (Bytes.to_string buf) with
-          | Ok decoded -> decoded = per_message && decoded = msgs
-          | Error _ -> QCheck.Test.fail_report "burst decode failed")
+          let decoded = decode (seal security ~iv_gen:ivg msgs) in
+          decoded = msgs && per_message = msgs)
         [ Secure_msg.Plain; Secure_msg.Secure key ])
 
 let burst_tamper_whole_packet () =
@@ -337,10 +334,7 @@ let burst_tamper_whole_packet () =
   let msgs =
     [ (mk_meta 0, "alpha"); (mk_meta 1, ""); (mk_meta 2, String.make 100 'z') ]
   in
-  let data_lens = List.map (fun (_, d) -> String.length d) msgs in
-  let buf = Bytes.create (Secure_msg.Burst.wire_size security ~data_lens) in
-  ignore (Secure_msg.Burst.encode_into security ~iv_gen:ivg buf msgs);
-  let packet = Bytes.to_string buf in
+  let packet = seal security ~iv_gen:ivg msgs in
   (match Secure_msg.Burst.decode security packet with
   | Ok m -> Alcotest.(check int) "clean packet decodes" 3 (List.length m)
   | Error _ -> Alcotest.fail "clean packet rejected");
@@ -365,38 +359,30 @@ let burst_tamper_whole_packet () =
   done;
   ignore body_off
 
-let rpc_mixed_envelope_versions () =
-  (* A v1-only sender (batch_crypto=false) and a v2 sender interoperate:
-     the receive path dispatches on the packet version byte, not on the
-     local config. *)
+let rpc_rejects_v1_envelope () =
+  (* Only the burst envelope exists: a packet leading with the retired v1
+     version byte is malformed — one MAC failure, no handler run — even
+     when everything after that byte is a well-sealed burst. *)
   let key = Aead.key_of_string "net" in
-  let sim = Sim.create () in
-  let net = Net.create sim Treaty_sim.Costmodel.default in
-  Sim.run sim (fun () ->
-      let mk node_id ~batch_crypto =
-        let enclave =
-          Enclave.create sim ~mode:Enclave.Scone
-            ~cost:Treaty_sim.Costmodel.default ~cores:4 ~node_id
-            ~code_identity:"rpc-test"
-        in
-        let pool = Treaty_memalloc.Mempool.create enclave in
-        Erpc.create sim ~net ~enclave ~pool
-          ~config:
-            {
-              (Erpc.default_config ~security:(Secure_msg.Secure key)) with
-              Erpc.batch_crypto;
-            }
-          ~node_id ()
-      in
-      let v1 = mk 1 ~batch_crypto:false and v2 = mk 2 ~batch_crypto:true in
-      Erpc.register v1 ~kind:1 (fun _ payload -> "v1:" ^ payload);
-      Erpc.register v2 ~kind:1 (fun _ payload -> "v2:" ^ payload);
-      (match Erpc.call v1 ~dst:2 ~kind:1 "up" with
-      | Ok r -> Alcotest.(check string) "v1 -> v2" "v2:up" r
-      | Error _ -> Alcotest.fail "v1 -> v2 call failed");
-      match Erpc.call v2 ~dst:1 ~kind:1 "down" with
-      | Ok r -> Alcotest.(check string) "v2 -> v1" "v1:down" r
-      | Error _ -> Alcotest.fail "v2 -> v1 call failed")
+  let security = Secure_msg.Secure key in
+  with_pair ~security (fun sim net _a b ->
+      let runs = ref 0 in
+      Erpc.register b ~kind:1 (fun _ _ ->
+          incr runs;
+          "ok");
+      let ivg = Aead.Iv_gen.create ~node_id:1 in
+      let packet = seal security ~iv_gen:ivg [ ({ meta with kind = 1 }, "up") ] in
+      let v1 = Bytes.of_string packet in
+      Bytes.set v1 0 '\x01';
+      Net.send net ~src:1 ~dst:2 (Bytes.to_string v1);
+      Sim.sleep sim 5_000_000;
+      Alcotest.(check int) "one MAC failure" 1 (Erpc.stats b).mac_failures;
+      Alcotest.(check int) "no handler ran" 0 !runs;
+      (* Control: the same packet with its real version byte is served. *)
+      Net.send net ~src:1 ~dst:2 packet;
+      Sim.sleep sim 5_000_000;
+      Alcotest.(check int) "still one MAC failure" 1 (Erpc.stats b).mac_failures;
+      Alcotest.(check int) "the intact packet ran its handler" 1 !runs)
 
 let suite =
   [
@@ -418,6 +404,6 @@ let suite =
     QCheck_alcotest.to_alcotest burst_roundtrip_equiv;
     Alcotest.test_case "burst tamper rejects whole packet" `Quick
       burst_tamper_whole_packet;
-    Alcotest.test_case "v1/v2 envelope senders interoperate" `Quick
-      rpc_mixed_envelope_versions;
+    Alcotest.test_case "v1 envelope packet is rejected" `Quick
+      rpc_rejects_v1_envelope;
   ]

@@ -495,7 +495,7 @@ let group_commit_batching () =
       Alcotest.(check bool) "all got the same counter" true
         (List.for_all (fun (_, c) -> c = 1) !results))
 
-let clog_group_commit_batches () =
+let clog_group_batches () =
   (* Concurrent Clog appends share authenticated appends and counter
      submissions; every record still replays on recovery, tagged with its
      batch's (monotone) counter. *)
@@ -975,7 +975,7 @@ let block_cache_invalidate () =
     (Block_cache.find c ~file_id:2 ~block:0);
   Alcotest.(check int) "one entry left" 1 (Block_cache.entries c)
 
-let engine_read_opt_correctness () =
+let engine_bloom_hint_correctness () =
   (* Bloom positives are only hints: every probe — resident, absent, or a
      filter false positive — must be answered by the verified block. *)
   with_sim (fun sim ->
@@ -1182,7 +1182,7 @@ let suite =
     Alcotest.test_case "record codecs" `Quick codec_roundtrips;
     Alcotest.test_case "manifest version fold" `Quick manifest_version_fold;
     Alcotest.test_case "group commit batching" `Quick group_commit_batching;
-    Alcotest.test_case "clog group commit + batched replay" `Quick clog_group_commit_batches;
+    Alcotest.test_case "clog group commit + batched replay" `Quick clog_group_batches;
     Alcotest.test_case "engine flush + compaction" `Slow engine_compaction_cascade;
     Alcotest.test_case "engine range scan" `Quick engine_scan;
     Alcotest.test_case "sstable range" `Quick sstable_range;
@@ -1201,7 +1201,7 @@ let suite =
     Alcotest.test_case "block cache LRU eviction" `Quick block_cache_eviction_lru;
     Alcotest.test_case "block cache file invalidation" `Quick block_cache_invalidate;
     Alcotest.test_case "read-opt answers from verified blocks" `Quick
-      engine_read_opt_correctness;
+      engine_bloom_hint_correctness;
     Alcotest.test_case "compaction invalidates cached blocks" `Quick
       engine_cache_invalidation_on_compaction;
     Alcotest.test_case "cache eviction under a tight budget" `Quick
