@@ -81,8 +81,6 @@ type t = {
   rpc_timeout_ns : int;
   client_op_timeout_ns : int;
   decision_query_timeout_ns : int;
-  recovery_resolve_attempts : int;
-  recovery_resolve_retry_ns : int;
   sweep_interval_ns : int;
   part_prepared_resolve_ns : int;
   part_stale_abort_ns : int;
@@ -110,8 +108,6 @@ let default =
     rpc_timeout_ns = 120_000_000;
     client_op_timeout_ns = 400_000_000;
     decision_query_timeout_ns = 20_000_000;
-    recovery_resolve_attempts = 25;
-    recovery_resolve_retry_ns = 20_000_000;
     sweep_interval_ns = 250_000_000;
     part_prepared_resolve_ns = 400_000_000;
     part_stale_abort_ns = 1_000_000_000;

@@ -69,9 +69,6 @@ type t = {
       (** Timeout for cooperative-termination decision queries
           ([k_query_decision]); chaos schedules with large delay spikes need
           it above the spike so prepared transactions are not stranded. *)
-  recovery_resolve_attempts : int;
-      (** Retries a recovering participant makes resolving a prepared tx. *)
-  recovery_resolve_retry_ns : int;  (** Backoff between those retries. *)
   sweep_interval_ns : int;  (** Background hygiene sweep period. *)
   part_prepared_resolve_ns : int;
       (** Age at which a prepared participant tx is driven to resolution. *)

@@ -1372,7 +1372,7 @@ let recover_with deps ~ssd =
                 (Engine.clog_append t.engine (Clog_record.Finished { tx_seq = seq }))))
         unfinished;
       (* Participant-side recovery: re-lock prepared write sets and resolve
-         them with their coordinators. *)
+         them with their coordinators, as the sweeper does. *)
       List.iter
         (fun ((coord, tx_seq), writes) ->
           let owner = { Types.coord; seq = tx_seq } in
@@ -1380,28 +1380,9 @@ let recover_with deps ~ssd =
             (fun (key, _) ->
               ignore (Lock_table.acquire t.locks ~owner ~key Lock_table.Write))
             writes;
-          Sim.spawn deps.sim (fun () ->
-              let rec resolve_loop attempts =
-                if attempts <= 0 then () (* stay prepared; blocked on coord *)
-                else
-                  match
-                    let b = Buffer.create 8 in
-                    Wire.w64 b tx_seq;
-                    Erpc.call t.rpc ~dst:coord ~kind:k_query_decision
-                      ~timeout_ns:deps.config.decision_query_timeout_ns
-                      (Buffer.contents b)
-                  with
-                  | Ok "c" ->
-                      ignore (Engine.resolve t.engine ~tx:(coord, tx_seq) ~commit:true);
-                      finish_participant t ~coord ~tx_seq
-                  | Ok ("a" | "u") ->
-                      ignore (Engine.resolve t.engine ~tx:(coord, tx_seq) ~commit:false);
-                      finish_participant t ~coord ~tx_seq
-                  | Ok _ | Error (`Timeout | `Tampered) ->
-                      Sim.sleep deps.sim deps.config.recovery_resolve_retry_ns;
-                      resolve_loop (attempts - 1)
-              in
-              resolve_loop deps.config.recovery_resolve_attempts))
+          (* One query now; a prepare it leaves in doubt is orphaned (no
+             participant context) and the sweeper re-queries it every tick. *)
+          Sim.spawn deps.sim (fun () -> resolve_in_doubt t ~coord ~tx_seq))
         info.Engine.prepared;
       t.recovering <- false;
       Ok t

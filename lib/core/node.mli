@@ -64,8 +64,11 @@ val create : deps -> t
 val recover_with : deps -> ssd:Treaty_storage.Ssd.t -> (t, string) result
 (** Rebuild a node from its surviving SSD (§VI): replay + verify the logs
     (against the node's protection group when stabilization is on), re-lock
-    and re-resolve prepared transactions by querying their coordinators, and
-    finish or abort in-doubt coordinator transactions from the Clog. *)
+    prepared transactions and finish or abort in-doubt coordinator
+    transactions from the Clog. Each recovered prepare is resolved the way
+    the running node resolves one: a single cooperative-termination query to
+    its coordinator; one that query leaves in doubt is re-queried by the
+    background sweeper on every tick until its coordinator answers. *)
 
 val node_id : t -> int
 val stats : t -> stats

@@ -178,6 +178,9 @@ let build ssd sec ~file_id ~block_bytes entries =
   Wire.w64 tail (String.length footer);
   Buffer.add_string tail magic;
   Buffer.add_string file (Buffer.contents tail);
+  (* A fresh table replaces any stale file of the same id: one left by an
+     Add_file edit that never stabilized, which recovery dropped. *)
+  Ssd.delete ssd name;
   ignore (Ssd.append ssd ~enclave:(Sec.enclave sec) name (Buffer.contents file));
   account_bloom sec (Some bloom);
   let handle =

@@ -34,9 +34,9 @@ val build :
   block_bytes:int ->
   entry list ->
   handle * string
-(** Write a table from sorted entries as one sequential file write; returns
-    the handle and the footer digest for the MANIFEST. The entry list must
-    be non-empty and sorted. *)
+(** Write a table from sorted entries as one sequential file write,
+    replacing any file of the same id; returns the handle and the footer
+    digest for the MANIFEST. The entry list must be non-empty and sorted. *)
 
 val open_ :
   ?version:int -> Ssd.t -> Sec.t -> file_id:int -> footer_digest:string -> handle

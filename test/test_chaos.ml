@@ -182,13 +182,17 @@ let group_quorum_loss () =
 
 let sweep_7_nodes () =
   (* Random schedules where groups are proper subsets: a crash or partition
-     now costs quorum only in the groups that hold the node. *)
+     now costs quorum only in the groups that hold the node. Seed 190 rides
+     along as a regression input: node 2 crashes again while the MANIFEST
+     edit retiring its recovered WAL is still unstable, which once read as a
+     WAL rollback on the next recovery. *)
   let config = { Chaos.default_config with Chaos.nodes = 7 } in
-  for seed = 1 to 12 do
-    match Chaos.run_seed ~config ~seed () with
-    | Ok _ -> ()
-    | Error m -> Alcotest.failf "7 nodes, seed %d: %s" seed m
-  done
+  List.iter
+    (fun seed ->
+      match Chaos.run_seed ~config ~seed () with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "7 nodes, seed %d: %s" seed m)
+    (List.init 12 succ @ [ 190 ])
 
 let sweeper_spares_live_coordinator () =
   (* Regression: the sweeper took a coordinator's own prepared slice for an
