@@ -87,8 +87,11 @@ let replay t ?trusted () =
      page-cache costs were charged by the read. *)
   let raw = if total = 0 then "" else Ssd.read t.ssd ~enclave t.name ~off:0 ~len:total in
   let r = Wire.reader raw in
-  let rec go acc prev_mac expected_counter last_ok_pos =
-    if Wire.at_end r then Ok (List.rev acc, prev_mac, expected_counter - 1, last_ok_pos)
+  let limit = Option.value trusted ~default:max_int in
+  (* Every entry is parsed and verified; those within the trusted value are
+     kept. [cut] is the kept prefix's last counter, end offset and MAC. *)
+  let rec go acc prev_mac expected_counter cut =
+    if Wire.at_end r then Ok (List.rev acc, expected_counter - 1, cut)
     else
       match
         let counter = Wire.r64 r in
@@ -114,32 +117,32 @@ let replay t ?trusted () =
               match Sec.unprotect t.sec stored with
               | exception Sec.Integrity_violation _ -> Error (`Tampered counter)
               | payload ->
-                  go ((counter, payload) :: acc)
-                    (if Sec.auth t.sec then mac else prev_mac)
-                    (expected_counter + 1) (Wire.pos r)
+                  let mac = if Sec.auth t.sec then mac else prev_mac in
+                  if counter <= limit then
+                    go ((counter, payload) :: acc) mac (counter + 1)
+                      (counter, Wire.pos r, mac)
+                  else go acc mac (counter + 1) cut
           end
   in
-  match go [] t.genesis 1 0 with
+  match go [] t.genesis 1 (0, 0, t.genesis) with
   | Error e -> Error e
-  | Ok (entries, last_mac, last_counter, _last_pos) -> (
+  | Ok (entries, last_counter, (kept, pos, mac)) -> (
       match trusted with
       | Some trusted when last_counter < trusted ->
           Error (`Rolled_back (trusted, last_counter))
-      | Some trusted when last_counter > trusted ->
-          (* Entries past the trusted value were never stabilized: the crash
-             happened before their counter round completed. Drop them — their
-             transactions were never acknowledged. *)
-          let keep = List.filter (fun (c, _) -> c <= trusted) entries in
-          let dropped = last_counter - trusted in
-          (* Rebuild the on-disk prefix and the in-memory chain state. *)
-          Ssd.delete t.ssd t.name;
-          t.next_counter <- 1;
-          t.last_mac <- t.genesis;
-          List.iter (fun (_, payload) -> ignore (append t payload)) keep;
-          Ok (keep, dropped)
       | _ ->
-          t.next_counter <- last_counter + 1;
-          t.last_mac <- last_mac;
-          Ok (entries, 0))
+          if kept < last_counter then begin
+            (* Entries past the trusted value were never stabilized: the
+               crash happened before their counter round completed. Drop
+               them — their transactions were never acknowledged — with one
+               truncate at the end of the trusted prefix, so no crash can
+               leave the log shorter than that prefix. *)
+            Treaty_tee.Enclave.syscall enclave ();
+            Ssd.truncate t.ssd t.name pos
+          end;
+          (* Appends continue the chain from the last kept entry. *)
+          t.next_counter <- kept + 1;
+          t.last_mac <- mac;
+          Ok (entries, last_counter - kept))
 
 let bytes_on_disk t = Ssd.size t.ssd t.name

@@ -50,8 +50,8 @@ val replay :
     continuity; returns [(counter, payload) list, dropped] and prepares the
     handle for further appends. With [?trusted] (the ROTE value), entries
     beyond the trusted counter were never stabilized: they are discarded
-    ([dropped] counts them) and the log file is truncated to the stable
-    prefix; a log that ends *before* the trusted counter is a rollback
-    ([`Rolled_back]). *)
+    ([dropped] counts them) and the log file is truncated in place to the
+    stable prefix (one syscall), so appends continue its chain; a log that
+    ends *before* the trusted counter is a rollback ([`Rolled_back]). *)
 
 val bytes_on_disk : t -> int

@@ -45,6 +45,12 @@ val size : t -> string -> int
 
 val exists : t -> string -> bool
 val delete : t -> string -> unit
+
+val truncate : t -> string -> int -> unit
+(** [truncate t name len] cuts [name] to its first [len] bytes: log replay
+    drops an unstable tail with it, and tests cut a file short as an
+    attack. Charges nothing; the caller charges its syscall. *)
+
 val list_files : t -> string list
 
 (* --- adversary interface (tests only) --- *)
@@ -60,6 +66,3 @@ val restore : t -> snapshot -> unit
 
 val tamper : t -> string -> off:int -> unit
 (** Flip one bit of a stored file. *)
-
-val truncate : t -> string -> int -> unit
-(** Cut a file to [len] bytes (e.g. delete a log suffix). *)
