@@ -23,19 +23,6 @@ type row = {
 
 let modes = [ ("2pl", Types.Pessimistic); ("occ", Types.Optimistic) ]
 
-let ycsb_txn_cc cfg ~ro_fast_path =
-  let generators = Hashtbl.create 16 in
-  fun client ~client_index rng ->
-    let g =
-      match Hashtbl.find_opt generators client_index with
-      | Some g -> g
-      | None ->
-          let g = W.Ycsb.generator cfg rng in
-          Hashtbl.replace generators client_index g;
-          g
-    in
-    W.Ycsb.run_txn ~ro_fast_path client None (W.Ycsb.next_txn g)
-
 let run_one ~isolation ~read_fraction =
   let out = ref None in
   Common.run_sim (fun sim ->
@@ -51,7 +38,7 @@ let run_one ~isolation ~read_fraction =
           ~clients:(Common.scale_clients 96)
           ~duration_ns:(Common.duration_ns ())
           ~warmup_ns:(Common.warmup_ns ())
-          ~txn:(ycsb_txn_cc ycsb ~ro_fast_path)
+          ~txn:(Common.ycsb_txn ~ro_fast_path ycsb)
           ()
       in
       let ro_txns =

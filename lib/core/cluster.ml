@@ -69,72 +69,50 @@ let total_aborted t =
       match slot with Live n -> acc + (Node.stats n).aborted | Crashed _ -> acc)
     0 t.nodes
 
-(* Commit-pipeline batching counters aggregated over live nodes, as ordered
-   (name, value) pairs. The names double as the registry gauge names (under
-   a "pipeline." prefix); the fixed order keeps renderings deterministic. *)
-let pipeline_counters t =
-  let wal_batches = ref 0
-  and wal_items = ref 0
-  and clog_batches = ref 0
-  and clog_items = ref 0
-  and rote_rounds = ref 0
-  and rote_increments = ref 0
-  and rote_targets = ref 0
-  and cc_submits = ref 0
-  and cc_rounds = ref 0
-  and cc_failed_waits = ref 0
-  and bursts_sent = ref 0
-  and burst_msgs = ref 0
-  and crypto_ns = ref 0 in
-  Array.iter
-    (fun slot ->
-      match slot with
-      | Crashed _ -> ()
-      | Live n ->
-          let module GC = Treaty_storage.Group_commit in
-          let engine = Node.engine n in
-          let gc_add (b, i) = function
-            | None -> ()
-            | Some (s : GC.stats) ->
-                b := !b + s.batches;
-                i := !i + s.items
-          in
-          gc_add (wal_batches, wal_items)
-            (Treaty_storage.Engine.wal_group_stats engine);
-          gc_add (clog_batches, clog_items)
-            (Treaty_storage.Engine.clog_group_stats engine);
-          let rs = Treaty_counter.Rote.stats (Node.rote n) in
-          rote_rounds := !rote_rounds + rs.rounds;
-          rote_increments := !rote_increments + rs.increments;
-          rote_targets := !rote_targets + rs.targets;
-          (match Node.counter_client n with
-          | None -> ()
-          | Some cc ->
-              let cs = Treaty_counter.Counter_client.stats cc in
-              cc_submits := !cc_submits + cs.submits;
-              cc_rounds := !cc_rounds + cs.rounds_started;
-              cc_failed_waits := !cc_failed_waits + cs.failed_waits);
-          let es = Erpc.stats (Node.rpc n) in
-          bursts_sent := !bursts_sent + es.bursts_sent;
-          burst_msgs := !burst_msgs + es.burst_msgs;
-          crypto_ns :=
-            !crypto_ns + (Treaty_tee.Enclave.stats (Node.enclave n)).crypto_ns)
-    t.nodes;
+(* Commit-pipeline batching counters, one (name, per-node reader) pair
+   each. The names double as the registry gauge names (under a "pipeline."
+   prefix); the fixed order keeps renderings deterministic. *)
+let pipeline_readers =
+  let module E = Treaty_storage.Engine in
+  let group stats f n =
+    match stats (Node.engine n) with
+    | Some (s : Treaty_storage.Group_commit.stats) -> f s
+    | None -> 0
+  in
+  let rote f n = f (Treaty_counter.Rote.stats (Node.rote n)) in
+  let counter f n =
+    match Node.counter_client n with
+    | Some cc -> f (Treaty_counter.Counter_client.stats cc)
+    | None -> 0
+  in
+  let rpc f n = f (Erpc.stats (Node.rpc n)) in
   [
-    ("wal.items", !wal_items);
-    ("wal.batches", !wal_batches);
-    ("clog.items", !clog_items);
-    ("clog.batches", !clog_batches);
-    ("rote.rounds", !rote_rounds);
-    ("rote.increments", !rote_increments);
-    ("rote.targets", !rote_targets);
-    ("counter.submits", !cc_submits);
-    ("counter.rounds", !cc_rounds);
-    ("counter.failed_waits", !cc_failed_waits);
-    ("rpc.bursts_sent", !bursts_sent);
-    ("rpc.burst_msgs", !burst_msgs);
-    ("crypto.ns", !crypto_ns);
+    ("wal.items", group E.wal_group_stats (fun s -> s.items));
+    ("wal.batches", group E.wal_group_stats (fun s -> s.batches));
+    ("clog.items", group E.clog_group_stats (fun s -> s.items));
+    ("clog.batches", group E.clog_group_stats (fun s -> s.batches));
+    ("rote.rounds", rote (fun s -> s.rounds));
+    ("rote.increments", rote (fun s -> s.increments));
+    ("rote.targets", rote (fun s -> s.targets));
+    ("counter.submits", counter (fun s -> s.submits));
+    ("counter.rounds", counter (fun s -> s.rounds_started));
+    ("counter.failed_waits", counter (fun s -> s.failed_waits));
+    ("rpc.bursts_sent", rpc (fun s -> s.bursts_sent));
+    ("rpc.burst_msgs", rpc (fun s -> s.burst_msgs));
+    ( "crypto.ns",
+      fun n -> (Treaty_tee.Enclave.stats (Node.enclave n)).crypto_ns );
   ]
+
+(* [pipeline_readers] summed over live nodes. *)
+let pipeline_counters t =
+  List.map
+    (fun (name, read) ->
+      ( name,
+        Array.fold_left
+          (fun acc slot ->
+            match slot with Live n -> acc + read n | Crashed _ -> acc)
+          0 t.nodes ))
+    pipeline_readers
 
 let publish_metrics t =
   List.iter

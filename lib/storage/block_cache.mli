@@ -6,9 +6,9 @@
     verification cost is amortized by caching authenticated data in trusted
     memory. The cached plaintext therefore lives strictly inside the
     enclave trust zone: this module holds bytes and bookkeeping only and
-    never touches [Net] or [Ssd] (treaty-lint enforces that, and the engine
-    registers cached plaintext with [Taint] so TreatySan catches any escape
-    to an untrusted boundary at runtime).
+    never touches [Net] or [Ssd] (treatycheck's syntactic pass enforces
+    that, and the engine registers cached plaintext with [Taint] so
+    TreatySan catches any escape to an untrusted boundary at runtime).
 
     Keys are [(file_id, block_idx)]; file ids are never reused, so an entry
     can go stale only by outliving its file — compaction invalidates the

@@ -115,6 +115,7 @@ type t = {
   commit_lock : Sim.Resource.resource;
   mutable group : commit_item Group_commit.t option;
   mutable clog_group : Clog_record.record Group_commit.t option;
+      (* [None] exactly for an in-memory engine. *)
   prepared : (Wal_record.txid, (string * Op.t) list * int (* wal id *)) Hashtbl.t;
   wal_unresolved : (int, int ref) Hashtbl.t;  (* wal id -> live prepare count *)
   active_snapshots : (int, int) Hashtbl.t;  (* snapshot seq -> refcount *)
@@ -1012,16 +1013,9 @@ let key_prepared t ~key =
 
 let clog_append t ?span record =
   t.stats.clog_appends <- t.stats.clog_appends + 1;
-  if t.config.in_memory then ephemeral_counter t clog_log
-  else
-    match t.clog_group with
-    | Some group -> Group_commit.submit group ?span record
-    | None ->
-        let c = Log_auth.append t.clog (Clog_record.encode record) in
-        t.stability.submit
-          ~span:(Option.value span ~default:Trace.none)
-          ~log:clog_log ~counter:c;
-        c
+  match t.clog_group with
+  | Some group -> Group_commit.submit group ?span record
+  | None -> ephemeral_counter t clog_log
 
 let clog_wait_stable t ?span ~counter () =
   let wspan =

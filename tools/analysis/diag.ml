@@ -1,4 +1,4 @@
-(* Shared diagnostics for TreatyCheck and treaty-lint.
+(* Diagnostics and the allowlist shared by TreatyCheck's passes.
 
    A violation carries the site it should be fixed at (file:line), the rule
    that fired, a message, and — for the interprocedural passes — a witness
@@ -6,8 +6,8 @@
    sink/leaf, one frame per call site. The chain prints indented under the
    main diagnostic so a reader can replay the flow.
 
-   The allowlist format is the one treaty-lint has always used, shared by
-   both tools so there is exactly one place justified exceptions live:
+   One allowlist file serves every pass, so there is exactly one place
+   justified exceptions live:
 
      path-suffix rule reason...
 
@@ -91,20 +91,20 @@ let allowed allows (viol : violation) =
 (* Apply the allowlist, print what remains plus any unused entries, and
    return the exit status under the standard or --expect-fail convention.
    [label] names the tool in summary lines. *)
-let finish ~label ~expect_fail ~allows ~files violations =
+let finish ?(out = stdout) ~label ~expect_fail ~allows ~files violations =
   let remaining = List.filter (fun viol -> not (allowed allows viol)) violations in
-  List.iter (fun viol -> print_violation viol) remaining;
+  List.iter (fun viol -> print_violation ~out viol) remaining;
   let unused = List.filter (fun a -> not a.used) allows in
   List.iter
     (fun a ->
-      Printf.printf
+      Printf.fprintf out
         "%s: [allowlist] unused entry (rule %s) — remove it or fix the path\n"
         a.suffix a.a_rule)
     unused;
   let bad = remaining <> [] || unused <> [] in
   if expect_fail then
     if remaining <> [] then begin
-      Printf.printf "%s: violations found, as expected\n" label;
+      Printf.fprintf out "%s: violations found, as expected\n" label;
       0
     end
     else begin
@@ -112,8 +112,8 @@ let finish ~label ~expect_fail ~allows ~files violations =
       1
     end
   else begin
-    Printf.printf "%s: %d file(s), %d violation(s), %d allowlisted\n" label
-      files (List.length remaining)
+    Printf.fprintf out "%s: %d file(s), %d violation(s), %d allowlisted\n"
+      label files (List.length remaining)
       (List.length violations - List.length remaining);
     if bad then 1 else 0
   end

@@ -1,22 +1,28 @@
 (* treatycheck — TreatyCheck's command-line driver.
 
-   Loads every .cmt under the given paths (dune keeps them in .objs/
-   directories; pass lib trees from _build, or individual files), builds
-   the whole-program IR and runs the interprocedural passes:
+   Runs four passes over the given paths:
 
-     taint   secret-taint escape        [taint-escape]
-     nondet  determinism effects        [nondet-effect]
-     lanes   lane/lock-order safety     [lane-race, lock-order]
+     syntactic  per-file zone/determinism/hygiene rules over the .ml
+                sources (see syntactic.ml for the rule list)
+     taint      secret-taint escape        [taint-escape]
+     nondet     determinism effects        [nondet-effect]
+     lanes      lane/lock-order safety     [lane-race, lock-order]
+
+   The syntactic pass parses .ml sources and needs no build, so
+   `--pass syntactic FILE.ml` works on an uncompiled fixture. The other
+   three load every .cmt under the given paths (dune keeps them in .objs/
+   directories; pass lib trees from _build, or individual files) and build
+   the whole-program IR. `--pass all` (the default) runs all four.
 
    Exit 0 when clean (or, with --expect-fail, when violations were found),
-   1 on findings or stale allowlist entries, 2 on usage/load errors. The
-   allowlist file is shared with treaty-lint. *)
+   1 on findings or stale allowlist entries, 2 on usage/load errors. *)
 
 let usage () =
   prerr_endline
-    "usage: treatycheck [--pass taint|nondet|lanes|all] [--allowlist FILE]\n\
-    \       [--expect-fail] [--self-test] PATHS...\n\
-     PATHS are .cmt files or directories searched recursively for them.";
+    "usage: treatycheck [--pass syntactic|taint|nondet|lanes|all]\n\
+    \       [--allowlist FILE] [--expect-fail] [--self-test] PATHS...\n\
+     PATHS are files or directories searched recursively for .ml sources\n\
+     (syntactic pass) and .cmt files (the other passes).";
   exit 2
 
 let () =
@@ -28,7 +34,8 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--pass" :: v :: rest ->
-        if not (List.mem v [ "taint"; "nondet"; "lanes"; "all" ]) then usage ();
+        if not (List.mem v [ "syntactic"; "taint"; "nondet"; "lanes"; "all" ])
+        then usage ();
         pass := v;
         parse rest
     | "--allowlist" :: f :: rest ->
@@ -46,31 +53,48 @@ let () =
         parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !self_test then exit (Selftest.run ());
+  if !self_test then begin
+    let syntactic = Syntactic.run_self_test () in
+    exit (max syntactic (Selftest.run ()))
+  end;
   if !paths = [] then usage ();
-  let prog, units = Ir.load_paths (List.rev !paths) in
-  if units = 0 then begin
+  let paths = List.rev !paths in
+  let want p = !pass = "all" || !pass = p in
+  let sources =
+    if want "syntactic" then List.concat_map (Syntactic.gather []) paths
+    else []
+  in
+  if want "syntactic" && sources = [] then begin
+    prerr_endline "treatycheck: no .ml files found under the given paths";
+    exit 2
+  end;
+  let typed = !pass <> "syntactic" in
+  let prog, units =
+    if typed then Ir.load_paths paths else (Ir.empty_program (), 0)
+  in
+  if typed && units = 0 then begin
     prerr_endline "treatycheck: no .cmt files found under the given paths";
     exit 2
   end;
   let spec = Spec.production in
-  let want p = !pass = "all" || !pass = p in
   let violations =
-    (if want "taint" then Taint.run spec prog else [])
+    List.concat_map Syntactic.lint_file sources
+    @ (if want "taint" then Taint.run spec prog else [])
     @ (if want "nondet" then Determinism.run spec prog else [])
     @ if want "lanes" then Lanes.run spec prog else []
   in
   let active_rules =
-    (if want "taint" then [ Taint.rule ] else [])
+    (if want "syntactic" then Syntactic.rules else [])
+    @ (if want "taint" then [ Taint.rule ] else [])
     @ (if want "nondet" then [ Determinism.rule ] else [])
     @ if want "lanes" then [ Lanes.rule_lane; Lanes.rule_lock ] else []
   in
-  (* The allowlist is shared with treaty-lint and across analysis scopes:
-     entries for rules other tools (or other passes) own, or for files
-     outside the tree being analyzed, are not "unused" here. *)
-  let src_files =
-    Hashtbl.fold (fun _ (d : Ir.def) acc -> d.Ir.d_file :: acc) prog.Ir.defs []
-    |> List.sort_uniq compare
+  (* One allowlist serves every pass and every analysis scope: entries for
+     passes not being run, or for files outside the tree being analyzed,
+     are not "unused" here. *)
+  let files =
+    Hashtbl.fold (fun _ (d : Ir.def) acc -> d.Ir.d_file :: acc) prog.Ir.defs
+      sources
   in
   let allows =
     match !allowlist with
@@ -79,11 +103,11 @@ let () =
         Diag.load_allowlist f
         |> List.filter (fun (a : Diag.allow) ->
                List.mem a.a_rule active_rules
-               && List.exists
-                    (fun file -> String.ends_with ~suffix:a.suffix file)
-                    src_files)
+               && List.exists (String.ends_with ~suffix:a.suffix) files)
   in
   exit
     (Diag.finish
        ~label:("treatycheck --pass " ^ !pass)
-       ~expect_fail:!expect_fail ~allows ~files:units violations)
+       ~expect_fail:!expect_fail ~allows
+       ~files:(if typed then units else List.length sources)
+       violations)

@@ -1,4 +1,4 @@
-(* Hermetic self-tests for the interprocedural passes.
+(* Hermetic self-tests for the interprocedural passes and the allowlist.
 
    Each case is a tiny OCaml source typechecked in-process (compiler-libs
    Typemod against the ambient stdlib), loaded as the synthetic unit [Self]
@@ -193,8 +193,36 @@ let pass_for rule prog =
   | "nondet-effect" -> Determinism.run spec prog
   | _ -> Lanes.run spec prog
 
+(* Diag.finish's unused-entry check is the allowlist's only guard against
+   going stale: one entry for a syntactic rule must let a run with its
+   violation pass (exit 0) and fail the same run over a clean source
+   (exit 1). *)
+let allowlist_exit source =
+  let path = "lib/core/node.ml" in
+  let allows =
+    [ { Diag.suffix = path; a_rule = "wildcard-match"; reason = "self-test";
+        used = false } ]
+  in
+  let out = open_out Filename.null in
+  let status =
+    Syntactic.lint ~path (Syntactic.parse_source ~path source)
+    |> Diag.finish ~out ~label:"self-test" ~expect_fail:false ~allows ~files:1
+  in
+  close_out out;
+  status
+
+let allowlist_label = "allowlist: an entry that suppresses nothing fails the run"
+
 let run () =
   let failures = ref 0 in
+  if
+    allowlist_exit "let f x = match x with 0 -> () | _ -> ()" = 0
+    && allowlist_exit "let f x = x" = 1
+  then Printf.printf "ok   %s\n" allowlist_label
+  else begin
+    incr failures;
+    Printf.printf "FAIL %s\n" allowlist_label
+  end;
   List.iter
     (fun c ->
       match
@@ -222,7 +250,8 @@ let run () =
           end)
     cases;
   if !failures = 0 then begin
-    Printf.printf "treatycheck self-test: %d case(s) ok\n" (List.length cases);
+    Printf.printf "treatycheck self-test: %d case(s) ok\n"
+      (List.length cases + 1);
     0
   end
   else begin

@@ -1,4 +1,4 @@
-(* The per-file syntactic rule engine behind treaty-lint.
+(* The per-file syntactic rule engine: treatycheck's `syntactic` pass.
 
    This is the Parsetree half of TreatyCheck: zone rules that are purely
    about *which module is mentioned where* (trust zones, determinism bans,
@@ -6,6 +6,9 @@
    interprocedural passes (Ir/Taint/Determinism/Lanes) pick up where these
    stop: a violation laundered through a helper function is invisible here
    and caught there.
+
+   The rules cover library code only: a source outside a lib/ tree (the
+   test suite, benches, tools) is parsed but gets no rule.
 
    Rules:
 
@@ -47,6 +50,9 @@ let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   ln = 0 || go 0
+
+let in_library path =
+  String.starts_with ~prefix:"lib/" path || contains path "/lib/"
 
 let zone_of path =
   if contains path "lib/crypto/" then Crypto
@@ -225,7 +231,7 @@ let lint ~path structure =
     super.value_description self vd
   in
   let it = { super with expr; pat; typ; module_expr; value_description } in
-  it.structure it structure;
+  if in_library path then it.structure it structure;
   List.rev !out
 
 (* --- parsing ------------------------------------------------------------- *)
@@ -331,7 +337,8 @@ let self_tests =
      "module F : sig external f : int -> int = \"c_f\" end = struct \
       external f : int -> int = \"c_f\" end",
      [ "foreign-zone" ]);
-    ("lib/core/node.ml", "module type S = sig val f : int -> int end", [])
+    ("lib/core/node.ml", "module type S = sig val f : int -> int end", []);
+    ("test/test_core.ml", "let h = Hashtbl.hash (Random.int 5)", [])
   ]
 
 let run_self_test () =
@@ -354,17 +361,17 @@ let run_self_test () =
       end)
     self_tests;
   if !failures = 0 then begin
-    Printf.printf "treaty-lint self-test: %d cases ok\n"
+    Printf.printf "treatycheck syntactic self-test: %d cases ok\n"
       (List.length self_tests);
     0
   end
   else begin
-    Printf.printf "treaty-lint self-test: %d failures\n" !failures;
+    Printf.printf "treatycheck syntactic self-test: %d failures\n" !failures;
     1
   end
 
-(* Every rule this engine can emit — drivers use it to partition the shared
-   allowlist between treaty-lint and treatycheck. *)
+(* Every rule this engine can emit: the driver's active-rule list when the
+   syntactic pass runs. *)
 let rules =
   [ "wildcard-match"; "crypto-primitive"; "untrusted-zone"; "hw-counter";
     "obs-zone"; "nondeterminism"; "partial-failure"; "cache-zone";
