@@ -3,34 +3,17 @@
     acting as 2PC coordinator for its clients' transactions and participant
     for everyone else's (§V-A, Figure 2).
 
-    Message kinds on the node's endpoint:
-    - coordinator→participant: operation execution, prepare, commit, abort,
-      and decision queries from recovering participants;
-    - client→coordinator: register, begin, op, commit, rollback.
+    Message kinds on the node's endpoint (their wire format is
+    {!Txn_wire}'s):
+    - coordinator→participant: operation execution, scan, prepare, commit,
+      abort, and decision queries from recovering participants;
+    - client→coordinator: register, begin, op, scan, commit, rollback, and
+      the read-only fast path.
 
     All handlers run on fibers (the userland scheduler), so a coordinator
     blocked on a participant's stabilization simply yields. *)
 
 type t
-
-(* RPC kinds (the wire protocol's handler selectors). *)
-val k_txn_op : int
-val k_txn_scan : int
-val k_prepare : int
-val k_commit : int
-val k_abort : int
-val k_query_decision : int
-val k_client_register : int
-val k_client_begin : int
-val k_client_op : int
-val k_client_scan : int
-val k_client_commit : int
-val k_client_abort : int
-
-val k_client_ro : int
-(** Zero-RPC read-only fast path: one round trip executes a whole
-    client-declared read-only transaction against a retained MVCC snapshot
-    at the owning node — no locks, no 2PC, no stabilization wait. *)
 
 type stats = {
   mutable committed : int;

@@ -1,0 +1,139 @@
+(** The transaction protocol's wire format (§V, Figure 2) — the single owner
+    of every byte clients, coordinators and participants exchange.
+
+    Each request is an eRPC message of one {e kind}; each reply starts with
+    a {!status} byte. Encoders build a payload; decoders are total: they
+    return [Ok] or a typed {!failure} and never raise, whatever bytes the
+    untrusted network delivered. Trailing bytes after a well-formed message
+    are ignored. *)
+
+(** {1 RPC kinds} *)
+
+(** Coordinator → participant. *)
+
+val k_txn_op : int
+val k_txn_scan : int
+val k_prepare : int
+val k_commit : int
+val k_abort : int
+
+val k_query_decision : int
+(** Participant → coordinator: cooperative termination of an in-doubt
+    prepare. *)
+
+(** Client → coordinator. *)
+
+val k_client_register : int
+val k_client_begin : int
+val k_client_op : int
+val k_client_scan : int
+val k_client_commit : int
+val k_client_abort : int
+
+val k_client_ro : int
+(** Zero-RPC read-only fast path: one round trip executes a whole
+    client-declared read-only transaction against a retained MVCC snapshot
+    at the owning node — no locks, no 2PC, no stabilization wait. *)
+
+(** {1 Message vocabulary} *)
+
+(** Reply status byte. [St_conflict] is OCC's prepare-time validation
+    failure, kept distinct from [St_lock_timeout] so the coordinator's abort
+    taxonomy can attribute it. *)
+type status = St_ok | St_lock_timeout | St_unknown_tx | St_unauth | St_conflict
+
+type op = Get of string | Put of string * string | Del of string
+
+val op_key : op -> string
+val op_is_write : op -> bool
+
+type header = { client_id : int; tx_seq : int }
+(** Names a coordinator transaction in client op, scan, commit and rollback
+    requests. *)
+
+(** The coordinator's answer to a decision query. [Unknown]: no memory of
+    the transaction (so it never committed); [Pending]: still deciding;
+    [Recovering]: ask again later. *)
+type decision = Decided of bool | Pending | Unknown | Recovering
+
+type failure =
+  | Refused of status  (** A well-formed reply with a non-OK status. *)
+  | Aborted of Types.abort_reason
+      (** Commit reply: the coordinator aborted the transaction. The reason
+          byte is lossy: [Integrity], [Rolled_back] and [Unauthenticated]
+          share one code, which decodes as [Participant_failed]. *)
+  | Malformed  (** Truncated, unknown status code or bad body. *)
+
+type 'a decoded = ('a, failure) result
+
+(** {1 Requests} *)
+
+val encode_op : op -> string
+val decode_op : string -> op decoded
+
+val encode_range : lo:string -> hi:string -> string
+val decode_range : string -> (string * string) decoded
+
+val encode_query : tx_seq:int -> string
+val decode_query : string -> int decoded
+
+val encode_register : client_id:int -> token:string -> string
+val decode_register : string -> (int * string) decoded
+
+val encode_begin : client_id:int -> string
+val decode_begin : string -> int decoded
+(** The client id. *)
+
+val encode_client_op : header -> op -> string
+val decode_client_op : string -> (header * op) decoded
+
+val encode_client_scan : header -> lo:string -> hi:string -> string
+val decode_client_scan : string -> (header * (string * string)) decoded
+
+val encode_client_tx : header -> string
+(** Commit and rollback requests: the header alone. *)
+
+val decode_client_tx : string -> (header * unit) decoded
+
+val encode_client_ro : client_id:int -> string list -> string
+val decode_client_ro : string -> (int * string list) decoded
+
+(** {1 Replies} *)
+
+val status_reply : status -> string
+(** A reply that is the status byte alone. *)
+
+val decode_ack : string -> unit decoded
+(** A status-only reply. *)
+
+val encode_op_reply : string option -> int -> string
+(** An op's value and the version it read (0 from a coordinator). *)
+
+val decode_op_reply : string -> (string option * int) decoded
+
+val encode_scan_reply : (string * string) list -> string
+val decode_scan_reply : string -> (string * string) list decoded
+
+val encode_prepare_ack : (string * int) list -> string
+(** A participant's YES vote, carrying its read versions. *)
+
+val decode_prepare_ack : string -> (string * int) list decoded
+
+val encode_commit_ack : int -> string
+(** A participant's commit ack: the sequence number it installed at (0 for
+    an empty write set). *)
+
+val decode_commit_ack : string -> int decoded
+
+val encode_begin_reply : tx_seq:int -> string
+val decode_begin_reply : string -> int decoded
+
+val encode_commit_reply : unit Types.txn_result -> string
+val decode_commit_reply : string -> unit decoded
+(** An aborted commit decodes as [Error (Aborted reason)]. *)
+
+val encode_ro_reply : string option list -> string
+val decode_ro_reply : string -> string option list decoded
+
+val encode_decision : decision -> string
+val decode_decision : string -> decision decoded

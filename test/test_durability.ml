@@ -126,7 +126,7 @@ let coordinator_crash_between_decision_and_fanout () =
       | Error m -> Alcotest.failf "bootstrap: %s" m
       | Ok cluster ->
           let net = Cluster.net cluster in
-          let k_commit = 3 (* node.ml's commit fan-out RPC kind *) in
+          let k_commit = Txn_wire.k_commit in
           (* Every packet is a burst: drop any that carries a k_commit
              request, and count the drops so the test cannot pass without
              ever exercising the window. *)
