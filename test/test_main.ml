@@ -11,6 +11,7 @@ let () =
       ("counter", Test_counter.suite);
       ("cas", Test_cas.suite);
       ("core", Test_core.suite);
+      ("txn_wire", Test_txn_wire.suite);
       ("durability", Test_durability.suite);
       ("sanitizer", Test_sanitizer.suite);
       ("chaos", Test_chaos.suite);
