@@ -1,14 +1,28 @@
 /* ChaCha20 (RFC 8439) and SHA-256 (FIPS 180-4) compute kernels.
 
-   Portable C99: byte-wise little-/big-endian loads and stores, no
-   intrinsics, no CPU-feature dispatch. Both stubs are [@@noalloc]: they
-   neither allocate nor raise, and the OCaml wrappers in chacha20.ml and
-   sha256.ml validate every size and region before calling, so the C side
-   only ever sees in-bounds regions. */
+   ChaCha20 and the reference SHA-256 compression are portable C99:
+   byte-wise little-/big-endian loads and stores, no intrinsics. On x86-64
+   built with GCC or Clang, SHA-256 also has a kernel on the SHA extensions
+   (SHA-NI). A constructor picks the kernel once, from CPUID, when the
+   program loads; [caml_treaty_sha256_blocks] then calls the chosen one.
+   Only that kernel is compiled for the extra instruction sets (a target
+   attribute), so the library runs on any x86-64 and on other targets,
+   where the portable kernel is the only one. Both kernels give the same
+   digests bit for bit.
+
+   Every stub is [@@noalloc]: they neither allocate nor raise, and the
+   OCaml wrappers in chacha20.ml and sha256.ml validate every size and
+   region before calling, so the C side only ever sees in-bounds regions. */
 
 #include <stdint.h>
 #include <string.h>
 #include <caml/mlvalues.h>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define TREATY_SHA_NI 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 static uint32_t load_le32(const unsigned char *p)
 {
@@ -112,17 +126,12 @@ static const uint32_t K[64] = {
   0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 };
 
-/* Absorb [nblocks] whole 64-byte blocks of src starting at [off] into the
-   state h: 8 big-endian words, 32 bytes. */
-value caml_treaty_sha256_blocks(value h, value src, value off, value nblocks)
+/* Absorb [n] whole 64-byte blocks from p into the state s. */
+static void sha256_portable(uint32_t s[8], const unsigned char *p, long n)
 {
-  unsigned char *hp = Bytes_val(h);
-  const unsigned char *p = Bytes_val(src) + Long_val(off);
-  long n = Long_val(nblocks);
-  uint32_t s[8], w[64];
+  uint32_t w[64];
   int i;
 
-  for (i = 0; i < 8; i++) s[i] = load_be32(hp + 4 * i);
   for (; n > 0; n--, p += 64) {
     uint32_t a = s[0], b = s[1], c = s[2], d = s[3];
     uint32_t e = s[4], f = s[5], g = s[6], hh = s[7];
@@ -144,6 +153,134 @@ value caml_treaty_sha256_blocks(value h, value src, value off, value nblocks)
     s[0] += a; s[1] += b; s[2] += c; s[3] += d;
     s[4] += e; s[5] += f; s[6] += g; s[7] += hh;
   }
+}
+
+/* The kernel caml_treaty_sha256_blocks runs: 0 portable, 1 SHA-NI. Set
+   once, before main; CPUID traps to the hypervisor on a VM, so it is never
+   asked again. */
+static int sha256_kernel = 0;
+
+#ifdef TREATY_SHA_NI
+/* The same compression on the SHA extensions. sha256rnds2 runs two rounds
+   on the state split as ABEF / CDGH; sha256msg1/msg2 extend the message
+   schedule four words at a time. */
+__attribute__((target("sha,ssse3,sse4.1")))
+static void sha256_shani(uint32_t s[8], const unsigned char *p, long n)
+{
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i abef, cdgh, t, w0, w1, w2, w3;
+  int j;
+
+  /* s = A..H, lane 0 first: shuffle into ABEF and CDGH, lane 3 first. */
+  t = _mm_shuffle_epi32(_mm_loadu_si128((const __m128i *)s), 0xB1);
+  cdgh = _mm_shuffle_epi32(_mm_loadu_si128((const __m128i *)(s + 4)), 0x1B);
+  abef = _mm_alignr_epi8(t, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, t, 0xF0);
+
+/* Rounds 4i .. 4i+3 on schedule words w. */
+#define RNDS4(w, i)                                                          \
+  do {                                                                       \
+    __m128i wk = _mm_add_epi32(                                              \
+        (w), _mm_loadu_si128((const __m128i *)(K + 4 * (i))));               \
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);                            \
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));   \
+  } while (0)
+/* With a..d = W[t-16 .. t-1], replace a by W[t .. t+3]. */
+#define SCHED(a, b, c, d)                                                    \
+  a = _mm_sha256msg2_epu32(                                                  \
+      _mm_add_epi32(_mm_sha256msg1_epu32(a, b), _mm_alignr_epi8(d, c, 4)), d)
+
+  for (; n > 0; n--, p += 64) {
+    __m128i abef0 = abef, cdgh0 = cdgh;
+    w0 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)p), bswap);
+    w1 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p + 16)), bswap);
+    w2 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p + 32)), bswap);
+    w3 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p + 48)), bswap);
+    RNDS4(w0, 0); RNDS4(w1, 1); RNDS4(w2, 2); RNDS4(w3, 3);
+    for (j = 4; j < 16; j += 4) {
+      SCHED(w0, w1, w2, w3); RNDS4(w0, j);
+      SCHED(w1, w2, w3, w0); RNDS4(w1, j + 1);
+      SCHED(w2, w3, w0, w1); RNDS4(w2, j + 2);
+      SCHED(w3, w0, w1, w2); RNDS4(w3, j + 3);
+    }
+    abef = _mm_add_epi32(abef, abef0);
+    cdgh = _mm_add_epi32(cdgh, cdgh0);
+  }
+#undef RNDS4
+#undef SCHED
+
+  t = _mm_shuffle_epi32(abef, 0x1B);
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128((__m128i *)s, _mm_blend_epi16(t, cdgh, 0xF0));
+  _mm_storeu_si128((__m128i *)(s + 4), _mm_alignr_epi8(cdgh, t, 8));
+}
+
+/* CPUID leaf 7 EBX bit 29 (SHA); leaf 1 ECX bits 9 (SSSE3) and 19 (SSE4.1). */
+static int cpu_has_sha_ni(void)
+{
+  unsigned int a, b, c, d;
+  if (!__get_cpuid(1, &a, &b, &c, &d)) return 0;
+  if (!(c & (1u << 9)) || !(c & (1u << 19))) return 0;
+  if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return 0;
+  return (b >> 29) & 1;
+}
+
+__attribute__((constructor)) static void sha256_select_kernel(void)
+{
+  sha256_kernel = cpu_has_sha_ni();
+}
+#endif
+
+
+value caml_treaty_sha256_kernel(value unit)
+{
+  (void)unit;
+  return Val_int(sha256_kernel);
+}
+
+/* Absorb [nblocks] whole 64-byte blocks of src starting at [off] into the
+   state h: 8 big-endian words, 32 bytes. [kernel] as sha256_kernel; the
+   caller asks for SHA-NI only where the CPU has it. */
+static void sha256_blocks(int kernel, value h, value src, value off,
+                          value nblocks)
+{
+  unsigned char *hp = Bytes_val(h);
+  const unsigned char *p = Bytes_val(src) + Long_val(off);
+  long n = Long_val(nblocks);
+  uint32_t s[8];
+  int i;
+
+  for (i = 0; i < 8; i++) s[i] = load_be32(hp + 4 * i);
+#ifdef TREATY_SHA_NI
+  if (kernel == 1) sha256_shani(s, p, n);
+  else sha256_portable(s, p, n);
+#else
+  (void)kernel;
+  sha256_portable(s, p, n);
+#endif
   for (i = 0; i < 8; i++) store_be32(hp + 4 * i, s[i]);
+}
+
+value caml_treaty_sha256_blocks(value h, value src, value off, value nblocks)
+{
+  sha256_blocks(sha256_kernel, h, src, off, nblocks);
+  return Val_unit;
+}
+
+/* Each kernel by name, for the tests that check both against a reference
+   on every host. sha256.ml calls the SHA-NI one only where the dispatcher
+   chose it; a build without the SHA-NI kernel runs the portable one. */
+value caml_treaty_sha256_blocks_portable(value h, value src, value off,
+                                         value nblocks)
+{
+  sha256_blocks(0, h, src, off, nblocks);
+  return Val_unit;
+}
+
+value caml_treaty_sha256_blocks_sha_ni(value h, value src, value off,
+                                       value nblocks)
+{
+  sha256_blocks(1, h, src, off, nblocks);
   return Val_unit;
 }

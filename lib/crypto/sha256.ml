@@ -1,14 +1,46 @@
-(* SHA-256, FIPS 180-4. The compression function is the C kernel in
-   crypto_stubs.c; this module does the buffering, padding and bounds
-   checks around it. *)
+(* SHA-256, FIPS 180-4. The compression function is a C kernel in
+   crypto_stubs.c, chosen once from CPUID when the program loads; this
+   module does the buffering, padding and bounds checks around it. *)
 
 let digest_size = 32
 
-(* Absorb [n] whole 64-byte blocks of [src] from [off] into the state.
-   Callers guarantee [off + 64 * n <= Bytes.length src]. *)
+(* Absorb [n] whole 64-byte blocks of [src] from [off] into the state, with
+   the kernel the CPU supports best. Callers guarantee
+   [off + 64 * n <= Bytes.length src]. *)
 external compress : Bytes.t -> Bytes.t -> int -> int -> unit
   = "caml_treaty_sha256_blocks"
 [@@noalloc]
+
+external kernel_id : unit -> int = "caml_treaty_sha256_kernel" [@@noalloc]
+
+module Kernel = struct
+  type t = Portable | Sha_ni
+
+  let name = function Portable -> "portable" | Sha_ni -> "sha-ni"
+  let selected = if kernel_id () = 1 then Sha_ni else Portable
+  let available = function Portable -> true | Sha_ni -> selected = Sha_ni
+
+  external portable : Bytes.t -> Bytes.t -> int -> int -> unit
+    = "caml_treaty_sha256_blocks_portable"
+  [@@noalloc]
+
+  external sha_ni : Bytes.t -> Bytes.t -> int -> int -> unit
+    = "caml_treaty_sha256_blocks_sha_ni"
+  [@@noalloc]
+
+  let compress k ~state src off nblocks =
+    if
+      Bytes.length state <> 32 || off < 0 || off > Bytes.length src || nblocks < 0
+      || nblocks > (Bytes.length src - off) / 64
+    then invalid_arg "Sha256.Kernel.compress";
+    if not (available k) then
+      invalid_arg "Sha256.Kernel.compress: this CPU lacks the kernel's instructions";
+    match k with
+    | Portable -> portable state src off nblocks
+    | Sha_ni -> sha_ni state src off nblocks
+end
+
+let kernel = Kernel.name Kernel.selected
 
 type ctx = {
   h : Bytes.t; (* 8 state words, big-endian: the digest once finalized *)

@@ -363,6 +363,117 @@ let kernel_entry_points_reject_bad_calls () =
         (Aead.check_region k ~iv:(String.make 16 'i') b ~aad_off:0 ~aad_len:0 ~ct_off:0
            ~ct_len:8 ~mac))
 
+(* --- each SHA-256 kernel by name vs the oracle --- *)
+
+(* [Sha256] runs the one kernel the CPU supports best; these cases run each
+   kernel by name, so on a SHA-NI host the portable kernel (still the only
+   one elsewhere) stays checked too. *)
+
+let sha256_iv () =
+  let b = Bytes.create 32 in
+  List.iteri
+    (fun i v -> Bytes.set_int32_be b (4 * i) (Int32.of_int v))
+    [ 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+      0x1f83d9ab; 0x5be0cd19 ];
+  b
+
+(* Digest [msg] with one [Kernel.compress] call over all of its padded
+   blocks, laid out at offset [pre] of a buffer with junk on both sides. *)
+let digest_with k ~pre msg =
+  let len = String.length msg in
+  let padded = (len + 9 + 63) / 64 * 64 in
+  let b = Bytes.make (pre + padded + 5) '\xa5' in
+  Bytes.blit_string msg 0 b pre len;
+  Bytes.set b (pre + len) '\x80';
+  Bytes.fill b (pre + len + 1) (padded - len - 9) '\000';
+  Bytes.set_int64_be b (pre + padded - 8) (Int64.of_int (8 * len));
+  let state = sha256_iv () in
+  Sha256.Kernel.compress k ~state b pre (padded / 64);
+  Bytes.to_string state
+
+(* The oracle's compression over [nblocks] blocks of [src] from [off],
+   starting from a 32-byte big-endian state. *)
+let oracle_blocks state src off nblocks =
+  let h = Array.init 8 (fun i -> Int32.to_int (String.get_int32_be state (4 * i)) land 0xffffffff) in
+  for blk = 0 to nblocks - 1 do
+    Crypto_oracle.compress h src (off + (64 * blk))
+  done;
+  let b = Bytes.create 32 in
+  Array.iteri (fun i v -> Bytes.set_int32_be b (4 * i) (Int32.of_int v)) h;
+  Bytes.to_string b
+
+let prop_kernel_blocks k =
+  let gen =
+    QCheck.Gen.(
+      let* state = bytes_gen 32 and* nblocks = int_bound 9 and* pre = int_bound 70 in
+      let* src = bytes_gen (pre + (64 * nblocks) + 3) in
+      return (state, pre, nblocks, src))
+  in
+  let print (_, pre, nblocks, _) = Printf.sprintf "off=%d nblocks=%d" pre nblocks in
+  QCheck.Test.make
+    ~name:(Sha256.Kernel.name k ^ " kernel = oracle compression")
+    ~count:300 (QCheck.make ~print gen)
+    (fun (state, pre, nblocks, src) ->
+      let st = Bytes.of_string state in
+      Sha256.Kernel.compress k ~state:st (Bytes.of_string src) pre nblocks;
+      Bytes.to_string st = oracle_blocks state src pre nblocks)
+
+let sha256_kernel_vs_oracle k () =
+  let name = Sha256.Kernel.name k in
+  if not (Sha256.Kernel.available k) then begin
+    Printf.printf "skipped: this CPU lacks SHA-NI, SSSE3 or SSE4.1, so no %s kernel\n%!"
+      name;
+    Alcotest.skip ()
+  end;
+  (* FIPS 180-4 / NIST vectors, each as one multi-block call. *)
+  List.iter
+    (fun (label, msg, hex, offsets) ->
+      List.iter
+        (fun pre ->
+          let got = digest_with k ~pre msg in
+          let what = Printf.sprintf "%s: %s at offset %d" name label pre in
+          check_hex what hex got;
+          Alcotest.(check string) (what ^ " = oracle") (Crypto_oracle.sha256 msg) got)
+        offsets)
+    [ ("empty", "", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+       [ 0; 1; 63 ]);
+      ("abc", "abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+       [ 0; 3; 17 ]);
+      ( "448-bit",
+        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        [ 0; 5; 64 ] );
+      ( "896-bit",
+        "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+        "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+        [ 0; 9; 33 ] );
+      ( "million a's",
+        String.make 1_000_000 'a',
+        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+        [ 7 ] ) ];
+  (* nblocks = 0 leaves the state alone, at any offset up to the end. *)
+  let state0 = String.init 32 (fun i -> Char.chr (i * 11 land 0xff)) in
+  let src = Bytes.make 100 '\x5a' in
+  List.iter
+    (fun off ->
+      let st = Bytes.of_string state0 in
+      Sha256.Kernel.compress k ~state:st src off 0;
+      Alcotest.(check string) (Printf.sprintf "%s: nblocks = 0 at %d" name off) state0
+        (Bytes.to_string st))
+    [ 0; 1; 36; 100 ];
+  (* Bad calls are refused in OCaml and leave the state alone. *)
+  List.iter
+    (fun (st_len, off, nblocks) ->
+      let st = Bytes.of_string (String.sub (state0 ^ state0) 0 st_len) in
+      (match Sha256.Kernel.compress k ~state:st src off nblocks with
+      | () -> Alcotest.failf "%s: state %d off=%d nblocks=%d accepted" name st_len off nblocks
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check string) (name ^ ": refused call left the state alone")
+        (String.sub (state0 ^ state0) 0 st_len) (Bytes.to_string st))
+    [ (32, -1, 1); (32, 37, 1); (32, 0, 2); (32, 101, 0); (32, 0, -1);
+      (32, 0, max_int); (31, 0, 1); (33, 0, 0) ];
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 19 |]) (prop_kernel_blocks k)
+
 let suite =
   [
     Alcotest.test_case "sha256 vectors" `Quick sha256_vectors;
@@ -389,4 +500,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chacha_oracle;
     QCheck_alcotest.to_alcotest prop_sha_oracle;
     QCheck_alcotest.to_alcotest prop_sha_copy;
+    Alcotest.test_case "sha256 portable kernel = oracle" `Quick
+      (sha256_kernel_vs_oracle Sha256.Kernel.Portable);
+    Alcotest.test_case "sha256 sha-ni kernel = oracle" `Quick
+      (sha256_kernel_vs_oracle Sha256.Kernel.Sha_ni);
   ]
