@@ -99,23 +99,73 @@ let ycsb_result ?(isolation = Types.Pessimistic) sim profile ~ycsb ~clients
   r
 
 (* BENCH_commit_pipeline.json is fed by two benches — fig4's pipeline rows
-   and micro's crypto-cost section — which can run in either order or alone
-   (the CI smoke runs fig4 before micro). Each contributes a named top-level
-   section; the file is rewritten with everything contributed so far, so
-   whichever bench finishes last leaves the merged document behind. *)
-let pipeline_sections : (string * string) list ref = ref []
+   and micro's event-loop and crypto-cost sections — which can run in either
+   order or alone (the CI smoke runs fig4 before micro). Each contributes a
+   named top-level section. The first write of a process reads back the
+   sections already in the file, so a run that regenerates only some of them
+   keeps the rest. *)
+let pipeline_file = "BENCH_commit_pipeline.json"
+
+(* The top-level (key, raw JSON value) pairs of a file this writer wrote. *)
+let read_sections path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> []
+  | s ->
+      let n = String.length s in
+      (* Index just past the string literal whose body starts at [i]. *)
+      let rec string_end i =
+        if i >= n then n
+        else if s.[i] = '\\' then string_end (i + 2)
+        else if s.[i] = '"' then i + 1
+        else string_end (i + 1)
+      in
+      (* Index of the ',' or closing bracket that ends the value at [i]. *)
+      let rec value_end i depth =
+        if i >= n then n
+        else
+          match s.[i] with
+          | '"' -> value_end (string_end (i + 1)) depth
+          | '{' | '[' -> value_end (i + 1) (depth + 1)
+          | ('}' | ']') when depth = 0 -> i
+          | '}' | ']' -> value_end (i + 1) (depth - 1)
+          | ',' when depth = 0 -> i
+          | _ -> value_end (i + 1) depth
+      in
+      let rec sections i acc =
+        match String.index_from_opt s i '"' with
+        | None -> List.rev acc
+        | Some q -> (
+            let key_end = string_end (q + 1) in
+            match String.index_from_opt s key_end ':' with
+            | None -> List.rev acc
+            | Some colon ->
+                let v_end = value_end (colon + 1) 0 in
+                let v = String.trim (String.sub s (colon + 1) (v_end - colon - 1)) in
+                sections (v_end + 1)
+                  ((String.sub s (q + 1) (key_end - q - 2), v) :: acc))
+      in
+      (match String.index_opt s '{' with
+      | Some i -> sections (i + 1) []
+      | None -> [])
+
+let pipeline_sections =
+  lazy
+    (ref
+       (List.filter
+          (fun (k, _) -> k <> "bench" && k <> "mode")
+          (read_sections pipeline_file)))
 
 let pipeline_json_set ~key fragment =
-  pipeline_sections :=
-    (key, fragment) :: List.remove_assoc key !pipeline_sections;
+  let sections = Lazy.force pipeline_sections in
+  sections := (key, fragment) :: List.remove_assoc key !sections;
   let b = Buffer.create 1024 in
   Printf.bprintf b "{\n  \"bench\": \"commit_pipeline\",\n  \"mode\": %S"
     (if !full_mode then "full" else "quick");
   List.iter
     (fun (k, v) -> Printf.bprintf b ",\n  %S: %s" k v)
-    (List.sort compare !pipeline_sections);
+    (List.sort compare !sections);
   Buffer.add_string b "\n}\n";
-  let oc = open_out "BENCH_commit_pipeline.json" in
+  let oc = open_out pipeline_file in
   output_string oc (Buffer.contents b);
   close_out oc
 

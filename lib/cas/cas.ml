@@ -38,37 +38,46 @@ let decode_quote payload =
 let channel_key ~las_key ~nonce =
   Aead.key_of_string (Treaty_crypto.Sha256.digest_string (las_key ^ ":" ^ nonce))
 
+(* Both handlers parse network bytes no MAC has vouched for: a request that
+   does not parse gets the rejected reply (""), never an exception out of
+   the CAS fiber. *)
 let handle_attest t payload =
   if not t.alive then ""
-  else begin
-    let r = Wire.reader payload in
-    let node = Wire.r64 r in
-    let quote = decode_quote (Wire.rstr r) in
-    match Hashtbl.find_opt t.las_keys node with
-    | None -> ""
-    | Some las_key ->
-        if not (Quote.verify ~las_key ~expected_measurement:t.expected_measurement quote)
-        then "" (* rejected: wrong code identity or forged signature *)
-        else begin
-          let b = Buffer.create 256 in
-          Wire.wstr b t.master_secret;
-          Wire.wstr b t.config_blob;
-          let key = channel_key ~las_key ~nonce:quote.report_data in
-          Enclave.charge_crypto t.enclave ~bytes:(Buffer.length b);
-          let ivg = Aead.Iv_gen.create ~node_id:(Erpc.node_id t.rpc) in
-          Aead.seal_packed key ~iv:(Aead.Iv_gen.next ivg) (Buffer.contents b)
-        end
-  end
+  else
+    match
+      let r = Wire.reader payload in
+      let node = Wire.r64 r in
+      (node, decode_quote (Wire.rstr r))
+    with
+    | exception Wire.Malformed _ -> ""
+    | node, quote -> (
+        match Hashtbl.find_opt t.las_keys node with
+        | None -> ""
+        | Some las_key ->
+            if
+              not
+                (Quote.verify ~las_key
+                   ~expected_measurement:t.expected_measurement quote)
+            then "" (* rejected: wrong code identity or forged signature *)
+            else begin
+              let b = Buffer.create 256 in
+              Wire.wstr b t.master_secret;
+              Wire.wstr b t.config_blob;
+              let key = channel_key ~las_key ~nonce:quote.report_data in
+              Enclave.charge_crypto t.enclave ~bytes:(Buffer.length b);
+              let ivg = Aead.Iv_gen.create ~node_id:(Erpc.node_id t.rpc) in
+              Aead.seal_packed key ~iv:(Aead.Iv_gen.next ivg) (Buffer.contents b)
+            end)
 
 let handle_client_auth t payload =
   if not t.alive then ""
-  else begin
-    let r = Wire.reader payload in
-    let client_id = Wire.r64 r in
-    (* Client registration is assumed pre-authorized out of band; hand back
-       the token the storage nodes will verify. *)
-    Treaty_crypto.Keys.client_token t.master ~client_id
-  end
+  else
+    match Wire.r64 (Wire.reader payload) with
+    | exception Wire.Malformed _ -> ""
+    | client_id ->
+        (* Client registration is assumed pre-authorized out of band; hand
+           back the token the storage nodes will verify. *)
+        Treaty_crypto.Keys.client_token t.master ~client_id
 
 let bootstrap ~rpc ~enclave ~master_secret ~expected_measurement ~config_blob =
   (* The service provider verifies the CAS itself over IAS before trusting

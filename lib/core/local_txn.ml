@@ -200,6 +200,9 @@ let prepare t =
          installation breaks serializability. *)
       let rec lock_keys mode = function
         | [] -> Ok ()
+        | _ :: _ when t.finished ->
+            (* Ended while this prepare waited for a lock: take no more. *)
+            Error `Timeout
         | key :: rest -> (
             match Lock_table.acquire ~span:t.span t.locks ~owner:t.txid ~key mode with
             | Ok () -> lock_keys mode rest
@@ -218,6 +221,8 @@ let installed t =
   match t.installed_seq with
   | None -> []
   | Some seq -> List.map (fun (k, _) -> (k, seq)) (writes t)
+
+let finished t = t.finished
 
 let finish t =
   if not t.finished then begin

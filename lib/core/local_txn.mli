@@ -67,6 +67,10 @@ val finish : t -> unit
 (** Release locks and enclave buffers. Idempotent; called on commit and
     abort alike. *)
 
+val finished : t -> bool
+(** Whether {!finish} has run. A handler that blocked can use it to see
+    that another handler ended the transaction meanwhile. *)
+
 val installed : t -> (string * int) list
 (** (key, installed seq) after commit, for the history recorder. *)
 

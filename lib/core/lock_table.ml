@@ -124,8 +124,6 @@ let acquire ?(span = Trace.none) t ~owner ~key mode =
   if t.sanitize && Hashtbl.mem t.ended owner then
     Sanitizer.record Sanitizer.Lock_zombie
       (Printf.sprintf "%s acquired %S after its txn_end" (txid_str owner) key);
-  (* Any acquisition is a hand-off point for the cross-lane write assert. *)
-  if t.sanitize then Sanitizer.lane_lock ~txn:(txid_str owner);
   let l = lock_of t key in
   if compatible l ~owner ~mode then begin
     if mode = Write && List.mem owner l.readers then t.stats.upgrades <- t.stats.upgrades + 1;

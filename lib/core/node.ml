@@ -13,9 +13,7 @@ module Rote = Treaty_counter.Rote
 module Counter_client = Treaty_counter.Counter_client
 module Keys = Treaty_crypto.Keys
 module Wire = Treaty_util.Wire
-module Sanitizer = Treaty_util.Sanitizer
 module Latch = Treaty_sched.Scheduler.Latch
-module Lanes = Treaty_sched.Scheduler.Lanes
 module Trace = Treaty_obs.Trace
 module Metrics = Treaty_obs.Metrics
 
@@ -63,7 +61,6 @@ type t = {
   enclave : Enclave.t;
   pool : Mempool.t;
   rpc : Erpc.t;
-  lanes : Lanes.lanes;
   ssd : Ssd.t;
   sec : Sec.t;
   mutable engine : Engine.t;
@@ -222,27 +219,6 @@ let handle_txn_scan t (meta : Secure_msg.meta) payload =
       | Ok kvs -> Txn_wire.encode_scan_reply kvs
       | Error `Timeout -> Txn_wire.status_reply St_lock_timeout)
 
-(* Lane choice is a pure function of the transaction identity (see the
-   commit-lane notes above [on_lane] in the assembly section). *)
-let lane_key t (meta : Secure_msg.meta) =
-  ((meta.Secure_msg.coord * 1000003) + meta.Secure_msg.tx_seq)
-  land max_int
-  mod Lanes.shards t.lanes
-
-let txn_name ~coord ~tx_seq = Printf.sprintf "tx(%d,%d)" coord tx_seq
-
-(* TreatySan cross-lane write assert: each 2PC handler records which lane
-   it mutates this transaction's engine state from. All messages of one
-   transaction must hash to the same lane, so a different lane with no lock
-   hand-off in between is a lane-dispatch bug — the runtime counterpart of
-   TreatyCheck's static lane-race pass (the two validate each other in the
-   chaos sweep). *)
-let san_lane_write t (meta : Secure_msg.meta) ~cell =
-  if t.deps.config.profile.sanitize then
-    Sanitizer.lane_write
-      ~txn:(txn_name ~coord:meta.coord ~tx_seq:meta.tx_seq)
-      ~cell ~lane:(lane_key t meta)
-
 let finish_participant t ~coord ~tx_seq =
   (match Hashtbl.find_opt t.part_txs (coord, tx_seq) with
   | Some (ctx, _) ->
@@ -251,8 +227,6 @@ let finish_participant t ~coord ~tx_seq =
   | None ->
       (* Recovered prepared txs hold locks under their txid without a ctx. *)
       Lock_table.txn_end t.locks ~owner:{ Types.coord; seq = tx_seq });
-  if t.deps.config.profile.sanitize then
-    Sanitizer.lane_forget ~txn:(txn_name ~coord ~tx_seq);
   Erpc.forget_tx t.rpc ~coord ~tx_seq
 
 (* Prepare one slice of a transaction (Figure 2, step 5), for a participant
@@ -272,27 +246,42 @@ let prepare_slice t ltx ~span ~tx =
       | exception Engine.Stability_timeout -> Error `Unstable)
 
 let handle_prepare t (meta : Secure_msg.meta) _payload =
-  san_lane_write t meta ~cell:"engine.tx-state";
-  match Hashtbl.find_opt t.part_txs (meta.coord, meta.tx_seq) with
-  | None -> Txn_wire.status_reply St_unknown_tx
+  let tx = (meta.coord, meta.tx_seq) in
+  match Hashtbl.find_opt t.part_txs tx with
+  | None ->
+      (* A prepare that arrives after its abort: no commit or abort is left
+         to drop this request's at-most-once entry, so drop it now. *)
+      Erpc.forget_tx t.rpc ~coord:meta.coord ~tx_seq:meta.tx_seq;
+      Txn_wire.status_reply St_unknown_tx
   | Some (ctx, _) -> (
       let hspan = handler_span meta in
       Local_txn.set_span ctx hspan;
-      match prepare_slice t ctx ~span:hspan ~tx:(meta.coord, meta.tx_seq) with
-      | Error `Conflict -> Txn_wire.status_reply St_conflict
-      | Error (`Timeout | `Unstable) -> Txn_wire.status_reply St_lock_timeout
-      | Ok () ->
-          (* ACK carries the read versions for the coordinator's history. *)
-          Txn_wire.encode_prepare_ack (Local_txn.read_set ctx))
+      let vote = prepare_slice t ctx ~span:hspan ~tx in
+      if Local_txn.finished ctx then begin
+        (* Handlers run in their own fibers, so an abort (or the stale-slice
+           sweep) can end this slice while the prepare is parked on a lock,
+           the commit lock, the WAL write or the stability wait. Undo what
+           the prepare added after that cleanup and vote no: a YES would let
+           the coordinator commit writes this node has already dropped. *)
+        ignore (Engine.resolve t.engine ~tx ~commit:false);
+        if not (Hashtbl.mem t.part_txs tx) then
+          Lock_table.txn_end t.locks ~owner:(Local_txn.tx ctx);
+        Txn_wire.status_reply St_unknown_tx
+      end
+      else
+        match vote with
+        | Error `Conflict -> Txn_wire.status_reply St_conflict
+        | Error (`Timeout | `Unstable) -> Txn_wire.status_reply St_lock_timeout
+        | Ok () ->
+            (* ACK carries the read versions for the coordinator's history. *)
+            Txn_wire.encode_prepare_ack (Local_txn.read_set ctx))
 
 let handle_commit t (meta : Secure_msg.meta) _payload =
-  san_lane_write t meta ~cell:"engine.tx-state";
   let installed = Engine.resolve t.engine ~tx:(meta.coord, meta.tx_seq) ~commit:true in
   finish_participant t ~coord:meta.coord ~tx_seq:meta.tx_seq;
   Txn_wire.encode_commit_ack (Option.value ~default:0 installed)
 
 let handle_abort t (meta : Secure_msg.meta) _payload =
-  san_lane_write t meta ~cell:"engine.tx-state";
   ignore (Engine.resolve t.engine ~tx:(meta.coord, meta.tx_seq) ~commit:false);
   finish_participant t ~coord:meta.coord ~tx_seq:meta.tx_seq;
   Txn_wire.status_reply St_ok
@@ -827,23 +816,11 @@ let handle_client_register t _meta payload =
 
 (* --- assembly ----------------------------------------------------------- *)
 
-(* Per-shard commit lanes (§VII-C): 2PC prepare/commit/abort handling fans
-   out across [cores_per_node] lanes keyed by the transaction identity, so
-   independent transactions process in parallel while all messages of one
-   transaction stay serialized on the same lane (prepare-before-commit order
-   is preserved without extra locking). Lane choice is a pure function of
-   (coord, tx_seq) — [lane_key], defined up with the 2PC handlers so the
-   TreatySan cross-lane assert can recompute it — and lane fibers drain
-   FIFO through the deterministic scheduler, so same-seed traces stay
-   byte-identical. *)
-let on_lane t handler meta payload =
-  Lanes.run t.lanes (lane_key t meta) (fun () -> handler meta payload)
-
 let register_handlers t =
   Erpc.register t.rpc ~kind:Txn_wire.k_txn_op (handle_txn_op t);
-  Erpc.register t.rpc ~kind:Txn_wire.k_prepare (on_lane t (handle_prepare t));
-  Erpc.register t.rpc ~kind:Txn_wire.k_commit (on_lane t (handle_commit t));
-  Erpc.register t.rpc ~kind:Txn_wire.k_abort (on_lane t (handle_abort t));
+  Erpc.register t.rpc ~kind:Txn_wire.k_prepare (handle_prepare t);
+  Erpc.register t.rpc ~kind:Txn_wire.k_commit (handle_commit t);
+  Erpc.register t.rpc ~kind:Txn_wire.k_abort (handle_abort t);
   Erpc.register t.rpc ~kind:Txn_wire.k_query_decision (handle_query_decision t);
   Erpc.register t.rpc ~kind:Txn_wire.k_client_register (handle_client_register t);
   Erpc.register t.rpc ~kind:Txn_wire.k_client_begin (handle_client_begin t);
@@ -1042,9 +1019,6 @@ let assemble deps (enclave, pool, rpc, sec, locks, rote, counter_client, ssd) en
       enclave;
       pool;
       rpc;
-      lanes =
-        Lanes.create ~label:"commit-lane" (Sim.sched deps.sim)
-          ~shards:(max 1 deps.config.cores_per_node);
       ssd;
       sec;
       engine;

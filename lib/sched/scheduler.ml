@@ -273,54 +273,6 @@ module Ivar = struct
             assert false)
 end
 
-module Lanes = struct
-  type lanes = {
-    sched : t;
-    label : string;
-    queues : Fring.t array;
-    (* A lane's drain fiber exists only while its queue is non-empty, so idle
-       lanes cost nothing and never trip the starvation watchdog. *)
-    active : bool array;
-  }
-
-  let create ?(label = "lane") sched ~shards =
-    if shards <= 0 then invalid_arg "Lanes.create: shards must be positive";
-    {
-      sched;
-      label;
-      queues = Array.init shards (fun _ -> Fring.create ());
-      active = Array.make shards false;
-    }
-
-  let shards l = Array.length l.queues
-
-  let rec drain l i () =
-    if Fring.is_empty l.queues.(i) then l.active.(i) <- false
-    else begin
-      let job = Fring.pop l.queues.(i) in
-      (try job ()
-       with e ->
-         l.active.(i) <- false;
-         raise e);
-      drain l i ()
-    end
-
-  let submit l i job =
-    let i = i mod Array.length l.queues in
-    Fring.push l.queues.(i) job;
-    if not l.active.(i) then begin
-      l.active.(i) <- true;
-      spawn ~label:l.label l.sched (drain l i)
-    end
-
-  let run l i job =
-    let iv = Ivar.create () in
-    submit l i (fun () ->
-        let r = match job () with v -> Ok v | exception e -> Error e in
-        Ivar.fill iv r);
-    match Ivar.read l.sched iv with Ok v -> v | Error e -> raise e
-end
-
 module Latch = struct
   type latch = { mutable remaining : int; done_ : unit Ivar.ivar }
 

@@ -96,39 +96,6 @@ module Ivar : sig
   (** Block the current fiber until the ivar is filled. *)
 end
 
-(** Deterministic per-shard execution lanes (§VII-C): work submitted to the
-    same lane runs serially in submission order on a dedicated fiber; work on
-    different lanes interleaves round-robin through the scheduler's FIFO run
-    queue. Because lane selection, queue order and fiber scheduling are all
-    deterministic functions of the submission sequence, fanning a node's
-    prepare/commit handling across lanes preserves same-seed trace
-    byte-identity — the simulator's replay contract.
-
-    A lane's drain fiber is spawned on demand and exits once its queue
-    empties, so idle lanes hold no parked fibers (the starvation watchdog
-    stays quiet). *)
-module Lanes : sig
-  type lanes
-
-  val create : ?label:string -> t -> shards:int -> lanes
-  (** [shards] must be positive. [label] names the drain fibers in watchdog
-      and profiler reports (default ["lane"]). *)
-
-  val shards : lanes -> int
-
-  val submit : lanes -> int -> (unit -> unit) -> unit
-  (** Enqueue a job on lane [i mod shards], spawning the lane's drain fiber
-      if it is not already running. Jobs may block; blocking parks the lane
-      (later jobs on the same lane wait, other lanes keep running). An
-      exception escaping a job is re-raised out of the scheduler loop and
-      abandons the rest of that lane's queue until the next submit. *)
-
-  val run : lanes -> int -> (unit -> 'a) -> 'a
-  (** Like {!submit} but blocks the calling fiber until the job has run on
-      its lane, returning the job's result (re-raising its exception in the
-      caller — the lane itself keeps draining). *)
-end
-
 (** Counting latch: waits until [n] completions have been signalled. *)
 module Latch : sig
   type latch

@@ -7,7 +7,6 @@ type kind =
   | Snapshot_leak
   | Buf_leak
   | Buf_double_free
-  | Lane_race
 
 type event = { kind : kind; detail : string }
 
@@ -20,14 +19,13 @@ let kind_to_string = function
   | Snapshot_leak -> "snapshot-leak"
   | Buf_leak -> "buf-leak"
   | Buf_double_free -> "buf-double-free"
-  | Lane_race -> "lane-race"
 
 (* Deadlock-suspect hold-and-wait timeouts are the system's by-design
    deadlock-resolution strategy (§V-B), so they are surfaced as warnings,
    not violations. *)
 let is_violation = function
   | Lock_leak | Lock_zombie | Fiber_stall | Plaintext | Snapshot_leak
-  | Buf_leak | Buf_double_free | Lane_race ->
+  | Buf_leak | Buf_double_free ->
       true
   | Lock_conflict -> false
 
@@ -36,23 +34,10 @@ let events_rev : event list ref = ref []
 let recorded = ref 0
 let counts = Hashtbl.create 8
 
-(* Cross-lane write tracking (Lane_race): per transaction, the lane key of
-   the last write to each named cell and a lock epoch that bumps on every
-   lock acquisition by that transaction. A write from a different lane with
-   the epoch unchanged since the previous write means two lanes touched the
-   cell with no lock hand-off between them — the runtime counterpart of
-   TreatyCheck's static lane-race pass. *)
-let lane_cells : (string, (string, int * int) Hashtbl.t) Hashtbl.t =
-  Hashtbl.create 64
-
-let lock_epochs : (string, int) Hashtbl.t = Hashtbl.create 64
-
 let reset () =
   events_rev := [];
   recorded := 0;
-  Hashtbl.reset counts;
-  Hashtbl.reset lane_cells;
-  Hashtbl.reset lock_epochs
+  Hashtbl.reset counts
 
 let record kind detail =
   recorded := !recorded + 1;
@@ -60,34 +45,6 @@ let record kind detail =
     (1 + Option.value ~default:0 (Hashtbl.find_opt counts kind));
   if List.length !events_rev < max_events then
     events_rev := { kind; detail } :: !events_rev
-
-let lane_lock ~txn =
-  Hashtbl.replace lock_epochs txn
-    (1 + Option.value ~default:0 (Hashtbl.find_opt lock_epochs txn))
-
-let lane_write ~txn ~cell ~lane =
-  let epoch = Option.value ~default:0 (Hashtbl.find_opt lock_epochs txn) in
-  let cells =
-    match Hashtbl.find_opt lane_cells txn with
-    | Some c -> c
-    | None ->
-        let c = Hashtbl.create 4 in
-        Hashtbl.replace lane_cells txn c;
-        c
-  in
-  (match Hashtbl.find_opt cells cell with
-  | Some (lane0, epoch0) when lane0 <> lane && epoch0 = epoch ->
-      record Lane_race
-        (Printf.sprintf
-           "%s: cell %s written from lane %d after lane %d with no lock \
-            acquisition in between"
-           txn cell lane lane0)
-  | _ -> ());
-  Hashtbl.replace cells cell (lane, epoch)
-
-let lane_forget ~txn =
-  Hashtbl.remove lane_cells txn;
-  Hashtbl.remove lock_epochs txn
 
 let events () = List.rev !events_rev
 let count kind = Option.value ~default:0 (Hashtbl.find_opt counts kind)

@@ -29,10 +29,6 @@ type kind =
           alloc/free pair was dropped (e.g. an exception between packet
           encode and send). *)
   | Buf_double_free  (** Mempool buffer returned to its free list twice. *)
-  | Lane_race
-      (** The same named cell written for one transaction from two
-          different scheduler lanes with no lock acquisition in between
-          (runtime counterpart of TreatyCheck's static lane-race pass). *)
 
 type event = { kind : kind; detail : string }
 
@@ -43,20 +39,6 @@ val reset : unit -> unit
 (** Clear all recorded events and counters (start of a sanitized run). *)
 
 val record : kind -> string -> unit
-
-val lane_write : txn:string -> cell:string -> lane:int -> unit
-(** Record that [txn]'s handler running on scheduler lane [lane] wrote the
-    mutable cell named [cell]. Reports {!Lane_race} when the previous write
-    to the same cell for the same transaction came from a different lane
-    and no {!lane_lock} happened in between. *)
-
-val lane_lock : txn:string -> unit
-(** Bump [txn]'s lock epoch: a subsequent cross-lane {!lane_write} is
-    considered hand-off-protected rather than racy. Called by the lock
-    table on every acquisition. *)
-
-val lane_forget : txn:string -> unit
-(** Drop all lane-tracking state for a finished transaction. *)
 
 val events : unit -> event list
 (** Recorded events in order, capped; counters are exact. *)

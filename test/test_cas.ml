@@ -107,6 +107,52 @@ let client_tokens () =
           Alcotest.(check string) "derivable from master" t1
             (Treaty_crypto.Keys.client_token (Cas.master cas) ~client_id:1))
 
+let truncated_requests_rejected () =
+  with_cas (fun sim net cas_r ->
+      match cas_r with
+      | Error `Ias_rejected -> Alcotest.fail "bootstrap"
+      | Ok cas ->
+          let enclave, rpc = mk_endpoint sim net ~node_id:3 ~code_identity:code in
+          let las = Las.deploy sim ~node_id:3 in
+          Cas.deploy_las cas las;
+          (* A valid attest request, framed as Attest.run frames it. *)
+          let quote = Las.quote las enclave ~report_data:"nonce" in
+          let attest_req =
+            let q = Buffer.create 128 in
+            Treaty_util.Wire.wstr q quote.Treaty_tee.Quote.measurement;
+            Treaty_util.Wire.wstr q quote.report_data;
+            Treaty_util.Wire.wstr q quote.signature;
+            let b = Buffer.create 160 in
+            Treaty_util.Wire.w64 b 3;
+            Treaty_util.Wire.wstr b (Buffer.contents q);
+            Buffer.contents b
+          in
+          let auth_req =
+            let b = Buffer.create 8 in
+            Treaty_util.Wire.w64 b 7;
+            Buffer.contents b
+          in
+          let call kind req =
+            match Erpc.call rpc ~dst:90 ~kind ~timeout_ns:2_000_000_000 req with
+            | Ok reply -> reply
+            | Error _ -> Alcotest.fail "CAS did not answer"
+          in
+          List.iter
+            (fun (what, kind, req) ->
+              for len = 0 to String.length req - 1 do
+                Alcotest.(check string)
+                  (Printf.sprintf "%s prefix of %d bytes rejected" what len)
+                  "" (call kind (String.sub req 0 len))
+              done;
+              Alcotest.(check bool) (what ^ " request itself accepted") true
+                (call kind req <> ""))
+            [ ("attest", Cas.kind_attest, attest_req);
+              ("client-auth", Cas.kind_client_auth, auth_req) ];
+          Erpc.shutdown rpc;
+          match attest sim net cas ~node_id:4 ~code_identity:code with
+          | Ok _ -> ()
+          | Error _ -> Alcotest.fail "CAS stopped attesting after bad requests")
+
 let suite =
   [
     Alcotest.test_case "attestation happy path" `Quick happy_path;
@@ -114,4 +160,6 @@ let suite =
     Alcotest.test_case "unknown LAS rejected" `Quick unknown_las_rejected;
     Alcotest.test_case "dead CAS blocks attestation" `Quick cas_down_blocks_attestation;
     Alcotest.test_case "client tokens" `Quick client_tokens;
+    Alcotest.test_case "truncated requests rejected" `Quick
+      truncated_requests_rejected;
   ]

@@ -1,7 +1,7 @@
 (* TreatyCheck --expect-fail fixture (lock-order).
 
    Two transactions acquire the same two named locks in opposite orders —
-   the classic ABBA deadlock. The lane/lock pass classifies each acquire
+   the classic ABBA deadlock. The locks pass classifies each acquire
    by its literal ~key and must report the cycle "acct:A" -> "acct:B" ->
    "acct:A" with both acquisition sites. Swapping the acquire order in
    [txb] makes this file analyze clean. *)

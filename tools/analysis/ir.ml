@@ -4,7 +4,7 @@
    (including those inside nested structs) as *defs*, named canonically:
 
      Treaty_core.Node.handle_prepare
-     Treaty_sched.Scheduler.Lanes.submit
+     Treaty_sched.Scheduler.Latch.arrive
 
    dune's module mangling (Treaty_core__Node) is rewritten to dotted form,
    so a reference through the library wrapper (Treaty_core.Node.x), through
@@ -16,9 +16,8 @@
    a value is conservatively a call).
 
    The IR keeps each def's typedtree body so passes can re-walk it with
-   full type information (taint needs expression types; the lane pass needs
-   setfield labels), plus a resolver closure mapping any Path.t occurring
-   in that unit to a canonical name. *)
+   full type information (taint needs expression types), plus a resolver
+   closure mapping any Path.t occurring in that unit to a canonical name. *)
 
 type def = {
   d_name : string;  (* canonical, e.g. "Treaty_core.Node.handle_prepare" *)

@@ -6,7 +6,7 @@
                 sources (see syntactic.ml for the rule list)
      taint      secret-taint escape        [taint-escape]
      nondet     determinism effects        [nondet-effect]
-     lanes      lane/lock-order safety     [lane-race, lock-order]
+     locks      lock-order safety          [lock-order]
 
    The syntactic pass parses .ml sources and needs no build, so
    `--pass syntactic FILE.ml` works on an uncompiled fixture. The other
@@ -19,7 +19,7 @@
 
 let usage () =
   prerr_endline
-    "usage: treatycheck [--pass syntactic|taint|nondet|lanes|all]\n\
+    "usage: treatycheck [--pass syntactic|taint|nondet|locks|all]\n\
     \       [--allowlist FILE] [--expect-fail] [--self-test] PATHS...\n\
      PATHS are files or directories searched recursively for .ml sources\n\
      (syntactic pass) and .cmt files (the other passes).";
@@ -34,7 +34,7 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--pass" :: v :: rest ->
-        if not (List.mem v [ "syntactic"; "taint"; "nondet"; "lanes"; "all" ])
+        if not (List.mem v [ "syntactic"; "taint"; "nondet"; "locks"; "all" ])
         then usage ();
         pass := v;
         parse rest
@@ -81,13 +81,13 @@ let () =
     List.concat_map Syntactic.lint_file sources
     @ (if want "taint" then Taint.run spec prog else [])
     @ (if want "nondet" then Determinism.run spec prog else [])
-    @ if want "lanes" then Lanes.run spec prog else []
+    @ if want "locks" then Locks.run spec prog else []
   in
   let active_rules =
     (if want "syntactic" then Syntactic.rules else [])
     @ (if want "taint" then [ Taint.rule ] else [])
     @ (if want "nondet" then [ Determinism.rule ] else [])
-    @ if want "lanes" then [ Lanes.rule_lane; Lanes.rule_lock ] else []
+    @ if want "locks" then [ Locks.rule ] else []
   in
   (* One allowlist serves every pass and every analysis scope: entries for
      passes not being run, or for files outside the tree being analyzed,

@@ -2,7 +2,7 @@
 
    Each case is a tiny OCaml source typechecked in-process (compiler-libs
    Typemod against the ambient stdlib), loaded as the synthetic unit [Self]
-   and analyzed with a spec whose source/sink/lock/lane tables point at the
+   and analyzed with a spec whose source/sink/lock tables point at the
    case's own helpers. No fixture files, no dune plumbing: `treatycheck
    --self-test` must pass anywhere the tool builds, and a regression in
    resolution, summaries or reachability shows up as a named case. *)
@@ -89,7 +89,7 @@ let handle_eq (a : string) (b : string) = a == b
 |};
     };
     {
-      label = "lanes: ABBA lock order cycle";
+      label = "locks: ABBA lock order cycle";
       rule = "lock-order";
       expect = 1;
       source =
@@ -101,7 +101,7 @@ let ba n = acquire ~key:"B" n; acquire ~key:"A" n; release n
 |};
     };
     {
-      label = "lanes: consistent lock order is fine";
+      label = "locks: consistent lock order is fine";
       rule = "lock-order";
       expect = 0;
       source =
@@ -112,55 +112,10 @@ let ab n = acquire ~key:"A" n; acquire ~key:"B" n; release n
 let ab2 n = acquire ~key:"A" n; acquire ~key:"B" n; release n
 |};
     };
-    {
-      label = "lanes: same field written from two lane keys, unguarded";
-      rule = "lane-race";
-      expect = 1;
-      source =
-        {|
-type cell = { mutable v : int }
-let submit q k f = ignore q; ignore k; f ()
-let c = { v = 0 }
-let bump_a () = c.v <- 1
-let handle_a q = submit q 0 bump_a
-let handle_b q = submit q 1 (fun () -> c.v <- 2)
-|};
-    };
-    {
-      label = "lanes: cross-lane writes under a lock are fine";
-      rule = "lane-race";
-      expect = 0;
-      source =
-        {|
-type cell = { mutable v : int }
-let acquire ~key n = ignore key; ignore n
-let submit q k f = ignore q; ignore k; f ()
-let c = { v = 0 }
-let bump_a n = acquire ~key:"K" n; c.v <- 1
-let bump_b n = acquire ~key:"K" n; c.v <- 2
-let handle_a q = submit q 0 (fun () -> bump_a 1); submit q 1 (fun () -> bump_b 2)
-|};
-    };
-    {
-      label = "lanes: dispatcher attributes call-site jobs to its lane key";
-      rule = "lane-race";
-      expect = 1;
-      source =
-        {|
-type cell = { mutable v : int }
-let submit q k f = ignore q; ignore k; f ()
-let c = { v = 0 }
-let on_a q f = submit q 0 f
-let on_b q f = submit q 1 f
-let bump_a () = c.v <- 1
-let bump_b () = c.v <- 2
-let handle_x q = on_a q bump_a; on_b q bump_b
-|};
-    };
   ]
 
 (* The self-test spec: production tables, with the case helpers standing in
-   for the crypto sources / lock table / lane scheduler. *)
+   for the crypto sources / lock table. *)
 let spec =
   {
     Spec.production with
@@ -169,7 +124,6 @@ let spec =
     taint_skip_unit = (fun _ -> false);
     lock_acquire = (fun n -> n = "Self.acquire");
     lock_release = (fun n -> n = "Self.release");
-    lane_submit = (fun n -> n = "Self.submit");
   }
 
 let env =
@@ -191,7 +145,7 @@ let pass_for rule prog =
   match rule with
   | "taint-escape" -> Taint.run spec prog
   | "nondet-effect" -> Determinism.run spec prog
-  | _ -> Lanes.run spec prog
+  | _ -> Locks.run spec prog
 
 (* Diag.finish's unused-entry check is the allowlist's only guard against
    going stale: one entry for a syntactic rule must let a run with its

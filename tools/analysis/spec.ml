@@ -14,10 +14,9 @@ type t = {
   (* determinism pass *)
   nondet_leaf : string -> string option;
   entry : Ir.def -> bool;
-  (* lane/lock pass *)
+  (* locks pass *)
   lock_acquire : string -> bool;
   lock_release : string -> bool;
-  lane_submit : string -> bool;
 }
 
 let prefixed p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
@@ -106,8 +105,4 @@ let production =
       (fun n ->
         n = "Treaty_core.Lock_table.release_all"
         || n = "Treaty_core.Lock_table.txn_end");
-    lane_submit =
-      (fun n ->
-        n = "Treaty_sched.Scheduler.Lanes.submit"
-        || n = "Treaty_sched.Scheduler.Lanes.run");
   }

@@ -3,7 +3,7 @@
    This is the Parsetree half of TreatyCheck: zone rules that are purely
    about *which module is mentioned where* (trust zones, determinism bans,
    protocol hygiene) and need no types or cross-module resolution. The
-   interprocedural passes (Ir/Taint/Determinism/Lanes) pick up where these
+   interprocedural passes (Ir/Taint/Determinism/Locks) pick up where these
    stop: a violation laundered through a helper function is invisible here
    and caught there.
 
