@@ -86,7 +86,6 @@ type t = {
   part_stale_abort_ns : int;
   coord_tx_abandon_ns : int;
   dedup_ttl_ns : int;
-  burst_window_ns : int;
   sanitize_fiber_stall_ns : int;
   record_history : bool;
   naive_rpc_port : bool;
@@ -113,7 +112,6 @@ let default =
     part_stale_abort_ns = 1_000_000_000;
     coord_tx_abandon_ns = 3_000_000_000;
     dedup_ttl_ns = 2_000_000_000;
-    burst_window_ns = 8_000;
     sanitize_fiber_stall_ns = 10_000_000_000;
     record_history = false;
     naive_rpc_port = false;

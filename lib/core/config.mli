@@ -81,9 +81,6 @@ type t = {
   dedup_ttl_ns : int;
       (** TTL for non-transactional at-most-once cache entries (see
           {!Treaty_rpc.Erpc.config}). *)
-  burst_window_ns : int;
-      (** Doorbell window for RPC burst coalescing on node endpoints
-          (clients stay unbatched). *)
   sanitize_fiber_stall_ns : int;
       (** Watchdog threshold for the TreatySan fiber-starvation detector
           (simulated time). Must sit above the longest legitimate wait in a

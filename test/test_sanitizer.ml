@@ -210,6 +210,8 @@ let with_participant ?(tune = Fun.id) ?(keys = [ "race:k" ]) f =
               | _ -> Alcotest.fail "participant refused the write")
             keys;
           let prepare_reply = f sim cluster part call in
+          (* [f] may have crashed and restarted the participant. *)
+          let part = Cluster.node cluster 1 in
           (* A vote after the abort must be a no: the slice is gone. *)
           (match Txn_wire.decode_prepare_ack prepare_reply with
           | Error (Txn_wire.Refused Txn_wire.St_unknown_tx) -> ()
@@ -321,6 +323,39 @@ let prepare_after_abort () =
       | Ok reply -> reply
       | Error _ -> Alcotest.fail "prepare call failed")
 
+let abort_during_recovery_relock () =
+  (* The participant crashes holding a prepared slice of 64 keys and the
+     coordinator's abort is retried every few microseconds while it
+     recovers, so the abort reaches the node while recovery re-locks the
+     slice. Every acquire there yields; if the 2PC handlers were already
+     registered, the abort would end the transaction mid-loop and the loop
+     would then lock the remaining keys for good. *)
+  let keys = List.init 64 (Printf.sprintf "relock:k%02d") in
+  with_participant ~keys (fun sim cluster _part call ->
+      (match call Txn_wire.k_prepare ~op_id:999_998 "" with
+      | Ok reply when Result.is_ok (Txn_wire.decode_prepare_ack reply) -> ()
+      | _ -> Alcotest.fail "participant did not vote yes");
+      Cluster.crash_node cluster 1;
+      let restarted = ref false in
+      Sim.spawn sim (fun () ->
+          (match Cluster.restart_node cluster 1 with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "restart: %s" m);
+          restarted := true);
+      let coord = Cluster.node cluster 0 in
+      while not !restarted do
+        ignore
+          (Treaty_rpc.Erpc.call (Node.rpc coord) ~dst:2 ~kind:Txn_wire.k_abort
+             ~coord:(Node.node_id coord) ~tx_seq:9001 ~op_id:1_000_000
+             ~timeout_ns:2_000 "")
+      done;
+      (match call Txn_wire.k_abort ~op_id:1_000_000 "" with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "abort call failed");
+      match call Txn_wire.k_prepare ~op_id:999_999 "" with
+      | Ok reply -> reply
+      | Error _ -> Alcotest.fail "prepare call failed")
+
 let chaos_sanitize_clean () =
   (* run_seed already fails a seed on sanitizer violations; assert the
      collector really is empty afterwards as well. *)
@@ -355,4 +390,6 @@ let suite =
       abort_overtakes_prepare_lock_wait;
     Alcotest.test_case "abort overtakes a prepare's WAL write" `Quick
       abort_overtakes_prepare_wal_write;
+    Alcotest.test_case "abort during recovery's re-lock" `Quick
+      abort_during_recovery_relock;
   ]
