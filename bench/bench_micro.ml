@@ -141,8 +141,9 @@ let rounds_per_txn () =
   !result
 
 (* Simulated AEAD cost per completed RPC: an eRPC pair under the commit
-   pipeline's message shape — 32 concurrent closed-loop callers, ~100 B
-   requests, 1 KiB responses, the default 5 µs doorbell window. The
+   pipeline's message shape — 32 concurrent closed-loop callers started
+   1 µs apart, ~100 B requests, 1 KiB responses, bursts flushed at the end
+   of each simulated instant and drained while a flush is charged. The
    enclave's [crypto_ns] counter divided by completed calls is the number
    the burst-level AEAD shrinks: one fixed seal/open charge per *packet*
    instead of per message. Also returns the coalescing factor so the JSON

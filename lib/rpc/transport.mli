@@ -32,7 +32,7 @@ type params = {
       (** Extra per-RPC work over raw DPDK: sessions, credits, reordering,
           continuation dispatch. *)
   erpc_burst_msg_ns : int;
-      (** Per-additional-message descriptor cost inside a doorbell-coalesced
+      (** Per-additional-message descriptor cost inside a coalesced
           burst — what each coalesced message still pays after the fixed
           per-packet costs are amortized. *)
   scone_socket_syscall_ns : int;
@@ -84,7 +84,7 @@ val charge_burst :
   bytes:int ->
   msgs:int ->
   unit
-(** Charge one doorbell-coalesced burst of [msgs] messages totalling [bytes]:
+(** Charge one coalesced burst of [msgs] messages totalling [bytes]:
     the fixed per-packet costs (and any syscalls) are paid once, each extra
     message adds only [erpc_burst_msg_ns]. [msgs = 1] charges the same as
     {!charge} with [rpc_layer:true]. *)
