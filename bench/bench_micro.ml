@@ -12,11 +12,11 @@ let hmac = Crypto.Hmac.create "bench-key"
 let msg_100 = String.make 100 'm'
 
 let sealed =
-  let ivg = Crypto.Aead.Iv_gen.create ~node_id:1 in
+  let ivg = Crypto.Aead.Iv_gen.create ~incarnation:0 ~node_id:1 in
   Crypto.Aead.seal_packed aead_key ~iv:(Crypto.Aead.Iv_gen.next ivg) value_1k
 
 let secure_key = Treaty_rpc.Secure_msg.Secure aead_key
-let ivg = Crypto.Aead.Iv_gen.create ~node_id:2
+let ivg = Crypto.Aead.Iv_gen.create ~incarnation:0 ~node_id:2
 
 let meta =
   {
@@ -304,11 +304,11 @@ let run_crypto_per_txn () =
     no_batch_crypto_msgs_per_packet Common.frozen_at
 
 (* Wall ns/op of the crypto rows with the native ChaCha20/SHA-256 kernels
-   (this run, SHA-256 on the kernel [Sha256.kernel] names), next to the
-   same rows frozen from the pure-OCaml kernels they replaced: the median
-   of three runs of this bench on a 2-core x86-64 host. Hosts differ, so
-   the pair is a record of the gain, not a threshold. A row Bechamel did
-   not estimate is written as null. *)
+   (this run, on the kernels [Chacha20.kernel] and [Sha256.kernel] name),
+   next to the same rows frozen from the pure-OCaml kernels they replaced:
+   the median of three runs of this bench on a 2-core x86-64 host. Hosts
+   differ, so the pair is a record of the gain, not a threshold. A row
+   Bechamel did not estimate is written as null. *)
 let pure_ocaml_ns_per_op =
   [ ("sha256-1KiB", 25741.4); ("hmac-100B", 6885.8); ("chacha20-1KiB", 29056.5);
     ("aead-seal-1KiB", 61950.7); ("aead-open-1KiB", 68142.8);
@@ -330,7 +330,8 @@ let crypto_rows_json estimates =
 
 let run () =
   Common.section "Micro-benchmarks (Bechamel, wall-clock)";
-  Printf.printf "  sha256 kernel: %s\n%!" Crypto.Sha256.kernel;
+  Printf.printf "  sha256 kernel: %s\n  chacha20 kernel: %s\n%!"
+    Crypto.Sha256.kernel Crypto.Chacha20.kernel;
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.4) ~kde:(Some 500) () in
   let raw = Benchmark.all cfg instances tests in
@@ -357,6 +358,8 @@ let run () =
   let crypto_per_txn = run_crypto_per_txn () in
   Common.pipeline_json_set ~key:"micro"
     (Printf.sprintf
-       "{ \"crypto_ns_per_txn\": %s, \"sha256_kernel\": %S, \"wall_ns_per_op\": %s }"
-       crypto_per_txn Crypto.Sha256.kernel (crypto_rows_json estimates));
+       "{ \"crypto_ns_per_txn\": %s, \"sha256_kernel\": %S, \"chacha20_kernel\": \
+        %S, \"wall_ns_per_op\": %s }"
+       crypto_per_txn Crypto.Sha256.kernel Crypto.Chacha20.kernel
+       (crypto_rows_json estimates));
   run_event_loop ()

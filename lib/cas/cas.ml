@@ -65,7 +65,11 @@ let handle_attest t payload =
               Wire.wstr b t.config_blob;
               let key = channel_key ~las_key ~nonce:quote.report_data in
               Enclave.charge_crypto t.enclave ~bytes:(Buffer.length b);
-              let ivg = Aead.Iv_gen.create ~node_id:(Erpc.node_id t.rpc) in
+              (* The channel key is derived from this quote's nonce, so it
+                 seals this one provision only and its first IV is fresh. *)
+              let ivg =
+                Aead.Iv_gen.create ~incarnation:0 ~node_id:(Erpc.node_id t.rpc)
+              in
               Aead.seal_packed key ~iv:(Aead.Iv_gen.next ivg) (Buffer.contents b)
             end)
 

@@ -46,8 +46,12 @@ let connect cluster ~client_id =
   | Error `Cas_down -> Error `Cas_down
   | Ok token ->
       let enclave =
-        (* Clients run on their own trusted machines, outside SGX. *)
-        Enclave.create sim ~mode:Enclave.Native ~cost:config.cost ~cores:4
+        (* Clients run on their own trusted machines, outside SGX. A client
+           id that connects again gets a new incarnation: the network key
+           outlives the old endpoint. *)
+        Enclave.create
+          ~incarnation:(Cluster.next_incarnation cluster ~endpoint:(1000 + client_id))
+          sim ~mode:Enclave.Native ~cost:config.cost ~cores:4
           ~node_id:(1000 + client_id) ~code_identity:"treaty-client"
       in
       let pool = Mempool.create enclave in

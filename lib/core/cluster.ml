@@ -31,6 +31,8 @@ type t = {
   master_secret : string;
   route : string -> int;
   history : Serializability.t option;
+  incarnations : (int, int) Hashtbl.t;
+      (* Endpoint wire id -> enclaves built for it so far. *)
 }
 
 let sim t = t.sim
@@ -176,6 +178,13 @@ let attest_node t ~node_id =
   Erpc.shutdown rpc;
   result
 
+let next_incarnation t ~endpoint =
+  let i = Option.value (Hashtbl.find_opt t.incarnations endpoint) ~default:0 in
+  Hashtbl.replace t.incarnations endpoint (i + 1);
+  i
+
+(* Every call builds a new incarnation of the node, counted whether or not
+   the build then succeeds: a failed recovery may already have sealed. *)
 let deps_of t ~node_id =
   {
     Node.sim = t.sim;
@@ -186,6 +195,7 @@ let deps_of t ~node_id =
     route = (fun key -> 1 + (t.route key mod Array.length t.nodes));
     master = t.master;
     history = t.history;
+    incarnation = next_incarnation t ~endpoint:node_id;
   }
 
 let create sim config ?route () =
@@ -231,6 +241,7 @@ let create sim config ?route () =
       master_secret;
       route;
       history = (if config.record_history then Some (Serializability.create ()) else None);
+      incarnations = Hashtbl.create 16;
     }
   in
   (* CAS bootstrap: its own enclave and endpoint, attested over IAS. *)

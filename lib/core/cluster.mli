@@ -40,6 +40,14 @@ val history : t -> Serializability.t option
 val master : t -> Treaty_crypto.Keys.master
 val cas_id : int
 
+val next_incarnation : t -> endpoint:int -> int
+(** The incarnation for a new enclave at wire id [endpoint]: 0 the first
+    time, then one more per call. {!Node.deps} and [Client.connect] take
+    theirs from here, so a restarted node or a reconnected client never
+    reuses an IV under the keys that outlive it
+    ({!Treaty_crypto.Aead.Iv_gen}). Counted in the cluster, not drawn from
+    the simulator's RNG. *)
+
 val client_token : t -> client_id:int -> (string, [ `Cas_down ]) result
 (** Obtain a client auth token from the CAS (models the out-of-band client
     registration). *)

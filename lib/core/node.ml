@@ -36,6 +36,7 @@ type deps = {
   route : string -> int;
   master : Keys.master;
   history : Serializability.t option;
+  incarnation : int;
 }
 
 type remote_slice = {
@@ -925,7 +926,8 @@ let start_sweeper t =
 let build_parts (deps : deps) ssd =
   let cfg = deps.config in
   let enclave =
-    Enclave.create deps.sim ~mode:cfg.profile.tee ~cost:cfg.cost
+    Enclave.create ~incarnation:deps.incarnation deps.sim ~mode:cfg.profile.tee
+      ~cost:cfg.cost
       ~cores:cfg.cores_per_node ~node_id:deps.node_id ~code_identity:"treaty-node-v1"
   in
   Enclave.install_secrets enclave deps.master;

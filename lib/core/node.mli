@@ -39,6 +39,11 @@ type deps = {
   route : string -> int;  (** Key -> owning node id (the shard map). *)
   master : Treaty_crypto.Keys.master;  (** Provisioned by the CAS. *)
   history : Serializability.t option;
+  incarnation : int;
+      (** How many times this node id was built before: 0 at cluster
+          creation, one more per restart attempt
+          ({!Cluster.next_incarnation}). Its enclave, endpoint and storage
+          draw IVs from this incarnation's range only. *)
 }
 
 val create : deps -> t

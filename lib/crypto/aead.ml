@@ -19,12 +19,22 @@ let len32_int n =
   Bytes.set b 3 (Char.chr ((n lsr 24) land 0xff));
   Bytes.unsafe_to_string b
 
-let len32 s = len32_int (String.length s)
+(* The one tag transcript every seal and open uses: iv, len32 aad, aad,
+   len32 ct, ct. The lengths of aad and ct are MACed too, so the framing is
+   unambiguous. The IV, the AAD and the ciphertext are byte regions, fed
+   straight from wherever they lie. *)
+let tag_of key iv iv_off aad aad_off aad_len ct ct_off ct_len =
+  let s = Hmac.stream key.mac in
+  Hmac.feed_bytes s iv iv_off iv_size;
+  Hmac.feed_string s (len32_int aad_len);
+  Hmac.feed_bytes s aad aad_off aad_len;
+  Hmac.feed_string s (len32_int ct_len);
+  Hmac.feed_bytes s ct ct_off ct_len;
+  String.sub (Hmac.stream_mac s) 0 mac_size
 
 let tag key ~iv ~aad ct =
-  (* Unambiguous framing: lengths of aad and ct are MACed too. *)
-  let full = Hmac.mac_parts key.mac [ iv; len32 aad; aad; len32 ct; ct ] in
-  String.sub full 0 mac_size
+  tag_of key (Bytes.unsafe_of_string iv) 0 (Bytes.unsafe_of_string aad) 0
+    (String.length aad) (Bytes.unsafe_of_string ct) 0 (String.length ct)
 
 let seal key ~iv ?(aad = "") pt =
   check_iv "Aead.seal" iv;
@@ -40,20 +50,42 @@ let open_ key ~iv ?(aad = "") ~mac ct =
   then Ok (Chacha20.xor ~key:key.enc ~nonce:iv ct)
   else Error `Mac_mismatch
 
-let seal_packed key ~iv ?aad pt =
-  let ct, mac = seal key ~iv ?aad pt in
-  iv ^ ct ^ mac
+(* One buffer, [iv | ct | mac]: the plaintext is copied in once, encrypted
+   in place and MACed where it lies. Same bytes as [iv ^ ct ^ mac] of
+   {!seal}. *)
+let seal_packed key ~iv ?(aad = "") pt =
+  check_iv "Aead.seal" iv;
+  Taint.register pt;
+  let n = String.length pt in
+  let out = Bytes.create (overhead + n) in
+  Bytes.blit_string iv 0 out 0 iv_size;
+  Bytes.blit_string pt 0 out iv_size n;
+  Chacha20.xor_into ~key:key.enc ~nonce:iv out ~off:iv_size ~len:n;
+  let mac =
+    tag_of key out 0 (Bytes.unsafe_of_string aad) 0 (String.length aad) out iv_size n
+  in
+  Bytes.blit_string mac 0 out (iv_size + n) mac_size;
+  Bytes.unsafe_to_string out
 
-let open_packed key ?aad packed =
-  if String.length packed < overhead then Error `Truncated
+(* The tag is checked over the packed string in place before anything is
+   decrypted; only the plaintext is copied out. *)
+let open_packed key ?(aad = "") packed =
+  let len = String.length packed in
+  if len < overhead then Error `Truncated
   else begin
-    let iv = String.sub packed 0 iv_size in
-    let ct_len = String.length packed - overhead in
-    let ct = String.sub packed iv_size ct_len in
+    let p = Bytes.unsafe_of_string packed in
+    let ct_len = len - overhead in
     let mac = String.sub packed (iv_size + ct_len) mac_size in
-    match open_ key ~iv ?aad ~mac ct with
-    | Ok pt -> Ok pt
-    | Error `Mac_mismatch -> Error `Mac_mismatch
+    if
+      Hmac.equal_tags mac
+        (tag_of key p 0 (Bytes.unsafe_of_string aad) 0 (String.length aad) p iv_size ct_len)
+    then begin
+      let pt = Bytes.sub p iv_size ct_len in
+      Chacha20.xor_into ~key:key.enc ~nonce:(String.sub packed 0 iv_size) pt ~off:0
+        ~len:ct_len;
+      Ok (Bytes.unsafe_to_string pt)
+    end
+    else Error `Mac_mismatch
   end
 
 let xor_region key ~iv buf ~off ~len =
@@ -61,26 +93,31 @@ let xor_region key ~iv buf ~off ~len =
   Chacha20.xor_into ~key:key.enc ~nonce:iv buf ~off ~len
 
 let tag_region key ~iv buf ~aad_off ~aad_len ~ct_off ~ct_len =
-  (* Same transcript as {!tag}: iv, len32 aad, aad, len32 ct, ct — so a
-     region-sealed message verifies against a string-sealed one and vice
-     versa. The regions are fed straight from the packet buffer. *)
+  (* Same transcript as {!tag}, so a region-sealed message verifies against
+     a string-sealed one and vice versa. *)
   check_iv "Aead.tag_region" iv;
-  let s = Hmac.stream key.mac in
-  Hmac.feed_string s iv;
-  Hmac.feed_string s (len32_int aad_len);
-  Hmac.feed_bytes s buf aad_off aad_len;
-  Hmac.feed_string s (len32_int ct_len);
-  Hmac.feed_bytes s buf ct_off ct_len;
-  String.sub (Hmac.stream_mac s) 0 mac_size
+  tag_of key (Bytes.unsafe_of_string iv) 0 buf aad_off aad_len buf ct_off ct_len
 
 let check_region key ~iv buf ~aad_off ~aad_len ~ct_off ~ct_len ~mac =
   String.length mac = mac_size
   && Hmac.equal_tags mac (tag_region key ~iv buf ~aad_off ~aad_len ~ct_off ~ct_len)
 
 module Iv_gen = struct
-  type t = { prefix : string; mutable counter : int; scratch : Bytes.t }
+  type t = {
+    prefix : string;
+    mutable counter : int;
+    last : int; (* the incarnation's last counter value *)
+    scratch : Bytes.t;
+  }
 
-  let create ~node_id =
+  exception Exhausted
+
+  let counter_bits = 40
+  let max_incarnation = (1 lsl (62 - counter_bits)) - 1
+
+  let create ~incarnation ~node_id =
+    if incarnation < 0 || incarnation > max_incarnation then
+      invalid_arg "Aead.Iv_gen.create: incarnation out of range";
     let prefix =
       let b = Bytes.create 4 in
       Bytes.set b 0 (Char.chr (node_id land 0xff));
@@ -89,9 +126,16 @@ module Iv_gen = struct
       Bytes.set b 3 (Char.chr ((node_id lsr 24) land 0xff));
       Bytes.unsafe_to_string b
     in
-    { prefix; counter = 0; scratch = Bytes.create iv_size }
+    let base = incarnation lsl counter_bits in
+    {
+      prefix;
+      counter = base;
+      last = base + (1 lsl counter_bits) - 1;
+      scratch = Bytes.create iv_size;
+    }
 
   let next_into t buf off =
+    if t.counter >= t.last then raise Exhausted;
     t.counter <- t.counter + 1;
     Bytes.blit_string t.prefix 0 buf off 4;
     let c = t.counter in

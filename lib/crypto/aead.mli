@@ -3,7 +3,14 @@
     ChaCha20 + HMAC-SHA256 in encrypt-then-MAC composition, with the wire
     sizes Treaty's message layout prescribes (§VII-A): a 12-byte IV and a
     16-byte (truncated) MAC. Tampering with the IV, the associated data, the
-    ciphertext or the MAC makes {!open_} return [Error `Mac_mismatch]. *)
+    ciphertext or the MAC makes {!open_} return [Error `Mac_mismatch].
+
+    Every seal and open MACs the same transcript: [iv], the 32-bit
+    little-endian length of the AAD, the AAD, the length of the
+    ciphertext, the ciphertext. {!seal_packed} and {!open_packed} work on
+    one buffer: the plaintext is copied in once, encrypted in place and
+    MACed where it lies, and an open checks the tag over the packed string
+    before it decrypts one copy of the ciphertext. *)
 
 type key
 
@@ -33,10 +40,14 @@ val open_ :
   (string, [ `Mac_mismatch ]) result
 
 val seal_packed : key -> iv:string -> ?aad:string -> string -> string
-(** [iv || ciphertext || mac] as one string. *)
+(** [iv || ciphertext || mac] as one string: the same bytes as
+    [iv ^ ct ^ mac] of {!seal}, built in one allocation. *)
 
 val open_packed :
   key -> ?aad:string -> string -> (string, [ `Mac_mismatch | `Truncated ]) result
+(** [Error `Truncated] on a string shorter than {!overhead}; otherwise
+    [Error `Mac_mismatch] unless the tag verifies, which is checked before
+    any byte is decrypted. *)
 
 (** {2 In-place region operations}
 
@@ -76,13 +87,27 @@ val check_region :
 (** Timing-safe verification of {!tag_region}; [false] on a [mac] that is
     not {!mac_size} bytes. *)
 
-(** Deterministic IV generator: a per-key 96-bit counter, never reused. *)
+(** Deterministic IV generator: a per-key 96-bit counter, never reused.
+
+    An IV is the 4-byte node id followed by a 64-bit counter. A key can
+    outlive the endpoint that seals with it: the network key, a node's
+    storage key and its fuse key survive a crash and restart, and a client
+    id can connect again. So every build of an endpoint under one id gets
+    its own {i incarnation}, and incarnation [i] counts from [i lsl 40]:
+    the incarnations' IV ranges never overlap. *)
 module Iv_gen : sig
   type t
 
-  val create : node_id:int -> t
+  exception Exhausted
+  (** Raised by {!next} and {!next_into} once an incarnation has handed out
+      its [2^40 - 1] IVs. The counter never wraps into the next
+      incarnation's range. *)
+
+  val create : incarnation:int -> node_id:int -> t
   (** Node id is mixed into the IV so distinct nodes sharing a network key
-      never collide. *)
+      never collide; [incarnation] (from 0) keeps the rebuilt endpoints of
+      one node id apart. Raises [Invalid_argument] unless
+      [0 <= incarnation < 2^22]. *)
 
   val next : t -> string
   (** A fresh, unique 12-byte IV. *)

@@ -1,14 +1,15 @@
 /* ChaCha20 (RFC 8439) and SHA-256 (FIPS 180-4) compute kernels.
 
-   ChaCha20 and the reference SHA-256 compression are portable C99:
-   byte-wise little-/big-endian loads and stores, no intrinsics. On x86-64
-   built with GCC or Clang, SHA-256 also has a kernel on the SHA extensions
-   (SHA-NI). A constructor picks the kernel once, from CPUID, when the
-   program loads; [caml_treaty_sha256_blocks] then calls the chosen one.
-   Only that kernel is compiled for the extra instruction sets (a target
-   attribute), so the library runs on any x86-64 and on other targets,
-   where the portable kernel is the only one. Both kernels give the same
-   digests bit for bit.
+   Each primitive has a portable C99 kernel: byte-wise little-/big-endian
+   loads and stores, no intrinsics. On x86-64 built with GCC or Clang, two
+   more kernels sit next to them: ChaCha20 on AVX2 (eight blocks per
+   iteration) and SHA-256 on the SHA extensions (SHA-NI). A constructor
+   picks each primitive's kernel once, from CPUID, when the program loads;
+   [caml_treaty_chacha20_xor] and [caml_treaty_sha256_blocks] then call the
+   chosen one. Only those two kernels are compiled for the extra instruction
+   sets (a target attribute on each function), so the library runs on any
+   x86-64 and on other targets, where the portable kernels are the only
+   ones. Every kernel of a primitive gives the same bytes bit for bit.
 
    Every stub is [@@noalloc]: they neither allocate nor raise, and the
    OCaml wrappers in chacha20.ml and sha256.ml validate every size and
@@ -19,7 +20,7 @@
 #include <caml/mlvalues.h>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define TREATY_SHA_NI 1
+#define TREATY_X86 1
 #include <cpuid.h>
 #include <immintrin.h>
 #endif
@@ -63,26 +64,16 @@ static void store_be32(unsigned char *p, uint32_t v)
   a += b; d ^= a; d = ROTL(d, 8);                                            \
   c += d; b ^= c; b = ROTL(b, 7)
 
-/* XOR the keystream starting at block [counter] (mod 2^32) into
-   buf[off .. off+len). key is 32 bytes, nonce 12. */
-value caml_treaty_chacha20_xor(value key, value nonce, value counter,
-                               value buf, value off, value len)
+/* XOR the keystream from block st[12] into p[0 .. len), one 64-byte block
+   at a time; st[12] wraps mod 2^32. */
+static void chacha20_portable(uint32_t st[16], unsigned char *p, size_t len)
 {
-  const unsigned char *k = (const unsigned char *)String_val(key);
-  const unsigned char *n = (const unsigned char *)String_val(nonce);
-  unsigned char *p = Bytes_val(buf) + Long_val(off);
-  size_t remaining = (size_t)Long_val(len);
-  uint32_t st[16], x[16];
+  uint32_t x[16];
   unsigned char ks[64];
   int i;
 
-  st[0] = 0x61707865; st[1] = 0x3320646e; st[2] = 0x79622d32; st[3] = 0x6b206574;
-  for (i = 0; i < 8; i++) st[4 + i] = load_le32(k + 4 * i);
-  st[12] = (uint32_t)Long_val(counter);
-  for (i = 0; i < 3; i++) st[13 + i] = load_le32(n + 4 * i);
-
-  while (remaining > 0) {
-    size_t m = remaining < 64 ? remaining : 64;
+  while (len > 0) {
+    size_t m = len < 64 ? len : 64;
     memcpy(x, st, sizeof x);
     for (i = 0; i < 10; i++) {
       QR(x[0], x[4], x[8], x[12]);
@@ -97,9 +88,156 @@ value caml_treaty_chacha20_xor(value key, value nonce, value counter,
     for (i = 0; i < 16; i++) store_le32(ks + 4 * i, x[i] + st[i]);
     for (size_t j = 0; j < m; j++) p[j] ^= ks[j];
     p += m;
-    remaining -= m;
+    len -= m;
     st[12]++;
   }
+}
+
+/* The kernel caml_treaty_chacha20_xor runs: 0 portable, 1 AVX2. Set once,
+   before main, like sha256_kernel below. */
+static int chacha20_kernel = 0;
+
+#ifdef TREATY_X86
+/* The same keystream, eight blocks per iteration. Register x[i] holds state
+   word i of blocks c .. c+7, one per 32-bit lane; the counter lanes wrap
+   mod 2^32 each, as st[12]++ does. Whole 512-byte chunks are XORed in
+   place; a final chunk of more than 64 bytes goes through a keystream
+   buffer. Returns the bytes done, leaving a tail of at most 64 bytes (and
+   st[12] at its block) for the portable kernel. */
+__attribute__((target("avx2")))
+static size_t chacha20_avx2(uint32_t st[16], unsigned char *p, size_t len)
+{
+  const __m256i rot16 = _mm256_setr_epi8(
+      2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+      2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13);
+  const __m256i rot8 = _mm256_setr_epi8(
+      3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+      3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14);
+  __m256i s[16], x[16];
+  unsigned char ks[512];
+  size_t done = 0;
+  int i;
+
+  for (i = 0; i < 16; i++) s[i] = _mm256_set1_epi32((int)st[i]);
+  s[12] = _mm256_add_epi32(s[12], _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+
+#define ROTV(v, n)                                                           \
+  _mm256_or_si256(_mm256_slli_epi32((v), (n)), _mm256_srli_epi32((v), 32 - (n)))
+/* QR on eight lanes. The rotations by 16 and 8 move whole bytes, so each
+   is one byte shuffle. */
+#define QRV(a, b, c, d)                                                      \
+  a = _mm256_add_epi32(a, b);                                                \
+  d = _mm256_shuffle_epi8(_mm256_xor_si256(d, a), rot16);                    \
+  c = _mm256_add_epi32(c, d);                                                \
+  b = _mm256_xor_si256(b, c); b = ROTV(b, 12);                               \
+  a = _mm256_add_epi32(a, b);                                                \
+  d = _mm256_shuffle_epi8(_mm256_xor_si256(d, a), rot8);                     \
+  c = _mm256_add_epi32(c, d);                                                \
+  b = _mm256_xor_si256(b, c); b = ROTV(b, 7)
+/* Words g .. g+3 of blocks k and k+4 into x[g+k], k = 0..3: within each
+   128-bit half, a 4x4 transpose of 32-bit lanes. */
+#define TRANSPOSE4(g)                                                        \
+  do {                                                                       \
+    __m256i t0 = _mm256_unpacklo_epi32(x[g], x[g + 1]);                      \
+    __m256i t1 = _mm256_unpackhi_epi32(x[g], x[g + 1]);                      \
+    __m256i t2 = _mm256_unpacklo_epi32(x[g + 2], x[g + 3]);                  \
+    __m256i t3 = _mm256_unpackhi_epi32(x[g + 2], x[g + 3]);                  \
+    x[g] = _mm256_unpacklo_epi64(t0, t2);                                    \
+    x[g + 1] = _mm256_unpackhi_epi64(t0, t2);                                \
+    x[g + 2] = _mm256_unpacklo_epi64(t1, t3);                                \
+    x[g + 3] = _mm256_unpackhi_epi64(t1, t3);                                \
+  } while (0)
+
+  while (len - done > 64) {
+    unsigned char *out = p + done;
+    int whole = len - done >= 512;
+    for (i = 0; i < 16; i++) x[i] = s[i];
+    for (i = 0; i < 10; i++) {
+      QRV(x[0], x[4], x[8], x[12]);
+      QRV(x[1], x[5], x[9], x[13]);
+      QRV(x[2], x[6], x[10], x[14]);
+      QRV(x[3], x[7], x[11], x[15]);
+      QRV(x[0], x[5], x[10], x[15]);
+      QRV(x[1], x[6], x[11], x[12]);
+      QRV(x[2], x[7], x[8], x[13]);
+      QRV(x[3], x[4], x[9], x[14]);
+    }
+    for (i = 0; i < 16; i++) x[i] = _mm256_add_epi32(x[i], s[i]);
+    TRANSPOSE4(0); TRANSPOSE4(4); TRANSPOSE4(8); TRANSPOSE4(12);
+    /* Block k is the low halves of x[k], x[4+k], x[8+k], x[12+k]; block
+       k+4 the high halves. */
+    for (i = 0; i < 4; i++) {
+      __m256i v[4], *dst;
+      int j;
+      v[0] = _mm256_permute2x128_si256(x[i], x[4 + i], 0x20);
+      v[1] = _mm256_permute2x128_si256(x[8 + i], x[12 + i], 0x20);
+      v[2] = _mm256_permute2x128_si256(x[i], x[4 + i], 0x31);
+      v[3] = _mm256_permute2x128_si256(x[8 + i], x[12 + i], 0x31);
+      for (j = 0; j < 4; j++) {
+        size_t o = 64 * (size_t)(i + 4 * (j >> 1)) + 32 * (size_t)(j & 1);
+        if (whole) {
+          dst = (__m256i *)(out + o);
+          _mm256_storeu_si256(dst, _mm256_xor_si256(_mm256_loadu_si256(dst), v[j]));
+        }
+        else _mm256_storeu_si256((__m256i *)(ks + o), v[j]);
+      }
+    }
+    if (!whole) {
+      size_t m = len - done, j;
+      for (j = 0; j + 32 <= m; j += 32) {
+        __m256i *dst = (__m256i *)(out + j);
+        _mm256_storeu_si256(
+            dst, _mm256_xor_si256(_mm256_loadu_si256(dst),
+                                  _mm256_loadu_si256((const __m256i *)(ks + j))));
+      }
+      for (; j < m; j++) out[j] ^= ks[j];
+      return len;
+    }
+    s[12] = _mm256_add_epi32(s[12], _mm256_set1_epi32(8));
+    st[12] += 8;
+    done += 512;
+  }
+#undef ROTV
+#undef QRV
+#undef TRANSPOSE4
+  return done;
+}
+#endif
+
+/* XOR the keystream starting at block [counter] (mod 2^32) into
+   buf[off .. off+len). key is 32 bytes, nonce 12. [kernel] as
+   chacha20_kernel; the caller asks for AVX2 only where the CPU has it. */
+static void chacha20_xor(int kernel, value key, value nonce, value counter,
+                         value buf, value off, value len)
+{
+  const unsigned char *k = (const unsigned char *)String_val(key);
+  const unsigned char *n = (const unsigned char *)String_val(nonce);
+  unsigned char *p = Bytes_val(buf) + Long_val(off);
+  size_t remaining = (size_t)Long_val(len);
+  uint32_t st[16];
+  int i;
+
+  st[0] = 0x61707865; st[1] = 0x3320646e; st[2] = 0x79622d32; st[3] = 0x6b206574;
+  for (i = 0; i < 8; i++) st[4 + i] = load_le32(k + 4 * i);
+  st[12] = (uint32_t)Long_val(counter);
+  for (i = 0; i < 3; i++) st[13 + i] = load_le32(n + 4 * i);
+
+#ifdef TREATY_X86
+  if (kernel == 1) {
+    size_t done = chacha20_avx2(st, p, remaining);
+    p += done;
+    remaining -= done;
+  }
+#else
+  (void)kernel;
+#endif
+  chacha20_portable(st, p, remaining);
+}
+
+value caml_treaty_chacha20_xor(value key, value nonce, value counter,
+                               value buf, value off, value len)
+{
+  chacha20_xor(chacha20_kernel, key, nonce, counter, buf, off, len);
   return Val_unit;
 }
 
@@ -108,6 +246,43 @@ value caml_treaty_chacha20_xor_byte(value *argv, int argn)
   (void)argn;
   return caml_treaty_chacha20_xor(argv[0], argv[1], argv[2], argv[3], argv[4],
                                   argv[5]);
+}
+
+value caml_treaty_chacha20_kernel(value unit)
+{
+  (void)unit;
+  return Val_int(chacha20_kernel);
+}
+
+/* Each kernel by name, for the tests that check both against a reference
+   on every host. chacha20.ml calls the AVX2 one only where the dispatcher
+   chose it; a build without the AVX2 kernel runs the portable one. */
+value caml_treaty_chacha20_xor_portable(value key, value nonce, value counter,
+                                        value buf, value off, value len)
+{
+  chacha20_xor(0, key, nonce, counter, buf, off, len);
+  return Val_unit;
+}
+
+value caml_treaty_chacha20_xor_portable_byte(value *argv, int argn)
+{
+  (void)argn;
+  return caml_treaty_chacha20_xor_portable(argv[0], argv[1], argv[2], argv[3],
+                                           argv[4], argv[5]);
+}
+
+value caml_treaty_chacha20_xor_avx2(value key, value nonce, value counter,
+                                    value buf, value off, value len)
+{
+  chacha20_xor(1, key, nonce, counter, buf, off, len);
+  return Val_unit;
+}
+
+value caml_treaty_chacha20_xor_avx2_byte(value *argv, int argn)
+{
+  (void)argn;
+  return caml_treaty_chacha20_xor_avx2(argv[0], argv[1], argv[2], argv[3],
+                                       argv[4], argv[5]);
 }
 
 /* --- SHA-256 ------------------------------------------------------------- */
@@ -160,7 +335,7 @@ static void sha256_portable(uint32_t s[8], const unsigned char *p, long n)
    asked again. */
 static int sha256_kernel = 0;
 
-#ifdef TREATY_SHA_NI
+#ifdef TREATY_X86
 /* The same compression on the SHA extensions. sha256rnds2 runs two rounds
    on the state split as ABEF / CDGH; sha256msg1/msg2 extend the message
    schedule four words at a time. */
@@ -226,9 +401,25 @@ static int cpu_has_sha_ni(void)
   return (b >> 29) & 1;
 }
 
-__attribute__((constructor)) static void sha256_select_kernel(void)
+/* CPUID leaf 7 EBX bit 5 (AVX2); leaf 1 ECX bits 27 (OSXSAVE) and 28
+   (AVX); and XGETBV(0) bits 1 and 2: the OS saves the SSE and AVX register
+   state, without which ymm registers fault or lose their upper halves. */
+static int cpu_has_avx2(void)
+{
+  unsigned int a, b, c, d, lo, hi;
+  if (!__get_cpuid(1, &a, &b, &c, &d)) return 0;
+  if (!(c & (1u << 27)) || !(c & (1u << 28))) return 0;
+  __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(0));
+  (void)hi;
+  if ((lo & 6) != 6) return 0;
+  if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return 0;
+  return (b >> 5) & 1;
+}
+
+__attribute__((constructor)) static void select_kernels(void)
 {
   sha256_kernel = cpu_has_sha_ni();
+  chacha20_kernel = cpu_has_avx2();
 }
 #endif
 
@@ -252,7 +443,7 @@ static void sha256_blocks(int kernel, value h, value src, value off,
   int i;
 
   for (i = 0; i < 8; i++) s[i] = load_be32(hp + 4 * i);
-#ifdef TREATY_SHA_NI
+#ifdef TREATY_X86
   if (kernel == 1) sha256_shani(s, p, n);
   else sha256_portable(s, p, n);
 #else

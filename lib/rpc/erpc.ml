@@ -327,7 +327,9 @@ let create sim ~net ~enclave ~pool ~config ~node_id ?net_config () =
       pool;
       config;
       node_id;
-      iv_gen = Treaty_crypto.Aead.Iv_gen.create ~node_id;
+      iv_gen =
+        Treaty_crypto.Aead.Iv_gen.create
+          ~incarnation:(Treaty_tee.Enclave.incarnation enclave) ~node_id;
       handlers = Hashtbl.create 16;
       pending = Hashtbl.create 64;
       dedup = Hashtbl.create 256;

@@ -70,7 +70,9 @@ val create :
   t
 (** Create and register the endpoint on the network. Incoming packets are
     processed on freshly spawned fibers (one per request — the paper's
-    fiber-per-client model under a closed-loop workload). *)
+    fiber-per-client model under a closed-loop workload). Bursts draw IVs
+    from [enclave]'s incarnation ({!Treaty_tee.Enclave.incarnation}), so a
+    rebuilt endpoint never repeats an IV under the network key. *)
 
 val node_id : t -> int
 val stats : t -> stats

@@ -17,7 +17,7 @@ let create ~enclave ~auth ~enc () =
     enclave;
     auth;
     enc;
-    iv_gen = Aead.Iv_gen.create ~node_id:node;
+    iv_gen = Aead.Iv_gen.create ~incarnation:(Enclave.incarnation enclave) ~node_id:node;
     mac_root =
       Treaty_crypto.Hmac.create
         (Treaty_crypto.Sha256.digest_string (Printf.sprintf "log-mac-root:%d" node));

@@ -23,6 +23,9 @@ val create :
   enc:Treaty_crypto.Aead.key option ->
   unit ->
   t
+(** Seals draw IVs from [enclave]'s incarnation
+    ({!Treaty_tee.Enclave.incarnation}), so a restarted node never repeats
+    an IV under its storage key. *)
 
 val enclave : t -> Treaty_tee.Enclave.t
 val auth : t -> bool

@@ -18,6 +18,7 @@ type t = {
   mode : mode;
   cost : Costmodel.t;
   node_id : int;
+  incarnation : int;
   cpu : Sim.Resource.resource;
   measurement : string;
   seal_key : Treaty_crypto.Aead.key;
@@ -28,17 +29,18 @@ type t = {
   mutable master : Treaty_crypto.Keys.master option;
 }
 
-let create sim ~mode ~cost ~cores ~node_id ~code_identity =
+let create ?(incarnation = 0) sim ~mode ~cost ~cores ~node_id ~code_identity =
   {
     sim;
     mode;
     cost;
     node_id;
+    incarnation;
     cpu = Sim.Resource.create sim ~capacity:cores (Printf.sprintf "cpu%d" node_id);
     measurement = Treaty_crypto.Sha256.digest_string code_identity;
     seal_key =
       Treaty_crypto.Aead.key_of_string (Printf.sprintf "fuse-key:%d" node_id);
-    iv_gen = Treaty_crypto.Aead.Iv_gen.create ~node_id;
+    iv_gen = Treaty_crypto.Aead.Iv_gen.create ~incarnation ~node_id;
     stats = { syscalls = 0; transitions = 0; page_faults = 0; compute_ns = 0; crypto_ns = 0 };
     epc_used = 0;
     host_used = 0;
@@ -46,6 +48,7 @@ let create sim ~mode ~cost ~cores ~node_id ~code_identity =
   }
 
 let sim t = t.sim
+let incarnation t = t.incarnation
 let mode t = t.mode
 let cost t = t.cost
 let node_id t = t.node_id

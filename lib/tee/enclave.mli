@@ -29,6 +29,7 @@ type stats = {
 type t
 
 val create :
+  ?incarnation:int ->
   Treaty_sim.Sim.t ->
   mode:mode ->
   cost:Treaty_sim.Costmodel.t ->
@@ -36,6 +37,13 @@ val create :
   node_id:int ->
   code_identity:string ->
   t
+(** [incarnation] (default 0) numbers this enclave among every enclave
+    built for [node_id]: a restarted node or a reconnected client gets the
+    next one. It picks the IV range of every key the enclave's endpoint
+    seals with ({!Treaty_crypto.Aead.Iv_gen}), so IVs stay unique across
+    restarts under keys that outlive the enclave. *)
+
+val incarnation : t -> int
 
 val sim : t -> Treaty_sim.Sim.t
 val mode : t -> mode

@@ -812,6 +812,69 @@ let network_tamper_aborts_but_stays_consistent () =
       check_serializable cluster;
       Client.disconnect c)
 
+(* --- IVs across incarnations --------------------------------------------- *)
+
+(* The network key, a node's storage key and its fuse key outlive the
+   endpoints that seal with them. Crash and restart node 2 and reconnect
+   client 1 under its id: no sealed packet may repeat an IV its sender used
+   before, and node 2's storage seals after the restart must not repeat one
+   from before it. *)
+let ivs_unique_across_restart () =
+  with_cluster ~route:explicit_route (fun _sim cluster ->
+      let net = Cluster.net cluster in
+      Net.capture net ~limit:1_000_000;
+      let commit c i =
+        match
+          Client.with_txn c (fun txn ->
+              put_all c txn
+                [ (Printf.sprintf "node1:k%d" i, "v"); (Printf.sprintf "node2:k%d" i, "v") ])
+        with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "commit %d: %s" i (Types.abort_reason_to_string e)
+      in
+      let storage_ivs () =
+        let sec = Engine.sec (Node.engine (Cluster.node cluster 1)) in
+        List.init 500 (fun _ -> String.sub (Treaty_storage.Sec.protect sec "x") 0 12)
+      in
+      let c = Client.connect_exn cluster ~client_id:1 in
+      for i = 1 to 10 do commit c i done;
+      let before = storage_ivs () in
+      Client.disconnect c;
+      Cluster.crash_node cluster 1;
+      (match Cluster.restart_node cluster 1 with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "restart: %s" m);
+      let c = Client.connect_exn cluster ~client_id:1 in
+      for i = 11 to 20 do commit c i done;
+      let after = storage_ivs () in
+      Client.disconnect c;
+      let seen = Hashtbl.create 1024 in
+      List.iter (fun iv -> Hashtbl.replace seen iv ()) before;
+      Alcotest.(check int) "storage seals after the restart reuse no IV" 0
+        (List.length (List.filter (Hashtbl.mem seen) after));
+      let sealed = ref 0 and repeats = Hashtbl.create 8 in
+      let ivs = Hashtbl.create 4096 in
+      List.iter
+        (fun (pkt : Treaty_netsim.Packet.t) ->
+          (* Attestation traffic to and from the CAS is plain. *)
+          if pkt.src <> Cluster.cas_id && pkt.dst <> Cluster.cas_id then begin
+            incr sealed;
+            let key = (pkt.src, String.sub pkt.payload 1 12) in
+            if Hashtbl.mem ivs key then
+              Hashtbl.replace repeats pkt.src
+                (1 + Option.value (Hashtbl.find_opt repeats pkt.src) ~default:0)
+            else Hashtbl.replace ivs key ()
+          end)
+        (Net.captured net);
+      Alcotest.(check bool) "packets were captured" true (!sealed > 100);
+      let repeated =
+        Hashtbl.fold (fun src n acc -> (src, n) :: acc) repeats []
+        |> List.sort compare
+        |> List.map (fun (src, n) -> Printf.sprintf "%d:%d" src n)
+      in
+      Alcotest.(check (list string)) "senders that repeated an IV (id:count)" []
+        repeated)
+
 let suite =
   [
     Alcotest.test_case "lock modes" `Quick lock_modes;
@@ -853,4 +916,6 @@ let suite =
       truncated_client_reply_fails_typed;
     Alcotest.test_case "network tampering: aborts, stays atomic" `Slow
       network_tamper_aborts_but_stays_consistent;
+    Alcotest.test_case "IVs unique across restart and reconnect" `Quick
+      ivs_unique_across_restart;
   ]

@@ -121,7 +121,7 @@ let aead_wrong_aad () =
   | _ -> Alcotest.fail "wrong key accepted"
 
 let iv_gen_unique () =
-  let g = Aead.Iv_gen.create ~node_id:7 in
+  let g = Aead.Iv_gen.create ~incarnation:0 ~node_id:7 in
   let seen = Hashtbl.create 1000 in
   for _ = 1 to 1000 do
     let iv = Aead.Iv_gen.next g in
@@ -129,7 +129,7 @@ let iv_gen_unique () =
     Alcotest.(check bool) "fresh iv" false (Hashtbl.mem seen iv);
     Hashtbl.replace seen iv ()
   done;
-  let g2 = Aead.Iv_gen.create ~node_id:8 in
+  let g2 = Aead.Iv_gen.create ~incarnation:0 ~node_id:8 in
   Alcotest.(check bool) "distinct nodes disjoint" false
     (Hashtbl.mem seen (Aead.Iv_gen.next g2))
 
@@ -182,8 +182,8 @@ let aead_region_interverifies () =
     (Bytes.sub_string b (String.length aad) ct_len)
 
 let iv_gen_next_into () =
-  let g1 = Aead.Iv_gen.create ~node_id:7 in
-  let g2 = Aead.Iv_gen.create ~node_id:7 in
+  let g1 = Aead.Iv_gen.create ~incarnation:0 ~node_id:7 in
+  let g2 = Aead.Iv_gen.create ~incarnation:0 ~node_id:7 in
   let b = Bytes.make 20 '\x00' in
   for i = 1 to 100 do
     let iv = Aead.Iv_gen.next g1 in
@@ -474,6 +474,162 @@ let sha256_kernel_vs_oracle k () =
       (32, 0, max_int); (31, 0, 1); (33, 0, 0) ];
   QCheck.Test.check_exn ~rand:(Random.State.make [| 19 |]) (prop_kernel_blocks k)
 
+(* --- each ChaCha20 kernel by name vs the oracle --- *)
+
+(* [Chacha20] runs the one kernel the CPU supports best; these cases run
+   each kernel by name. The AVX2 kernel makes eight blocks per iteration,
+   so the lengths straddle one block (64 B) and one eight-block chunk
+   (512 B), and a counter of 0xffff_fffc puts the 32-bit wrap inside one
+   chunk. Every byte outside the region must stay as it was. *)
+let chacha20_kernel_vs_oracle k () =
+  let name = Chacha20.Kernel.name k in
+  if not (Chacha20.Kernel.available k) then begin
+    (* A constant message: anything [Chacha20] returns counts as secret for
+       TreatyCheck's taint pass. *)
+    Printf.printf "skipped: this CPU lacks AVX2 or the OS does not save the AVX state\n%!";
+    Alcotest.skip ()
+  end;
+  let key = String.init 32 (fun i -> Char.chr ((i * 7) + 3)) in
+  let nonce = String.init 12 (fun i -> Char.chr (0xa0 + i)) in
+  List.iter
+    (fun counter ->
+      List.iter
+        (fun len ->
+          List.iter
+            (fun off ->
+              let src =
+                String.init (off + len + 37) (fun i -> Char.chr ((i * 131 + 17) land 0xff))
+              in
+              let b = Bytes.of_string src in
+              Chacha20.Kernel.xor_into k ~key ~nonce ~counter b ~off ~len;
+              let what = Printf.sprintf "%s: counter=%#x off=%d len=%d" name counter off len in
+              Alcotest.(check string) (what ^ " = oracle")
+                (Sha256.to_hex
+                   (Crypto_oracle.chacha20_xor ~key ~nonce ~counter (String.sub src off len)))
+                (Sha256.to_hex (Bytes.sub_string b off len));
+              Alcotest.(check string) (what ^ ": bytes before unchanged")
+                (String.sub src 0 off) (Bytes.sub_string b 0 off);
+              Alcotest.(check string) (what ^ ": bytes after unchanged")
+                (String.sub src (off + len) 37)
+                (Bytes.sub_string b (off + len) 37))
+            [ 0; 1; 13; 33 ])
+        [ 0; 1; 63; 64; 65; 511; 512; 513; 1000; 4096; 4124 ])
+    [ 1; 0; 0xffff_fffc; 0xffff_ffff ];
+  (* RFC 8439 §2.4.2, the first ciphertext bytes. *)
+  let rfc_key = String.init 32 Char.chr in
+  let b = Bytes.of_string (String.make 114 '\000') in
+  Chacha20.Kernel.xor_into k ~key:rfc_key ~nonce:"\x00\x00\x00\x00\x00\x00\x00\x4a\x00\x00\x00\x00" b
+    ~off:0 ~len:114;
+  Alcotest.(check string) (name ^ ": rfc keystream block 1")
+    (Sha256.to_hex (Chacha20.block ~key:rfc_key ~nonce:"\x00\x00\x00\x00\x00\x00\x00\x4a\x00\x00\x00\x00" ~counter:1))
+    (Sha256.to_hex (Bytes.sub_string b 0 64));
+  (* Bad calls are refused in OCaml and leave the buffer alone. *)
+  List.iter
+    (fun (key, nonce, off, len) ->
+      let b = Bytes.make 64 'z' in
+      (match Chacha20.Kernel.xor_into k ~key ~nonce b ~off ~len with
+      | () -> Alcotest.failf "%s: off=%d len=%d accepted" name off len
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check string) (name ^ ": refused call left the buffer alone")
+        (String.make 64 'z') (Bytes.to_string b))
+    [ (key, nonce, -1, 4); (key, nonce, 60, 5); (key, nonce, 0, max_int);
+      (String.make 31 'k', nonce, 0, 8); (key, String.make 13 'n', 0, 8) ];
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 23 |])
+    (QCheck.Test.make ~name:(name ^ " kernel = oracle, region only") ~count:200
+       (QCheck.make
+          ~print:(fun (_, _, counter, off, len, _) ->
+            Printf.sprintf "counter=%#x off=%d len=%d" counter off len)
+          QCheck.Gen.(
+            let* key = bytes_gen 32 and* nonce = bytes_gen 12 and* counter = counter_gen in
+            let* len = int_bound 4200 and* pre = int_bound 100 in
+            let* buf = bytes_gen (pre + len + 5) in
+            return (key, nonce, counter, pre, len, buf)))
+       (fun (key, nonce, counter, off, len, buf) ->
+         let b = Bytes.of_string buf in
+         Chacha20.Kernel.xor_into k ~key ~nonce ~counter b ~off ~len;
+         Bytes.to_string b
+         = String.sub buf 0 off
+           ^ Crypto_oracle.chacha20_xor ~key ~nonce ~counter (String.sub buf off len)
+           ^ String.sub buf (off + len) 5))
+
+(* --- the AEAD wire format, pinned --- *)
+
+(* [seal_packed] bytes for one fixed key, IV and AAD, so a change to how
+   the packed string is built cannot move the wire format: whole for the
+   short ones, by SHA-256 for the long ones. *)
+let aead_golden_bytes () =
+  let key = Aead.key_of_string "golden-key" and iv = "0123456789ab" in
+  List.iter
+    (fun (n, expected) ->
+      let pt = String.init n (fun i -> Char.chr ((i * 31 + 7) land 0xff)) in
+      let packed = Aead.seal_packed key ~iv ~aad:"golden-aad" pt in
+      Alcotest.(check int) (Printf.sprintf "%d B: size" n) (Aead.overhead + n)
+        (String.length packed);
+      let got =
+        if n <= 1 then Sha256.to_hex packed else Sha256.to_hex (Sha256.digest_string packed)
+      in
+      Alcotest.(check string) (Printf.sprintf "%d B: bytes" n) expected got;
+      Alcotest.(check bool) (Printf.sprintf "%d B: opens" n) true
+        (Aead.open_packed key ~aad:"golden-aad" packed = Ok pt))
+    [ (0, "3031323334353637383961623ed3136168dca19b9abca7af3fc9ebd0");
+      (1, "303132333435363738396162701feb56c7887e824aec827b77aec0a577");
+      (511, "4feddbc11557697f1296a8999091dcc1217b0487c93da1cb9c4d31e45182cb3d");
+      (4096, "c0d32464527e69932bf081d420c6d15115562e00c2f42042b6ad6783935f4814") ]
+
+let prop_seal_packed_layout =
+  QCheck.Test.make ~name:"aead seal_packed = iv ^ ct ^ mac of seal" ~count:200
+    QCheck.(triple (string_of_size Gen.(0 -- 2100)) small_string (string_of_size (Gen.return 12)))
+    (fun (pt, aad, iv) ->
+      let key = Aead.key_of_string "layout" in
+      let ct, mac = Aead.seal key ~iv ~aad pt in
+      Aead.seal_packed key ~iv ~aad pt = iv ^ ct ^ mac)
+
+(* Every truncation is [`Truncated] below the overhead and [`Mac_mismatch]
+   from there on; every single-byte change is [`Mac_mismatch]. *)
+let aead_truncations_and_flips () =
+  let key = Aead.key_of_string "k" and iv = String.make 12 'i' in
+  List.iter
+    (fun n ->
+      let pt = String.init n (fun i -> Char.chr (i land 0xff)) in
+      let packed = Aead.seal_packed key ~iv ~aad:"hdr" pt in
+      for len = 0 to String.length packed - 1 do
+        match Aead.open_packed key ~aad:"hdr" (String.sub packed 0 len) with
+        | Error `Truncated when len < Aead.overhead -> ()
+        | Error `Mac_mismatch when len >= Aead.overhead -> ()
+        | Error `Truncated -> Alcotest.failf "%d B cut to %d: Truncated" n len
+        | Error `Mac_mismatch -> Alcotest.failf "%d B cut to %d: Mac_mismatch" n len
+        | Ok _ -> Alcotest.failf "%d B cut to %d: accepted" n len
+      done;
+      for i = 0 to String.length packed - 1 do
+        List.iter
+          (fun x ->
+            let b = Bytes.of_string packed in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+            match Aead.open_packed key ~aad:"hdr" (Bytes.to_string b) with
+            | Error `Mac_mismatch -> ()
+            | Error `Truncated -> Alcotest.failf "%d B, byte %d ^ %#x: Truncated" n i x
+            | Ok _ -> Alcotest.failf "%d B, byte %d ^ %#x: accepted" n i x)
+          [ 0x01; 0x80; 0xff ]
+      done)
+    [ 0; 1; 100; 600 ]
+
+(* Incarnation i of a node id counts from i lsl 40, so the first IVs of
+   two incarnations differ only in the counter's sixth byte. *)
+let iv_gen_incarnations () =
+  let first inc = Aead.Iv_gen.next (Aead.Iv_gen.create ~incarnation:inc ~node_id:7) in
+  Alcotest.(check string) "incarnation 0 starts at counter 1"
+    "070000000100000000000000" (Sha256.to_hex (first 0));
+  Alcotest.(check string) "incarnation 1 starts at 2^40 + 1"
+    "070000000100000000010000" (Sha256.to_hex (first 1));
+  Alcotest.(check string) "incarnation 2^22 - 1"
+    "070000000100000000ffff3f" (Sha256.to_hex (first ((1 lsl 22) - 1)));
+  List.iter
+    (fun inc ->
+      match Aead.Iv_gen.create ~incarnation:inc ~node_id:7 with
+      | _ -> Alcotest.failf "incarnation %d accepted" inc
+      | exception Invalid_argument _ -> ())
+    [ -1; 1 lsl 22 ]
+
 let suite =
   [
     Alcotest.test_case "sha256 vectors" `Quick sha256_vectors;
@@ -504,4 +660,13 @@ let suite =
       (sha256_kernel_vs_oracle Sha256.Kernel.Portable);
     Alcotest.test_case "sha256 sha-ni kernel = oracle" `Quick
       (sha256_kernel_vs_oracle Sha256.Kernel.Sha_ni);
+    Alcotest.test_case "chacha20 portable kernel = oracle" `Quick
+      (chacha20_kernel_vs_oracle Chacha20.Kernel.Portable);
+    Alcotest.test_case "chacha20 avx2 kernel = oracle" `Quick
+      (chacha20_kernel_vs_oracle Chacha20.Kernel.Avx2);
+    Alcotest.test_case "aead seal_packed golden bytes" `Quick aead_golden_bytes;
+    QCheck_alcotest.to_alcotest prop_seal_packed_layout;
+    Alcotest.test_case "aead truncations and byte flips" `Quick
+      aead_truncations_and_flips;
+    Alcotest.test_case "iv generator incarnations" `Quick iv_gen_incarnations;
   ]

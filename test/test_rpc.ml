@@ -35,7 +35,7 @@ let secure_msg_roundtrip () =
   let key = Aead.key_of_string "net" in
   List.iter
     (fun security ->
-      let ivg = Aead.Iv_gen.create ~node_id:1 in
+      let ivg = Aead.Iv_gen.create ~incarnation:0 ~node_id:1 in
       let packet = seal security ~iv_gen:ivg [ (meta, "payload-data") ] in
       match Secure_msg.Burst.decode security packet with
       | Ok [ (m, data) ] ->
@@ -47,7 +47,7 @@ let secure_msg_roundtrip () =
 
 let secure_msg_confidentiality () =
   let key = Aead.key_of_string "net" in
-  let ivg = Aead.Iv_gen.create ~node_id:1 in
+  let ivg = Aead.Iv_gen.create ~incarnation:0 ~node_id:1 in
   let msgs = [ (meta, "SECRETVALUE") ] in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
@@ -61,7 +61,7 @@ let secure_msg_confidentiality () =
 
 let secure_msg_tamper () =
   let key = Aead.key_of_string "net" in
-  let ivg = Aead.Iv_gen.create ~node_id:1 in
+  let ivg = Aead.Iv_gen.create ~incarnation:0 ~node_id:1 in
   let wire = seal (Secure_msg.Secure key) ~iv_gen:ivg [ (meta, "data") ] in
   for i = 0 to String.length wire - 1 do
     let b = Bytes.of_string wire in
@@ -355,7 +355,7 @@ let burst_roundtrip_equiv =
             | Ok decoded -> decoded
             | Error _ -> QCheck.Test.fail_report "burst decode failed"
           in
-          let ivg = Aead.Iv_gen.create ~node_id:2 in
+          let ivg = Aead.Iv_gen.create ~incarnation:0 ~node_id:2 in
           let per_message =
             List.concat_map (fun m -> decode (seal security ~iv_gen:ivg [ m ])) msgs
           in
@@ -370,7 +370,7 @@ let burst_tamper_whole_packet () =
      authenticated before it is parsed. *)
   let key = Aead.key_of_string "burst" in
   let security = Secure_msg.Secure key in
-  let ivg = Aead.Iv_gen.create ~node_id:2 in
+  let ivg = Aead.Iv_gen.create ~incarnation:0 ~node_id:2 in
   let msgs =
     [ (mk_meta 0, "alpha"); (mk_meta 1, ""); (mk_meta 2, String.make 100 'z') ]
   in
@@ -410,7 +410,7 @@ let rpc_rejects_v1_envelope () =
       Erpc.register b ~kind:1 (fun _ _ ->
           incr runs;
           "ok");
-      let ivg = Aead.Iv_gen.create ~node_id:1 in
+      let ivg = Aead.Iv_gen.create ~incarnation:0 ~node_id:1 in
       let packet = seal security ~iv_gen:ivg [ ({ meta with kind = 1 }, "up") ] in
       let v1 = Bytes.of_string packet in
       Bytes.set v1 0 '\x01';
