@@ -293,26 +293,15 @@ let cancel t h =
     end
   end
 
-let ctz x =
-  let n = ref 0 and x = ref x in
-  if !x land 0xFFFF = 0 then begin
-    n := !n + 16;
-    x := !x lsr 16
-  end;
-  if !x land 0xFF = 0 then begin
-    n := !n + 8;
-    x := !x lsr 8
-  end;
-  if !x land 0xF = 0 then begin
-    n := !n + 4;
-    x := !x lsr 4
-  end;
-  if !x land 0x3 = 0 then begin
-    n := !n + 2;
-    x := !x lsr 2
-  end;
-  if !x land 0x1 = 0 then incr n;
-  !n
+(* Count trailing zeros of a non-zero 32-bit occupancy bitmap: isolate the
+   lowest set bit and index a de Bruijn table by the product's top five
+   bits (the product fits in 58 bits, so no masking below bit 32 is
+   needed before the shift). *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let ctz x = debruijn.(((x land -x) * 0x077CB531) lsr 27 land 31)
 
 (* Pull overflow timers whose distance now fits the wheel. When the wheel
    is empty the cursor may jump straight to the heap minimum: nothing can
@@ -341,15 +330,26 @@ let migrate t =
    Ties between a level-0 slot and a coarser slot starting at the same time
    go to the coarser level first: an entry still parked coarse was scheduled
    strictly earlier than any same-time level-0 entry, so it must be cascaded
-   in ahead of the pop (the seq-sorted insert puts it first). *)
+   in ahead of the pop (the seq-sorted insert puts it first).
+
+   A lone timer skips the cascade. When the earliest slot is coarse, starts
+   at or after the cursor (it is not the cursor's own, clamped slot), holds
+   one entry and no finer level is occupied, nothing can precede that entry:
+   finer entries would lie in the cursor's block, before the slot, and
+   coarser slots start after it. The cursor moves to the entry's time and
+   the slot is returned as is; cascading it would re-place the same entry
+   level by level, rescanning every level at each step. Placement relative
+   to the new cursor never targets that slot, so it is empty after the pop. *)
 let rec find_next t =
   migrate t;
   if t.wheel_live = 0 then None
   else begin
     let best_time = ref max_int and best_lvl = ref (-1) and best_slot = ref 0 in
+    let best_unclamped = ref false and finest = ref (-1) in
     for lvl = 0 to levels - 1 do
       let bm = t.occ.(lvl) in
       if bm <> 0 then begin
+        if !finest < 0 then finest := lvl;
         let shift = bits * lvl in
         let cur = (t.cursor lsr shift) land (slots - 1) in
         (* parenthesized: lsl/lsr associate to the right in OCaml *)
@@ -369,14 +369,24 @@ let rec find_next t =
         if time <= !best_time then begin
           best_time := time;
           best_lvl := lvl;
-          best_slot := slot
+          best_slot := slot;
+          best_unclamped := tm >= t.cursor
         end
       end
     done;
-    t.cursor <- !best_time;
     let sid = (!best_lvl lsl bits) lor !best_slot in
-    if !best_lvl = 0 then Some sid
+    let head = t.slot_head.(sid) in
+    if !best_lvl = 0 then begin
+      t.cursor <- !best_time;
+      Some sid
+    end
+    else if !best_unclamped && !finest = !best_lvl && head = t.slot_tail.(sid)
+    then begin
+      t.cursor <- t.cells.(head).time;
+      Some sid
+    end
     else begin
+      t.cursor <- !best_time;
       (* cascade the whole slot down; list order is seq order *)
       while t.slot_head.(sid) <> -1 do
         let idx = t.slot_head.(sid) in
@@ -392,7 +402,8 @@ let pop t =
   else begin
     let sid =
       (* same-tick fast path: the slot we last popped from only ever holds
-         time == cursor entries, so a non-empty head needs no scan *)
+         time == cursor entries (none after a lone coarse pop), so a
+         non-empty head needs no scan *)
       if t.hot_sid >= 0 && t.slot_head.(t.hot_sid) <> -1 then Some t.hot_sid
       else find_next t
     in
