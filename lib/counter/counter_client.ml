@@ -10,7 +10,10 @@ type stats = {
 
 type log_state = {
   mutable stable : int;
-  mutable target : int;  (* highest submitted value *)
+  mutable target : int;  (* highest appended value: what a round carries *)
+  mutable wanted : int;
+      (* highest value a submit or a waiter asked for: what keeps the pump
+         running. Noted appends raise [target] only and ride along. *)
   mutable waiters : (int * (unit, [ `Stability_timeout ]) result Sim.ivar) list;
 }
 
@@ -24,10 +27,10 @@ type t = {
   retry_backoff_ns : int;
   mutable pump_active : bool;
   mutable round_span : Trace.span;
-      (* Open "rote.round" span: begun by the first submit since the last
-         round completed — while its caller (a group-commit flush span) is
-         still open, so the parent link is well-formed — and ended when the
-         round that covers it finishes. *)
+      (* Open "rote.round" span: begun by the first submit or wait since
+         the last round completed — while its caller (a group-commit flush
+         span or a stab.wait span) is still open, so the parent link is
+         well-formed — and ended when the round that covers it finishes. *)
 }
 
 let epoch_window_ns = 250_000
@@ -49,7 +52,7 @@ let log_state t log =
   match Hashtbl.find_opt t.logs log with
   | Some s -> s
   | None ->
-      let s = { stable = 0; target = 0; waiters = [] } in
+      let s = { stable = 0; target = 0; wanted = 0; waiters = [] } in
       Hashtbl.replace t.logs log s;
       s
 
@@ -58,13 +61,16 @@ let wake_waiters s =
   s.waiters <- rest;
   List.iter (fun (_, iv) -> Sim.fill iv (Ok ())) ready
 
-(* Every log with submissions ahead of its trusted value, sorted by name so
+(* Every log with appends ahead of its trusted value, sorted by name so
    the batch an epoch carries is independent of Hashtbl iteration order. *)
 let pending_targets t =
   Hashtbl.fold
     (fun log s acc -> if s.target > s.stable then (log, s.target) :: acc else acc)
     t.logs []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* Whether a submit or a waiter still asks for a round. *)
+let wanted t = Hashtbl.fold (fun _ s acc -> acc || s.wanted > s.stable) t.logs false
 
 let fail_all_waiters t =
   Hashtbl.iter
@@ -78,23 +84,26 @@ let fail_all_waiters t =
         abandoned)
     t.logs
 
-(* The epoch pump: while any log has pending targets, run one batched ROTE
-   increment carrying the current high-water mark of every such log, then
-   wake the waiters it covered. One pump per client — cross-log batching
-   replaces the old one-round-in-flight-per-log machinery. *)
+(* The epoch pump: while a submit or a waiter asks for a value not yet
+   trusted, run one batched ROTE increment carrying the current high-water
+   mark of every log with appends ahead of its trusted value (noted ones
+   included), then wake the waiters it covered. One pump per client —
+   cross-log batching replaces the old one-round-in-flight-per-log
+   machinery. *)
 let rec pump t ~attempts =
   (* Epoch accumulation: let a window of submissions pile up before the
      round fires, so the ~per-round protocol cost is shared by every
      transaction that lands inside it (group commit applied to counter
      rounds). Pays up to [epoch_window_ns] extra stabilization latency. *)
   Sim.sleep t.sim epoch_window_ns;
-  match pending_targets t with
+  (* A noted target alone does not start a round; it rides the next one. *)
+  match if wanted t then pending_targets t else [] with
   | [] -> t.pump_active <- false
   | targets -> (
       t.stats.rounds_started <- t.stats.rounds_started + 1;
       if Trace.enabled () && t.round_span = Trace.none then
         (* Back-to-back rounds drained by one pump run: targets landed while
-           the previous round was in flight, no submit span to parent on. *)
+           the previous round was in flight, no caller span to parent on. *)
         t.round_span <-
           Trace.begin_span ~node:t.owner ~cat:"counter" "rote.round";
       let end_round status =
@@ -132,8 +141,16 @@ let rec pump t ~attempts =
             fail_all_waiters t
           end)
 
-let ensure_pump t =
-  if (not t.pump_active) && pending_targets t <> [] then begin
+(* Ask for [counter] of [s]'s log to become trusted: the pump carries it in
+   its next round, starting one (under a "rote.round" span parented on
+   [span]) if none is running. *)
+let want t s ~span ~counter =
+  if counter > s.target then s.target <- counter;
+  if counter > s.wanted then s.wanted <- counter;
+  if Trace.enabled () && t.round_span = Trace.none then
+    t.round_span <-
+      Trace.begin_span ~parent:span ~node:t.owner ~cat:"counter" "rote.round";
+  if not t.pump_active then begin
     t.pump_active <- true;
     Sim.spawn t.sim (fun () -> pump t ~attempts:t.attempts)
   end
@@ -141,21 +158,20 @@ let ensure_pump t =
 let submit ?(span = Trace.none) t ~log ~counter =
   t.stats.submits <- t.stats.submits + 1;
   let s = log_state t log in
-  if counter > s.target then s.target <- counter;
-  if Trace.enabled () && t.round_span = Trace.none then
-    t.round_span <-
-      Trace.begin_span ~parent:span ~node:t.owner ~cat:"counter" "rote.round";
-  ensure_pump t
+  if counter > s.stable then want t s ~span ~counter
 
-let wait_stable t ~log ~counter =
+let note t ~log ~counter =
+  let s = log_state t log in
+  if counter > s.target then s.target <- counter
+
+let wait_stable ?(span = Trace.none) t ~log ~counter =
   let s = log_state t log in
   if counter <= s.stable then Ok ()
   else begin
     t.stats.waits <- t.stats.waits + 1;
-    if counter > s.target then s.target <- counter;
     let iv = Sim.ivar () in
     s.waiters <- (counter, iv) :: s.waiters;
-    ensure_pump t;
+    want t s ~span ~counter;
     Sim.read t.sim iv
   end
 

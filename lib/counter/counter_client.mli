@@ -1,18 +1,26 @@
 (** Asynchronous stabilization interface over the trusted counter service
     (§VI: "The communication is asynchronous to maximize CPU usage").
 
-    Log appends call {!submit} with their counter value and keep working;
-    fibers that must not proceed until an entry is rollback-protected call
-    {!wait_stable}. A single *epoch pump* fiber drains the pending targets
-    of every log per ROTE round: each batched increment carries the highest
-    submitted value of each dirty log (WAL, MANIFEST, Clog), so bursts of
-    appends across all logs coalesce into one round — the batching that
-    keeps the ~2 ms round latency off the throughput path. *)
+    A log append that a caller will wait on calls {!submit} with its counter
+    value and keeps working, so the round overlaps what the caller does
+    before it waits. An append nobody waits on calls {!note}: it starts no
+    round and rides the next one. Fibers that must not proceed until an
+    entry is rollback-protected call {!wait_stable}, which starts a round
+    if none is running. A single *epoch pump* fiber runs while a submit or
+    a waiter asks for a value that is not yet trusted; each batched
+    increment carries the highest appended value of every dirty log (WAL,
+    MANIFEST, Clog), noted ones included, so bursts of appends across all
+    logs coalesce into one round — the batching that keeps the ~2 ms round
+    latency off the throughput path.
+
+    Because every round carries every pending log, a record appended on
+    this node before any record that becomes trusted is trusted too: the
+    trusted state of a node's logs is a prefix of its append order. *)
 
 type t
 
 type stats = {
-  mutable submits : int;
+  mutable submits : int;  (** {!submit} calls; {!note} is not counted. *)
   mutable rounds_started : int;
       (** Batched increment attempts — with the epoch pump this is rounds
           per *epoch*, not per log: [submits / rounds_started] is the
@@ -40,19 +48,30 @@ val stats : t -> stats
 
 val submit :
   ?span:Treaty_obs.Trace.span -> t -> log:string -> counter:int -> unit
-(** Note that [counter] has been appended to [log]; start (or piggyback on)
-    the epoch pump. Returns immediately. When tracing, the first submit
-    since the last completed round opens the next ["rote.round"] span as a
-    child of [span] (typically the group-commit flush span, still open at
-    that point), so epoch rounds nest under the flush that triggered
-    them. *)
+(** Record that [counter] has been appended to [log] and ask for it to
+    become trusted: start (or piggyback on) the epoch pump. Returns
+    immediately. When tracing, the first submit or wait since the last
+    completed round opens the next ["rote.round"] span as a child of
+    [span] (typically the group-commit flush span, still open at that
+    point), so epoch rounds nest under the flush that triggered them. *)
+
+val note : t -> log:string -> counter:int -> unit
+(** Record that [counter] has been appended to [log] without asking for a
+    round: the next round that a submit or a waiter starts carries it.
+    Returns immediately. *)
 
 val wait_stable :
-  t -> log:string -> counter:int -> (unit, [ `Stability_timeout ]) result
-(** Block the calling fiber until [counter] is trusted. [Error] means the
-    pump exhausted its quorum retries while this waiter was pending — the
-    counter may still stabilize later, but the caller must treat the entry
-    as not rollback-protected (abort, don't ack). *)
+  ?span:Treaty_obs.Trace.span ->
+  t ->
+  log:string ->
+  counter:int ->
+  (unit, [ `Stability_timeout ]) result
+(** Block the calling fiber until [counter] is trusted, starting the pump
+    if it is idle (the round span then parents on [span], the waiter's
+    own). [Error] means the pump exhausted its quorum retries while this
+    waiter was pending — the counter may still stabilize later, but the
+    caller must treat the entry as not rollback-protected (abort, don't
+    ack). *)
 
 val stable_value : t -> log:string -> int
 

@@ -263,6 +263,117 @@ let stabilization_batches_across_concurrent_commits () =
                    <= s.Treaty_counter.Counter_client.submits));
           Cluster.shutdown cluster)
 
+let unstable_resolve_rederived_after_participant_crash () =
+  (* A participant's Resolve starts no counter round, so a crash right after
+     the ack can leave it outside the trusted WAL prefix. Recovery must then
+     re-lock the stable prepare and resolve it from the coordinator's stable
+     decision: the writes are installed once (a later transaction's write to
+     the key is never overwritten by a re-installed earlier one), the
+     history stays serializable and no lock is left behind. *)
+  Treaty_util.Sanitizer.reset ();
+  let sim = Sim.create () in
+  Sim.run sim (fun () ->
+      let profile = { Config.treaty_enc_stab with Config.sanitize = true } in
+      (* Short dedup TTL and sweep, as in the chaos sweep, so residual
+         state drains within the run. *)
+      let cfg =
+        {
+          (mk_config profile) with
+          Config.record_history = true;
+          dedup_ttl_ns = 600_000_000;
+          sweep_interval_ns = 100_000_000;
+        }
+      in
+      match Cluster.create sim cfg ~route:explicit_route () with
+      | Error m -> Alcotest.failf "bootstrap: %s" m
+      | Ok cluster ->
+          let c = Client.connect_exn cluster ~client_id:1 in
+          let commit value =
+            match
+              Client.with_txn c ~coord:1 (fun txn ->
+                  match Client.put c txn "node1:a" value with
+                  | Ok () -> Client.put c txn "node3:b" value
+                  | Error e -> Error e)
+            with
+            | Ok () -> ()
+            | Error e ->
+                Alcotest.failf "commit %s: %s" value (Types.abort_reason_to_string e)
+          in
+          let crash_participant what =
+            (* The ack has landed; the participant's Resolve is appended but
+               no round has carried it. *)
+            let node = Cluster.node cluster 2 in
+            let wal, last =
+              match Engine.log_last_counters (Node.engine node) with
+              | [ _; _; wal ] -> wal
+              | _ -> Alcotest.fail "log_last_counters: MANIFEST, Clog, WAL"
+            in
+            (match Node.counter_client node with
+            | None -> Alcotest.fail "stab profile must have a counter client"
+            | Some cc ->
+                Alcotest.(check bool)
+                  (what ^ ": Resolve outside the trusted prefix")
+                  true
+                  (Treaty_counter.Counter_client.stable_value cc ~log:wal < last));
+            Cluster.crash_node cluster 2;
+            (match Cluster.restart_node cluster 2 with
+            | Ok () -> ()
+            | Error m -> Alcotest.failf "%s: restart: %s" what m);
+            let node = Cluster.node cluster 2 in
+            Alcotest.(check int)
+              (what ^ ": the stable prepare is back")
+              1
+              (List.length (Engine.prepared_txs (Node.engine node)));
+            Alcotest.(check bool)
+              (what ^ ": and re-locked")
+              true
+              (Lock_table.write_locked (Node.locks node) ~key:"node3:b");
+            (* Let the recovered participant resolve with the coordinator. *)
+            Sim.sleep sim 1_000_000_000;
+            Alcotest.(check int)
+              (what ^ ": resolved from the decision")
+              0
+              (List.length (Engine.prepared_txs (Node.engine node)));
+            Alcotest.(check bool)
+              (what ^ ": lock released")
+              false
+              (Lock_table.write_locked (Node.locks node) ~key:"node3:b")
+          in
+          let read () =
+            match
+              Client.with_txn c ~coord:1 (fun txn ->
+                  match (Client.get c txn "node1:a", Client.get c txn "node3:b") with
+                  | Ok (Some a), Ok (Some b) -> Ok (a, b)
+                  | _ -> Error Types.Integrity)
+            with
+            | Ok v -> v
+            | Error e -> Alcotest.failf "read: %s" (Types.abort_reason_to_string e)
+          in
+          commit "1";
+          crash_participant "first";
+          Alcotest.(check (pair string string)) "acked writes installed" ("1", "1") (read ());
+          commit "2";
+          crash_participant "second";
+          Alcotest.(check (pair string string))
+            "the later write is not overwritten" ("2", "2") (read ());
+          Client.disconnect c;
+          Sim.sleep sim 1_000_000_000;
+          (match Cluster.check_quiescent cluster with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "residual state: %s" m);
+          (match Cluster.sanitize_check cluster with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "sanitizer: %s" m);
+          (match Cluster.history cluster with
+          | None -> Alcotest.fail "history recording was off"
+          | Some h -> (
+              match Serializability.check h with
+              | Serializability.Serializable -> ()
+              | Serializability.Cycle txs ->
+                  Alcotest.failf "not serializable: %s"
+                    (Serializability.dump_cycle h txs)));
+          Cluster.shutdown cluster)
+
 let suite =
   [
     Alcotest.test_case "ack implies durable (immediate crash)" `Quick
@@ -275,4 +386,6 @@ let suite =
       no_stab_profile_vulnerable_to_rollback;
     Alcotest.test_case "stabilization batches counter rounds" `Slow
       stabilization_batches_across_concurrent_commits;
+    Alcotest.test_case "unstable Resolve re-derived after participant crash"
+      `Quick unstable_resolve_rederived_after_participant_crash;
   ]

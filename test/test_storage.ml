@@ -888,7 +888,7 @@ let engine_recovery_unstable_retirement () =
         {
           Engine.noop_stability with
           Engine.wait_stable =
-            (fun ~log ~counter ->
+            (fun ~span:_ ~log ~counter ->
               if log = "MANIFEST" && counter > manifest_stable then
                 Error `Stability_timeout
               else Ok ());
