@@ -875,6 +875,58 @@ let ivs_unique_across_restart () =
       Alcotest.(check (list string)) "senders that repeated an IV (id:count)" []
         repeated)
 
+(* A commit decision whose round fails is superseded by an abort, and the
+   abort must become trusted on its own: the failed round may have left the
+   commit trusted at one replica, and on an idle coordinator no later
+   append would start a round that carries the abort. *)
+let superseding_abort_is_stabilized () =
+  with_cluster ~route:explicit_route (fun sim cluster ->
+      let module CC = Treaty_counter.Counter_client in
+      let c = Client.connect_exn cluster ~client_id:1 in
+      let coord = Cluster.node cluster 0 in
+      let cc =
+        match Node.counter_client coord with
+        | Some cc -> cc
+        | None -> Alcotest.fail "the profile stabilizes"
+      in
+      (* The transaction appends a Begin_2pc and then its decision to node
+         1's Clog, each in its own window: once the decision is in, cut
+         node 1 off from the other nodes until the transaction has ended. *)
+      let clog_counter () =
+        List.assoc "CLOG" (Engine.log_last_counters (Node.engine coord))
+      in
+      let decision = clog_counter () + 2 in
+      Net.set_adversary (Cluster.net cluster)
+        (Adversary.drop_matching (fun pkt ->
+             pkt.Treaty_netsim.Packet.src = 1
+             && pkt.Treaty_netsim.Packet.dst < Cluster.cas_id
+             && clog_counter () >= decision));
+      let aborted = (Node.stats coord).Node.aborted in
+      Sim.spawn sim (fun () ->
+          match
+            Client.with_txn c ~coord:1 (fun txn ->
+                put_all c txn [ ("node2:sk", "sv"); ("node3:tk", "tv") ])
+          with
+          | Ok () -> Alcotest.fail "committed on an untrusted decision"
+          | Error _ -> ());
+      (* The decision's round gives up after its retry budget (~0.5 s). *)
+      let rec await n =
+        if (Node.stats coord).Node.aborted = aborted && n > 0 then begin
+          Sim.sleep sim 10_000_000;
+          await (n - 1)
+        end
+      in
+      await 200;
+      Alcotest.(check int) "the coordinator aborted" (aborted + 1)
+        (Node.stats coord).Node.aborted;
+      Alcotest.(check bool) "an abort superseded the decision" true
+        (clog_counter () > decision);
+      Net.clear_adversary (Cluster.net cluster);
+      Sim.sleep sim 200_000_000;
+      Alcotest.(check int) "the superseding abort is trusted" (clog_counter ())
+        (CC.stable_value cc ~log:"CLOG");
+      Client.disconnect c)
+
 let suite =
   [
     Alcotest.test_case "lock modes" `Quick lock_modes;
@@ -918,4 +970,6 @@ let suite =
       network_tamper_aborts_but_stays_consistent;
     Alcotest.test_case "IVs unique across restart and reconnect" `Quick
       ivs_unique_across_restart;
+    Alcotest.test_case "superseding abort is stabilized" `Quick
+      superseding_abort_is_stabilized;
   ]
