@@ -63,6 +63,9 @@ type t = {
   pool : Mempool.t;
   rpc : Erpc.t;
   ssd : Ssd.t;
+  io : Ssd.t;
+      (* This incarnation's handle onto [ssd]: its engine and counter replica
+         write through it, and [crash] fences it off the device. *)
   sec : Sec.t;
   mutable engine : Engine.t;
   locks : Lock_table.t;
@@ -929,8 +932,9 @@ let start_sweeper t =
         end
       done)
 
-let build_parts (deps : deps) ssd =
+let build_parts (deps : deps) device =
   let cfg = deps.config in
+  let ssd = Ssd.attach device in
   let enclave =
     Enclave.create ~incarnation:deps.incarnation deps.sim ~mode:cfg.profile.tee
       ~cost:cfg.cost
@@ -1021,7 +1025,8 @@ let stability_of counter_client =
             Counter_client.wait_stable ~span cc ~log ~counter);
       }
 
-let assemble deps (enclave, pool, rpc, sec, locks, rote, counter_client, ssd) engine =
+let assemble deps ~ssd (enclave, pool, rpc, sec, locks, rote, counter_client, io)
+    engine =
   let t =
     {
       deps;
@@ -1029,6 +1034,7 @@ let assemble deps (enclave, pool, rpc, sec, locks, rote, counter_client, ssd) en
       pool;
       rpc;
       ssd;
+      io;
       sec;
       engine;
       locks;
@@ -1050,17 +1056,17 @@ let assemble deps (enclave, pool, rpc, sec, locks, rote, counter_client, ssd) en
 
 let create deps =
   let ssd = Ssd.create deps.sim deps.config.cost in
-  let ((_, _, _, sec, _, _, counter_client, _) as parts) = build_parts deps ssd in
+  let ((_, _, _, sec, _, _, counter_client, io) as parts) = build_parts deps ssd in
   let engine =
-    Engine.create ~node:deps.node_id ssd sec deps.config.engine
+    Engine.create ~node:deps.node_id io sec deps.config.engine
       (stability_of counter_client)
   in
-  assemble deps parts engine
+  assemble deps ~ssd parts engine
 
 exception Recovery_unavailable of string
 
 let recover_with deps ~ssd =
-  let ((_, _, _, sec, locks, _, counter_client, _) as parts) = build_parts deps ssd in
+  let ((_, _, _, sec, locks, _, counter_client, io) as parts) = build_parts deps ssd in
   let trusted log =
     match counter_client with
     | None -> None
@@ -1071,7 +1077,7 @@ let recover_with deps ~ssd =
             raise (Recovery_unavailable "trusted counter group unreachable"))
   in
   match
-    Engine.recover ~node:deps.node_id ssd sec deps.config.engine
+    Engine.recover ~node:deps.node_id io sec deps.config.engine
       (stability_of counter_client) ~trusted
   with
   | exception Recovery_unavailable m -> Error m
@@ -1086,7 +1092,7 @@ let recover_with deps ~ssd =
             (fun (key, _) -> ignore (Lock_table.acquire locks ~owner ~key Lock_table.Write))
             writes)
         info.Engine.prepared;
-      let t = assemble deps parts eng in
+      let t = assemble deps ~ssd parts eng in
       t.recovering <- true;
       (* Coordinator-side recovery from the Clog: finish decided txs, abort
          undecided ones (§VI). *)
@@ -1162,6 +1168,10 @@ let recover_with deps ~ssd =
 let crash t =
   t.alive <- false;
   Erpc.shutdown t.rpc;
+  (* Fibers of this incarnation can still be running (a commit's superseding
+     abort, say, once its stability retries run out); none of their writes
+     may land after the next incarnation has replayed the logs. *)
+  Ssd.detach t.io;
   t.ssd
 
 let stop t =

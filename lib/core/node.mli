@@ -96,7 +96,9 @@ val residual_to_string : residual -> string
 
 val crash : t -> Treaty_storage.Ssd.t
 (** Kill the node: volatile state is gone, the endpoint unregisters, the SSD
-    survives and is returned for a later {!recover_with}. *)
+    survives and is returned for a later {!recover_with}. The incarnation's
+    own handle onto the SSD is fenced ({!Treaty_storage.Ssd.detach}): its
+    fibers that still run write nothing more to the device. *)
 
 val stop : t -> unit
 (** Graceful stop for simulation teardown (no recovery intended). *)

@@ -33,8 +33,6 @@ type t = {
          well-formed — and ended when the round that covers it finishes. *)
 }
 
-let epoch_window_ns = 250_000
-
 let create ?(attempts = 40) ?(retry_backoff_ns = 2_000_000) replica ~owner =
   {
     replica;
@@ -85,61 +83,61 @@ let fail_all_waiters t =
     t.logs
 
 (* The epoch pump: while a submit or a waiter asks for a value not yet
-   trusted, run one batched ROTE increment carrying the current high-water
-   mark of every log with appends ahead of its trusted value (noted ones
-   included), then wake the waiters it covered. One pump per client —
-   cross-log batching replaces the old one-round-in-flight-per-log
-   machinery. *)
+   trusted, run one batched ROTE increment carrying the high-water mark of
+   every log with appends ahead of its trusted value (noted ones included),
+   then wake the waiters it covered. The targets are read when ROTE's epoch
+   alignment ends, so every append made during that wait rides the round:
+   its cost is shared by every transaction that lands inside it (group
+   commit applied to counter rounds). One pump per client — cross-log
+   batching replaces the old one-round-in-flight-per-log machinery. *)
 let rec pump t ~attempts =
-  (* Epoch accumulation: let a window of submissions pile up before the
-     round fires, so the ~per-round protocol cost is shared by every
-     transaction that lands inside it (group commit applied to counter
-     rounds). Pays up to [epoch_window_ns] extra stabilization latency. *)
-  Sim.sleep t.sim epoch_window_ns;
   (* A noted target alone does not start a round; it rides the next one. *)
-  match if wanted t then pending_targets t else [] with
-  | [] -> t.pump_active <- false
-  | targets -> (
-      t.stats.rounds_started <- t.stats.rounds_started + 1;
-      if Trace.enabled () && t.round_span = Trace.none then
-        (* Back-to-back rounds drained by one pump run: targets landed while
-           the previous round was in flight, no caller span to parent on. *)
-        t.round_span <-
-          Trace.begin_span ~node:t.owner ~cat:"counter" "rote.round";
-      let end_round status =
-        let rs = t.round_span in
-        t.round_span <- Trace.none;
-        Trace.end_span rs
-          ~args:
-            [ ("targets", Trace.Int (List.length targets));
-              ("status", Trace.Str status) ]
-      in
-      match Rote.increment_batch t.replica ~owner:t.owner ~targets with
-      | Ok () ->
-          end_round "ok";
-          List.iter
-            (fun (log, value) ->
-              let s = log_state t log in
-              s.stable <- max s.stable value;
-              wake_waiters s)
-            targets;
-          pump t ~attempts:t.attempts
-      | Error `No_quorum ->
-          (* Availability loss, not a safety issue: retry with a backoff (the
-             fault model is crash-recovery, so the quorum normally returns).
-             Bounded so a torn-down cluster drains instead of spinning; when
-             retries are exhausted every waiter is failed with
-             [`Stability_timeout] — a later submit restarts the pump with a
-             fresh retry budget. *)
-          if attempts > 0 then begin
-            Sim.sleep t.sim t.retry_backoff_ns;
-            pump t ~attempts:(attempts - 1)
-          end
-          else begin
-            end_round "no_quorum";
-            t.pump_active <- false;
-            fail_all_waiters t
-          end)
+  if not (wanted t) then t.pump_active <- false
+  else begin
+    t.stats.rounds_started <- t.stats.rounds_started + 1;
+    if Trace.enabled () && t.round_span = Trace.none then
+      (* Back-to-back rounds drained by one pump run: targets landed while
+         the previous round was in flight, no caller span to parent on. *)
+      t.round_span <-
+        Trace.begin_span ~node:t.owner ~cat:"counter" "rote.round";
+    let end_round targets status =
+      let rs = t.round_span in
+      t.round_span <- Trace.none;
+      Trace.end_span rs
+        ~args:
+          [ ("targets", Trace.Int (List.length targets));
+            ("status", Trace.Str status) ]
+    in
+    match
+      Rote.increment_batch t.replica ~owner:t.owner ~targets:(fun () ->
+          pending_targets t)
+    with
+    | Ok targets ->
+        end_round targets "ok";
+        List.iter
+          (fun (log, value) ->
+            let s = log_state t log in
+            s.stable <- max s.stable value;
+            wake_waiters s)
+          targets;
+        pump t ~attempts:t.attempts
+    | Error `No_quorum ->
+        (* Availability loss, not a safety issue: retry with a backoff (the
+           fault model is crash-recovery, so the quorum normally returns).
+           Bounded so a torn-down cluster drains instead of spinning; when
+           retries are exhausted every waiter is failed with
+           [`Stability_timeout] — a later submit restarts the pump with a
+           fresh retry budget. *)
+        if attempts > 0 then begin
+          Sim.sleep t.sim t.retry_backoff_ns;
+          pump t ~attempts:(attempts - 1)
+        end
+        else begin
+          end_round (pending_targets t) "no_quorum";
+          t.pump_active <- false;
+          fail_all_waiters t
+        end
+  end
 
 (* Ask for [counter] of [s]'s log to become trusted: the pump carries it in
    its next round, starting one (under a "rote.round" span parented on

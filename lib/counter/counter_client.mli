@@ -9,9 +9,10 @@
     if none is running. A single *epoch pump* fiber runs while a submit or
     a waiter asks for a value that is not yet trusted; each batched
     increment carries the highest appended value of every dirty log (WAL,
-    MANIFEST, Clog), noted ones included, so bursts of appends across all
-    logs coalesce into one round — the batching that keeps the ~2 ms round
-    latency off the throughput path.
+    MANIFEST, Clog), noted ones included, read when ROTE's epoch alignment
+    ends ({!Rote.increment_batch}), so bursts of appends across all logs
+    coalesce into one round — the batching that keeps the round latency
+    off the throughput path.
 
     Because every round carries every pending log, a record appended on
     this node before any record that becomes trusted is trusted too: the
@@ -40,9 +41,8 @@ val create :
 (** [owner] is the node whose logs this client stabilizes. [attempts]
     (default 40) bounds consecutive no-quorum retries before pending waiters
     are failed; [retry_backoff_ns] (default 2 ms) is the sleep between
-    retries. Before each round the pump accumulates submissions for
-    250 µs: the group-commit trade of a bounded latency hit for rounds
-    amortized across transactions. *)
+    retries. The pump adds no wait of its own: a round's batch forms during
+    ROTE's echo1 alignment, the only batching wait a round pays. *)
 
 val stats : t -> stats
 

@@ -43,6 +43,8 @@ type replica = {
      first-round pending value awaiting confirmation. *)
   committed : (int * string, int) Hashtbl.t;
   pending : (int * string, int) Hashtbl.t;
+  incarnations : (int, int) Hashtbl.t;
+      (* owner -> newest enclave incarnation seen in its echoes or queries *)
   persist : string -> unit;
   stats : stats;
 }
@@ -57,10 +59,13 @@ let seal_cost t =
 
 (* Echo rounds carry a batch of (log, value) targets for one owner — a
    single protocol round stabilizes every log that has pending submissions
-   (the epoch pump in Counter_client drains all logs per round). *)
-let encode_batch ~owner ~targets =
+   (the epoch pump in Counter_client drains all logs per round) — and the
+   incarnation of the owner's enclave that sent them. Node ids and
+   incarnations (< 2^22, [Aead.Iv_gen]) take 32 bits each. *)
+let encode_batch ~owner ~incarnation ~targets =
   let b = Buffer.create 64 in
-  Wire.w64 b owner;
+  Wire.w32 b owner;
+  Wire.w32 b incarnation;
   Wire.wlist b
     (fun b (log, value) ->
       Wire.wstr b log;
@@ -70,14 +75,15 @@ let encode_batch ~owner ~targets =
 
 let decode_batch payload =
   let r = Wire.reader payload in
-  let owner = Wire.r64 r in
+  let owner = Wire.r32 r in
+  let incarnation = Wire.r32 r in
   let targets =
     Wire.rlist r (fun r ->
         let log = Wire.rstr r in
         let value = Wire.r64 r in
         (log, value))
   in
-  (owner, targets)
+  (owner, incarnation, targets)
 
 (* Receiver-enclave transitions, shared between the registered RPC handlers
    and the sender's local participation in [round]. *)
@@ -132,6 +138,26 @@ let forget_pending t ~owner =
     (fun (o, _) v -> if o = owner then None else Some v)
     t.pending
 
+(* Whether an echo or query from [owner]'s enclave [incarnation] is
+   current, noting it as the newest seen if so. One from an older
+   incarnation was sent by a dead enclave: its echo1 could reach this
+   replica after the new incarnation's recovery query ([forget_pending])
+   and re-install a stale pending value. *)
+let current t ~owner ~incarnation =
+  match Hashtbl.find_opt t.incarnations owner with
+  | Some newest when incarnation < newest -> false
+  | _ ->
+      Hashtbl.replace t.incarnations owner incarnation;
+      true
+
+(* An echo payload through [apply]; total over peer bytes. *)
+let on_echo t apply payload =
+  match decode_batch payload with
+  | owner, incarnation, targets when current t ~owner ~incarnation ->
+      apply t ~owner targets
+  | _ -> "nack"
+  | exception Wire.Malformed _ -> "nack"
+
 let seal_state t =
   (* Seal the committed table to this enclave's identity. *)
   let b = Buffer.create 256 in
@@ -153,6 +179,7 @@ let create_replica rpc ~group ?(persist = fun _ -> ()) ?(restore = fun () -> [])
       quorum = (List.length group / 2) + 1;
       committed = Hashtbl.create 32;
       pending = Hashtbl.create 8;
+      incarnations = Hashtbl.create 8;
       persist;
       stats =
         { increments = 0; rounds = 0; quorum_failures = 0; queries = 0; targets = 0 };
@@ -185,24 +212,24 @@ let create_replica rpc ~group ?(persist = fun _ -> ()) ?(restore = fun () -> [])
   (* Handlers are total over peer bytes: an authenticated peer that sends a
      malformed echo gets a nack, and a malformed query an empty reply, which
      [query] discards like any other non-value. *)
-  let on_echo apply _meta payload =
+  let echo_handler apply _meta payload =
     proc_cost t;
-    match decode_batch payload with
-    | owner, targets -> apply t ~owner targets
-    | exception Wire.Malformed _ -> "nack"
+    on_echo t apply payload
   in
-  Erpc.register rpc ~kind:kind_echo1 (on_echo apply_echo1);
-  Erpc.register rpc ~kind:kind_echo2 (on_echo apply_echo2);
+  Erpc.register rpc ~kind:kind_echo1 (echo_handler apply_echo1);
+  Erpc.register rpc ~kind:kind_echo2 (echo_handler apply_echo2);
   Erpc.register rpc ~kind:kind_query (fun meta payload ->
       proc_cost t;
       let r = Wire.reader payload in
       match
-        let owner = Wire.r64 r in
-        (owner, Wire.rstr r)
+        let owner = Wire.r32 r in
+        let incarnation = Wire.r32 r in
+        (owner, Wire.rstr r, incarnation)
       with
       | exception Wire.Malformed _ -> ""
-      | owner, log ->
-          if meta.Secure_msg.src = owner then forget_pending t ~owner;
+      | owner, log, incarnation ->
+          if meta.Secure_msg.src = owner && current t ~owner ~incarnation then
+            forget_pending t ~owner;
           let v =
             Option.value ~default:0 (Hashtbl.find_opt t.committed (owner, log))
           in
@@ -213,6 +240,11 @@ let create_replica rpc ~group ?(persist = fun _ -> ()) ?(restore = fun () -> [])
 
 let stats t = t.stats
 let sim t = Enclave.sim (Erpc.enclave t.rpc)
+let incarnation t = Enclave.incarnation (Erpc.enclave t.rpc)
+
+(* Epoch alignment/batch formation in the ROTE service: waiting, not CPU. *)
+let align t =
+  Sim.sleep (sim t) (Enclave.cost (Erpc.enclave t.rpc)).rote_round_latency_ns
 
 (* Broadcast one round to the whole group (self included, handled locally)
    and return the reply payloads. With [until], the round returns as soon
@@ -222,8 +254,6 @@ let sim t = Enclave.sim (Erpc.enclave t.rpc)
    every member. *)
 let round ?until t ~kind ~payload =
   t.stats.rounds <- t.stats.rounds + 1;
-  (* Epoch alignment/batch formation in the ROTE service: waiting, not CPU. *)
-  Sim.sleep (sim t) (Enclave.cost (Erpc.enclave t.rpc)).rote_round_latency_ns;
   let self = Erpc.node_id t.rpc in
   let replies = ref [] in
   let outstanding = ref (List.length t.group) in
@@ -247,12 +277,8 @@ let round ?until t ~kind ~payload =
             proc_cost t;
             arrive
               (match kind with
-              | k when k = kind_echo1 ->
-                  let owner, targets = decode_batch payload in
-                  Some (apply_echo1 t ~owner targets)
-              | k when k = kind_echo2 ->
-                  let owner, targets = decode_batch payload in
-                  Some (apply_echo2 t ~owner targets)
+              | k when k = kind_echo1 -> Some (on_echo t apply_echo1 payload)
+              | k when k = kind_echo2 -> Some (on_echo t apply_echo2 payload)
               | _ -> None)
           end
           else
@@ -266,12 +292,15 @@ let round ?until t ~kind ~payload =
   Sim.read (sim t) done_
 
 let increment_batch t ~owner ~targets =
-  match targets with
-  | [] -> Ok ()
-  | _ ->
+  (* The echo1 alignment is the round's batching wait: the targets are read
+     only after it, so whatever the caller appended during it rides along. *)
+  align t;
+  match targets () with
+  | [] -> Ok []
+  | targets ->
       t.stats.increments <- t.stats.increments + 1;
       t.stats.targets <- t.stats.targets + List.length targets;
-      let payload = encode_batch ~owner ~targets in
+      let payload = encode_batch ~owner ~incarnation:(incarnation t) ~targets in
       let echoes = round ~until:"echo" t ~kind:kind_echo1 ~payload in
       let ok_echoes = List.length (List.filter (( = ) "echo") echoes) in
       if ok_echoes < t.quorum then begin
@@ -279,6 +308,7 @@ let increment_batch t ~owner ~targets =
         Error `No_quorum
       end
       else begin
+        align t;
         let acks = round ~until:"ack" t ~kind:kind_echo2 ~payload in
         let ok_acks = List.length (List.filter (( = ) "ack") acks) in
         if ok_acks < t.quorum then begin
@@ -287,12 +317,12 @@ let increment_batch t ~owner ~targets =
         end
         else begin
           seal_state t;
-          Ok ()
+          Ok targets
         end
       end
 
 let increment t ~owner ~log ~value =
-  increment_batch t ~owner ~targets:[ (log, value) ]
+  Result.map ignore (increment_batch t ~owner ~targets:(fun () -> [ (log, value) ]))
 
 let local_value t ~owner ~log =
   Option.value ~default:0 (Hashtbl.find_opt t.committed (owner, log))
@@ -300,10 +330,12 @@ let local_value t ~owner ~log =
 let query t ~owner ~log =
   t.stats.queries <- t.stats.queries + 1;
   let b = Buffer.create 16 in
-  Wire.w64 b owner;
+  Wire.w32 b owner;
+  Wire.w32 b (incarnation t);
   Wire.wstr b log;
   let payload = Buffer.contents b in
   if owner = Erpc.node_id t.rpc then forget_pending t ~owner;
+  align t;
   let replies = round t ~kind:kind_query ~payload in
   let values =
     List.filter_map

@@ -76,7 +76,7 @@ val increment :
 (** Run the echo-broadcast to make [value] the trusted value of
     [(owner, log)]. Values must be submitted in increasing order; a larger
     value subsumes smaller ones. Blocks the calling fiber for the protocol
-    rounds (~2 ms); fails if a quorum of the group is unreachable. Each
+    rounds (~1 ms); fails if a quorum of the group is unreachable. Each
     round returns once [f+1] replies are positive, self included, so a
     crashed minority costs no RPC timeout; the other calls finish in the
     background. *)
@@ -84,13 +84,21 @@ val increment :
 val increment_batch :
   replica ->
   owner:int ->
-  targets:(string * int) list ->
-  (unit, [ `No_quorum ]) result
+  targets:(unit -> (string * int) list) ->
+  ((string * int) list, [ `No_quorum ]) result
 (** Epoch-batched increment: one echo-broadcast (two rounds) carries one
     target value per log, so stabilizing WAL + MANIFEST + Clog costs the
-    same as stabilizing one of them. Receivers treat the batch
-    all-or-nothing: the second-round ack confirms every target, and on
-    [Ok ()] all targets are trusted. [targets = \[\]] is a no-op. *)
+    same as stabilizing one of them. The first round's epoch alignment
+    ([rote_round_latency_ns]) is the batching wait: [targets] is read once,
+    after it, so every append the caller makes meanwhile rides this round.
+    Receivers treat the batch all-or-nothing: the second-round ack confirms
+    every target, and [Ok carried] means every target in [carried] is
+    trusted. If [targets ()] is empty nothing is sent and the result is
+    [Ok \[\]].
+
+    Echoes carry the owner's enclave incarnation; a replica ignores those
+    of an incarnation older than the newest it has seen for the owner in
+    an echo or in the owner's own {!query}. *)
 
 val local_value : replica -> owner:int -> log:string -> int
 (** This replica's in-enclave view (0 if unknown). *)
@@ -101,4 +109,5 @@ val query :
     When the owner itself queries, each member first drops every
     unconfirmed first-round value it holds for that owner: they are left
     over from a round of the owner's previous incarnation, and the new
-    incarnation's rounds must be free to carry smaller values. *)
+    incarnation's rounds must be free to carry smaller values. An echo of
+    that previous incarnation still in flight is ignored when it lands. *)

@@ -56,8 +56,10 @@ type t = {
   (* --- trusted counter service (ROTE, §VI) --- *)
   rote_proc_ns : int;  (** Per-replica CPU in one echo round. *)
   rote_round_latency_ns : int;
-      (** Sender-side wait per echo round (epoch alignment/batching in the
-          ROTE implementation): latency, not CPU. *)
+      (** Sender-side wait before each echo round and each query (epoch
+          alignment in the ROTE implementation): latency, not CPU. The
+          echo1 wait is also where a round's batch forms: its targets are
+          read when it ends ([Rote.increment_batch]). *)
   rote_seal_ns : int;  (** Sealing counter state after quorum ACK. *)
 }
 

@@ -21,13 +21,17 @@ type file = {
   mutable size : int;
 }
 
+(* A handle onto a device. [attach] shares the three mutable fields' values
+   with another handle; [detach] gives a handle values of its own. *)
 type t = {
   sim : Sim.t;
   cost : Treaty_sim.Costmodel.t;
-  files : (string, file) Hashtbl.t;
-  channel : Sim.Resource.resource;  (** Device write channel: writers queue. *)
-  stats : stats;
+  mutable files : (string, file) Hashtbl.t;
+  mutable channel : Sim.Resource.resource;  (** Device write channel: writers queue. *)
+  mutable stats : stats;
 }
+
+let fresh_stats () = { writes = 0; reads = 0; bytes_written = 0; bytes_read = 0 }
 
 let create sim cost =
   {
@@ -35,7 +39,7 @@ let create sim cost =
     cost;
     files = Hashtbl.create 32;
     channel = Sim.Resource.create sim ~capacity:1 "ssd";
-    stats = { writes = 0; reads = 0; bytes_written = 0; bytes_read = 0 };
+    stats = fresh_stats ();
   }
 
 let stats t = t.stats
@@ -146,6 +150,15 @@ let snapshot t = Hashtbl.fold (fun name f acc -> (name, copy f) :: acc) t.files 
 let restore t snap =
   Hashtbl.reset t.files;
   List.iter (fun (name, f) -> Hashtbl.replace t.files name (copy f)) snap
+
+let attach t = { t with files = t.files }
+
+let detach t =
+  let files = Hashtbl.create (Hashtbl.length t.files) in
+  Hashtbl.iter (fun name f -> Hashtbl.replace files name (copy f)) t.files;
+  t.files <- files;
+  t.channel <- Sim.Resource.create t.sim ~capacity:1 "ssd";
+  t.stats <- fresh_stats ()
 
 let tamper t name ~off =
   match Hashtbl.find_opt t.files name with

@@ -53,6 +53,18 @@ val truncate : t -> string -> int -> unit
 
 val list_files : t -> string list
 
+val attach : t -> t
+(** A handle onto [t]'s device for one incarnation of the node that owns
+    it: everything done through either handle reaches the same files, write
+    channel and stats, until {!detach}. *)
+
+val detach : t -> unit
+(** Fence a crashed incarnation's handle off the device. The handle goes on
+    working over a private copy of the files as they are now, with its own
+    write channel and stats, so fibers of the dead incarnation that still
+    run read their own writes, but none of their appends, truncates or
+    deletes reaches the device. *)
+
 (* --- adversary interface (tests only) --- *)
 
 type snapshot

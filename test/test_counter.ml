@@ -10,10 +10,11 @@ module CC = Treaty_counter.Counter_client
 
 (* One replica per node id in [members], each joined to its own
    protection group — the whole membership while [n <= 2f+1]. *)
-let mk_replica sim net ~members id =
+let mk_replica ?incarnation sim net ~members id =
   let enclave =
-    Enclave.create sim ~mode:Enclave.Scone ~cost:Treaty_sim.Costmodel.default
-      ~cores:4 ~node_id:id ~code_identity:"rote-test"
+    Enclave.create ?incarnation sim ~mode:Enclave.Scone
+      ~cost:Treaty_sim.Costmodel.default ~cores:4 ~node_id:id
+      ~code_identity:"rote-test"
   in
   let pool = Treaty_memalloc.Mempool.create enclave in
   let rpc =
@@ -170,9 +171,10 @@ let multi_log_epoch_rounds () =
         (rs.Rote.targets > rs.Rote.increments))
 
 let epoch_window_coalesces_staggered_submits () =
-  (* The pump waits one epoch window (250 us) before its round: a submit to
-     another log landing inside the window rides the same round, and nothing
-     is stable before the window has passed. *)
+  (* A round's batch forms during ROTE's echo1 alignment wait (300 us),
+     which every round pays before it reads its targets: a submit to another
+     log landing inside that wait rides the same round, and nothing is
+     stable before the wait has passed. *)
   with_group (fun sim group ->
       let _, r1 = List.hd group in
       let cc = CC.create r1 ~owner:1 in
@@ -342,8 +344,11 @@ let round_finishes_at_quorum () =
       in
       Erpc.shutdown rpc2;
       let t0 = Sim.now sim in
-      (match Rote.increment_batch r1 ~owner:1 ~targets:[ ("WAL", 4); ("Clog", 2) ] with
-      | Ok () -> ()
+      (match
+         Rote.increment_batch r1 ~owner:1 ~targets:(fun () ->
+             [ ("WAL", 4); ("Clog", 2) ])
+       with
+      | Ok _ -> ()
       | Error `No_quorum -> Alcotest.fail "2 of 3 is a quorum");
       let took = Sim.now sim - t0 in
       Alcotest.(check bool)
@@ -446,9 +451,12 @@ let restarted_owner_reuses_unconfirmed_values () =
              pkt.Treaty_netsim.Packet.src = 1
              && (incr sent;
                  !sent > 2)));
-      (match Rote.increment_batch r1 ~owner:1 ~targets:[ ("WAL", 10); ("WAL-2", 4) ] with
+      (match
+         Rote.increment_batch r1 ~owner:1 ~targets:(fun () ->
+             [ ("WAL", 10); ("WAL-2", 4) ])
+       with
       | Error `No_quorum -> ()
-      | Ok () -> Alcotest.fail "echo2 never left the owner");
+      | Ok _ -> Alcotest.fail "echo2 never left the owner");
       Alcotest.(check int) "nothing confirmed at a peer" 0
         (Rote.local_value r2 ~owner:1 ~log:"WAL");
       Erpc.shutdown rpc1;
@@ -458,8 +466,11 @@ let restarted_owner_reuses_unconfirmed_values () =
       | Ok 0 -> ()
       | Ok v -> Alcotest.failf "group trusted %d" v
       | Error `No_quorum -> Alcotest.fail "query quorum");
-      (match Rote.increment_batch fresh ~owner:1 ~targets:[ ("WAL", 9); ("WAL-2", 2) ] with
-      | Ok () -> ()
+      (match
+         Rote.increment_batch fresh ~owner:1 ~targets:(fun () ->
+             [ ("WAL", 9); ("WAL-2", 2) ])
+       with
+      | Ok _ -> ()
       | Error `No_quorum -> Alcotest.fail "leftover pending value nacked the new round");
       List.iter
         (fun (i, r) ->
@@ -468,6 +479,60 @@ let restarted_owner_reuses_unconfirmed_values () =
           Alcotest.(check int) (Printf.sprintf "peer %d holds WAL-2 2" i) 2
             (Rote.local_value r ~owner:1 ~log:"WAL-2"))
         [ (2, r2); (3, r3) ])
+
+let alignment_wait_batches_late_submits () =
+  (* The pump adds no window of its own: the round's targets are read when
+     ROTE's echo1 alignment ends, so a submit 260 us after the one that
+     started the round still rides it. *)
+  with_group (fun sim group ->
+      let _, r1 = List.hd group in
+      let cc = CC.create r1 ~owner:1 in
+      CC.submit cc ~log:"WAL" ~counter:1;
+      Sim.sleep sim 260_000;
+      CC.submit cc ~log:"MANIFEST" ~counter:1;
+      expect_stable "WAL" (CC.wait_stable cc ~log:"WAL" ~counter:1);
+      expect_stable "MANIFEST" (CC.wait_stable cc ~log:"MANIFEST" ~counter:1);
+      Alcotest.(check int) "one round for both submits" 1
+        (CC.stats cc).CC.rounds_started;
+      Alcotest.(check int) "the round carried both logs" 2
+        (Rote.stats r1).Rote.targets)
+
+let dead_incarnation_echo_is_ignored () =
+  (* The owner's echo1 for WAL=10 is held up on its way to peer 2 (and
+     lost on its way to peer 3), and the owner crashes. Its next
+     incarnation's recovery query runs before the stale echo1 lands. Peer 2
+     must not install it: with peer 3 down, the new incarnation's round
+     carrying WAL=9 needs peer 2's ack. *)
+  let sim = Sim.create () in
+  let net = Net.create sim Treaty_sim.Costmodel.default in
+  Sim.run sim (fun () ->
+      let (rpc1, r1), (_, r2), (rpc3, _) =
+        match mk_group sim net with [ a; b; c ] -> (a, b, c) | _ -> assert false
+      in
+      let from_owner_to dst (pkt : Treaty_netsim.Packet.t) =
+        pkt.src = 1 && pkt.dst = dst
+      in
+      Net.set_adversary net (fun pkt ->
+          if from_owner_to 2 pkt then Treaty_netsim.Adversary.Delay 5_000_000
+          else if from_owner_to 3 pkt then Treaty_netsim.Adversary.Drop
+          else Treaty_netsim.Adversary.Deliver);
+      Sim.spawn sim (fun () ->
+          ignore (Rote.increment r1 ~owner:1 ~log:"WAL" ~value:10));
+      Sim.sleep sim 1_000_000;
+      Erpc.shutdown rpc1;
+      Net.clear_adversary net;
+      let _, fresh = mk_replica ~incarnation:1 sim net ~members:[ 1; 2; 3 ] 1 in
+      (match Rote.query fresh ~owner:1 ~log:"WAL" with
+      | Ok 0 -> ()
+      | Ok v -> Alcotest.failf "group trusted %d" v
+      | Error `No_quorum -> Alcotest.fail "query quorum");
+      (* The held-up echo1 lands at peer 2 now. *)
+      Sim.sleep sim 10_000_000;
+      Erpc.shutdown rpc3;
+      (match Rote.increment fresh ~owner:1 ~log:"WAL" ~value:9 with
+      | Ok () -> ()
+      | Error `No_quorum -> Alcotest.fail "the dead incarnation's echo1 was installed");
+      Alcotest.(check int) "peer 2 holds WAL 9" 9 (Rote.local_value r2 ~owner:1 ~log:"WAL"))
 
 let suite =
   [
@@ -496,4 +561,8 @@ let suite =
       only_waited_appends_start_rounds;
     Alcotest.test_case "restarted owner reuses unconfirmed values" `Quick
       restarted_owner_reuses_unconfirmed_values;
+    Alcotest.test_case "alignment wait batches late submits" `Quick
+      alignment_wait_batches_late_submits;
+    Alcotest.test_case "dead incarnation's echo is ignored" `Quick
+      dead_incarnation_echo_is_ignored;
   ]

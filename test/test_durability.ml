@@ -374,6 +374,71 @@ let unstable_resolve_rederived_after_participant_crash () =
                     (Serializability.dump_cycle h txs)));
           Cluster.shutdown cluster)
 
+let zombie_abort_after_restart_is_fenced () =
+  (* The coordinator crashes while its commit decision waits to become
+     trusted, and is restarted at once. Its dead incarnation's fibers run
+     on: the decision wait runs out of counter retries and writes the
+     superseding abort Decision — by then the new incarnation has replayed
+     the Clog and appended past that point. That write must not reach the
+     disk, or the next replay finds the Clog's MAC chain broken. *)
+  let sim = Sim.create () in
+  Sim.run sim (fun () ->
+      match Cluster.create sim (mk_config Config.treaty_enc_stab) ~route:explicit_route () with
+      | Error m -> Alcotest.failf "bootstrap: %s" m
+      | Ok cluster ->
+          let c = Client.connect_exn cluster ~client_id:1 in
+          let node = Cluster.node cluster 0 in
+          let cc =
+            match Node.counter_client node with
+            | Some cc -> cc
+            | None -> Alcotest.fail "stab profile must have a counter client"
+          in
+          let clog () = List.assoc "CLOG" (Engine.log_last_counters (Node.engine node)) in
+          let before = clog () in
+          Sim.spawn sim (fun () ->
+              ignore
+                (Client.with_txn c ~coord:1 (fun txn ->
+                     match Client.put c txn "node1:z" "1" with
+                     | Ok () -> Client.put c txn "node3:z" "1"
+                     | Error e -> Error e)));
+          (* Begin_2pc and the Decision are appended; the Decision is not
+             trusted yet. *)
+          let rec await_decision steps =
+            if steps = 0 then Alcotest.fail "the decision was never appended";
+            if
+              clog () >= before + 2
+              && Treaty_counter.Counter_client.stable_value cc ~log:"CLOG" < clog ()
+            then ()
+            else begin
+              Sim.sleep sim 10_000;
+              await_decision (steps - 1)
+            end
+          in
+          await_decision 10_000;
+          Cluster.crash_node cluster 0;
+          (match Cluster.restart_node cluster 0 with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "restart: %s" m);
+          Sim.sleep sim 1_000_000_000;
+          Alcotest.(check bool) "the dead incarnation's decision wait ran out" true
+            ((Treaty_counter.Counter_client.stats cc).failed_waits > 0);
+          Cluster.crash_node cluster 0;
+          (match Cluster.restart_node cluster 0 with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "second restart: %s" m);
+          (match
+             Client.with_txn c ~coord:2 (fun txn ->
+                 match (Client.get c txn "node1:z", Client.get c txn "node3:z") with
+                 | Ok None, Ok None -> Ok ()
+                 | _ -> Error Types.Integrity)
+           with
+          | Ok () -> ()
+          | Error e ->
+              Alcotest.failf "the undecided transaction was not aborted: %s"
+                (Types.abort_reason_to_string e));
+          Client.disconnect c;
+          Cluster.shutdown cluster)
+
 let suite =
   [
     Alcotest.test_case "ack implies durable (immediate crash)" `Quick
@@ -388,4 +453,6 @@ let suite =
       stabilization_batches_across_concurrent_commits;
     Alcotest.test_case "unstable Resolve re-derived after participant crash"
       `Quick unstable_resolve_rederived_after_participant_crash;
+    Alcotest.test_case "zombie abort after a restart is fenced off the disk" `Quick
+      zombie_abort_after_restart_is_fenced;
   ]
