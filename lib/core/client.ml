@@ -31,13 +31,18 @@ let call t ~dst ~kind payload =
   Erpc.call t.rpc ~dst ~kind ~timeout_ns:t.op_timeout payload
   |> Result.map_error (fun (`Timeout | `Tampered) -> Types.Participant_failed)
 
-let register_with t node =
+(* A node that answers with anything but OK refused the token; one that
+   does not answer in time may never have seen it. *)
+let register t node =
   match
-    call t ~dst:node ~kind:Txn_wire.k_client_register
+    Erpc.call t.rpc ~dst:node ~kind:Txn_wire.k_client_register ~timeout_ns:t.op_timeout
       (Txn_wire.encode_register ~client_id:t.client_id ~token:t.token)
   with
-  | Ok reply -> Txn_wire.decode_ack reply = Ok ()
-  | Error (_ : Types.abort_reason) -> false
+  | Ok reply -> if Txn_wire.decode_ack reply = Ok () then Ok () else Error `Auth_failed
+  | Error `Timeout -> Error `Timeout
+  | Error `Tampered -> Error `Auth_failed
+
+let register_with t node = register t node = Ok ()
 
 let connect cluster ~client_id =
   let sim = Cluster.sim cluster in
@@ -81,12 +86,16 @@ let connect cluster ~client_id =
           op_timeout = config.client_op_timeout_ns;
         }
       in
-      let all_registered = Array.for_all (register_with t) t.nodes in
-      if all_registered then Ok t
-      else begin
-        Erpc.shutdown rpc;
-        Error `Auth_failed
-      end
+      let rec register_all i =
+        if i = Array.length t.nodes then Ok t
+        else
+          match register t t.nodes.(i) with
+          | Ok () -> register_all (i + 1)
+          | Error e ->
+              Erpc.shutdown rpc;
+              Error e
+      in
+      register_all 0
 
 exception Connect_failed of string
 
@@ -94,6 +103,7 @@ let connect_exn cluster ~client_id =
   match connect cluster ~client_id with
   | Ok t -> t
   | Error `Auth_failed -> raise (Connect_failed "client authentication failed")
+  | Error `Timeout -> raise (Connect_failed "client register timed out")
   | Error `Cas_down -> raise (Connect_failed "CAS down")
 
 let pick_coord t =

@@ -13,9 +13,10 @@ type txn
 val connect :
   Cluster.t ->
   client_id:int ->
-  (t, [ `Auth_failed | `Cas_down ]) result
+  (t, [ `Auth_failed | `Cas_down | `Timeout ]) result
 (** Obtain a token from the CAS and register with every node. Must run in a
-    fiber. *)
+    fiber. [`Auth_failed]: a node refused the token; [`Timeout]: a node
+    did not answer the register call in time. *)
 
 exception Connect_failed of string
 

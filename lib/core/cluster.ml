@@ -27,6 +27,9 @@ type t = {
   mutable cas : Cas.t option;
   cas_las : (int, Las.t) Hashtbl.t;
   nodes : slot array;
+  restarting : bool array;
+      (* A restart of this slot is attesting or recovering: a second one
+         would build a second incarnation on the same disk. *)
   master : Keys.master;
   master_secret : string;
   route : string -> int;
@@ -237,6 +240,7 @@ let create sim config ?route () =
       cas = None;
       cas_las = Hashtbl.create 8;
       nodes = Array.init config.nodes (fun _ -> Crashed (Ssd.create sim config.cost));
+      restarting = Array.make config.nodes false;
       master = Keys.master_of_secret master_secret;
       master_secret;
       route;
@@ -307,7 +311,10 @@ let crash_node t i =
 let restart_node t i =
   match t.nodes.(i) with
   | Live _ -> Ok ()
+  | Crashed _ when t.restarting.(i) -> Error "a restart of this node is in progress"
   | Crashed ssd -> (
+      t.restarting.(i) <- true;
+      Fun.protect ~finally:(fun () -> t.restarting.(i) <- false) @@ fun () ->
       let node_id = i + 1 in
       (* A recovering node must re-attest before it can obtain the cluster
          secrets (§VI); a dead CAS therefore blocks recovery. *)

@@ -58,7 +58,8 @@ val crash_node : t -> int -> unit
 val restart_node : t -> int -> (unit, string) result
 (** Re-attest to the CAS and run recovery. Fails if the CAS is down
     ("in case CAS fails, crashed nodes cannot recover", §VI), if attestation
-    is rejected, or if the logs fail their integrity/freshness checks. *)
+    is rejected, if the logs fail their integrity/freshness checks, or at
+    once if another restart of the node is still in progress. *)
 
 val crash_cas : t -> unit
 

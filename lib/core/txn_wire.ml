@@ -6,6 +6,7 @@ let k_prepare = 2
 let k_commit = 3
 let k_abort = 4
 let k_query_decision = 5
+let k_query_prepared = 7
 let k_client_register = 10
 let k_client_begin = 11
 let k_client_op = 12
@@ -18,6 +19,13 @@ type status = St_ok | St_lock_timeout | St_unknown_tx | St_unauth | St_conflict
 type op = Get of string | Put of string * string | Del of string
 type header = { client_id : int; tx_seq : int }
 type decision = Decided of bool | Pending | Unknown | Recovering
+type prepare_state = Prepared | Not_prepared | Ask_later
+
+type vote = {
+  incarnation : int;
+  targets : (string * int) list;
+  reads : (string * int) list;
+}
 
 type failure =
   | Refused of status
@@ -179,8 +187,22 @@ let encode_op_reply value seq = build w_op_reply (value, seq)
 let decode_op_reply = reply (pair r_opt Wire.r64)
 let encode_scan_reply = build (w_ok (w_list (w_pair Wire.wstr Wire.wstr)))
 let decode_scan_reply = reply (r_list (pair Wire.rstr Wire.rstr))
-let encode_prepare_ack = build (w_ok (w_list (w_pair Wire.wstr Wire.w64)))
-let decode_prepare_ack = reply (r_list (pair Wire.rstr Wire.r64))
+let w_versions = w_list (w_pair Wire.wstr Wire.w64)
+let r_versions = r_list (pair Wire.rstr Wire.r64)
+
+let w_vote =
+  w_ok (fun b v ->
+      Wire.w32 b v.incarnation;
+      w_versions b v.targets;
+      w_versions b v.reads)
+
+let encode_prepare_ack v = build w_vote v
+
+let decode_prepare_ack =
+  reply (fun r ->
+      let incarnation = Wire.r32 r in
+      let targets = r_versions r in
+      { incarnation; targets; reads = r_versions r })
 let encode_commit_ack = build (w_ok Wire.w64)
 let decode_commit_ack = reply Wire.r64
 let encode_begin_reply ~tx_seq = build (w_ok Wire.w64) tx_seq
@@ -224,3 +246,15 @@ let decode_decision s =
   | Some 'r' -> Ok Recovering
   | Some _unknown -> Error Malformed
   | None -> Error Malformed
+
+let encode_prepare_state = function
+  | Prepared -> "P"
+  | Not_prepared -> "N"
+  | Ask_later -> "L"
+
+let decode_prepare_state s =
+  match if s = "" then None else Some s.[0] with
+  | Some 'P' -> Ok Prepared
+  | Some 'N' -> Ok Not_prepared
+  | Some 'L' -> Ok Ask_later
+  | Some _ | None -> Error Malformed

@@ -21,6 +21,11 @@ val k_query_decision : int
 (** Participant → coordinator: cooperative termination of an in-doubt
     prepare. *)
 
+val k_query_prepared : int
+(** Recovering coordinator → participant: does it still hold the prepare
+    of a transaction whose [Begin_2pc] is trusted but whose decision is
+    not? *)
+
 (** Client → coordinator. *)
 
 val k_client_register : int
@@ -55,6 +60,22 @@ type header = { client_id : int; tx_seq : int }
     the transaction (so it never committed); [Pending]: still deciding;
     [Recovering]: ask again later. *)
 type decision = Decided of bool | Pending | Unknown | Recovering
+
+(** A participant's answer to {!k_query_prepared}. [Prepared]: it holds
+    the prepare and has made it trusted; [Not_prepared]: it holds no
+    prepare of the transaction; [Ask_later]: it cannot tell or cannot make
+    the prepare trusted yet. *)
+type prepare_state = Prepared | Not_prepared | Ask_later
+
+type vote = {
+  incarnation : int;  (** The voter's enclave incarnation. *)
+  targets : (string * int) list;
+      (** [(log, value)] for every log the voter appended beyond its
+          trusted value, its prepare's WAL and the MANIFEST included: what
+          the coordinator's commit point makes trusted. *)
+  reads : (string * int) list;  (** Read versions, for the history. *)
+}
+(** A participant's YES vote. *)
 
 type failure =
   | Refused of status  (** A well-formed reply with a non-OK status. *)
@@ -114,10 +135,8 @@ val decode_op_reply : string -> (string option * int) decoded
 val encode_scan_reply : (string * string) list -> string
 val decode_scan_reply : string -> (string * string) list decoded
 
-val encode_prepare_ack : (string * int) list -> string
-(** A participant's YES vote, carrying its read versions. *)
-
-val decode_prepare_ack : string -> (string * int) list decoded
+val encode_prepare_ack : vote -> string
+val decode_prepare_ack : string -> vote decoded
 
 val encode_commit_ack : int -> string
 (** A participant's commit ack: the sequence number it installed at (0 for
@@ -137,3 +156,6 @@ val decode_ro_reply : string -> string option list decoded
 
 val encode_decision : decision -> string
 val decode_decision : string -> decision decoded
+
+val encode_prepare_state : prepare_state -> string
+val decode_prepare_state : string -> prepare_state decoded

@@ -62,6 +62,7 @@ val note : t -> log:string -> counter:int -> unit
 
 val wait_stable :
   ?span:Treaty_obs.Trace.span ->
+  ?foreign:Rote.entry list ->
   t ->
   log:string ->
   counter:int ->
@@ -71,9 +72,19 @@ val wait_stable :
     own). [Error] means the pump exhausted its quorum retries while this
     waiter was pending — the counter may still stabilize later, but the
     caller must treat the entry as not rollback-protected (abort, don't
-    ack). *)
+    ack).
+
+    [foreign] (default none) are other owners' entries — a coordinator's
+    voters' targets — added to the next round only, with no retry: the
+    call also returns [Error] if that round does not make every one of
+    them trusted. A failed foreign entry fails only this waiter. *)
 
 val stable_value : t -> log:string -> int
+
+val pending_targets : t -> (string * int) list
+(** Every log appended beyond its trusted value, with its highest
+    appended counter, sorted by log name: what the next round would
+    carry, and what a participant's vote hands its coordinator. *)
 
 val trusted_for_recovery : t -> log:string -> (int, [ `No_quorum ]) result
 (** Quorum-query the group (used by a recovering node whose local state is

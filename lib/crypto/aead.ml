@@ -50,22 +50,27 @@ let open_ key ~iv ?(aad = "") ~mac ct =
   then Ok (Chacha20.xor ~key:key.enc ~nonce:iv ct)
   else Error `Mac_mismatch
 
-(* One buffer, [iv | ct | mac]: the plaintext is copied in once, encrypted
-   in place and MACed where it lies. Same bytes as [iv ^ ct ^ mac] of
-   {!seal}. *)
-let seal_packed key ~iv ?(aad = "") pt =
+(* One buffer, [iv | ct | mac]: [write] puts the [len] plaintext bytes at
+   the offset it is given, and they are encrypted in place and MACed where
+   they lie. *)
+let seal_packed_with key ~iv ?(aad = "") ~len write =
   check_iv "Aead.seal" iv;
-  Taint.register pt;
-  let n = String.length pt in
-  let out = Bytes.create (overhead + n) in
+  let out = Bytes.create (overhead + len) in
   Bytes.blit_string iv 0 out 0 iv_size;
-  Bytes.blit_string pt 0 out iv_size n;
-  Chacha20.xor_into ~key:key.enc ~nonce:iv out ~off:iv_size ~len:n;
+  write out iv_size;
+  Chacha20.xor_into ~key:key.enc ~nonce:iv out ~off:iv_size ~len;
   let mac =
-    tag_of key out 0 (Bytes.unsafe_of_string aad) 0 (String.length aad) out iv_size n
+    tag_of key out 0 (Bytes.unsafe_of_string aad) 0 (String.length aad) out iv_size len
   in
-  Bytes.blit_string mac 0 out (iv_size + n) mac_size;
+  Bytes.blit_string mac 0 out (iv_size + len) mac_size;
   Bytes.unsafe_to_string out
+
+(* The plaintext is copied in once. Same bytes as [iv ^ ct ^ mac] of
+   {!seal}. *)
+let seal_packed key ~iv ?aad pt =
+  Taint.register pt;
+  let len = String.length pt in
+  seal_packed_with key ~iv ?aad ~len (fun out off -> Bytes.blit_string pt 0 out off len)
 
 (* The tag is checked over the packed string in place before anything is
    decrypted; only the plaintext is copied out. *)

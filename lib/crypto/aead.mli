@@ -43,6 +43,12 @@ val seal_packed : key -> iv:string -> ?aad:string -> string -> string
 (** [iv || ciphertext || mac] as one string: the same bytes as
     [iv ^ ct ^ mac] of {!seal}, built in one allocation. *)
 
+val seal_packed_with :
+  key -> iv:string -> ?aad:string -> len:int -> (Bytes.t -> int -> unit) -> string
+(** {!seal_packed} of [len] plaintext bytes that the callback writes at the
+    offset it is given, straight into the packed buffer: no plaintext
+    string is built (and none is registered with {!Taint}). *)
+
 val open_packed :
   key -> ?aad:string -> string -> (string, [ `Mac_mismatch | `Truncated ]) result
 (** [Error `Truncated] on a string shorter than {!overhead}; otherwise

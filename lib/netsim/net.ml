@@ -97,6 +97,11 @@ let register t ~id ?config handler =
 let unregister t ~id =
   match endpoint t id with Some ep -> ep.handler <- None | None -> ()
 
+let unregister_if t ~id handler =
+  match endpoint t id with
+  | Some ({ handler = Some h; _ } as ep) when h == handler -> ep.handler <- None
+  | Some _ | None -> ()
+
 let push_capture t pkt =
   t.capture_buf.(t.capture_n mod t.capture_limit) <- pkt;
   t.capture_n <- t.capture_n + 1

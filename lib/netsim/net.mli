@@ -42,6 +42,12 @@ val unregister : t -> id:int -> unit
 (** Detach (crash) an endpoint: in-flight packets to it are dropped on
     arrival. *)
 
+val unregister_if : t -> id:int -> (Packet.t -> unit) -> unit
+(** {!unregister} only if the endpoint still holds this very handler
+    (physical equality): an endpoint whose id was registered again since —
+    a restarted node sharing a wire id with a finished bootstrap
+    endpoint — keeps its handler. *)
+
 val send : t -> src:int -> dst:int -> ?wire_overhead:int -> string -> unit
 (** Transmit a payload. Charges NIC serialization at the slower of the two
     endpoints' line rates plus propagation; delivery fires the destination

@@ -59,10 +59,12 @@ type t = {
   pending : (int, (string, error) result Sim.ivar) Hashtbl.t;
   dedup : (int * int * int, dedup_entry) Hashtbl.t;
   dedup_by_tx : (int * int, int list ref) Hashtbl.t;
-  dedup_expiry : ((int * int) * int) Queue.t;
-      (* (coord, tx_seq) of non-transactional identities with insertion time,
-         oldest first: their callers never send forget_tx, so they are
-         reclaimed by TTL instead. *)
+      (* Op ids per transactional identity, for [forget_tx]. *)
+  dedup_expiry : ((int * int * int) * int) Queue.t;
+      (* Keys of non-transactional identities with insertion time, oldest
+         first: their callers never send forget_tx, so they are reclaimed by
+         TTL instead. Each such identity is one call, so its key is enough:
+         no [dedup_by_tx] entry. *)
   mutable next_req_id : int;
   epoch : int;
   mutable next_tx_seq : int;
@@ -71,6 +73,9 @@ type t = {
       (* dst -> plaintext messages (newest first) awaiting the doorbell;
          sealing happens at flush, once per packet. *)
   mutable doorbell_active : bool;
+  mutable on_packet : Treaty_netsim.Packet.t -> unit;
+      (* The handler this endpoint registered, so [shutdown] clears its own
+         registration and never a later endpoint's under the same id. *)
   stats : stats;
 }
 
@@ -176,20 +181,14 @@ let send_response t ~dst (meta : Secure_msg.meta) payload =
 
 let record_dedup t key entry =
   Hashtbl.replace t.dedup key entry;
-  let coord, tx_seq, _ = key in
-  let ops =
+  let coord, tx_seq, op = key in
+  (* Non-transactional identities (tx_seq < 0) have no commit/abort to
+     forget them; schedule TTL reclamation instead. *)
+  if tx_seq < 0 then Queue.push (key, Sim.now t.sim) t.dedup_expiry
+  else
     match Hashtbl.find_opt t.dedup_by_tx (coord, tx_seq) with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace t.dedup_by_tx (coord, tx_seq) l;
-        (* Non-transactional identities (tx_seq < 0) have no commit/abort to
-           forget them; schedule TTL reclamation instead. *)
-        if tx_seq < 0 then Queue.push ((coord, tx_seq), Sim.now t.sim) t.dedup_expiry;
-        l
-  in
-  let _, _, op = key in
-  ops := op :: !ops
+    | Some ops -> ops := op :: !ops
+    | None -> Hashtbl.replace t.dedup_by_tx (coord, tx_seq) (ref [ op ])
 
 let forget_tx t ~coord ~tx_seq =
   match Hashtbl.find_opt t.dedup_by_tx (coord, tx_seq) with
@@ -202,9 +201,9 @@ let expire_dedup t =
   let now = Sim.now t.sim in
   let rec drain () =
     match Queue.peek_opt t.dedup_expiry with
-    | Some ((coord, tx_seq), born) when now - born >= t.config.dedup_ttl_ns ->
+    | Some (key, born) when now - born >= t.config.dedup_ttl_ns ->
         ignore (Queue.pop t.dedup_expiry);
-        forget_tx t ~coord ~tx_seq;
+        Hashtbl.remove t.dedup key;
         drain ()
     | _ -> ()
   in
@@ -341,6 +340,7 @@ let create sim ~net ~enclave ~pool ~config ~node_id ?net_config () =
       alive = true;
       outq = Hashtbl.create 8;
       doorbell_active = false;
+      on_packet = ignore;
       stats =
         {
           requests_sent = 0;
@@ -353,7 +353,8 @@ let create sim ~net ~enclave ~pool ~config ~node_id ?net_config () =
         };
     }
   in
-  Net.register net ~id:node_id ?config:net_config (on_packet t);
+  t.on_packet <- on_packet t;
+  Net.register net ~id:node_id ?config:net_config t.on_packet;
   t
 
 let node_id t = t.node_id
@@ -424,4 +425,4 @@ let call t ~dst ~kind ?coord ?tx_seq ?op_id ?timeout_ns ?span payload =
 let shutdown t =
   t.alive <- false;
   Hashtbl.reset t.outq;
-  Net.unregister t.net ~id:t.node_id
+  Net.unregister_if t.net ~id:t.node_id t.on_packet

@@ -15,13 +15,14 @@
     obsolete them being stable, so recovery from the rollback-protected
     prefix never references deleted files.
 
-    Only appends that a caller waits on start a counter round: prepares,
+    Only appends that a caller waits on start a counter round: single-node
     commits and MANIFEST edits [submit] theirs as they append, so the round
-    overlaps the rest of the operation. A participant's [Resolve] and every
-    Clog window only [note] their counter; the next round carries it, and
-    the Clog records anybody waits on, decisions, start that round from
-    {!clog_wait_stable}. Recovery re-derives a record left outside the
-    trusted prefix from the stable prepare or decision it follows. *)
+    overlaps the rest of the operation. A participant's [Prepare] and
+    [Resolve] and every Clog window only [note] their counter; the next
+    round carries it, and the Clog records anybody waits on, [Begin_2pc] at
+    the commit point and decisions, start that round from their waits.
+    Recovery re-derives a record left outside the trusted prefix from the
+    stable prepare or decision it follows. *)
 
 type stability = {
   submit : span:Treaty_obs.Trace.span -> log:string -> counter:int -> unit;
@@ -43,8 +44,8 @@ type stability = {
 }
 
 exception Stability_timeout
-(** Raised by operations that must not acknowledge an entry whose
-    stabilization failed ({!commit} with [wait_commit_stable], {!prepare}). *)
+(** Raised by an operation that must not acknowledge an entry whose
+    stabilization failed ({!commit} with [wait_commit_stable]). *)
 
 val noop_stability : stability
 
@@ -186,19 +187,13 @@ val active_snapshot_count : t -> int
     a transaction path that drops its context without releasing pins the
     GC watermark; TreatySan checks this at the end of sanitized runs. *)
 
-val prepare :
-  t ->
-  ?span:Treaty_obs.Trace.span ->
-  tx:Wal_record.txid ->
-  writes:(string * Op.t) list ->
-  unit ->
-  unit
-(** Participant prepare: persist the transaction's writes in the WAL and
-    block until the entry is stable (§V: "participants delay replying back
-    to the coordinator until the prepare entry in the log is stabilized").
-    Raises {!Stability_timeout} if stabilization fails; the prepare record
-    stays registered and is resolved by the coordinator's decision (or
-    recovery). *)
+val prepare : t -> tx:Wal_record.txid -> writes:(string * Op.t) list -> unit
+(** Participant prepare: append the transaction's writes to the WAL and
+    return once the record is on disk. Its counter is only noted: the
+    prepare becomes trusted in a later round — the coordinator's commit
+    point, which carries the participant's pending targets from its vote,
+    or any round of this node's own — and is resolved by the coordinator's
+    decision (or recovery). *)
 
 val resolve : t -> tx:Wal_record.txid -> commit:bool -> int option
 (** Commit or abort a prepared transaction. On commit the writes are applied
@@ -215,6 +210,13 @@ val key_prepared : t -> key:string -> bool
     read-only fast path's stability guard: such a transaction may already
     be globally decided (its resolve merely in flight here), so a snapshot
     read around it could miss a write serialized before data it returns. *)
+
+val range_prepared : t -> lo:string -> hi:string -> bool
+(** Does any prepared-but-unresolved transaction write a key in
+    [\[lo, hi\]]? Used by a scan's guard, for the same reason. *)
+
+val clog_log : string
+(** The Clog's log name, as the trusted counter service knows it. *)
 
 val clog_append : t -> ?span:Treaty_obs.Trace.span -> Clog_record.record -> int
 (** Append coordinator 2PC state; returns the Clog counter value. Unless

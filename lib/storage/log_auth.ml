@@ -57,15 +57,16 @@ let chain_mac t ~counter ~payload ~prev =
   end
   else String.make mac_size '\000'
 
+(* An entry is [counter | len | stored | mac], appended as those parts
+   rather than joined: a WAL entry carries whole values, and a joined copy
+   of one is a fresh major-heap block. *)
 let encode_entry t ~counter payload =
   let stored = Sec.protect t.sec payload in
   let mac = chain_mac t ~counter ~payload:stored ~prev:t.last_mac in
-  let b = Buffer.create (12 + String.length stored + mac_size) in
-  Wire.w64 b counter;
-  Wire.w32 b (String.length stored);
-  Buffer.add_string b stored;
-  Buffer.add_string b mac;
-  (Buffer.contents b, mac)
+  let header = Buffer.create 12 in
+  Wire.w64 header counter;
+  Wire.w32 header (String.length stored);
+  ([ Buffer.contents header; stored; mac ], mac)
 
 let append t payload =
   Treaty_sim.Sim.Resource.acquire t.lock;
@@ -77,7 +78,7 @@ let append t payload =
      append queued on the lock sees consistent state either way. *)
   t.next_counter <- counter + 1;
   t.last_mac <- mac;
-  ignore (Ssd.append t.ssd ~enclave:(Sec.enclave t.sec) t.name entry);
+  ignore (Ssd.append_parts t.ssd ~enclave:(Sec.enclave t.sec) t.name entry);
   counter
 
 let replay t ?trusted () =

@@ -34,6 +34,16 @@ let protect t data =
       Enclave.charge_crypto t.enclave ~bytes:(String.length data);
       Aead.seal_packed key ~iv:(Aead.Iv_gen.next t.iv_gen) data
 
+let protect_with t ~len write =
+  match t.enc with
+  | None ->
+      let b = Bytes.create len in
+      write b 0;
+      Bytes.unsafe_to_string b
+  | Some key ->
+      Enclave.charge_crypto t.enclave ~bytes:len;
+      Aead.seal_packed_with key ~iv:(Aead.Iv_gen.next t.iv_gen) ~len write
+
 let unprotect t data =
   match t.enc with
   | None -> data

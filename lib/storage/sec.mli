@@ -35,6 +35,10 @@ val protect : t -> string -> string
 (** Encrypt a value/block for untrusted memory or disk ([enc] mode), or pass
     it through. Charges simulated crypto time. *)
 
+val protect_with : t -> len:int -> (Bytes.t -> int -> unit) -> string
+(** {!protect} of the [len] bytes the callback writes at the offset it is
+    given, built in the protected value's own buffer. *)
+
 val unprotect : t -> string -> string
 (** Inverse of {!protect}. Raises {!Integrity_violation} if the AEAD check
     fails. *)

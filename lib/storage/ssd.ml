@@ -103,17 +103,20 @@ let file t name =
       Hashtbl.replace t.files name f;
       f
 
-let append t ~enclave name data =
+let append_parts t ~enclave name parts =
   let f = file t name in
   let off = f.size in
-  Enclave.syscall enclave ~bytes:(String.length data) ();
+  let len = List.fold_left (fun n p -> n + String.length p) 0 parts in
+  Enclave.syscall enclave ~bytes:len ();
   Sim.Resource.consume t.channel
     (t.cost.ssd_write_base_ns
-    + int_of_float (t.cost.ssd_write_per_byte_ns *. float_of_int (String.length data)));
-  push f data;
+    + int_of_float (t.cost.ssd_write_per_byte_ns *. float_of_int len));
+  List.iter (push f) parts;
   t.stats.writes <- t.stats.writes + 1;
-  t.stats.bytes_written <- t.stats.bytes_written + String.length data;
+  t.stats.bytes_written <- t.stats.bytes_written + len;
   off
+
+let append t ~enclave name data = append_parts t ~enclave name [ data ]
 
 let read t ~enclave name ~off ~len =
   match Hashtbl.find_opt t.files name with

@@ -35,6 +35,11 @@ val append : t -> enclave:Treaty_tee.Enclave.t -> string -> string -> int
     offset the data landed at. Charges one write syscall and the device
     write. *)
 
+val append_parts :
+  t -> enclave:Treaty_tee.Enclave.t -> string -> string list -> int
+(** [append] of the concatenation of the parts, charged as that one write,
+    without building it: each part is stored as it is. *)
+
 val read : t -> enclave:Treaty_tee.Enclave.t -> string -> off:int -> len:int -> string
 (** Random read. Raises {!No_such_file} if [name] does not exist and
     [Invalid_argument] past EOF. Charges one read syscall and a page-cache

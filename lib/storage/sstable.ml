@@ -25,16 +25,43 @@ let file_name ~file_id = Printf.sprintf "sst-%06d" file_id
 let magic = "TRTYSSTB"
 let footer_version = 2
 
-let encode_block entries =
-  let b = Buffer.create 4096 in
-  Wire.w32 b (List.length entries);
+(* A block's plaintext: [count | (key, seq, op)*] with [Wire]'s framing.
+   It is written straight into the buffer its protected form lives in: a
+   block is a few values, and each copy of one is a fresh major-heap
+   block. *)
+let block_size entries =
+  List.fold_left
+    (fun n (key, _, op) ->
+      n + 4 + String.length key + 8 + 1
+      + match op with Op.Put v -> 4 + String.length v | Op.Delete -> 0)
+    4 entries
+
+let write_block entries b off =
+  let pos = ref off in
+  let w32 v =
+    Bytes.set_int32_le b !pos (Int32.of_int v);
+    pos := !pos + 4
+  in
+  let wstr s =
+    w32 (String.length s);
+    Bytes.blit_string s 0 b !pos (String.length s);
+    pos := !pos + String.length s
+  in
+  w32 (List.length entries);
   List.iter
     (fun (key, seq, op) ->
-      Wire.wstr b key;
-      Wire.w64 b seq;
-      Op.encode b op)
-    entries;
-  Buffer.contents b
+      wstr key;
+      Bytes.set_int64_le b !pos (Int64.of_int seq);
+      pos := !pos + 8;
+      match op with
+      | Op.Put v ->
+          Bytes.set b !pos '\001';
+          incr pos;
+          wstr v
+      | Op.Delete ->
+          Bytes.set b !pos '\000';
+          incr pos)
+    entries
 
 let decode_block data =
   let r = Wire.reader data in
@@ -90,44 +117,35 @@ let decode_footer ~version data =
   | v -> raise (Wire.Malformed (Printf.sprintf "unknown footer version %d" v))
 
 (* Split sorted entries into blocks of roughly [block_bytes] plaintext,
-   never splitting the versions of one user key across blocks. *)
-let partition_blocks ~block_bytes entries =
-  let blocks = ref [] and cur = ref [] and cur_bytes = ref 0 in
+   never splitting the versions of one user key across blocks, and hand
+   each block to [emit] as soon as it is complete: a caller that streams
+   its entries holds one block of them at a time. *)
+let partition_blocks ~block_bytes entries ~emit =
+  let cur = ref [] and cur_bytes = ref 0 in
   let flush_cur () =
     if !cur <> [] then begin
-      blocks := List.rev !cur :: !blocks;
+      emit (List.rev !cur);
       cur := [];
       cur_bytes := 0
     end
   in
-  let rec go = function
-    | [] -> ()
-    | ((key, _, op) as e) :: rest ->
-        let sz = String.length key + 16 + Op.size op in
-        let same_key_as_prev =
-          match !cur with (k, _, _) :: _ -> k = key | [] -> false
-        in
-        if !cur_bytes + sz > block_bytes && !cur <> [] && not same_key_as_prev then
-          flush_cur ();
-        cur := e :: !cur;
-        cur_bytes := !cur_bytes + sz;
-        go rest
-  in
-  go entries;
-  flush_cur ();
-  List.rev !blocks
+  Seq.iter
+    (fun ((key, _, op) as e) ->
+      let sz = String.length key + 16 + Op.size op in
+      let same_key_as_prev =
+        match !cur with (k, _, _) :: _ -> k = key | [] -> false
+      in
+      if !cur_bytes + sz > block_bytes && !cur <> [] && not same_key_as_prev then
+        flush_cur ();
+      cur := e :: !cur;
+      cur_bytes := !cur_bytes + sz)
+    entries;
+  flush_cur ()
 
-(* The filter covers distinct user keys; entries arrive in internal-key
-   order, so distinct keys are adjacent. *)
-let bloom_of_entries entries =
-  let distinct =
-    List.fold_left
-      (fun (n, prev) (k, _, _) -> if Some k = prev then (n, prev) else (n + 1, Some k))
-      (0, None) entries
-    |> fst
-  in
-  let bloom = Bloom.create ~expected:distinct in
-  List.iter (fun (k, _, _) -> Bloom.add bloom k) entries;
+(* The filter covers distinct user keys, given in order. *)
+let bloom_of_keys keys =
+  let bloom = Bloom.create ~expected:(List.length keys) in
+  List.iter (Bloom.add bloom) keys;
   bloom
 
 let account_bloom sec = function
@@ -142,14 +160,23 @@ let release sec h =
   | Some bloom -> Treaty_tee.Enclave.free_enclave (Sec.enclave sec) (Bloom.bytes bloom)
 
 let build ssd sec ~file_id ~block_bytes entries =
-  if entries = [] then invalid_arg "Sstable.build: empty";
   let name = file_name ~file_id in
-  let file = Buffer.create (64 * 1024) in
+  (* The blocks become the file's parts as they are: joining them would
+     copy the whole table once more. *)
+  let blocks = ref [] and data_bytes = ref 0 in
   let index = ref [] in
-  List.iter
-    (fun block_entries ->
-      let plain = encode_block block_entries in
-      let stored = Sec.protect sec plain in
+  (* Entries arrive in internal-key order, so distinct keys are adjacent. *)
+  let keys = ref [] in
+  partition_blocks ~block_bytes entries ~emit:(fun block_entries ->
+      List.iter
+        (fun (k, _, _) ->
+          match !keys with
+          | prev :: _ when String.equal prev k -> ()
+          | _ -> keys := k :: !keys)
+        block_entries;
+      let stored =
+        Sec.protect_with sec ~len:(block_size block_entries) (write_block block_entries)
+      in
       (* TreatySan boundary: SSTable blocks go to the untrusted SSD. *)
       Treaty_crypto.Taint.check ~what:("sstable block write " ^ name) stored;
       let bhash = Sec.digest sec stored in
@@ -161,27 +188,28 @@ let build ssd sec ~file_id ~block_bytes entries =
         {
           first_key;
           last_key;
-          offset = Buffer.length file;
+          offset = !data_bytes;
           length = String.length stored;
           bhash;
         }
         :: !index;
-      Buffer.add_string file stored)
-    (partition_blocks ~block_bytes entries);
+      blocks := stored :: !blocks;
+      data_bytes := !data_bytes + String.length stored);
+  if !index = [] then invalid_arg "Sstable.build: empty";
   let index = Array.of_list (List.rev !index) in
-  let data_bytes = Buffer.length file in
-  let bloom = bloom_of_entries entries in
+  let data_bytes = !data_bytes in
+  let bloom = bloom_of_keys (List.rev !keys) in
   let footer = encode_footer bloom index in
   let footer_digest = Sec.digest sec footer in
-  Buffer.add_string file footer;
   let tail = Buffer.create 16 in
   Wire.w64 tail (String.length footer);
   Buffer.add_string tail magic;
-  Buffer.add_string file (Buffer.contents tail);
   (* A fresh table replaces any stale file of the same id: one left by an
      Add_file edit that never stabilized, which recovery dropped. *)
   Ssd.delete ssd name;
-  ignore (Ssd.append ssd ~enclave:(Sec.enclave sec) name (Buffer.contents file));
+  ignore
+    (Ssd.append_parts ssd ~enclave:(Sec.enclave sec) name
+       (List.rev_append !blocks [ footer; Buffer.contents tail ]));
   account_bloom sec (Some bloom);
   let handle =
     {

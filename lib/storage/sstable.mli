@@ -32,11 +32,13 @@ val build :
   Sec.t ->
   file_id:int ->
   block_bytes:int ->
-  entry list ->
+  entry Seq.t ->
   handle * string
 (** Write a table from sorted entries as one sequential file write,
     replacing any file of the same id; returns the handle and the footer
-    digest for the MANIFEST. The entry list must be non-empty and sorted. *)
+    digest for the MANIFEST. The entries must be non-empty and sorted; they
+    are read once, a block at a time, so a lazy sequence is never
+    materialized whole. *)
 
 val open_ :
   ?version:int -> Ssd.t -> Sec.t -> file_id:int -> footer_digest:string -> handle

@@ -21,7 +21,7 @@ let run_clients cluster ~clients ~duration_ns ?(warmup_ns = 0)
     Sim.spawn sim (fun () ->
         let rng = Treaty_sim.Rng.split (Sim.rng sim) in
         (match Client.connect cluster ~client_id:(first_client_id + i) with
-        | Error (`Auth_failed | `Cas_down) -> ()
+        | Error (`Auth_failed | `Cas_down | `Timeout) -> ()
         | Ok client ->
             while Sim.now sim < deadline do
               let t0 = Sim.now sim in

@@ -256,25 +256,6 @@ let abort_now sim part call =
     (fun () -> (Node.residual_state part).Node.res_part_txs = 0)
     10_000
 
-let abort_overtakes_parked_prepare () =
-  with_participant (fun sim cluster part call ->
-      let prepared () =
-        List.mem (1, 9001) (Treaty_storage.Engine.prepared_txs (Node.engine part))
-      in
-      (* Hold back everything node 2 sends, so its ROTE rounds time out and
-         the prepare stays parked in its stability wait. *)
-      Net.set_adversary (Cluster.net cluster)
-        (Treaty_netsim.Adversary.delay_matching
-           (fun p -> p.Treaty_netsim.Packet.src = Node.node_id part)
-           ~ns:50_000_000);
-      let vote = prepare_async sim call in
-      await sim ~what:"the prepare's stability wait" prepared 10_000;
-      abort_now sim part call;
-      Alcotest.(check bool) "abort resolved the parked prepare" false
-        (prepared ());
-      Net.clear_adversary (Cluster.net cluster);
-      Sim.read sim vote)
-
 let abort_overtakes_prepare_lock_wait () =
   (* OCC takes its write locks at prepare. Another transaction holds the
      first key, so the prepare parks in the lock wait; the abort ends the
@@ -381,8 +362,6 @@ let suite =
     Alcotest.test_case "planted mempool leak is caught" `Quick mempool_leak;
     Alcotest.test_case "balanced mempool stays clean" `Quick mempool_no_false_leak;
     Alcotest.test_case "mempool double free is caught" `Quick mempool_double_free;
-    Alcotest.test_case "abort overtakes a parked prepare" `Quick
-      abort_overtakes_parked_prepare;
     Alcotest.test_case "prepare after its abort is refused" `Quick
       prepare_after_abort;
     Alcotest.test_case "chaos runs sanitizer-clean" `Quick chaos_sanitize_clean;

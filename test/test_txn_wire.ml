@@ -94,8 +94,11 @@ let samples =
       sample "scan reply" [ ("a", "1"); ("b", "2") ] encode_scan_reply
         decode_scan_reply
         "00020000000100000061010000003101000000620100000032";
-      sample "prepare ack" [ ("a", 3) ] encode_prepare_ack decode_prepare_ack
-        "000100000001000000610300000000000000";
+      sample "prepare ack"
+        { incarnation = 2; targets = [ ("W", 9) ]; reads = [ ("a", 3) ] }
+        encode_prepare_ack decode_prepare_ack
+        "0002000000010000000100000057090000000000000001000000010000006103000000\
+         00000000";
       sample "commit ack" 5 encode_commit_ack decode_commit_ack
         "000500000000000000";
       sample "begin reply" 42
@@ -116,7 +119,13 @@ let samples =
       decision_sample "decision abort" (Decided false) "61";
       decision_sample "decision pending" Pending "70";
       decision_sample "decision unknown" Unknown "75";
-      decision_sample "decision recovering" Recovering "72" ]
+      decision_sample "decision recovering" Recovering "72";
+      sample "prepare state prepared" Prepared encode_prepare_state
+        decode_prepare_state "50";
+      sample "prepare state not prepared" Not_prepared encode_prepare_state
+        decode_prepare_state "4e";
+      sample "prepare state ask later" Ask_later encode_prepare_state
+        decode_prepare_state "4c" ]
 
 let pinned_round_trip () =
   List.iter
