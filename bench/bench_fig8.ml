@@ -56,7 +56,7 @@ let measure sys size =
     sys.kind = Transport.Kernel_udp && Transport.fragments cost ~bytes:size > 1
   in
   let rng = Sim.rng sim in
-  Net.register net ~id:2 (fun pkt ->
+  Net.register net ~id:2 ~live:(fun () -> Enclave.live receiver) (fun pkt ->
       Sim.spawn sim (fun () ->
           (* Fragmented datagrams reassemble only if every fragment survives
              the unmoderated receive path: effectively never under load. *)
@@ -74,7 +74,7 @@ let measure sys size =
             end
           end));
   let outstanding_resp = ref 0 in
-  Net.register net ~id:1 (fun _pkt ->
+  Net.register net ~id:1 ~live:(fun () -> Enclave.live sender) (fun _pkt ->
       Sim.spawn sim (fun () ->
           Transport.charge params sender sys.kind ~rpc_layer:true ~dir:`Rx ~bytes:96;
           decr outstanding_resp));

@@ -16,7 +16,6 @@ type t = {
   expected_measurement : string;
   config_blob : string;
   las_keys : (int, string) Hashtbl.t;  (* node id -> LAS signing key *)
-  mutable alive : bool;
 }
 
 let encode_quote (q : Quote.t) =
@@ -42,7 +41,7 @@ let channel_key ~las_key ~nonce =
    does not parse gets the rejected reply (""), never an exception out of
    the CAS fiber. *)
 let handle_attest t payload =
-  if not t.alive then ""
+  if not (Enclave.live t.enclave) then ""
   else
     match
       let r = Wire.reader payload in
@@ -74,7 +73,7 @@ let handle_attest t payload =
             end)
 
 let handle_client_auth t payload =
-  if not t.alive then ""
+  if not (Enclave.live t.enclave) then ""
   else
     match Wire.r64 (Wire.reader payload) with
     | exception Wire.Malformed _ -> ""
@@ -106,7 +105,6 @@ let bootstrap ~rpc ~enclave ~master_secret ~expected_measurement ~config_blob =
         expected_measurement;
         config_blob;
         las_keys = Hashtbl.create 8;
-        alive = true;
       }
     in
     Erpc.register rpc ~kind:kind_attest (fun _meta payload -> handle_attest t payload);
@@ -123,9 +121,7 @@ let master t = t.master
 let node_id t = Erpc.node_id t.rpc
 let register_client t ~client_id = Treaty_crypto.Keys.client_token t.master ~client_id
 
-let shutdown t =
-  t.alive <- false;
-  Erpc.shutdown t.rpc
+let shutdown t = Enclave.halt t.enclave
 
 module Attest = struct
   type provision = { master_secret : string; config_blob : string }

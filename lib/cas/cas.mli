@@ -42,7 +42,8 @@ val register_client : t -> client_id:int -> string
 (** Out-of-band client registration; returns the client's auth token. *)
 
 val shutdown : t -> unit
-(** Kill the CAS (tests: recovery must then fail). *)
+(** Kill the CAS by halting its enclave: its endpoint and both handlers go
+    silent (tests: recovery must then fail). *)
 
 (** Node-side helper: attest to the CAS and receive provisioned secrets. *)
 module Attest : sig

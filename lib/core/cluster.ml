@@ -154,13 +154,20 @@ let pipeline_summary t =
     (v "counter.failed_waits") (v "rpc.burst_msgs") (v "rpc.bursts_sent")
     (ratio (v "rpc.burst_msgs") (v "rpc.bursts_sent"))
 
+let next_incarnation t ~endpoint =
+  let i = Option.value (Hashtbl.find_opt t.incarnations endpoint) ~default:0 in
+  Hashtbl.replace t.incarnations endpoint (i + 1);
+  i
+
 (* A minimal plain endpoint used only during attestation, before the node
-   has any cluster secrets. Its network registration is replaced when the
-   real node endpoint comes up. *)
+   has any cluster secrets: an incarnation of its own under the node's wire
+   id, halted once the handshake is over. *)
 let bootstrap_rpc t ~node_id =
   let enclave =
-    Enclave.create t.sim ~mode:t.config.profile.tee ~cost:t.config.cost ~cores:2
-      ~node_id ~code_identity
+    Enclave.create
+      ~incarnation:(next_incarnation t ~endpoint:node_id)
+      t.sim ~mode:t.config.profile.tee ~cost:t.config.cost ~cores:2 ~node_id
+      ~code_identity
   in
   let pool = Mempool.create enclave in
   let config = Erpc.default_config ~security:Secure_msg.Plain in
@@ -178,13 +185,8 @@ let attest_node t ~node_id =
         las
   in
   let result = Cas.Attest.run ~rpc ~enclave ~las ~cas_node:cas_id in
-  Erpc.shutdown rpc;
+  Enclave.halt enclave;
   result
-
-let next_incarnation t ~endpoint =
-  let i = Option.value (Hashtbl.find_opt t.incarnations endpoint) ~default:0 in
-  Hashtbl.replace t.incarnations endpoint (i + 1);
-  i
 
 (* Every call builds a new incarnation of the node, counted whether or not
    the build then succeeds: a failed recovery may already have sealed. *)
@@ -250,8 +252,10 @@ let create sim config ?route () =
   in
   (* CAS bootstrap: its own enclave and endpoint, attested over IAS. *)
   let cas_enclave =
-    Enclave.create sim ~mode:config.profile.tee ~cost:config.cost ~cores:2
-      ~node_id:cas_id ~code_identity:"treaty-cas-v1"
+    Enclave.create
+      ~incarnation:(next_incarnation t ~endpoint:cas_id)
+      sim ~mode:config.profile.tee ~cost:config.cost ~cores:2 ~node_id:cas_id
+      ~code_identity:"treaty-cas-v1"
   in
   let cas_pool = Mempool.create cas_enclave in
   let cas_rpc =

@@ -42,11 +42,13 @@ val cas_id : int
 
 val next_incarnation : t -> endpoint:int -> int
 (** The incarnation for a new enclave at wire id [endpoint]: 0 the first
-    time, then one more per call. {!Node.deps} and [Client.connect] take
-    theirs from here, so a restarted node or a reconnected client never
-    reuses an IV under the keys that outlive it
-    ({!Treaty_crypto.Aead.Iv_gen}). Counted in the cluster, not drawn from
-    the simulator's RNG. *)
+    time, then one more per call. Every enclave the cluster builds takes
+    its number from here: {!Node.deps}, [Client.connect], each bootstrap
+    attestation endpoint and the CAS. So a restarted node or a reconnected
+    client never reuses an IV under the keys that outlive it
+    ({!Treaty_crypto.Aead.Iv_gen}), and endpoints that share a wire id never
+    share a non-transactional RPC identity ({!Treaty_rpc.Erpc.call}).
+    Counted in the cluster, not drawn from the simulator's RNG. *)
 
 val client_token : t -> client_id:int -> (string, [ `Cas_down ]) result
 (** Obtain a client auth token from the CAS (models the out-of-band client

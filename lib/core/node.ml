@@ -80,7 +80,6 @@ type t = {
       (* Transactions recovery found with a trusted Begin_2pc and no
          trusted decision, until it has decided them. *)
   clients : (int, unit) Hashtbl.t;
-  mutable alive : bool;
   mutable recovering : bool;
   stats : stats;
 }
@@ -575,7 +574,8 @@ let handle_client_scan t _meta payload =
 let rec await_trusted t ?span counter =
   match Engine.clog_wait_stable t.engine ?span ~counter () with
   | Ok () -> true
-  | Error `Stability_timeout -> t.alive && await_trusted t ?span counter
+  | Error `Stability_timeout ->
+      Enclave.live t.enclave && await_trusted t ?span counter
 
 (* The commit point (DESIGN §7): one ROTE round makes the Begin_2pc at
    [counter] trusted — and with it, by the prefix property, the local
@@ -986,9 +986,9 @@ let resolve_in_doubt t ~coord ~tx_seq =
 let start_sweeper t =
   let cfg = t.deps.config in
   Sim.spawn t.deps.sim (fun () ->
-      while t.alive do
+      while Enclave.live t.enclave do
         Sim.sleep t.deps.sim cfg.sweep_interval_ns;
-        if t.alive then begin
+        if Enclave.live t.enclave then begin
           Erpc.expire_dedup t.rpc;
           let now = Sim.now t.deps.sim in
           let prepared = Engine.prepared_txs t.engine in
@@ -1014,7 +1014,7 @@ let start_sweeper t =
           List.iter
             (fun (coord, tx_seq) ->
               Sim.spawn t.deps.sim (fun () ->
-                  if t.alive then resolve_in_doubt t ~coord ~tx_seq))
+                  if Enclave.live t.enclave then resolve_in_doubt t ~coord ~tx_seq))
             (in_doubt @ orphaned);
           (* Coordinator contexts abandoned by their client (crashed client,
              lost rollback, begin whose ack never arrived) hold locks and a
@@ -1034,7 +1034,7 @@ let start_sweeper t =
             (fun ctx ->
               Sim.spawn t.deps.sim (fun () ->
                   if
-                    t.alive && (not ctx.ct_committing)
+                    Enclave.live t.enclave && (not ctx.ct_committing)
                     && Hashtbl.mem t.coord_txs ctx.ct_seq
                   then abort_tx t ctx ~reason:"abandoned"))
             abandoned
@@ -1138,7 +1138,6 @@ let assemble deps ~ssd (enclave, pool, rpc, sec, locks, rote, counter_client, io
       decisions = Hashtbl.create 256;
       undecided = Hashtbl.create 8;
       clients = Hashtbl.create 16;
-      alive = true;
       recovering = false;
       stats = fresh_stats ();
     }
@@ -1204,7 +1203,7 @@ let rec decide_undecided t ~tx_seq ~participants =
       send_decision t ~tx_seq ~participants ~commit
     end
   in
-  if t.alive then
+  if Enclave.live t.enclave then
     if List.for_all (( = ) Txn_wire.Prepared) answers then decide true
     else if List.mem Txn_wire.Not_prepared answers then decide false
     else begin
@@ -1297,14 +1296,11 @@ let recover_with deps ~ssd =
       Ok t
 
 let crash t =
-  t.alive <- false;
-  Erpc.shutdown t.rpc;
+  Enclave.halt t.enclave;
   (* Fibers of this incarnation can still be running (a commit's superseding
      abort, say, once its stability retries run out); none of their writes
      may land after the next incarnation has replayed the logs. *)
   Ssd.detach t.io;
   t.ssd
 
-let stop t =
-  t.alive <- false;
-  Erpc.shutdown t.rpc
+let stop t = Enclave.halt t.enclave

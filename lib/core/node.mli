@@ -40,10 +40,11 @@ type deps = {
   master : Treaty_crypto.Keys.master;  (** Provisioned by the CAS. *)
   history : Serializability.t option;
   incarnation : int;
-      (** How many times this node id was built before: 0 at cluster
-          creation, one more per restart attempt
-          ({!Cluster.next_incarnation}). Its enclave, endpoint and storage
-          draw IVs from this incarnation's range only. *)
+      (** The enclave incarnation this build runs as
+          ({!Cluster.next_incarnation}): every restart attempt, and every
+          bootstrap attestation endpoint before it, takes the next one under
+          the node's wire id. Its enclave, endpoint and storage draw IVs
+          from this incarnation's range only. *)
 }
 
 val create : deps -> t
@@ -95,10 +96,13 @@ val residual_total : residual -> int
 val residual_to_string : residual -> string
 
 val crash : t -> Treaty_storage.Ssd.t
-(** Kill the node: volatile state is gone, the endpoint unregisters, the SSD
-    survives and is returned for a later {!recover_with}. The incarnation's
-    own handle onto the SSD is fenced ({!Treaty_storage.Ssd.detach}): its
-    fibers that still run write nothing more to the device. *)
+(** Kill the node: its enclave halts ({!Treaty_tee.Enclave.halt}), so its
+    endpoint drops every packet and its background loops end; volatile
+    state is gone. The SSD survives and is returned for a later
+    {!recover_with}. The incarnation's own handle onto the SSD is fenced
+    ({!Treaty_storage.Ssd.detach}): its fibers that still run write nothing
+    more to the device. *)
 
 val stop : t -> unit
-(** Graceful stop for simulation teardown (no recovery intended). *)
+(** Graceful stop for simulation teardown (no recovery intended): halt the
+    enclave, leave the disk handle attached. *)

@@ -31,13 +31,6 @@ val check : t -> verdict
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-val dump_tx : t -> Types.txid -> string
-(** Human-readable reads/writes of a recorded transaction (debugging). *)
-
-val dump_key : t -> string -> string
-(** Every recorded read/write of one (namespaced) key, in commit-record
-    order — the first thing to look at when {!check} reports a cycle. *)
-
 val dump_cycle : t -> Types.txid list -> string
 (** The cycle's transactions plus the full per-key history of every key they
     touched. *)

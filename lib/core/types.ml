@@ -1,8 +1,6 @@
 type node_id = int
 type txid = { coord : node_id; seq : int }
 
-let txid_to_pair { coord; seq } = (coord, seq)
-let txid_of_pair (coord, seq) = { coord; seq }
 let pp_txid ppf { coord; seq } = Format.fprintf ppf "tx(%d,%d)" coord seq
 
 type isolation = Pessimistic | Optimistic

@@ -6,8 +6,6 @@ type txid = { coord : node_id; seq : int }
 (** Global transaction handle: "uniquely identified by a monotonically
     [increasing] sequence number and the node id" (§V-A). *)
 
-val txid_to_pair : txid -> int * int
-val txid_of_pair : int * int -> txid
 val pp_txid : Format.formatter -> txid -> unit
 
 type isolation = Pessimistic | Optimistic

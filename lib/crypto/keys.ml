@@ -7,8 +7,6 @@ let network_key m = Aead.key_of_string (derive m "network")
 let storage_key m ~node_id =
   Aead.key_of_string (derive m (Printf.sprintf "storage:%d" node_id))
 
-let log_mac_key m ~node_id ~log = derive m (Printf.sprintf "log:%d:%s" node_id log)
-
 let sealing_key m ~node_id =
   Aead.key_of_string (derive m (Printf.sprintf "seal:%d" node_id))
 

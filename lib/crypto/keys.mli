@@ -18,9 +18,6 @@ val network_key : master -> Aead.key
 val storage_key : master -> node_id:int -> Aead.key
 (** Per-node AEAD key for SSTable blocks and log payloads. *)
 
-val log_mac_key : master -> node_id:int -> log:string -> string
-(** Per-node, per-log HMAC key for authenticated log chains. *)
-
 val sealing_key : master -> node_id:int -> Aead.key
 (** Per-node sealing key (counter-state sealing, §VI). *)
 

@@ -19,8 +19,6 @@ let disable () =
   enabled := false;
   clear ()
 
-let is_enabled () = !enabled
-
 (* Strings shorter than 4 bytes may be physically shared literals; tracking
    them would risk false positives without catching any real leak (every
    sealed payload is a framed message or value well above that). *)

@@ -15,7 +15,6 @@
 
 val enable : unit -> unit
 val disable : unit -> unit
-val is_enabled : unit -> bool
 
 val register : string -> unit
 (** Remember a plaintext buffer (called by {!Aead.seal}). *)

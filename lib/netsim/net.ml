@@ -8,7 +8,8 @@ type endpoint_config = {
 
 type endpoint = {
   config : endpoint_config;
-  mutable handler : (Packet.t -> unit) option;
+  mutable handler : Packet.t -> unit;
+  mutable live : unit -> bool;  (** the owner's liveness, read at delivery *)
   mutable nic_free_at : int;  (** FIFO NIC serialization horizon. *)
 }
 
@@ -78,7 +79,7 @@ let create sim cost =
 let endpoint t id =
   if id >= 0 && id < Array.length t.endpoints then t.endpoints.(id) else None
 
-let register t ~id ?config handler =
+let register t ~id ?config ~live handler =
   let config = Option.value config ~default:(fabric_config t.cost) in
   if id >= Array.length t.endpoints then begin
     let n = ref (2 * Array.length t.endpoints) in
@@ -90,17 +91,10 @@ let register t ~id ?config handler =
     t.endpoints <- eps
   end;
   match t.endpoints.(id) with
-  | Some ep -> ep.handler <- Some handler
-  | None ->
-      t.endpoints.(id) <- Some { config; handler = Some handler; nic_free_at = 0 }
-
-let unregister t ~id =
-  match endpoint t id with Some ep -> ep.handler <- None | None -> ()
-
-let unregister_if t ~id handler =
-  match endpoint t id with
-  | Some ({ handler = Some h; _ } as ep) when h == handler -> ep.handler <- None
-  | Some _ | None -> ()
+  | Some ep ->
+      ep.handler <- handler;
+      ep.live <- live
+  | None -> t.endpoints.(id) <- Some { config; handler; live; nic_free_at = 0 }
 
 let push_capture t pkt =
   t.capture_buf.(t.capture_n mod t.capture_limit) <- pkt;
@@ -108,11 +102,10 @@ let push_capture t pkt =
 
 let deliver_one t pkt =
   match endpoint t pkt.Packet.dst with
-  | Some { handler = Some h; _ } ->
+  | Some ep when ep.live () ->
       if t.capture_limit > 0 then push_capture t pkt;
-      h pkt
-  | Some { handler = None; _ } | None ->
-      t.stats.dropped <- t.stats.dropped + 1
+      ep.handler pkt
+  | Some _ | None -> t.stats.dropped <- t.stats.dropped + 1
 
 (* Fire a delivery batch. Between packets we drain the fiber run queue,
    exactly as the simulator main loop does between two same-tick events —

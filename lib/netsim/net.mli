@@ -6,9 +6,9 @@
     at its line rate (FIFO), and delivery adds propagation delay. An
     {!Adversary.t} may interpose on every packet.
 
-    Delivery is a callback into the destination's RPC layer; packets to
-    unregistered (crashed) endpoints are dropped, which is how node failure
-    manifests to peers. *)
+    Delivery is a callback into the destination's RPC layer; packets to an
+    endpoint whose owner is no longer live (a crashed node) are dropped,
+    which is how node failure manifests to peers. *)
 
 type t
 
@@ -34,19 +34,19 @@ type stats = {
 val create : Treaty_sim.Sim.t -> Treaty_sim.Costmodel.t -> t
 
 val register :
-  t -> id:int -> ?config:endpoint_config -> (Packet.t -> unit) -> unit
-(** Attach an endpoint. [config] defaults to the fabric NIC. Re-registering
-    an id replaces the handler (node restart). *)
-
-val unregister : t -> id:int -> unit
-(** Detach (crash) an endpoint: in-flight packets to it are dropped on
-    arrival. *)
-
-val unregister_if : t -> id:int -> (Packet.t -> unit) -> unit
-(** {!unregister} only if the endpoint still holds this very handler
-    (physical equality): an endpoint whose id was registered again since —
-    a restarted node sharing a wire id with a finished bootstrap
-    endpoint — keeps its handler. *)
+  t ->
+  id:int ->
+  ?config:endpoint_config ->
+  live:(unit -> bool) ->
+  (Packet.t -> unit) ->
+  unit
+(** Attach an endpoint together with its owner's liveness
+    ({!Treaty_tee.Enclave.live}). [config] defaults to the fabric NIC. A
+    packet is handed to the handler only while [live ()] holds when it
+    arrives; otherwise it is dropped and counted in [stats.dropped].
+    Re-registering an id replaces both (node restart), so an older owner
+    that halts later never silences the newer one. Nothing unregisters:
+    an owner's halt is its endpoint's end. *)
 
 val send : t -> src:int -> dst:int -> ?wire_overhead:int -> string -> unit
 (** Transmit a payload. Charges NIC serialization at the slower of the two

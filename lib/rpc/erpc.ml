@@ -42,11 +42,6 @@ type stats = {
 
 type dedup_entry = Running of string Sim.ivar | Done of string
 
-(* Endpoint incarnation counter: non-transactional calls from a restarted
-   endpoint must not collide with its previous life's identities in peers'
-   at-most-once caches. Deterministic (creation order is deterministic). *)
-let next_epoch = ref 0
-
 type t = {
   sim : Sim.t;
   net : Net.t;
@@ -54,7 +49,6 @@ type t = {
   pool : Mempool.t;
   config : config;
   node_id : int;
-  iv_gen : Treaty_crypto.Aead.Iv_gen.t;
   handlers : (int, Secure_msg.meta -> string -> string) Hashtbl.t;
   pending : (int, (string, error) result Sim.ivar) Hashtbl.t;
   dedup : (int * int * int, dedup_entry) Hashtbl.t;
@@ -66,16 +60,11 @@ type t = {
          TTL instead. Each such identity is one call, so its key is enough:
          no [dedup_by_tx] entry. *)
   mutable next_req_id : int;
-  epoch : int;
   mutable next_tx_seq : int;
-  mutable alive : bool;
   outq : (int, (Secure_msg.meta * string) list ref) Hashtbl.t;
       (* dst -> plaintext messages (newest first) awaiting the doorbell;
          sealing happens at flush, once per packet. *)
   mutable doorbell_active : bool;
-  mutable on_packet : Treaty_netsim.Packet.t -> unit;
-      (* The handler this endpoint registered, so [shutdown] clears its own
-         registration and never a later endpoint's under the same id. *)
   stats : stats;
 }
 
@@ -101,8 +90,8 @@ let encode_packet t msgs =
       if t.config.rdtsc_ocalls then Enclave.world_switch t.enclave;
       crypto_charge t ~bytes:size;
       let n =
-        Secure_msg.Burst.encode_into t.config.security ~iv_gen:t.iv_gen
-          buf.Mempool.bytes msgs
+        Secure_msg.Burst.encode_into t.config.security
+          ~iv_gen:(Enclave.iv_gen t.enclave) buf.Mempool.bytes msgs
       in
       Bytes.sub_string buf.Mempool.bytes 0 n)
 
@@ -131,7 +120,7 @@ let flush_burst t ~dst msgs =
       Trace.end_span bspan
 
 let flush_all t =
-  if not t.alive then Hashtbl.reset t.outq
+  if not (Enclave.live t.enclave) then Hashtbl.reset t.outq
   else begin
     let dsts = Hashtbl.fold (fun dst _ acc -> dst :: acc) t.outq [] in
     List.iter
@@ -145,7 +134,7 @@ let flush_all t =
   end
 
 let send_wire t ~dst meta data =
-  if t.alive then begin
+  if Enclave.live t.enclave then begin
     let q =
       match Hashtbl.find_opt t.outq dst with
       | Some q -> q
@@ -214,10 +203,12 @@ let dedup_size t = Hashtbl.length t.dedup
 let handle_request t (meta : Secure_msg.meta) data =
   expire_dedup t;
   let key = Secure_msg.at_most_once_key meta in
-  (* A crashed/stopped endpoint must not answer — not even from its response
-     cache: only the [alive] check at reply time covers handlers and cache
-     reads that blocked across the crash. *)
-  let reply payload = if t.alive then send_response t ~dst:meta.src meta payload in
+  (* A halted enclave's endpoint must not answer — not even from its
+     response cache: only the liveness check at reply time covers handlers
+     and cache reads that blocked across the crash. *)
+  let reply payload =
+    if Enclave.live t.enclave then send_response t ~dst:meta.src meta payload
+  in
   match Hashtbl.find_opt t.dedup key with
   | Some (Done payload) ->
       (* Replayed/duplicated request: answer from the cache, never
@@ -290,7 +281,7 @@ let rx_malformed t (pkt : Treaty_netsim.Packet.t) =
 let on_packet t (pkt : Treaty_netsim.Packet.t) =
   (* Runs as a network-delivery event; spawn a fiber so handlers can block. *)
   Sim.spawn t.sim (fun () ->
-      if t.alive then begin
+      if Enclave.live t.enclave then begin
         if t.config.rdtsc_ocalls then Enclave.world_switch t.enclave;
         if
           String.length pkt.payload = 0
@@ -313,7 +304,7 @@ let on_packet t (pkt : Treaty_netsim.Packet.t) =
               List.iter
                 (fun (meta, data) ->
                   Sim.spawn t.sim (fun () ->
-                      if t.alive then dispatch_decoded t meta data))
+                      if Enclave.live t.enclave then dispatch_decoded t meta data))
                 msgs
       end)
 
@@ -326,21 +317,15 @@ let create sim ~net ~enclave ~pool ~config ~node_id ?net_config () =
       pool;
       config;
       node_id;
-      iv_gen =
-        Treaty_crypto.Aead.Iv_gen.create
-          ~incarnation:(Treaty_tee.Enclave.incarnation enclave) ~node_id;
       handlers = Hashtbl.create 16;
       pending = Hashtbl.create 64;
       dedup = Hashtbl.create 256;
       dedup_by_tx = Hashtbl.create 64;
       dedup_expiry = Queue.create ();
       next_req_id = 0;
-      epoch = (incr next_epoch; !next_epoch);
       next_tx_seq = 0;
-      alive = true;
       outq = Hashtbl.create 8;
       doorbell_active = false;
-      on_packet = ignore;
       stats =
         {
           requests_sent = 0;
@@ -353,8 +338,9 @@ let create sim ~net ~enclave ~pool ~config ~node_id ?net_config () =
         };
     }
   in
-  t.on_packet <- on_packet t;
-  Net.register net ~id:node_id ?config:net_config t.on_packet;
+  Net.register net ~id:node_id ?config:net_config
+    ~live:(fun () -> Enclave.live enclave)
+    (on_packet t);
   t
 
 let node_id t = t.node_id
@@ -371,10 +357,11 @@ let call t ~dst ~kind ?coord ?tx_seq ?op_id ?timeout_ns ?span payload =
     match tx_seq with
     | Some s -> s
     | None ->
-        (* Non-transactional call: fresh identity, unique across endpoint
-           incarnations, so peer dedup caches never serve a stale reply. *)
+        (* Non-transactional call: fresh identity, unique across the
+           enclave incarnations under this wire id, so peer dedup caches
+           never serve a stale reply. *)
         t.next_tx_seq <- t.next_tx_seq + 1;
-        -((t.epoch * 1_000_000) + t.next_tx_seq)
+        -((Enclave.incarnation t.enclave * 1_000_000) + t.next_tx_seq)
   in
   let op_id = Option.value op_id ~default:req_id in
   let meta =
@@ -391,9 +378,9 @@ let call t ~dst ~kind ?coord ?tx_seq ?op_id ?timeout_ns ?span payload =
   t.stats.requests_sent <- t.stats.requests_sent + 1;
   let cspan =
     if Trace.enabled () then begin
-      (* tx_seq stays out of the args: non-transactional identities embed
-         the process-global endpoint epoch, which differs between two
-         in-process runs of the same seed. *)
+      (* tx_seq stays out of the args: a non-transactional one is an
+         incarnation-derived number that tells a reader nothing, and the
+         ctx registration below links the remote handler's span. *)
       let s =
         Trace.begin_span ?parent:span ~node:t.node_id ~cat:"rpc" "rpc.call"
           ~args:[ ("kind", Trace.Int kind); ("dst", Trace.Int dst) ]
@@ -422,7 +409,4 @@ let call t ~dst ~kind ?coord ?tx_seq ?op_id ?timeout_ns ?span payload =
       t.stats.timeouts <- t.stats.timeouts + 1;
       finish "timeout" (Error `Timeout)
 
-let shutdown t =
-  t.alive <- false;
-  Hashtbl.reset t.outq;
-  Net.unregister_if t.net ~id:t.node_id t.on_packet
+let shutdown t = Enclave.halt t.enclave

@@ -70,9 +70,13 @@ val create :
   t
 (** Create and register the endpoint on the network. Incoming packets are
     processed on freshly spawned fibers (one per request — the paper's
-    fiber-per-client model under a closed-loop workload). Bursts draw IVs
-    from [enclave]'s incarnation ({!Treaty_tee.Enclave.incarnation}), so a
-    rebuilt endpoint never repeats an IV under the network key. *)
+    fiber-per-client model under a closed-loop workload). [enclave] is the
+    endpoint's incarnation: while {!Treaty_tee.Enclave.live} holds it
+    sends, replies and dispatches, and the network delivers to it; once the
+    enclave halts it does none of these, whatever fiber asks. Bursts draw
+    IVs from [enclave]'s generator ({!Treaty_tee.Enclave.iv_gen}), keyed by
+    its incarnation, so a rebuilt endpoint never repeats an IV under the
+    network key. *)
 
 val node_id : t -> int
 val stats : t -> stats
@@ -95,9 +99,11 @@ val call :
   (string, error) result
 (** Issue a request and block the current fiber until the response arrives
     or the timeout fires. The id triple defaults to a fresh, non-transactional
-    identity; 2PC passes the real (coord, tx, op). When tracing, [span]
-    parents an [rpc.call] span whose id is registered under the triple so
-    the remote handler links to it ({!Treaty_obs.Trace.ctx_resolve}). *)
+    identity built from the enclave's incarnation number, so no two
+    incarnations under one wire id share one; 2PC passes the real
+    (coord, tx, op). When tracing, [span] parents an [rpc.call] span whose
+    id is registered under the triple so the remote handler links to it
+    ({!Treaty_obs.Trace.ctx_resolve}). *)
 
 val forget_tx : t -> coord:int -> tx_seq:int -> unit
 (** Drop the at-most-once response cache for a finished transaction. *)
@@ -113,4 +119,5 @@ val dedup_size : t -> int
     zero — the leak-freedom invariant the chaos harness checks. *)
 
 val shutdown : t -> unit
-(** Crash/stop: unregister from the network and stop serving. *)
+(** Crash/stop: halt the endpoint's enclave ({!Treaty_tee.Enclave.halt}).
+    Messages still queued for a burst are discarded. *)

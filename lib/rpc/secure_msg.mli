@@ -29,9 +29,6 @@ type meta = {
   req_id : int;  (** RPC-level id matching a response to its request. *)
 }
 
-val meta_size : int
-(** 80 bytes, as in the paper. *)
-
 val at_most_once_key : meta -> int * int * int
 (** The (coord, tx, op) triple that must never execute twice. *)
 

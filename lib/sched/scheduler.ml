@@ -69,7 +69,6 @@ type profiler = {
 
 type t = {
   runq : Fring.t;
-  mutable live : int;
   mutable next_fiber : int;
   mutable watchdog : watchdog option;
   mutable profiler : profiler option;
@@ -89,7 +88,6 @@ type _ Effect.t +=
 let create () =
   {
     runq = Fring.create ();
-    live = 0;
     next_fiber = 0;
     watchdog = None;
     profiler = None;
@@ -199,8 +197,8 @@ let watchdog_scan t =
 let handler t ~id ~label =
   let open Effect.Deep in
   {
-    retc = (fun () -> t.live <- t.live - 1; track_finish t id label);
-    exnc = (fun e -> t.live <- t.live - 1; track_finish t id label; raise e);
+    retc = (fun () -> track_finish t id label);
+    exnc = (fun e -> track_finish t id label; raise e);
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
@@ -219,7 +217,6 @@ let handler t ~id ~label =
   }
 
 let spawn ?(label = "") t f =
-  t.live <- t.live + 1;
   t.next_fiber <- t.next_fiber + 1;
   let id = t.next_fiber in
   track_spawn t id label;
@@ -232,8 +229,6 @@ let run_pending t =
   while not (Fring.is_empty t.runq) do
     (Fring.pop t.runq) ()
   done
-
-let live_fibers t = t.live
 
 module Ivar = struct
   type 'a state = Empty of ('a -> unit) list | Full of 'a

@@ -66,10 +66,6 @@ val run_pending : t -> unit
 (** Run fibers until the run queue is empty. Used by the simulator's main
     loop between event firings. *)
 
-val live_fibers : t -> int
-(** Number of fibers that have been spawned and not yet terminated
-    (running, runnable or suspended). *)
-
 (** Write-once synchronization cell, the primitive for futures/continuations
     in the RPC layer. *)
 module Ivar : sig

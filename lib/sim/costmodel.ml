@@ -69,5 +69,3 @@ let crypto_cost t ~bytes =
 let hash_cost t ~bytes =
   t.hash_fixed_ns + int_of_float (t.hash_per_byte_ns *. float_of_int bytes)
 
-let transmission_ns t ~bytes =
-  int_of_float (float_of_int bytes /. t.net_bandwidth_bytes_per_ns)

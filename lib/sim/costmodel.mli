@@ -70,6 +70,3 @@ val crypto_cost : t -> bytes:int -> int
 
 val hash_cost : t -> bytes:int -> int
 (** Simulated cost of one hash/MAC over [bytes] bytes. *)
-
-val transmission_ns : t -> bytes:int -> int
-(** Wire time for [bytes] at fabric line rate. *)

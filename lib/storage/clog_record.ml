@@ -42,7 +42,12 @@ let rec decode_one r =
   | 4 -> Batch (Wire.rlist r decode_one)
   | n -> raise (Wire.Malformed (Printf.sprintf "bad clog record tag %d" n))
 
-let decode payload = decode_one (Wire.reader payload)
+let decode payload =
+  let r = Wire.reader payload in
+  match decode_one r with
+  | record when Wire.at_end r -> Ok record
+  | _ -> Error "trailing bytes after a clog record"
+  | exception Wire.Malformed m -> Error m
 
 let rec flatten record =
   match record with

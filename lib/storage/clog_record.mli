@@ -16,7 +16,9 @@ type record =
           and one counter value (§VII-B applied to the Clog). *)
 
 val encode : record -> string
-val decode : string -> record
+val decode : string -> (record, string) result
+(** Total: truncated, corrupt or over-long input is an [Error] naming the
+    fault, never an exception. *)
 
 val flatten : record -> record list
 (** Expand nested [Batch]es into the flat record sequence, in append order.

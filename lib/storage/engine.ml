@@ -923,9 +923,6 @@ let compact_now t =
     Sim.sleep t.sim 50_000
   done
 
-let level_files t l = Array.length t.levels.(l)
-let memtable_handle t = t.memtable
-
 let cache_usage t =
   Option.map (fun c -> (Block_cache.used_bytes c, Block_cache.capacity_bytes c)) t.cache
 
@@ -1174,7 +1171,14 @@ let recover ?node ssd sec cfg stability ~trusted =
                         wal_dropped := !wal_dropped + dropped;
                         List.iter
                           (fun (_, payload) ->
-                            replay_wal_record (Wal_record.decode payload))
+                            if !wal_error = None then
+                              match Wal_record.decode payload with
+                              | Ok record -> replay_wal_record record
+                              | Error m ->
+                                  wal_error :=
+                                    Some
+                                      (Printf.sprintf "%s: %s"
+                                         (Manifest.wal_name wal_id) m))
                           entries
                   end)
                 version.Manifest.live_wals;
@@ -1192,24 +1196,28 @@ let recover ?node ssd sec cfg stability ~trusted =
                      tx-seq recovery. *)
                   t.last_alloc_seq <- t.last_alloc_seq + 1_000_000;
                   t.visible_seq <- t.last_alloc_seq;
-                  (* Replay the Clog (coordinator 2PC state). *)
-                  match replay_log t.clog with
-                  | Error e ->
-                      fail "CLOG: %s" (Format.asprintf "%a" Log_auth.pp_replay_error e)
-                  | Ok (clog_entries, clog_dropped) ->
-                      let clog_records =
-                        List.concat_map
-                          (fun (c, payload) ->
-                            if c <= version.Manifest.clog_trim then []
-                            else
-                              (* A group-committed window shares one counter:
-                                 every record it carries replays with the
-                                 batch's counter value. *)
-                              List.map
-                                (fun r -> (c, r))
-                                (Clog_record.flatten (Clog_record.decode payload)))
-                          clog_entries
-                      in
+                  (* Replay the Clog (coordinator 2PC state). A
+                     group-committed window shares one counter: every record
+                     it carries replays with the batch's counter value. *)
+                  let rec decode_clog acc = function
+                    | [] -> Ok (List.concat (List.rev acc))
+                    | (c, _) :: rest when c <= version.Manifest.clog_trim ->
+                        decode_clog acc rest
+                    | (c, payload) :: rest ->
+                        Result.bind (Clog_record.decode payload) (fun record ->
+                            decode_clog
+                              (List.map (fun r -> (c, r)) (Clog_record.flatten record)
+                              :: acc)
+                              rest)
+                  in
+                  match
+                    match replay_log t.clog with
+                    | Error e -> Error (Format.asprintf "%a" Log_auth.pp_replay_error e)
+                    | Ok (entries, dropped) ->
+                        Result.map (fun records -> (records, dropped)) (decode_clog [] entries)
+                  with
+                  | Error m -> fail "CLOG: %s" m
+                  | Ok (clog_records, clog_dropped) ->
                       (* Consolidate through the running engine's own
                          steps: flush the replayed state to L0, open a fresh
                          WAL, re-log the surviving prepares into it and

@@ -255,12 +255,6 @@ val compact_now : t -> unit
 val compaction_idle : t -> bool
 (** No queued work and no compactor fiber running. *)
 
-val level_files : t -> int -> int
-(** Number of SSTables on a level (tests/benches). *)
-
 val cache_usage : t -> (int * int) option
 (** (used_bytes, capacity_bytes) of the verified block cache, [None] when
     disabled. *)
-
-val memtable_handle : t -> Memtable.t
-(** The live MemTable — exposed for the host-memory tampering tests. *)

@@ -7,7 +7,6 @@ type t = {
   enclave : Enclave.t;
   auth : bool;
   enc : Aead.key option;
-  iv_gen : Aead.Iv_gen.t;
   mac_root : Treaty_crypto.Hmac.t;
 }
 
@@ -17,7 +16,6 @@ let create ~enclave ~auth ~enc () =
     enclave;
     auth;
     enc;
-    iv_gen = Aead.Iv_gen.create ~incarnation:(Enclave.incarnation enclave) ~node_id:node;
     mac_root =
       Treaty_crypto.Hmac.create
         (Treaty_crypto.Sha256.digest_string (Printf.sprintf "log-mac-root:%d" node));
@@ -32,7 +30,7 @@ let protect t data =
   | None -> data
   | Some key ->
       Enclave.charge_crypto t.enclave ~bytes:(String.length data);
-      Aead.seal_packed key ~iv:(Aead.Iv_gen.next t.iv_gen) data
+      Aead.seal_packed key ~iv:(Aead.Iv_gen.next (Enclave.iv_gen t.enclave)) data
 
 let protect_with t ~len write =
   match t.enc with
@@ -42,7 +40,7 @@ let protect_with t ~len write =
       Bytes.unsafe_to_string b
   | Some key ->
       Enclave.charge_crypto t.enclave ~bytes:len;
-      Aead.seal_packed_with key ~iv:(Aead.Iv_gen.next t.iv_gen) ~len write
+      Aead.seal_packed_with key ~iv:(Aead.Iv_gen.next (Enclave.iv_gen t.enclave)) ~len write
 
 let unprotect t data =
   match t.enc with

@@ -15,7 +15,6 @@ type handle = {
   name : string;
   index : block_meta array;
   bloom : Bloom.t option;  (* None for format-v1 files: always "maybe" *)
-  version : int;
   hmin_key : string;
   hmax_key : string;
   data_bytes : int;
@@ -217,7 +216,6 @@ let build ssd sec ~file_id ~block_bytes entries =
       name;
       index;
       bloom = Some bloom;
-      version = footer_version;
       hmin_key = index.(0).first_key;
       hmax_key = index.(Array.length index - 1).last_key;
       data_bytes;
@@ -251,7 +249,6 @@ let open_ ?(version = footer_version) ssd sec ~file_id ~footer_digest =
     name;
     index;
     bloom;
-    version;
     hmin_key = index.(0).first_key;
     hmax_key = index.(Array.length index - 1).last_key;
     data_bytes = total - 16 - footer_len;
@@ -262,7 +259,6 @@ let min_key h = h.hmin_key
 let max_key h = h.hmax_key
 let data_bytes h = h.data_bytes
 let block_count h = Array.length h.index
-let format_version h = h.version
 
 let overlaps h ~min ~max = not (h.hmax_key < min || h.hmin_key > max)
 

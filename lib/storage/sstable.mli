@@ -57,7 +57,6 @@ val min_key : handle -> string
 val max_key : handle -> string
 val data_bytes : handle -> int
 val block_count : handle -> int
-val format_version : handle -> int
 
 val overlaps : handle -> min:string -> max:string -> bool
 

@@ -46,8 +46,7 @@ let encode record =
       | None -> Wire.w8 b 0));
   Buffer.contents b
 
-let decode payload =
-  let r = Wire.reader payload in
+let read r =
   match Wire.r8 r with
   | 1 ->
       Commit_batch
@@ -65,3 +64,10 @@ let decode payload =
       let outcome = if Wire.r8 r = 1 then Some (Wire.r64 r) else None in
       Resolve ((coord, tx), outcome)
   | n -> raise (Wire.Malformed (Printf.sprintf "bad wal record tag %d" n))
+
+let decode payload =
+  let r = Wire.reader payload in
+  match read r with
+  | record when Wire.at_end r -> Ok record
+  | _ -> Error "trailing bytes after a wal record"
+  | exception Wire.Malformed m -> Error m

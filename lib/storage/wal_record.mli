@@ -18,4 +18,6 @@ type record =
       (** [Some commit_seq] = commit at that version; [None] = abort. *)
 
 val encode : record -> string
-val decode : string -> record
+val decode : string -> (record, string) result
+(** Total: truncated, corrupt or over-long input is an [Error] naming the
+    fault, never an exception. *)

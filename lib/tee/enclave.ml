@@ -3,8 +3,6 @@ module Costmodel = Treaty_sim.Costmodel
 
 type mode = Native | Scone
 
-let mode_to_string = function Native -> "native" | Scone -> "scone"
-
 type stats = {
   mutable syscalls : int;
   mutable transitions : int;
@@ -19,6 +17,7 @@ type t = {
   cost : Costmodel.t;
   node_id : int;
   incarnation : int;
+  mutable live : bool;
   cpu : Sim.Resource.resource;
   measurement : string;
   seal_key : Treaty_crypto.Aead.key;
@@ -36,6 +35,7 @@ let create ?(incarnation = 0) sim ~mode ~cost ~cores ~node_id ~code_identity =
     cost;
     node_id;
     incarnation;
+    live = true;
     cpu = Sim.Resource.create sim ~capacity:cores (Printf.sprintf "cpu%d" node_id);
     measurement = Treaty_crypto.Sha256.digest_string code_identity;
     seal_key =
@@ -49,6 +49,9 @@ let create ?(incarnation = 0) sim ~mode ~cost ~cores ~node_id ~code_identity =
 
 let sim t = t.sim
 let incarnation t = t.incarnation
+let iv_gen t = t.iv_gen
+let live t = t.live
+let halt t = t.live <- false
 let mode t = t.mode
 let cost t = t.cost
 let node_id t = t.node_id

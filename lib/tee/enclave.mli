@@ -14,8 +14,6 @@
 
 type mode = Native | Scone
 
-val mode_to_string : mode -> string
-
 type stats = {
   mutable syscalls : int;
   mutable transitions : int;
@@ -37,13 +35,31 @@ val create :
   node_id:int ->
   code_identity:string ->
   t
-(** [incarnation] (default 0) numbers this enclave among every enclave
-    built for [node_id]: a restarted node or a reconnected client gets the
-    next one. It picks the IV range of every key the enclave's endpoint
-    seals with ({!Treaty_crypto.Aead.Iv_gen}), so IVs stay unique across
-    restarts under keys that outlive the enclave. *)
+(** An enclave is one incarnation of its node: it is built live and stays
+    so until {!halt}, and a restarted node, a reconnected client or another
+    bootstrap endpoint under [node_id] is a new enclave. [incarnation]
+    (default 0) numbers it among every enclave built for [node_id]
+    ([Cluster.next_incarnation]). The number picks the IV range of every
+    key the enclave's endpoint seals with ({!Treaty_crypto.Aead.Iv_gen}),
+    so IVs stay unique across restarts under keys that outlive the
+    enclave, and it keeps the endpoint's non-transactional RPC identities
+    apart from every other incarnation's. *)
 
 val incarnation : t -> int
+
+val iv_gen : t -> Treaty_crypto.Aead.Iv_gen.t
+(** The incarnation's IV generator, keyed by its number and [node_id]: every
+    key the incarnation seals with (sealing, network, storage) draws its IVs
+    from it. *)
+
+val live : t -> bool
+(** The incarnation's one liveness bit. Every local fence reads it: the
+    endpoint's sends, replies and dispatch, its network delivery, the node's
+    background loops and the CAS handlers. A halted enclave never acts as
+    its node again; fibers it left running see [false] and stop. *)
+
+val halt : t -> unit
+(** Crash or stop this incarnation (irreversible). *)
 
 val sim : t -> Treaty_sim.Sim.t
 val mode : t -> mode

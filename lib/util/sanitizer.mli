@@ -33,7 +33,6 @@ type kind =
 type event = { kind : kind; detail : string }
 
 val kind_to_string : kind -> string
-val is_violation : kind -> bool
 
 val reset : unit -> unit
 (** Clear all recorded events and counters (start of a sanitized run). *)

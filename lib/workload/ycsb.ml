@@ -19,9 +19,6 @@ let default =
     distribution = `Uniform;
   }
 
-let read_heavy = { default with read_fraction = 0.8 }
-let write_heavy = { default with read_fraction = 0.2 }
-
 type op = Read of string | Update of string * string
 
 let key_of_index i = Printf.sprintf "user%08d" i

@@ -16,12 +16,6 @@ type config = {
 val default : config
 (** 50%R, 10 ops/tx, 1000 B, 10 k keys, uniform. *)
 
-(** 80%R. *)
-val read_heavy : config
-
-(** 20%R. *)
-val write_heavy : config
-
 type op = Read of string | Update of string * string
 
 val key_of_index : int -> string

@@ -963,6 +963,34 @@ let overlapping_restarts_keep_the_node_reachable () =
       | Error e -> Alcotest.failf "commit on the node: %s" (Types.abort_reason_to_string e));
       Client.disconnect c)
 
+(* Each attestation runs on a bootstrap endpoint under the node's wire id,
+   and the CAS keeps its replies in an at-most-once cache for its dedup
+   TTL. A restart inside that TTL attests on a new endpoint: its call must
+   not carry the previous endpoint's non-transactional identity, or the
+   CAS answers from the cache with the provision sealed for the previous
+   handshake's nonce, and the restart is rejected. *)
+let restart_inside_dedup_ttl_attests_afresh () =
+  with_cluster ~route:explicit_route (fun sim cluster ->
+      let ttl =
+        (Treaty_rpc.Erpc.default_config ~security:Treaty_rpc.Secure_msg.Plain)
+          .dedup_ttl_ns
+      in
+      for round = 1 to 2 do
+        Cluster.crash_node cluster 0;
+        match Cluster.restart_node cluster 0 with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "restart %d: %s" round m
+      done;
+      Alcotest.(check bool) "every attestation ran inside the CAS's TTL" true
+        (Sim.now sim < ttl);
+      let c = Client.connect_exn cluster ~client_id:1 in
+      (match
+         Client.with_txn c ~coord:1 (fun txn -> put_all c txn [ ("node1:up", "1") ])
+       with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "commit on the node: %s" (Types.abort_reason_to_string e));
+      Client.disconnect c)
+
 (* --- the commit point (DESIGN §7) ----------------------------------------- *)
 
 let clog_of cluster i =
@@ -1142,6 +1170,8 @@ let suite =
       failed_commit_point_abort_is_stabilized;
     Alcotest.test_case "overlapping restarts keep the node reachable" `Quick
       overlapping_restarts_keep_the_node_reachable;
+    Alcotest.test_case "a restart inside the dedup TTL attests afresh" `Quick
+      restart_inside_dedup_ttl_attests_afresh;
     Alcotest.test_case "participant crash before the commit point aborts" `Quick
       participant_crash_before_commit_point;
     Alcotest.test_case "coordinator crash after the ack commits" `Quick

@@ -315,7 +315,7 @@ let wiped_owner_recovers_from_group () =
       ignore (Rote.increment (snd g.(0)) ~owner:1 ~log:"WAL" ~value:42);
       (* Node 1 loses its replica state and comes back on a new endpoint. *)
       Erpc.shutdown (fst g.(0));
-      let _, fresh = mk_replica sim net ~members:[ 1; 2; 3; 4; 5 ] 1 in
+      let _, fresh = mk_replica ~incarnation:1 sim net ~members:[ 1; 2; 3; 4; 5 ] 1 in
       Alcotest.(check int) "wiped" 0 (Rote.local_value fresh ~owner:1 ~log:"WAL");
       match Rote.query fresh ~owner:1 ~log:"WAL" with
       | Ok 42 -> ()
@@ -472,7 +472,7 @@ let restarted_owner_reuses_unconfirmed_values () =
         (Rote.local_value r2 ~owner:1 ~log:"WAL");
       Erpc.shutdown rpc1;
       Net.clear_adversary net;
-      let _, fresh = mk_replica sim net ~members:[ 1; 2; 3 ] 1 in
+      let _, fresh = mk_replica ~incarnation:1 sim net ~members:[ 1; 2; 3 ] 1 in
       (match Rote.query fresh ~owner:1 ~log:"WAL" with
       | Ok 0 -> ()
       | Ok v -> Alcotest.failf "group trusted %d" v

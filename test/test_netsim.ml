@@ -6,6 +6,8 @@ module Net = Treaty_netsim.Net
 module Packet = Treaty_netsim.Packet
 module Adversary = Treaty_netsim.Adversary
 
+let always () = true
+
 let with_net f =
   let sim = Sim.create () in
   let net = Net.create sim Treaty_sim.Costmodel.default in
@@ -14,8 +16,8 @@ let with_net f =
 let basic_delivery () =
   with_net (fun sim net ->
       let received = ref [] in
-      Net.register net ~id:1 (fun _ -> ());
-      Net.register net ~id:2 (fun pkt -> received := (Sim.now sim, pkt.Packet.payload) :: !received);
+      Net.register net ~id:1 ~live:always (fun _ -> ());
+      Net.register net ~id:2 ~live:always (fun pkt -> received := (Sim.now sim, pkt.Packet.payload) :: !received);
       Net.send net ~src:1 ~dst:2 "hello";
       Sim.sleep sim 1_000_000;
       match !received with
@@ -29,8 +31,8 @@ let nic_serialization () =
       (* Two back-to-back big packets from one NIC serialize: the second
          arrives later by at least one transmission time. *)
       let times = ref [] in
-      Net.register net ~id:1 (fun _ -> ());
-      Net.register net ~id:2 (fun _ -> times := Sim.now sim :: !times);
+      Net.register net ~id:1 ~live:always (fun _ -> ());
+      Net.register net ~id:2 ~live:always (fun _ -> times := Sim.now sim :: !times);
       let big = String.make 100_000 'x' in
       Net.send net ~src:1 ~dst:2 big;
       Net.send net ~src:1 ~dst:2 big;
@@ -41,27 +43,59 @@ let nic_serialization () =
           Alcotest.(check bool) "fifo serialization" true (t2 - t1 >= tx_time)
       | _ -> Alcotest.fail "expected two deliveries")
 
+(* An owner's liveness: [halt] is its crash. *)
+let owner () =
+  let live = ref true in
+  ((fun () -> !live), fun () -> live := false)
+
 let crashed_endpoint_drops () =
   with_net (fun sim net ->
       let got = ref 0 in
-      Net.register net ~id:1 (fun _ -> ());
-      Net.register net ~id:2 (fun _ -> incr got);
-      Net.unregister net ~id:2;
+      Net.register net ~id:1 ~live:always (fun _ -> ());
+      let live, halt = owner () in
+      Net.register net ~id:2 ~live (fun _ -> incr got);
+      halt ();
       Net.send net ~src:1 ~dst:2 "lost";
       Sim.sleep sim 1_000_000;
       Alcotest.(check int) "no delivery to crashed node" 0 !got;
       Alcotest.(check int) "counted as dropped" 1 (Net.stats net).dropped;
-      (* Restart: registration replaces the handler. *)
-      Net.register net ~id:2 (fun _ -> incr got);
+      (* Restart: a new owner's registration replaces the handler. *)
+      let live, _ = owner () in
+      Net.register net ~id:2 ~live (fun _ -> incr got);
       Net.send net ~src:1 ~dst:2 "back";
       Sim.sleep sim 1_000_000;
       Alcotest.(check int) "delivery after re-register" 1 !got)
 
+(* Two owners share wire id 2, the newer registered while the older still
+   runs (a bootstrap endpoint and the node it attested). The older one
+   halting afterwards must not silence the newer, and the newer one's halt
+   drops what arrives after it, even in flight. *)
+let stale_owner_halt_keeps_newer () =
+  with_net (fun sim net ->
+      let old_got = ref 0 and new_got = ref 0 in
+      Net.register net ~id:1 ~live:always (fun _ -> ());
+      let old_live, old_halt = owner () in
+      Net.register net ~id:2 ~live:old_live (fun _ -> incr old_got);
+      let new_live, new_halt = owner () in
+      Net.register net ~id:2 ~live:new_live (fun _ -> incr new_got);
+      old_halt ();
+      Net.send net ~src:1 ~dst:2 "to the newer owner";
+      Sim.sleep sim 1_000_000;
+      Alcotest.(check (pair int int)) "the newer owner got it" (0, 1)
+        (!old_got, !new_got);
+      Alcotest.(check int) "nothing dropped" 0 (Net.stats net).dropped;
+      Net.send net ~src:1 ~dst:2 "in flight";
+      new_halt ();
+      Sim.sleep sim 1_000_000;
+      Alcotest.(check (pair int int)) "a halted owner gets nothing" (0, 1)
+        (!old_got, !new_got);
+      Alcotest.(check int) "counted as dropped" 1 (Net.stats net).dropped)
+
 let adversary_actions () =
   with_net (fun sim net ->
       let payloads = ref [] in
-      Net.register net ~id:1 (fun _ -> ());
-      Net.register net ~id:2 (fun pkt -> payloads := pkt.Packet.payload :: !payloads);
+      Net.register net ~id:1 ~live:always (fun _ -> ());
+      Net.register net ~id:2 ~live:always (fun pkt -> payloads := pkt.Packet.payload :: !payloads);
       (* Drop. *)
       Net.set_adversary net (Adversary.drop_matching (fun _ -> true));
       Net.send net ~src:1 ~dst:2 "dropped";
@@ -99,8 +133,8 @@ let adversary_actions () =
 let capture_and_replay () =
   with_net (fun sim net ->
       let count = ref 0 in
-      Net.register net ~id:1 (fun _ -> ());
-      Net.register net ~id:2 (fun _ -> incr count);
+      Net.register net ~id:1 ~live:always (fun _ -> ());
+      Net.register net ~id:2 ~live:always (fun _ -> incr count);
       Net.capture net ~limit:10;
       Net.send net ~src:1 ~dst:2 "original";
       Sim.sleep sim 1_000_000;
@@ -116,8 +150,8 @@ let capture_ring_wraps () =
          overwrites the oldest in place instead of rebuilding a list per
          delivery. Send more than [limit] and check both the window and
          the oldest-first order. *)
-      Net.register net ~id:1 (fun _ -> ());
-      Net.register net ~id:2 (fun _ -> ());
+      Net.register net ~id:1 ~live:always (fun _ -> ());
+      Net.register net ~id:2 ~live:always (fun _ -> ());
       Net.capture net ~limit:4;
       for i = 1 to 7 do
         Net.send net ~src:1 ~dst:2 (Printf.sprintf "p%d" i);
@@ -137,9 +171,9 @@ let same_tick_batch_order () =
          simulated instant — the batch is a throughput optimization, not a
          reordering. *)
       let arrivals = ref [] in
-      Net.register net ~id:1 (fun _ -> ());
-      Net.register net ~id:2 (fun _ -> ());
-      Net.register net ~id:3 (fun pkt ->
+      Net.register net ~id:1 ~live:always (fun _ -> ());
+      Net.register net ~id:2 ~live:always (fun _ -> ());
+      Net.register net ~id:3 ~live:always (fun pkt ->
           arrivals := (Sim.now sim, pkt.Packet.payload) :: !arrivals);
       (* same payload size + same NIC configs => same arrival tick *)
       Net.send net ~src:1 ~dst:3 "a";
@@ -160,9 +194,9 @@ let client_vs_fabric_nic () =
   with_net (fun sim net ->
       (* A client-NIC endpoint sees much higher latency than fabric peers. *)
       let fabric_t = ref 0 and client_t = ref 0 in
-      Net.register net ~id:1 (fun _ -> ());
-      Net.register net ~id:2 (fun _ -> fabric_t := Sim.now sim);
-      Net.register net ~id:1001 ~config:Net.client_config (fun _ -> client_t := Sim.now sim);
+      Net.register net ~id:1 ~live:always (fun _ -> ());
+      Net.register net ~id:2 ~live:always (fun _ -> fabric_t := Sim.now sim);
+      Net.register net ~id:1001 ~live:always ~config:Net.client_config (fun _ -> client_t := Sim.now sim);
       Net.send net ~src:1 ~dst:2 "f";
       let t0 = Sim.now sim in
       Sim.sleep sim 1_000_000;
@@ -177,6 +211,8 @@ let suite =
     Alcotest.test_case "basic delivery" `Quick basic_delivery;
     Alcotest.test_case "nic serialization" `Quick nic_serialization;
     Alcotest.test_case "crashed endpoint drops" `Quick crashed_endpoint_drops;
+    Alcotest.test_case "stale owner's halt keeps a newer registration" `Quick
+      stale_owner_halt_keeps_newer;
     Alcotest.test_case "adversary actions" `Quick adversary_actions;
     Alcotest.test_case "capture and replay" `Quick capture_and_replay;
     Alcotest.test_case "capture ring wraps" `Quick capture_ring_wraps;

@@ -106,8 +106,8 @@ let plaintext_to_transport () =
   let sim = Sim.create () in
   Sim.run sim (fun () ->
       let net = Net.create sim Treaty_sim.Costmodel.default in
-      Net.register net ~id:1 (fun _ -> ());
-      Net.register net ~id:2 (fun _ -> ());
+      Net.register net ~id:1 ~live:(fun () -> true) (fun _ -> ());
+      Net.register net ~id:2 ~live:(fun () -> true) (fun _ -> ());
       Taint.enable ();
       let key = Aead.key_of_string "test-key" in
       let iv = String.make Aead.iv_size '\000' in

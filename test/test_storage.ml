@@ -424,7 +424,7 @@ let codec_roundtrips () =
   in
   List.iter
     (fun r ->
-      Alcotest.(check bool) "wal codec" true (Wal_record.decode (Wal_record.encode r) = r))
+      Alcotest.(check bool) "wal codec" true (Wal_record.decode (Wal_record.encode r) = Ok r))
     wal_records;
   let clog_records =
     [
@@ -443,7 +443,7 @@ let codec_roundtrips () =
   List.iter
     (fun r ->
       Alcotest.(check bool) "clog codec" true
-        (Clog_record.decode (Clog_record.encode r) = r))
+        (Clog_record.decode (Clog_record.encode r) = Ok r))
     clog_records;
   let edits =
     [

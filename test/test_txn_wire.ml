@@ -1,6 +1,6 @@
 (* The transaction protocol's wire format (Txn_wire): pinned bytes for every
    request and reply, round trips, and a seeded mutation sweep proving every
-   decoder total. *)
+   decoder total — the WAL and Clog record decoders included. *)
 
 open Treaty_core
 module Rng = Treaty_sim.Rng
@@ -161,41 +161,98 @@ let truncated_ok_reply () =
   Alcotest.(check bool) "unknown status code" true
     (Txn_wire.decode_op_reply "\009" = Error Malformed)
 
-(* Seeded mutation sweep over every decoder: each truncation prefix, a
-   random non-zero XOR at every offset, and random trailing junk. A decoder
-   may answer [Ok] or a typed failure; it must never raise. *)
+(* Feed [decode] every truncation prefix of [valid], a random non-zero XOR
+   at every offset, and random trailing junk. [decode] classifies each
+   input: [true] for a typed failure, [false] for a value; it must never
+   raise. A truncation or junk that decodes to a value is counted in
+   [accepted]: the caller says how many it tolerates. *)
+let sweep rng ~name ~valid decode =
+  let n = String.length valid and runs = ref 0 and accepted = ref [] in
+  let run ~strict what input =
+    incr runs;
+    match decode input with
+    | true -> ()
+    | false -> if strict then accepted := what :: !accepted
+    | exception e ->
+        Alcotest.failf "%s, %s (%s): raised %s" name what (hex input)
+          (Printexc.to_string e)
+  in
+  for len = 0 to n - 1 do
+    run ~strict:true (Printf.sprintf "truncated to %d" len) (String.sub valid 0 len)
+  done;
+  for off = 0 to n - 1 do
+    for _ = 1 to 4 do
+      let b = Bytes.of_string valid in
+      let x = 1 + Rng.int rng 255 in
+      Bytes.set b off (Char.chr (Char.code valid.[off] lxor x));
+      run ~strict:false (Printf.sprintf "byte %d xor %d" off x) (Bytes.to_string b)
+    done
+  done;
+  for extra = 1 to 8 do
+    run ~strict:true
+      (Printf.sprintf "%d junk bytes" extra)
+      (valid ^ Bytes.to_string (Rng.bytes rng extra))
+  done;
+  (!runs, List.rev !accepted)
+
+(* Seeded mutation sweep over every decoder. A decoder may answer [Ok] or a
+   typed failure; it must never raise. *)
 let mutation_sweep () =
   let rng = Rng.create 0x7478_6e77L in
   let total = ref 0 in
   List.iter
     (fun (Sample s) ->
-      let valid = s.encode s.value in
-      let n = String.length valid in
-      let run what input =
-        incr total;
-        match s.decode input with
-        | Ok _ | Error (Txn_wire.Refused _ | Aborted _ | Malformed) -> ()
-        | exception e ->
-            Alcotest.failf "%s, %s (%s): raised %s" s.name what (hex input)
-              (Printexc.to_string e)
+      let runs, _ =
+        sweep rng ~name:s.name ~valid:(s.encode s.value) (fun input ->
+            match s.decode input with
+            | Ok _ -> false
+            | Error (Txn_wire.Refused _ | Aborted _ | Malformed) -> true)
       in
-      for len = 0 to n - 1 do
-        run (Printf.sprintf "truncated to %d" len) (String.sub valid 0 len)
-      done;
-      for off = 0 to n - 1 do
-        for _ = 1 to 4 do
-          let b = Bytes.of_string valid in
-          let x = 1 + Rng.int rng 255 in
-          Bytes.set b off (Char.chr (Char.code valid.[off] lxor x));
-          run (Printf.sprintf "byte %d xor %d" off x) (Bytes.to_string b)
-        done
-      done;
-      for extra = 1 to 8 do
-        run
-          (Printf.sprintf "%d junk bytes" extra)
-          (valid ^ Bytes.to_string (Rng.bytes rng extra))
-      done)
+      total := !total + runs)
     samples;
+  Alcotest.(check bool) "the sweep ran" true (!total > 1000)
+
+(* The same sweep over the two logs recovery replays. Their payloads are
+   MAC-checked before they are decoded, but the decoders are total anyway:
+   a truncated record or one with junk after it is a typed error, and no
+   mutation raises. *)
+let log_record_sweep () =
+  let module Op = Treaty_storage.Op in
+  let module Wal = Treaty_storage.Wal_record in
+  let module Clog = Treaty_storage.Clog_record in
+  let rng = Rng.create 0x6c6f_6773L in
+  let total = ref 0 in
+  let check name valid decode =
+    let runs, accepted = sweep rng ~name ~valid decode in
+    total := !total + runs;
+    Alcotest.(check (list string)) (name ^ ": truncations and junk rejected") []
+      accepted
+  in
+  List.iteri
+    (fun i r ->
+      check (Printf.sprintf "wal record %d" i) (Wal.encode r) (fun input ->
+          Result.is_error (Wal.decode input)))
+    [
+      Wal.Commit_batch [ (5, [ ("a", Op.Put "x"); ("b", Op.Delete) ]); (6, []) ];
+      Wal.Prepare ((2, 77), [ ("k", Op.Put "v") ]);
+      Wal.Resolve ((2, 77), Some 9);
+      Wal.Resolve ((3, 1), None);
+    ];
+  List.iteri
+    (fun i r ->
+      check (Printf.sprintf "clog record %d" i) (Clog.encode r) (fun input ->
+          Result.is_error (Clog.decode input)))
+    [
+      Clog.Begin_2pc { tx_seq = 4; participants = [ 1; 2; 3 ] };
+      Clog.Decision { tx_seq = 4; commit = true };
+      Clog.Finished { tx_seq = 4 };
+      Clog.Batch
+        [
+          Clog.Begin_2pc { tx_seq = 6; participants = [ 2 ] };
+          Clog.Decision { tx_seq = 6; commit = false };
+          Clog.Batch [ Clog.Finished { tx_seq = 6 } ];
+        ];
+    ];
   Alcotest.(check bool) "the sweep ran" true (!total > 1000)
 
 let suite =
@@ -205,4 +262,6 @@ let suite =
     Alcotest.test_case "truncated ok reply is a typed error" `Quick
       truncated_ok_reply;
     Alcotest.test_case "seeded mutation sweep: every decoder total" `Quick
-      mutation_sweep ]
+      mutation_sweep;
+    Alcotest.test_case "seeded mutation sweep: WAL and Clog records" `Quick
+      log_record_sweep ]
