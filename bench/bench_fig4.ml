@@ -158,7 +158,6 @@ let run () =
                        e with
                        Treaty_storage.Engine.in_memory = true;
                        group_commit = false;
-                       wait_commit_stable = false;
                      })));
         (label, Option.get !r))
       profiles

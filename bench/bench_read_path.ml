@@ -37,7 +37,6 @@ let engine_cfg =
     Engine.memtable_max_bytes = 64 * 1024;
     file_bytes = 32 * 1024;
     level_base_bytes = 128 * 1024;
-    wait_commit_stable = false;
     block_cache_bytes = 2 * 1024 * 1024;
   }
 
@@ -56,7 +55,7 @@ let run_one () =
           ()
       in
       let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
-      let eng = Engine.create ssd sec engine_cfg Engine.noop_stability in
+      let eng = Engine.create ssd sec engine_cfg None in
       let n = n_keys () in
       for i = 0 to n - 1 do
         ignore

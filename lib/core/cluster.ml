@@ -18,6 +18,11 @@ module Metrics = Treaty_obs.Metrics
 let cas_id = 900
 let code_identity = "treaty-node-v1"
 
+(* TreatySan's fiber-starvation threshold (simulated time). It sits above
+   the longest legitimate wait in a run: chaos crash-restart retry loops
+   park fibers for seconds. *)
+let sanitize_fiber_stall_ns = 10_000_000_000
+
 type slot = Live of Node.t | Crashed of Treaty_storage.Ssd.t
 
 type t = {
@@ -223,7 +228,7 @@ let create sim config ?route () =
   end;
   if config.Config.profile.sanitize then begin
     Sim.enable_fiber_watchdog sim
-      ~threshold_ns:config.Config.sanitize_fiber_stall_ns
+      ~threshold_ns:sanitize_fiber_stall_ns
       ~report:(fun detail ->
         Treaty_util.Sanitizer.record Treaty_util.Sanitizer.Fiber_stall detail);
     (* Plaintext taint only means something when sealing actually happens;

@@ -72,12 +72,9 @@ type t = {
   nodes : int;
   cores_per_node : int;
   isolation : Types.isolation;
-  lock_shards : int;
-  lock_timeout_ns : int;
   engine : Treaty_storage.Engine.config;
   cost : Treaty_sim.Costmodel.t;
   transport : Treaty_rpc.Transport.kind;
-  transport_params : Treaty_rpc.Transport.params;
   rpc_timeout_ns : int;
   client_op_timeout_ns : int;
   decision_query_timeout_ns : int;
@@ -86,7 +83,6 @@ type t = {
   part_stale_abort_ns : int;
   coord_tx_abandon_ns : int;
   dedup_ttl_ns : int;
-  sanitize_fiber_stall_ns : int;
   record_history : bool;
   naive_rpc_port : bool;
   seed : int64;
@@ -98,12 +94,9 @@ let default =
     nodes = 3;
     cores_per_node = 8;
     isolation = Types.Pessimistic;
-    lock_shards = 256;
-    lock_timeout_ns = 40_000_000;
     engine = Treaty_storage.Engine.default_config;
     cost = Treaty_sim.Costmodel.default;
     transport = Treaty_rpc.Transport.Dpdk;
-    transport_params = Treaty_rpc.Transport.default_params;
     rpc_timeout_ns = 120_000_000;
     client_op_timeout_ns = 400_000_000;
     decision_query_timeout_ns = 20_000_000;
@@ -112,7 +105,6 @@ let default =
     part_stale_abort_ns = 1_000_000_000;
     coord_tx_abandon_ns = 3_000_000_000;
     dedup_ttl_ns = 2_000_000_000;
-    sanitize_fiber_stall_ns = 10_000_000_000;
     record_history = false;
     naive_rpc_port = false;
     seed = 0xC0FFEEL;
@@ -123,9 +115,5 @@ let with_profile t profile =
     t with
     profile;
     engine =
-      {
-        t.engine with
-        Treaty_storage.Engine.wait_commit_stable = profile.stabilization;
-        block_cache_bytes = profile.block_cache_bytes;
-      };
+      { t.engine with Treaty_storage.Engine.block_cache_bytes = profile.block_cache_bytes };
   }

@@ -57,12 +57,9 @@ type t = {
   nodes : int;
   cores_per_node : int;
   isolation : Types.isolation;
-  lock_shards : int;  (** "TREATY runs with a big number of shards" (§V-B). *)
-  lock_timeout_ns : int;
   engine : Treaty_storage.Engine.config;
   cost : Treaty_sim.Costmodel.t;
   transport : Treaty_rpc.Transport.kind;
-  transport_params : Treaty_rpc.Transport.params;
   rpc_timeout_ns : int;
   client_op_timeout_ns : int;
   decision_query_timeout_ns : int;
@@ -81,10 +78,6 @@ type t = {
   dedup_ttl_ns : int;
       (** TTL for non-transactional at-most-once cache entries (see
           {!Treaty_rpc.Erpc.config}). *)
-  sanitize_fiber_stall_ns : int;
-      (** Watchdog threshold for the TreatySan fiber-starvation detector
-          (simulated time). Must sit above the longest legitimate wait in a
-          run — chaos crash-restart retry loops park fibers for seconds. *)
   record_history : bool;  (** Feed the serializability checker. *)
   naive_rpc_port : bool;
       (** Ablation: the unmodified eRPC-in-SCONE port — message buffers in
@@ -94,5 +87,6 @@ type t = {
 
 val default : t
 val with_profile : t -> security_profile -> t
-(** Applies the profile, including the engine knobs it implies
-    (stabilization gating, commit-stability waits). *)
+(** Applies the profile, including the engine knob it implies (the block
+    cache budget). Whether the engine stabilizes, and so whether a commit
+    waits for a trusted counter, is the profile's [stabilization] alone. *)

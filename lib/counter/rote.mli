@@ -87,7 +87,8 @@ val increment :
   replica -> owner:int -> log:string -> value:int -> (unit, [ `No_quorum ]) result
 (** Run the echo-broadcast to make [value] the trusted value of
     [(owner, log)], as a one-entry {!increment_batch} stamped with this
-    replica's enclave incarnation. Values must be submitted in increasing order; a larger
+    replica's enclave incarnation; another [owner] must have noted the
+    value as its vote ({!note_vote}). Values must be submitted in increasing order; a larger
     value subsumes smaller ones. Blocks the calling fiber for the protocol
     rounds (~1 ms); fails if a quorum of the group is unreachable. Each
     round returns once [f+1] replies are positive, self included, so a
@@ -95,7 +96,6 @@ val increment :
     background. *)
 
 val increment_batch :
-  ?voted:bool ->
   replica ->
   entries:(unit -> entry list) ->
   (entry * [ `Trusted | `No_quorum ]) list
@@ -117,11 +117,11 @@ val increment_batch :
     there. The result lists every entry read, in order; it is empty if
     [entries ()] is.
 
-    This replica confirms another owner's entry itself only once the
+    Every other owner's entry is a vote its owner has noted
+    ({!note_vote}): the first phase sends that owner nothing and counts its
+    echo. This replica confirms another owner's entry itself only once the
     rest of a quorum has, so a round that fails for that owner does not
-    commit its value here. [voted] (default false): every other owner's
-    entry is a vote its owner has noted ({!note_vote}), so the first
-    phase sends it nothing and counts its echo. *)
+    commit its value here. *)
 
 val note_vote : replica -> (string * int) list -> unit
 (** [note_vote t targets]: this node has voted with [targets] of its own

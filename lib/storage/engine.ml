@@ -10,15 +10,6 @@ type stability = {
     span:Trace.span -> log:string -> counter:int -> (unit, [ `Stability_timeout ]) result;
 }
 
-exception Stability_timeout
-
-let noop_stability =
-  {
-    submit = (fun ~span:_ ~log:_ ~counter:_ -> ());
-    note = (fun ~log:_ ~counter:_ -> ());
-    wait_stable = (fun ~span:_ ~log:_ ~counter:_ -> Ok ());
-  }
-
 type config = {
   memtable_max_bytes : int;
   block_bytes : int;
@@ -26,9 +17,7 @@ type config = {
   l0_trigger : int;
   level_base_bytes : int;
   group_commit : bool;
-  group_window_ns : int;
   values_in_enclave : bool;
-  wait_commit_stable : bool;
   in_memory : bool;
   block_cache_bytes : int;
 }
@@ -41,9 +30,7 @@ let default_config =
     l0_trigger = 4;
     level_base_bytes = 16 * 1024 * 1024;
     group_commit = true;
-    group_window_ns = 15_000;
     values_in_enclave = false;
-    wait_commit_stable = true;
     in_memory = false;
     block_cache_bytes = 8 * 1024 * 1024;
   }
@@ -73,6 +60,7 @@ type recovery_info = {
 }
 
 let n_levels = 8
+let group_window_ns = 15_000
 let manifest_log = "MANIFEST"
 let clog_log = "CLOG"
 
@@ -94,7 +82,7 @@ type t = {
   sec : Sec.t;
   config : config;
   trace_node : int;  (* Chrome pid lane for this engine's spans *)
-  stability : stability;
+  stability : stability option;  (* [None]: no stabilization, nothing to wait for *)
   manifest : Log_auth.t;
   clog : Log_auth.t;
   mutable wal : Log_auth.t;
@@ -181,11 +169,19 @@ let fresh_stats () =
     get_retries = 0;
   }
 
+let submit t ~span ~log ~counter =
+  Option.iter (fun s -> s.submit ~span ~log ~counter) t.stability
+
+let note t ~log ~counter = Option.iter (fun s -> s.note ~log ~counter) t.stability
+
+let wait_stable t ~span ~log ~counter =
+  match t.stability with None -> Ok () | Some s -> s.wait_stable ~span ~log ~counter
+
 let manifest_append t edit =
   if t.config.in_memory then ephemeral_counter t manifest_log
   else begin
     let c = Log_auth.append t.manifest (Manifest.encode edit) in
-    t.stability.submit ~span:Trace.none ~log:manifest_log ~counter:c;
+    submit t ~span:Trace.none ~log:manifest_log ~counter:c;
     c
   end
 
@@ -201,16 +197,16 @@ let wal_log t record ~stabilize =
 (* A caller will wait for this entry to be stable: start its counter round
    now and let it overlap the memtable apply. *)
 let wal_append t ?(span = Trace.none) record =
-  wal_log t record ~stabilize:(t.stability.submit ~span)
+  wal_log t record ~stabilize:(submit t ~span)
 
 (* Nobody waits for this entry: its counter rides the next round. *)
-let wal_note t record = ignore (wal_log t record ~stabilize:t.stability.note)
+let wal_note t record = ignore (wal_log t record ~stabilize:(note t))
 
 (* --- construction --------------------------------------------------- *)
 
 let mk_group t =
   Group_commit.create t.sim ~name:"wal" ~node:t.trace_node
-    ~window_ns:t.config.group_window_ns
+    ~window_ns:group_window_ns
     ~flush:(fun fspan items ->
       (* Sequence, persist and apply the whole group atomically with respect
          to other WAL writers. *)
@@ -244,7 +240,7 @@ let mk_group t =
    and Finished appended before it. *)
 let mk_clog_group t =
   Group_commit.create t.sim ~name:"clog" ~node:t.trace_node
-    ~window_ns:t.config.group_window_ns
+    ~window_ns:group_window_ns
     ~flush:(fun _fspan records ->
       let payload =
         match records with
@@ -252,7 +248,7 @@ let mk_clog_group t =
         | records -> Clog_record.encode (Clog_record.Batch records)
       in
       let c = Log_auth.append t.clog payload in
-      t.stability.note ~log:clog_log ~counter:c;
+      note t ~log:clog_log ~counter:c;
       c)
     ()
 
@@ -748,8 +744,7 @@ let compact t l =
     let names = List.map (fun lf -> Sstable.file_name ~file_id:lf.meta.Manifest.file_id) inputs in
     Sim.spawn t.sim (fun () ->
         match
-          t.stability.wait_stable ~span:Trace.none ~log:manifest_log
-            ~counter:last_edit
+          wait_stable t ~span:Trace.none ~log:manifest_log ~counter:last_edit
         with
         | Ok () -> List.iter (Ssd.delete t.ssd) names
         | Error `Stability_timeout ->
@@ -861,8 +856,7 @@ let retire_wals t ?(after = ignore) wal_ids =
   in
   Sim.spawn t.sim (fun () ->
       (match
-         t.stability.wait_stable ~span:Trace.none ~log:manifest_log
-           ~counter:last_edit
+         wait_stable t ~span:Trace.none ~log:manifest_log ~counter:last_edit
        with
       | Ok () -> List.iter (fun id -> Ssd.delete t.ssd (Manifest.wal_name id)) wal_ids
       | Error `Stability_timeout -> ());
@@ -928,37 +922,32 @@ let cache_usage t =
 
 (* --- writes ----------------------------------------------------------- *)
 
+let stab_wait t ?span ~args wait =
+  let wspan =
+    if Trace.enabled () then
+      Trace.begin_span ?parent:span ~node:t.trace_node ~cat:"storage" "stab.wait" ~args
+    else Trace.none
+  in
+  let t0 = Sim.now t.sim in
+  let r = wait wspan in
+  Trace.end_span wspan
+    ~args:[ ("status", Trace.Str (match r with Ok () -> "ok" | Error _ -> "timeout")) ];
+  Metrics.observe "stab.wait_ns" (Sim.now t.sim - t0);
+  r
+
 (* Rollback protection for an acknowledged entry in the current WAL: both
    the WAL entry and the MANIFEST edit registering the WAL must be stable,
-   or trusted-prefix recovery would drop the WAL altogether. Raises
-   [Stability_timeout] when the counter group is unreachable — the entry is
-   durable locally but NOT rollback-protected, so the caller must not ack. *)
+   or trusted-prefix recovery would drop the WAL altogether. [Error] when
+   the counter group is unreachable: the entry is durable locally but NOT
+   rollback-protected, so the caller must not ack. *)
 let wait_wal_entry_stable t ?span ~counter () =
-  if not t.config.in_memory then begin
-    let wspan =
-      if Trace.enabled () then
-        Trace.begin_span ?parent:span ~node:t.trace_node ~cat:"storage"
-          "stab.wait"
-          ~args:[ ("counter", Trace.Int counter) ]
-      else Trace.none
-    in
-    let t0 = Sim.now t.sim in
-    let finish status =
-      Trace.end_span wspan ~args:[ ("status", Trace.Str status) ];
-      Metrics.observe "stab.wait_ns" (Sim.now t.sim - t0)
-    in
-    let check = function
-      | Ok () -> ()
-      | Error `Stability_timeout ->
-          finish "timeout";
-          raise Stability_timeout
-    in
-    check (t.stability.wait_stable ~span:wspan ~log:(Log_auth.name t.wal) ~counter);
-    check
-      (t.stability.wait_stable ~span:wspan ~log:manifest_log
-         ~counter:t.wal_manifest_counter);
-    finish "ok"
-  end
+  match t.stability with
+  | Some s when not t.config.in_memory ->
+      stab_wait t ?span ~args:[ ("counter", Trace.Int counter) ] (fun span ->
+          Result.bind (s.wait_stable ~span ~log:(Log_auth.name t.wal) ~counter)
+            (fun () ->
+              s.wait_stable ~span ~log:manifest_log ~counter:t.wal_manifest_counter))
+  | _ -> Ok ()
 
 let apply_writes t ~seq writes =
   List.iter
@@ -988,9 +977,11 @@ let commit t ?span ~writes () =
         t.visible_seq <- t.last_alloc_seq;
         (counter, seq)
   in
-  if t.config.wait_commit_stable then wait_wal_entry_stable t ?span ~counter ();
-  maybe_flush t;
-  seq
+  Result.map
+    (fun () ->
+      maybe_flush t;
+      seq)
+    (wait_wal_entry_stable t ?span ~counter ())
 
 let prepare t ~tx ~writes =
   t.stats.prepares <- t.stats.prepares + 1;
@@ -1048,21 +1039,12 @@ let clog_append t ?span record =
   | None -> ephemeral_counter t clog_log
 
 let clog_wait_stable t ?span ~counter () =
-  let wspan =
-    if Trace.enabled () then
-      Trace.begin_span ?parent:span ~node:t.trace_node ~cat:"storage"
-        "stab.wait"
+  match t.stability with
+  | None -> Ok ()
+  | Some s ->
+      stab_wait t ?span
         ~args:[ ("log", Trace.Str clog_log); ("counter", Trace.Int counter) ]
-    else Trace.none
-  in
-  let t0 = Sim.now t.sim in
-  let r = t.stability.wait_stable ~span:wspan ~log:clog_log ~counter in
-  Trace.end_span wspan
-    ~args:
-      [ ( "status",
-          Trace.Str (match r with Ok () -> "ok" | Error _ -> "timeout") ) ];
-  Metrics.observe "stab.wait_ns" (Sim.now t.sim - t0);
-  r
+        (fun span -> s.wait_stable ~span ~log:clog_log ~counter)
 
 let wal_group_stats t = Option.map Group_commit.stats t.group
 let clog_group_stats t = Option.map Group_commit.stats t.clog_group
@@ -1088,10 +1070,7 @@ let recover ?node ssd sec cfg stability ~trusted =
   match replay_log t.manifest with
   | Error e -> fail "MANIFEST: %s" (Format.asprintf "%a" Log_auth.pp_replay_error e)
   | Ok (manifest_entries, _manifest_dropped) -> (
-      match
-        try Ok (Manifest.replay_edits manifest_entries)
-        with Treaty_util.Wire.Malformed m -> Error m
-      with
+      match Manifest.replay_edits manifest_entries with
       | Error m -> fail "MANIFEST: %s" m
       | Ok (version, _edits) -> (
           (* Reopen the SSTable hierarchy, verifying footer digests. *)

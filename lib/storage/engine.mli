@@ -9,8 +9,9 @@
     Clog appends for coordinator protocol state.
 
     Stabilization is injected: the Tx layer supplies a {!stability} record
-    wired to the trusted counter service; an engine created with
-    {!noop_stability} is the "w/o Stab" configuration. Garbage collection of
+    wired to the trusted counter service; an engine created with [None] is
+    the "w/o Stab" configuration, where every entry counts as trusted once
+    it is on disk and no wait opens a span. Garbage collection of
     WALs and compacted SSTables is gated on the MANIFEST entries that
     obsolete them being stable, so recovery from the rollback-protected
     prefix never references deleted files.
@@ -43,12 +44,6 @@ type stability = {
           budget): the entry is durable locally but not rollback-protected. *)
 }
 
-exception Stability_timeout
-(** Raised by an operation that must not acknowledge an entry whose
-    stabilization failed ({!commit} with [wait_commit_stable]). *)
-
-val noop_stability : stability
-
 type config = {
   memtable_max_bytes : int;
   block_bytes : int;
@@ -59,11 +54,8 @@ type config = {
       (** WAL group commit (§VII-B; [false] is the paper's ablation A). Clog
           appends always go through their own group commit unless
           [in_memory]: one authenticated append + one counter note per
-          yield window of 2PC records. *)
-  group_window_ns : int;
+          yield window of 2PC records. Both windows are 15 µs. *)
   values_in_enclave : bool;  (** Ablation: MemTable values in EPC. *)
-  wait_commit_stable : bool;
-      (** Only acknowledge single-node commits once stable (§V-B). *)
   in_memory : bool;
       (** Skip all persistence (no WAL/MANIFEST/Clog writes, no flushes):
           isolates the 2PC protocol itself, as the paper's Figure 4 run
@@ -107,7 +99,7 @@ type recovery_info = {
 
 type t
 
-val create : ?node:int -> Ssd.t -> Sec.t -> config -> stability -> t
+val create : ?node:int -> Ssd.t -> Sec.t -> config -> stability option -> t
 (** Initialize a fresh database on an empty SSD. [node] is the trace pid
     lane this engine's spans render on (default 0). *)
 
@@ -116,7 +108,7 @@ val recover :
   Ssd.t ->
   Sec.t ->
   config ->
-  stability ->
+  stability option ->
   trusted:(string -> int option) ->
   (t * recovery_info, string) result
 (** Rebuild from the SSD after a crash: replay MANIFEST, verify and reopen
@@ -160,13 +152,17 @@ val scan :
     order. *)
 
 val commit :
-  t -> ?span:Treaty_obs.Trace.span -> writes:(string * Op.t) list -> unit -> int
+  t ->
+  ?span:Treaty_obs.Trace.span ->
+  writes:(string * Op.t) list ->
+  unit ->
+  (int, [ `Stability_timeout ]) result
 (** Durably commit one transaction's write set: appends to the WAL
     (group-committed with concurrent callers when enabled), applies to the
     MemTable at a freshly assigned sequence number (returned), publishes
-    visibility, and if [wait_commit_stable] blocks until the WAL entry is
-    rollback-protected. Raises {!Stability_timeout} if that wait fails —
-    the writes are applied and locally durable, but the caller must not
+    visibility, and, with stabilization and storage, blocks until the WAL
+    entry is rollback-protected (§V-B). [Error] if that wait fails: the
+    writes are applied and locally durable, but the caller must not
     acknowledge the transaction as committed. [span] parents the WAL flush
     and stabilization-wait spans. *)
 
@@ -232,7 +228,20 @@ val clog_wait_stable :
   unit ->
   (unit, [ `Stability_timeout ]) result
 (** Block until Clog [counter] is trusted, starting the round that carries
-    it (and every earlier append on this node) if none runs. *)
+    it (and every earlier append on this node) if none runs. [Ok] at once
+    without stabilization. *)
+
+val stab_wait :
+  t ->
+  ?span:Treaty_obs.Trace.span ->
+  args:(string * Treaty_obs.Trace.arg) list ->
+  (Treaty_obs.Trace.span -> (unit, [ `Stability_timeout ]) result) ->
+  (unit, [ `Stability_timeout ]) result
+(** The one wait for a trusted counter: run the wait under a ["stab.wait"]
+    span (a child of [span], carrying [args], ended with the status) and
+    record its duration in the [stab.wait_ns] histogram. The wait gets the
+    span, to parent the round it starts. {!commit}, {!clog_wait_stable} and
+    a coordinator's commit point wait through it. *)
 
 val clog_trim : t -> upto:int -> unit
 

@@ -72,8 +72,7 @@ let encode edit =
       Wire.w64 b upto);
   Buffer.contents b
 
-let decode payload =
-  let r = Wire.reader payload in
+let read r =
   match Wire.r8 r with
   | 1 ->
       let file_id = Wire.r64 r in
@@ -95,11 +94,26 @@ let decode payload =
   | 5 -> Clog_trim { upto = Wire.r64 r }
   | n -> raise (Wire.Malformed (Printf.sprintf "bad manifest edit tag %d" n))
 
+let decode payload =
+  let r = Wire.reader payload in
+  match read r with
+  | edit when Wire.at_end r -> Ok edit
+  | _ -> Error "trailing bytes after a manifest edit"
+  | exception Wire.Malformed m -> Error m
+
+let n_levels = 8
+
 let replay_edits entries =
-  let decoded = List.map (fun (c, payload) -> (c, decode payload)) entries in
-  let version =
-    List.fold_left (fun v (_, e) -> apply_edit v e) (empty_version 8) decoded
+  let rec go v acc = function
+    | [] -> Ok (v, List.rev acc)
+    | (c, payload) :: rest -> (
+        match decode payload with
+        | Error m -> Error (Printf.sprintf "edit %d: %s" c m)
+        | Ok (Add_file { level; _ } | Delete_file { level; _ })
+          when level < 0 || level >= n_levels ->
+            Error (Printf.sprintf "edit %d: level %d out of range" c level)
+        | Ok e -> go (apply_edit v e) ((c, e) :: acc) rest)
   in
-  (version, decoded)
+  go (empty_version n_levels) [] entries
 
 let wal_name id = Printf.sprintf "wal-%06d" id

@@ -41,11 +41,13 @@ val empty_version : int -> version
 val apply_edit : version -> edit -> version
 
 val encode : edit -> string
-val decode : string -> edit
-(** Raises [Treaty_util.Wire.Malformed] on corrupt input. *)
+val decode : string -> (edit, string) result
+(** [Error] on a truncated edit, a bad tag or trailing bytes. *)
 
-val replay_edits : (int * string) list -> version * (int * edit) list
+val replay_edits :
+  (int * string) list -> (version * (int * edit) list, string) result
 (** Fold decoded log entries into the final version (also returning them,
-    with their counters, for inspection). *)
+    with their counters, for inspection). [Error] names the first entry
+    that does not decode or names a level outside the tree. *)
 
 val wal_name : int -> string

@@ -55,9 +55,11 @@ let increment_and_query () =
 
 let counters_are_namespaced () =
   with_group (fun _sim group ->
-      let _, r1 = List.hd group in
+      let (_, r1), (_, r2) = match group with a :: b :: _ -> (a, b) | _ -> assert false in
       ignore (Rote.increment r1 ~owner:1 ~log:"A" ~value:3);
       ignore (Rote.increment r1 ~owner:1 ~log:"B" ~value:7);
+      (* Node 2's value rides node 1's round as a vote would. *)
+      Rote.note_vote r2 [ ("A", 11) ];
       ignore (Rote.increment r1 ~owner:2 ~log:"A" ~value:11);
       Alcotest.(check int) "owner1/A" 3 (Rote.local_value r1 ~owner:1 ~log:"A");
       Alcotest.(check int) "owner1/B" 7 (Rote.local_value r1 ~owner:1 ~log:"B");
@@ -382,14 +384,6 @@ let only_waited_appends_start_rounds () =
       let module Clog_record = Treaty_storage.Clog_record in
       let _, r1 = List.hd group in
       let cc = CC.create r1 ~owner:1 in
-      let stability =
-        {
-          Engine.submit = (fun ~span ~log ~counter -> CC.submit ~span cc ~log ~counter);
-          note = (fun ~log ~counter -> CC.note cc ~log ~counter);
-          wait_stable =
-            (fun ~span ~log ~counter -> CC.wait_stable ~span cc ~log ~counter);
-        }
-      in
       let enclave =
         Enclave.create sim ~mode:Enclave.Scone ~cost:Treaty_sim.Costmodel.default
           ~cores:4 ~node_id:1 ~code_identity:"engine-test"
@@ -399,7 +393,7 @@ let only_waited_appends_start_rounds () =
           ~enc:(Some (Treaty_crypto.Aead.key_of_string "sk")) ()
       in
       let ssd = Treaty_storage.Ssd.create sim Treaty_sim.Costmodel.default in
-      let eng = Engine.create ssd sec Engine.default_config stability in
+      let eng = Engine.create ssd sec Engine.default_config (Some (CC.stability cc)) in
       (* Engine creation's MANIFEST edits submit theirs; let that round
          finish first. *)
       Sim.sleep sim 10_000_000;
@@ -552,6 +546,8 @@ let owner_and_coordinator_rounds_differ () =
         match group with [ a; b; c ] -> (a, b, c) | _ -> assert false
       in
       let own = ref None and coordinator = ref None in
+      (* Owner 2 voted WAL 8 in a transaction node 1 coordinates. *)
+      Rote.note_vote r2 [ ("WAL", 8) ];
       Sim.spawn sim (fun () ->
           own := Some (Rote.increment r2 ~owner:2 ~log:"WAL" ~value:10));
       Sim.spawn sim (fun () ->
@@ -590,7 +586,7 @@ let one_round_three_groups () =
       Rote.note_vote (r 6) [ ("WAL", 9) ];
       let rounds = (Rote.stats (r 1)).Rote.increments in
       (match
-         Rote.increment_batch ~voted:true (r 1) ~entries:(fun () ->
+         Rote.increment_batch (r 1) ~entries:(fun () ->
              [ Rote.own_entry (r 1) [ ("CLOG", 5) ];
                entry 4 [ ("WAL", 7); ("MANIFEST", 2) ];
                entry 6 [ ("WAL", 9) ] ])

@@ -466,7 +466,7 @@ let codec_roundtrips () =
   in
   List.iter
     (fun e ->
-      Alcotest.(check bool) "manifest codec" true (Manifest.decode (Manifest.encode e) = e))
+      Alcotest.(check bool) "manifest codec" true (Manifest.decode (Manifest.encode e) = Ok e))
     edits
 
 let manifest_version_fold () =
@@ -524,8 +524,8 @@ let clog_group_batches () =
   with_sim (fun sim ->
       let sec = mk_sec sim in
       let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
-      let cfg = { Engine.default_config with Engine.wait_commit_stable = false } in
-      let eng = Engine.create ssd sec cfg Engine.noop_stability in
+      let cfg = Engine.default_config in
+      let eng = Engine.create ssd sec cfg None in
       let n = 24 in
       let counters = Array.make n 0 in
       let pending = ref n in
@@ -538,7 +538,7 @@ let clog_group_batches () =
             counters.(i) <- c;
             (match Engine.clog_wait_stable eng ~counter:c () with
             | Ok () -> ()
-            | Error `Stability_timeout -> Alcotest.fail "noop stability timed out");
+            | Error `Stability_timeout -> Alcotest.fail "no stabilization, yet a timeout");
             decr pending)
       done;
       Sim.sleep sim 50_000_000;
@@ -559,7 +559,7 @@ let clog_group_batches () =
       Alcotest.(check bool) "batch counters positive" true (sorted.(0) >= 1);
       (* Crash and recover: the replay must surface all n decisions. *)
       match
-        Engine.recover ssd (mk_sec sim) cfg Engine.noop_stability
+        Engine.recover ssd (mk_sec sim) cfg None
           ~trusted:(fun _ -> None)
       with
       | Error m -> Alcotest.failf "recovery failed: %s" m
@@ -592,7 +592,6 @@ let engine_cfg =
   {
     Engine.default_config with
     Engine.memtable_max_bytes = 16 * 1024;
-    wait_commit_stable = false;
     file_bytes = 8 * 1024;
     level_base_bytes = 32 * 1024;
   }
@@ -600,7 +599,7 @@ let engine_cfg =
 let mk_engine ?(mode = Enclave.Scone) ?(auth = true) ?(enc = true) sim =
   let sec = mk_sec ~mode ~auth ~enc sim in
   let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
-  (Engine.create ssd sec engine_cfg Engine.noop_stability, ssd, sec)
+  (Engine.create ssd sec engine_cfg None, ssd, sec)
 
 let engine_compaction_cascade () =
   with_sim (fun sim ->
@@ -662,7 +661,7 @@ let compaction_respects_pinned_snapshots () =
       (* Install v1 of a key, pin a snapshot that sees it, then bury it
          under many newer versions and force compactions: the pinned
          version must survive GC. *)
-      let s1 = Engine.commit eng ~writes:[ ("pinned", Op.Put "v1") ] () in
+      let s1 = Result.get_ok (Engine.commit eng ~writes:[ ("pinned", Op.Put "v1") ] ()) in
       let snap = Engine.snapshot eng in
       Engine.retain_snapshot eng snap;
       for i = 0 to 2_000 do
@@ -695,7 +694,7 @@ let compaction_respects_pinned_snapshots () =
 let gc_watermark_and_tombstones () =
   with_sim (fun sim ->
       let eng, _, _ = mk_engine sim in
-      let s1 = Engine.commit eng ~writes:[ ("wm", Op.Put "v1") ] () in
+      let s1 = Result.get_ok (Engine.commit eng ~writes:[ ("wm", Op.Put "v1") ] ()) in
       let snap = Engine.snapshot eng in
       Engine.retain_snapshot eng snap;
       Alcotest.(check int) "watermark = retained snapshot" snap
@@ -794,7 +793,7 @@ let engine_recovery_exact () =
   with_sim (fun sim ->
       let sec = mk_sec sim in
       let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
-      let eng = Engine.create ssd sec engine_cfg Engine.noop_stability in
+      let eng = Engine.create ssd sec engine_cfg None in
       let expected = Hashtbl.create 64 in
       let rng = Treaty_sim.Rng.create 5L in
       for i = 0 to 1500 do
@@ -812,7 +811,7 @@ let engine_recovery_exact () =
       Engine.prepare eng ~tx:(9, 1) ~writes:[ ("prepared-key", Op.Put "pv") ];
       (* Crash: recover from the SSD with a fresh enclave/Sec. *)
       let sec2 = mk_sec sim in
-      match Engine.recover ssd sec2 engine_cfg Engine.noop_stability ~trusted:(fun _ -> None) with
+      match Engine.recover ssd sec2 engine_cfg None ~trusted:(fun _ -> None) with
       | Error m -> Alcotest.failf "recovery failed: %s" m
       | Ok (eng2, info) ->
           Alcotest.(check int) "prepared tx recovered" 1 (List.length info.Engine.prepared);
@@ -841,13 +840,13 @@ let engine_recovery_idempotent () =
   with_sim (fun sim ->
       let sec = mk_sec sim in
       let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
-      let eng = Engine.create ssd sec engine_cfg Engine.noop_stability in
+      let eng = Engine.create ssd sec engine_cfg None in
       for i = 0 to 200 do
         ignore (Engine.commit eng ~writes:[ (Printf.sprintf "k%d" i, Op.Put "v") ] ())
       done;
       let recover () =
         match
-          Engine.recover ssd (mk_sec sim) engine_cfg Engine.noop_stability
+          Engine.recover ssd (mk_sec sim) engine_cfg None
             ~trusted:(fun _ -> None)
         with
         | Ok (e, _) -> e
@@ -871,7 +870,7 @@ let engine_recovery_unstable_retirement () =
   with_sim (fun sim ->
       let sec = mk_sec sim in
       let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
-      let eng = Engine.create ssd sec engine_cfg Engine.noop_stability in
+      let eng = Engine.create ssd sec engine_cfg None in
       for i = 0 to 40 do
         ignore
           (Engine.commit eng
@@ -886,8 +885,9 @@ let engine_recovery_unstable_retirement () =
       let manifest_stable = List.assoc "MANIFEST" stable in
       let stability =
         {
-          Engine.noop_stability with
-          Engine.wait_stable =
+          Engine.submit = (fun ~span:_ ~log:_ ~counter:_ -> ());
+          note = (fun ~log:_ ~counter:_ -> ());
+          wait_stable =
             (fun ~span:_ ~log ~counter ->
               if log = "MANIFEST" && counter > manifest_stable then
                 Error `Stability_timeout
@@ -895,7 +895,7 @@ let engine_recovery_unstable_retirement () =
         }
       in
       let recover ?(trusted = trusted) () =
-        match Engine.recover ssd (mk_sec sim) engine_cfg stability ~trusted with
+        match Engine.recover ssd (mk_sec sim) engine_cfg (Some stability) ~trusted with
         | Ok r -> r
         | Error m -> Alcotest.failf "recovery failed: %s" m
       in
@@ -947,7 +947,7 @@ let prop_engine_vs_model =
       Sim.run sim (fun () ->
           let sec = mk_sec sim in
           let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
-          let eng = ref (Engine.create ssd sec engine_cfg Engine.noop_stability) in
+          let eng = ref (Engine.create ssd sec engine_cfg None) in
           let model : (string, string option) Hashtbl.t = Hashtbl.create 64 in
           let step = ref 0 in
           List.iter
@@ -975,7 +975,7 @@ let prop_engine_vs_model =
               (* Crash and recover occasionally. *)
               if !step mod 17 = 0 then
                 match
-                  Engine.recover ssd (mk_sec sim) engine_cfg Engine.noop_stability
+                  Engine.recover ssd (mk_sec sim) engine_cfg None
                     ~trusted:(fun _ -> None)
                 with
                 | Ok (e, _) -> eng := e
@@ -1219,7 +1219,7 @@ let engine_cache_capacity_eviction () =
       let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
       (* A budget of a couple of blocks forces evictions as reads sweep. *)
       let cfg = { engine_cfg with Engine.block_cache_bytes = 4 * 1024 } in
-      let eng = Engine.create ssd sec cfg Engine.noop_stability in
+      let eng = Engine.create ssd sec cfg None in
       for i = 0 to 499 do
         ignore
           (Engine.commit eng

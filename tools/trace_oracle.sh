@@ -4,8 +4,9 @@
 #
 #   sh tools/trace_oracle.sh <rev>        e.g. HEAD~, or a pull request's base
 #
-# Builds <rev> in a temporary git worktree, runs the three traced chaos runs
-# below on both trees and compares the trace files with cmp. Prints one
+# Builds <rev> in a temporary git worktree, runs the five traced chaos runs
+# below on both trees and compares the trace files with cmp. Seeds 11 and
+# 47 (OCC) crash and restart nodes, so recovery is covered too. Prints one
 # line per run and exits 1 if any trace differs or any run fails. A change
 # that alters timing on purpose (a perf change) is expected to differ.
 set -u
@@ -28,7 +29,8 @@ git -C "$root" worktree add --quiet --detach "$base" "$rev" || exit 2
 
 status=0
 n=0
-for args in "--seed 1" "--cc occ --seed 1" "--nodes 100 --seed 5"; do
+for args in "--seed 1" "--cc occ --seed 1" "--nodes 100 --seed 5" "--seed 11" \
+  "--cc occ --seed 47"; do
   n=$((n + 1))
   for tree in base head; do
     if [ "$tree" = base ]; then dir=$base; else dir=$root; fi
