@@ -57,7 +57,9 @@ val recover_with : deps -> ssd:Treaty_storage.Ssd.t -> (t, string) result
     transactions from the Clog. Each recovered prepare is resolved the way
     the running node resolves one: a single cooperative-termination query to
     its coordinator; one that query leaves in doubt is re-queried by the
-    background sweeper on every tick until its coordinator answers. *)
+    background sweeper on every tick until its coordinator answers. On
+    [Error] the incarnation it built is fenced as {!crash} fences one: its
+    enclave halted, its disk handle detached. *)
 
 val node_id : t -> int
 val stats : t -> stats

@@ -703,6 +703,27 @@ let cas_down_blocks_recovery () =
             (String.length m > 0)
       | Ok () -> Alcotest.fail "recovered without attestation (CAS is down)")
 
+(* A restart that fails after it built its incarnation leaves that
+   incarnation fenced, as a crash does: with every node down the trusted
+   counter group is unreachable, so node 1's recovery fails, and then a
+   packet to node 1 is dropped just as one to crashed node 2 is. *)
+let failed_restart_is_fenced () =
+  with_cluster (fun sim cluster ->
+      List.iter (Cluster.crash_node cluster) [ 0; 1; 2 ];
+      (match Cluster.restart_node cluster 0 with
+      | Error m ->
+          Alcotest.(check string) "restart fails" "trusted counter group unreachable" m
+      | Ok () -> Alcotest.fail "recovered without a counter quorum");
+      let net = Cluster.net cluster in
+      let dropped_to dst =
+        let before = (Net.stats net).Net.dropped in
+        Net.send net ~src:Cluster.cas_id ~dst "probe";
+        Sim.sleep sim 1_000_000;
+        (Net.stats net).Net.dropped - before
+      in
+      Alcotest.(check int) "crashed node 2 drops the packet" 1 (dropped_to 2);
+      Alcotest.(check int) "node 1 after its failed restart drops it" 1 (dropped_to 1))
+
 let forged_client_rejected () =
   with_cluster (fun _sim cluster ->
       (* A node rejects a made-up token. *)
@@ -1157,6 +1178,8 @@ let suite =
     Alcotest.test_case "rollback attack detected" `Quick rollback_attack_detected;
     Alcotest.test_case "storage tampering detected" `Quick storage_tamper_detected;
     Alcotest.test_case "CAS down blocks recovery" `Quick cas_down_blocks_recovery;
+    Alcotest.test_case "a failed restart is fenced like a crash" `Quick
+      failed_restart_is_fenced;
     Alcotest.test_case "forged client token rejected" `Quick forged_client_rejected;
     Alcotest.test_case "truncated participant op reply aborts the tx" `Quick
       truncated_participant_reply_aborts;
