@@ -655,6 +655,9 @@ let commit_distributed t ctx =
       ~args:[ ("participants", Trace.Int (List.length remotes)) ]
   in
   Local_txn.set_span ctx.ct_local pspan;
+  (* The commit point will wait for a round: start one now if the pump is
+     idle, so its alignment runs while the votes come in. *)
+  Option.iter Counter_client.start_early t.counter_client;
   (* Prepare phase: all participants and the local slice, in parallel.
      [conflict] remembers whether any FAIL vote was an OCC validation
      conflict, so the abort is attributed to validation rather than to a

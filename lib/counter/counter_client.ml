@@ -103,6 +103,10 @@ let settle_foreign t carried results =
       else fail t iv)
     carried
 
+(* Whether a submit or a waiter asks for a round, or a waiter brought
+   other owners' entries. *)
+let asked t = wanted t || t.foreign <> []
+
 (* The epoch pump: while a submit or a waiter asks for a value not yet
    trusted, or a waiter brought other owners' entries, run one batched
    ROTE increment carrying the high-water mark of every log with appends
@@ -113,13 +117,14 @@ let settle_foreign t carried results =
    (group commit applied to counter rounds). One pump per client —
    cross-log batching replaces the old one-round-in-flight-per-log
    machinery. Own targets that miss their quorum are retried; foreign
-   entries ride exactly one round. *)
-let rec pump t ~attempts =
+   entries ride exactly one round. An [early] round ({!start_early}) runs
+   before anyone asks: if nobody has when its alignment ends, it reads no
+   entries, sends nothing and is not counted, and the pump stops. *)
+let rec pump ?(early = false) t ~attempts =
   (* A noted target alone does not start a round; it rides the next one. *)
-  if not (wanted t || t.foreign <> []) then t.pump_active <- false
+  if not (early || asked t) then t.pump_active <- false
   else begin
-    t.stats.rounds_started <- t.stats.rounds_started + 1;
-    if Trace.enabled () && t.round_span = Trace.none then
+    if Trace.enabled () && t.round_span = Trace.none && not early then
       (* Back-to-back rounds drained by one pump run: targets landed while
          the previous round was in flight, no caller span to parent on. *)
       t.round_span <-
@@ -134,15 +139,19 @@ let rec pump t ~attempts =
     let own = ref None and carried = ref [] in
     let results =
       Rote.increment_batch t.replica ~entries:(fun () ->
-          carried := List.rev t.foreign;
-          t.foreign <- [];
-          let foreign = List.concat_map fst !carried in
-          match pending_targets t with
-          | [] -> foreign
-          | targets ->
-              let e = Rote.own_entry t.replica targets in
-              own := Some e;
-              e :: foreign)
+          if not (asked t) then []
+          else begin
+            t.stats.rounds_started <- t.stats.rounds_started + 1;
+            carried := List.rev t.foreign;
+            t.foreign <- [];
+            let foreign = List.concat_map fst !carried in
+            match pending_targets t with
+            | [] -> foreign
+            | targets ->
+                let e = Rote.own_entry t.replica targets in
+                own := Some e;
+                e :: foreign
+          end)
     in
     settle_foreign t !carried results;
     let carried_targets =
@@ -206,6 +215,14 @@ let submit ?(span = Trace.none) t ~log ~counter =
 let note t ~log ~counter =
   let s = log_state t log in
   if counter > s.target then s.target <- counter
+
+(* A waiter is expected soon: if the pump is idle, start a round now, so
+   that its alignment runs until the waiter comes. *)
+let start_early t =
+  if not t.pump_active then begin
+    t.pump_active <- true;
+    Sim.spawn t.sim (fun () -> pump ~early:true t ~attempts:t.attempts)
+  end
 
 let wait_stable ?(span = Trace.none) ?(foreign = []) t ~log ~counter =
   let s = log_state t log in

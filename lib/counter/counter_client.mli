@@ -60,6 +60,14 @@ val note : t -> log:string -> counter:int -> unit
     round: the next round that a submit or a waiter starts carries it.
     Returns immediately. *)
 
+val start_early : t -> unit
+(** A caller is about to wait: if the pump is idle, start a round now, so
+    that ROTE's echo1 alignment runs while the caller gets ready (a
+    coordinator's prepare fan-out). The round reads its targets when the
+    alignment ends, as every round does; if no submit, waiter or foreign
+    entry has asked for one by then, it sends nothing, is not counted and
+    the pump stops, so noted appends still never start a round. *)
+
 val wait_stable :
   ?span:Treaty_obs.Trace.span ->
   ?foreign:Rote.entry list ->

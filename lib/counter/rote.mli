@@ -121,7 +121,13 @@ val increment_batch :
     ({!note_vote}): the first phase sends that owner nothing and counts its
     echo. This replica confirms another owner's entry itself only once the
     rest of a quorum has, so a round that fails for that owner does not
-    commit its value here. *)
+    commit its value here.
+
+    This replica's own entry is reported [`Trusted] only once a persisted
+    seal holds its targets. When this replica confirms no other owner's
+    entry, that seal starts as soon as the own entry has its second-phase
+    quorum, while the other entries are still in flight; otherwise it
+    starts after the round, so it also holds the entries confirmed here. *)
 
 val note_vote : replica -> (string * int) list -> unit
 (** [note_vote t targets]: this node has voted with [targets] of its own

@@ -1144,6 +1144,65 @@ let participant_group_without_quorum_aborts () =
           Client.disconnect c;
           Cluster.shutdown cluster)
 
+(* Five nodes: coordinator 1's group is [1; 2; 3] and participant 3's is
+   [3; 4; 5]. Node 1 seals its own entry once its group has confirmed it,
+   while participant 3 is still sealing its vote. The coordinator crashes
+   after that seal and before participant 3's ack reaches it (held up on
+   the wire). Its Begin_2pc is trusted, so its recovery asks the
+   participant, which still holds its prepare: both slices commit, and
+   the participant's prepare is resolved. *)
+let coordinator_crash_after_own_seal_agrees () =
+  let sim = Sim.create () in
+  Sim.run sim (fun () ->
+      let config = { (mk_config ()) with Config.nodes = 5 } in
+      match Cluster.create sim config ~route:explicit_route () with
+      | Error m -> Alcotest.failf "cluster bootstrap: %s" m
+      | Ok cluster ->
+          let c = Client.connect_exn cluster ~client_id:1 in
+          Sim.sleep sim 10_000_000;
+          let coord = Cluster.node cluster 0 in
+          let rounds () = (Treaty_counter.Rote.stats (Node.rote coord)).rounds in
+          let writes () = (Ssd.stats (Cluster.node_ssd cluster 0)).writes in
+          let before = rounds () in
+          let result = ref None in
+          Sim.spawn sim (fun () ->
+              result :=
+                Some
+                  (Client.with_txn c ~coord:1 (fun txn ->
+                       put_all c txn [ ("node1:os", "v"); ("node3:os", "v") ])));
+          let rec poll what n cond =
+            if n = 0 then Alcotest.failf "%s never happened" what;
+            if not (cond ()) then begin
+              Sim.sleep sim 5_000;
+              poll what (n - 1) cond
+            end
+          in
+          (* The commit point's second phase has begun: hold participant 3's
+             replies to the coordinator, its sealed ack among them. *)
+          poll "the commit point's second phase" 100_000 (fun () -> rounds () >= before + 2);
+          Net.set_adversary (Cluster.net cluster) (fun pkt ->
+              if pkt.Treaty_netsim.Packet.src = 3 && pkt.dst = 1 then Adversary.Delay 5_000_000
+              else Adversary.Deliver);
+          (* The next write on the coordinator's disk is its seal. *)
+          let w = writes () in
+          poll "the coordinator's seal" 1_000 (fun () -> writes () > w);
+          Alcotest.(check bool) "no ack before the participant's" true (!result = None);
+          Cluster.crash_node cluster 0;
+          Net.clear_adversary (Cluster.net cluster);
+          (match Cluster.restart_node cluster 0 with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "restart: %s" m);
+          Sim.sleep sim 1_000_000_000;
+          (match read_back c ~coord:2 [ "node1:os"; "node3:os" ] with
+          | Ok [ Some "v"; Some "v" ] -> ()
+          | Ok [ None; None ] -> Alcotest.fail "aborted, though the Begin_2pc was trusted"
+          | Ok _ -> Alcotest.fail "the slices disagree"
+          | Error e -> Alcotest.failf "read back: %s" (Types.abort_reason_to_string e));
+          Alcotest.(check int) "the participant resolved" 0
+            (List.length (Engine.prepared_txs (Node.engine (Cluster.node cluster 2))));
+          Client.disconnect c;
+          Cluster.shutdown cluster)
+
 let suite =
   [
     Alcotest.test_case "lock modes" `Quick lock_modes;
@@ -1201,4 +1260,6 @@ let suite =
       coordinator_crash_after_ack_commits;
     Alcotest.test_case "participant group without quorum aborts" `Quick
       participant_group_without_quorum_aborts;
+    Alcotest.test_case "coordinator crash after its own seal agrees" `Quick
+      coordinator_crash_after_own_seal_agrees;
   ]

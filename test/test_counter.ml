@@ -10,7 +10,7 @@ module CC = Treaty_counter.Counter_client
 
 (* One replica per node id in [members], each joined to its own
    protection group — the whole membership while [n <= 2f+1]. *)
-let mk_replica ?incarnation sim net ~members id =
+let mk_replica ?incarnation ?persist ?restore sim net ~members id =
   let enclave =
     Enclave.create ?incarnation sim ~mode:Enclave.Scone
       ~cost:Treaty_sim.Costmodel.default ~cores:4 ~node_id:id
@@ -24,7 +24,7 @@ let mk_replica ?incarnation sim net ~members id =
   in
   ( rpc,
     Rote.create_replica rpc ~group:(Rote.protection_group ~self:id ~members) ~members
-      () )
+      ?persist ?restore () )
 
 let mk_group ?(n = 3) sim net =
   let members = List.init n (fun j -> j + 1) in
@@ -615,6 +615,133 @@ let one_round_three_groups () =
               (fun m -> Rote.local_value (r m) ~owner:4 ~log:"WAL" > 0)
               [ 1; 2; 3; 7 ])))
 
+(* A replica whose seals take [disk_ns] of disk time after the enclave's
+   sealing cost, logging each persisted blob with the time it landed. *)
+let sealing_replica sim net ~members ~disk_ns id =
+  let seals = ref [] in
+  let persist blob =
+    Sim.sleep sim disk_ns;
+    seals := (Sim.now sim, blob) :: !seals
+  in
+  let rpc, r = mk_replica ~persist sim net ~members id in
+  (rpc, r, seals)
+
+let voter_entry owner targets = { Rote.owner; incarnation = 0; targets }
+
+(* Five replicas: coordinator 1's group is [1; 2; 3] and voter 3's is
+   [3; 4; 5], so node 1 confirms nothing of the voter's. The voter's seal
+   is slow (a busy disk). The coordinator seals its own entry as soon as
+   its group has confirmed it, while the voter is still sealing, so the
+   round ends one hop after the voter's sealed ack instead of one seal
+   later. *)
+let own_seal_overlaps_voter_seal () =
+  let sim = Sim.create () in
+  let net = Net.create sim Treaty_sim.Costmodel.default in
+  Sim.run sim (fun () ->
+      let members = [ 1; 2; 3; 4; 5 ] in
+      let _, r1, coord_seals = sealing_replica sim net ~members ~disk_ns:100_000 1 in
+      let _, r3, voter_seals = sealing_replica sim net ~members ~disk_ns:1_000_000 3 in
+      List.iter (fun id -> ignore (mk_replica sim net ~members id)) [ 2; 4; 5 ];
+      Rote.note_vote r3 [ ("WAL", 7) ];
+      (match
+         Rote.increment_batch r1 ~entries:(fun () ->
+             [ Rote.own_entry r1 [ ("CLOG", 5) ]; voter_entry 3 [ ("WAL", 7) ] ])
+       with
+      | [ (_, `Trusted); (_, `Trusted) ] -> ()
+      | _ -> Alcotest.fail "an entry missed its quorum");
+      let ended = Sim.now sim in
+      let coord_sealed, voter_sealed =
+        match (!coord_seals, !voter_seals) with
+        | [ (c, _) ], [ (v, _) ] -> (c, v)
+        | _ -> Alcotest.fail "expected one seal at the coordinator and one at the voter"
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "own seal (%d ns) done before the voter's (%d ns)" coord_sealed
+           voter_sealed)
+        true (coord_sealed < voter_sealed);
+      (* A seal costs the coordinator 100 us of disk after its enclave's
+         sealing cost; the round must not pay it after the voter's ack. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "round ends %d ns after the voter's seal" (ended - voter_sealed))
+        true
+        (ended - voter_sealed < 100_000))
+
+(* Three replicas: coordinator 1 sits in voter 2's group and confirms the
+   voter's entry itself, last. The seal the round waits for must start
+   after that confirmation: restored into a fresh replica, it holds the
+   voter's value. *)
+let seal_holds_confirmed_vote () =
+  let sim = Sim.create () in
+  let net = Net.create sim Treaty_sim.Costmodel.default in
+  Sim.run sim (fun () ->
+      let members = [ 1; 2; 3 ] in
+      let rpc1, r1, coord_seals = sealing_replica sim net ~members ~disk_ns:100_000 1 in
+      let _, r2, _ = sealing_replica sim net ~members ~disk_ns:1_000_000 2 in
+      ignore (mk_replica sim net ~members 3);
+      Rote.note_vote r2 [ ("WAL", 8) ];
+      (match
+         Rote.increment_batch r1 ~entries:(fun () ->
+             [ Rote.own_entry r1 [ ("CLOG", 3) ]; voter_entry 2 [ ("WAL", 8) ] ])
+       with
+      | [ (_, `Trusted); (_, `Trusted) ] -> ()
+      | _ -> Alcotest.fail "an entry missed its quorum");
+      Alcotest.(check int) "the coordinator confirmed the vote" 8
+        (Rote.local_value r1 ~owner:2 ~log:"WAL");
+      let blob =
+        match !coord_seals with
+        | (_, blob) :: _ -> blob
+        | [] -> Alcotest.fail "the round returned before a seal"
+      in
+      Erpc.shutdown rpc1;
+      let _, restored =
+        mk_replica ~incarnation:1 ~restore:(fun () -> [ blob ]) sim net ~members 1
+      in
+      Alcotest.(check int) "the seal holds the coordinator's entry" 3
+        (Rote.local_value restored ~owner:1 ~log:"CLOG");
+      Alcotest.(check int) "the seal holds the confirmed vote" 8
+        (Rote.local_value restored ~owner:2 ~log:"WAL"))
+
+(* A coordinator starts a round as its prepare fan-out begins. If the
+   prepare fails, nobody waits: the round reads nothing when its alignment
+   ends, sends no echo, seals nothing and is not counted, and the pump
+   stops. A waiter that comes during the alignment rides the round and
+   saves what of the alignment had passed. *)
+let early_round_without_waiter_sends_nothing () =
+  let sim = Sim.create () in
+  let net = Net.create sim Treaty_sim.Costmodel.default in
+  Sim.run sim (fun () ->
+      let members = [ 1; 2; 3 ] in
+      let rpc1, r1, seals = sealing_replica sim net ~members ~disk_ns:100_000 1 in
+      List.iter (fun id -> ignore (mk_replica sim net ~members id)) [ 2; 3 ];
+      let cc = CC.create r1 ~owner:1 in
+      (* The coordinator's local prepare is noted, never waited for. *)
+      CC.note cc ~log:"WAL" ~counter:1;
+      CC.start_early cc;
+      Sim.sleep sim 10_000_000;
+      Alcotest.(check int) "no round counted" 0 (CC.stats cc).CC.rounds_started;
+      Alcotest.(check int) "no echo phase" 0 (Rote.stats r1).Rote.rounds;
+      Alcotest.(check int) "no echo sent" 0 (Erpc.stats rpc1).Erpc.requests_sent;
+      Alcotest.(check int) "no seal" 0 (List.length !seals);
+      (* The pump stopped: a wait starts a round, as it would have. *)
+      let t0 = Sim.now sim in
+      expect_stable "WAL" (CC.wait_stable cc ~log:"WAL" ~counter:1);
+      let plain = Sim.now sim - t0 in
+      Alcotest.(check int) "the wait's round" 1 (CC.stats cc).CC.rounds_started;
+      (* An early round that a waiter joins 200 us into its alignment. *)
+      CC.note cc ~log:"WAL" ~counter:2;
+      CC.start_early cc;
+      Sim.sleep sim 200_000;
+      let t0 = Sim.now sim in
+      expect_stable "WAL" (CC.wait_stable cc ~log:"WAL" ~counter:2);
+      let early = Sim.now sim - t0 in
+      Alcotest.(check int) "the early round carried the waiter" 2
+        (CC.stats cc).CC.rounds_started;
+      Alcotest.(check bool)
+        (Printf.sprintf "the joined wait (%d ns) is 200 us shorter than %d ns" early
+           plain)
+        true
+        (early <= plain - 200_000))
+
 let suite =
   [
     Alcotest.test_case "increment + quorum query" `Quick increment_and_query;
@@ -650,4 +777,10 @@ let suite =
       `Quick owner_and_coordinator_rounds_differ;
     Alcotest.test_case "7 replicas: one round reaches three groups' quorums" `Quick
       one_round_three_groups;
+    Alcotest.test_case "5 replicas: own seal overlaps the voter's" `Quick
+      own_seal_overlaps_voter_seal;
+    Alcotest.test_case "the round's seal holds the vote it confirmed" `Quick
+      seal_holds_confirmed_vote;
+    Alcotest.test_case "an early round nobody waits for sends nothing" `Quick
+      early_round_without_waiter_sends_nothing;
   ]
