@@ -27,6 +27,7 @@ let meta =
     kind = 3;
     is_response = false;
     req_id = 99;
+    acked = 0;
   }
 
 (* An 8-message burst of 100 B payloads: one packet, one IV, one keystream

@@ -181,7 +181,10 @@ let rollback t txn =
 (* Zero-RPC read-only fast path: declare the read set up front, group the
    keys by owning node and ship each group as ONE RPC answered from a
    retained MVCC snapshot — no begin/commit round, no locks, no
-   stabilization waits. Each per-owner batch is its own serializable
+   stabilization waits. The groups go out at once, each in its own fiber,
+   so the call takes the slowest owner's round trip, not the sum of them;
+   every owner is asked even when another fails, and the first error in
+   owner order is the call's. Each per-owner batch is its own serializable
    read-only transaction (a consistent prefix of that shard); a multi-shard
    call therefore gets per-shard snapshot consistency, not one global
    snapshot — callers that need cross-shard atomicity use {!with_txn}. *)
@@ -225,19 +228,20 @@ let read_only t keys =
             | Aborted _ | Malformed ) ->
             Error Types.Participant_failed)
   in
-  let rec go = function
-    | [] ->
-        Ok
-          (List.map
-             (fun key ->
-               (key, Option.join (Hashtbl.find_opt results key)))
-             keys)
-    | owner :: rest -> (
-        match fetch ~retry:true owner (List.rev !(Hashtbl.find groups owner)) with
-        | Ok () -> go rest
-        | Error e -> Error e)
-  in
-  go (List.rev !owners_rev)
+  let fetches = List.rev_map (fun owner -> (owner, ref (Ok ()))) !owners_rev in
+  Sim.fan_out t.sim fetches ~local:ignore (fun (owner, outcome) ->
+      outcome := fetch ~retry:true owner (List.rev !(Hashtbl.find groups owner)));
+  match
+    List.find_map
+      (fun (_, outcome) -> match !outcome with Error e -> Some e | Ok () -> None)
+      fetches
+  with
+  | Some e -> Error e
+  | None ->
+      Ok
+        (List.map
+           (fun key -> (key, Option.join (Hashtbl.find_opt results key)))
+           keys)
 
 let disconnect t = Erpc.shutdown t.rpc
 

@@ -45,8 +45,12 @@ val read_only : t -> string list -> (string * string option) list Types.txn_resu
 (** Zero-RPC read-only fast path: execute a client-declared read-only
     transaction without begin/commit rounds, locks, 2PC or stabilization
     waits. Keys are grouped by owning shard; each group is one RPC answered
-    from a retained MVCC snapshot at the owner. Results come back in input
-    order. Each per-shard batch is an individually serializable read-only
+    from a retained MVCC snapshot at the owner, and all groups are asked at
+    once, so the call costs the slowest owner's round trip. Every owner is
+    asked even if another fails; the error returned is the first in the
+    order the owners first appear in [keys], and an owner that restarted
+    is re-registered with (once) inside its own request. Results come back
+    in input order. Each per-shard batch is an individually serializable read-only
     transaction (a consistent committed prefix of that shard); a call whose
     keys span shards gets per-shard snapshot consistency, not one global
     snapshot — use {!with_txn} when cross-shard atomicity matters. *)

@@ -14,7 +14,6 @@ module Rote = Treaty_counter.Rote
 module Counter_client = Treaty_counter.Counter_client
 module Keys = Treaty_crypto.Keys
 module Wire = Treaty_util.Wire
-module Latch = Treaty_sched.Scheduler.Latch
 module Trace = Treaty_obs.Trace
 module Metrics = Treaty_obs.Metrics
 
@@ -97,6 +96,7 @@ let counter_client t = t.counter_client
 
 type residual = {
   res_dedup : int;
+  res_ack_index : int;
   res_locked_keys : int;
   res_part_txs : int;
   res_coord_txs : int;
@@ -107,6 +107,7 @@ type residual = {
 let residual_state t =
   {
     res_dedup = Erpc.dedup_size t.rpc;
+    res_ack_index = Erpc.ack_index_size t.rpc;
     res_locked_keys = Lock_table.locked_keys t.locks;
     res_part_txs = Hashtbl.length t.part_txs;
     res_coord_txs = Hashtbl.length t.coord_txs;
@@ -115,14 +116,15 @@ let residual_state t =
   }
 
 let residual_total r =
-  r.res_dedup + r.res_locked_keys + r.res_part_txs + r.res_coord_txs
-  + r.res_prepared + r.res_snapshots
+  r.res_dedup + r.res_ack_index + r.res_locked_keys + r.res_part_txs
+  + r.res_coord_txs + r.res_prepared + r.res_snapshots
 
 let residual_to_string r =
   Printf.sprintf
-    "dedup=%d locked=%d part_txs=%d coord_txs=%d prepared=%d snapshots=%d"
-    r.res_dedup r.res_locked_keys r.res_part_txs r.res_coord_txs r.res_prepared
-    r.res_snapshots
+    "dedup=%d ack_index=%d locked=%d part_txs=%d coord_txs=%d prepared=%d \
+     snapshots=%d"
+    r.res_dedup r.res_ack_index r.res_locked_keys r.res_part_txs r.res_coord_txs
+    r.res_prepared r.res_snapshots
 
 let fresh_stats () =
   {
@@ -439,21 +441,6 @@ let remote_slice ctx node =
       Hashtbl.replace ctx.ct_remote node s;
       s
 
-(* Run [f node] for each of [nodes], each in its own fiber, spawned in list
-   order, and [local ()] in this fiber meanwhile; return [local]'s result
-   once every [f] has returned. *)
-let fan_out t nodes ~local f =
-  let latch = Latch.create (List.length nodes) in
-  List.iter
-    (fun node ->
-      Sim.spawn t.deps.sim (fun () ->
-          f node;
-          Latch.arrive latch))
-    nodes;
-  let r = local () in
-  Latch.wait (Sim.sched t.deps.sim) latch;
-  r
-
 (* Forward one op to the owning participant (Figure 2, steps 1-4). *)
 let forward_op t ctx ~span ~owner op =
   ctx.ct_next_op <- ctx.ct_next_op + 1;
@@ -542,7 +529,7 @@ let handle_client_scan t _meta payload =
       let results = Hashtbl.create 8 in
       let failed = ref false in
       let local =
-        fan_out t remotes
+        Sim.fan_out t.deps.sim remotes
           ~local:(fun () -> Local_txn.scan ctx.ct_local ~lo ~hi)
           (fun node ->
             ctx.ct_next_op <- ctx.ct_next_op + 1;
@@ -623,7 +610,7 @@ let finish_commit t ctx ~remotes ~installed_local =
   else begin
     Hashtbl.replace t.decisions ctx.ct_seq true;
     (* Step 8: commit everywhere. *)
-    fan_out t remotes ~local:ignore (fun node ->
+    Sim.fan_out t.deps.sim remotes ~local:ignore (fun node ->
         match
           Erpc.call t.rpc ~dst:node ~kind:Txn_wire.k_commit ~coord:self
             ~tx_seq:ctx.ct_seq ~op_id:999_999
@@ -699,7 +686,7 @@ let commit_distributed t ctx =
     | Error `Timeout -> false
   in
   (* The local slice's fiber is spawned last. *)
-  fan_out t (remotes @ [ self ]) ~local:ignore (fun node ->
+  Sim.fan_out t.deps.sim (remotes @ [ self ]) ~local:ignore (fun node ->
       Hashtbl.replace results node
         (if node = self then prepare_local () else prepare_remote node));
   let all_ok = Hashtbl.fold (fun _ ok acc -> ok && acc) results true in

@@ -83,6 +83,9 @@ val authenticate_client : t -> client_id:int -> token:string -> bool
     harness checks it after every fault schedule (leak-freedom). *)
 type residual = {
   res_dedup : int;  (** At-most-once cache entries ({!Treaty_rpc.Erpc.dedup_size}). *)
+  res_ack_index : int;
+      (** Keys in the per-caller index of non-transactional entries
+          ({!Treaty_rpc.Erpc.ack_index_size}). *)
   res_locked_keys : int;  (** Keys with at least one lock holder. *)
   res_part_txs : int;  (** Live participant transaction contexts. *)
   res_coord_txs : int;  (** Live coordinator transaction contexts. *)

@@ -196,7 +196,8 @@ let statuses t apply entries =
   match entries with
   | [ e ] ->
       (* An own round's one-entry reply is one of two shared strings:
-         replies stay in the at-most-once cache for its whole TTL. *)
+         replies stay in the at-most-once cache until the caller's next
+         request acks them. *)
       if status e = positive then positive_reply else negative_reply
   | entries ->
       let b = Bytes.create (List.length entries) in

@@ -11,26 +11,36 @@ let key_of_string material =
   let mac_key = Sha256.digest_string ("treaty-aead-mac:" ^ material) in
   { enc; mac = Hmac.create mac_key }
 
-let len32_int n =
-  let b = Bytes.create 4 in
+(* A tag's length words, then the tag checked against a received one: a
+   tag never yields, so one scratch serves every key. *)
+let scratch = Bytes.create mac_size
+
+let feed_len32 s n =
+  let b = scratch in
   Bytes.set b 0 (Char.chr (n land 0xff));
   Bytes.set b 1 (Char.chr ((n lsr 8) land 0xff));
   Bytes.set b 2 (Char.chr ((n lsr 16) land 0xff));
   Bytes.set b 3 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.unsafe_to_string b
+  Hmac.feed_bytes s b 0 4
 
 (* The one tag transcript every seal and open uses: iv, len32 aad, aad,
    len32 ct, ct. The lengths of aad and ct are MACed too, so the framing is
    unambiguous. The IV, the AAD and the ciphertext are byte regions, fed
-   straight from wherever they lie. *)
-let tag_of key iv iv_off aad aad_off aad_len ct ct_off ct_len =
+   straight from wherever they lie; the 16-byte tag goes to
+   [dst.[dst_off ..)]. *)
+let tag_into key iv iv_off aad aad_off aad_len ct ct_off ct_len dst dst_off =
   let s = Hmac.stream key.mac in
   Hmac.feed_bytes s iv iv_off iv_size;
-  Hmac.feed_string s (len32_int aad_len);
+  feed_len32 s aad_len;
   Hmac.feed_bytes s aad aad_off aad_len;
-  Hmac.feed_string s (len32_int ct_len);
+  feed_len32 s ct_len;
   Hmac.feed_bytes s ct ct_off ct_len;
-  String.sub (Hmac.stream_mac s) 0 mac_size
+  Hmac.stream_mac_into s dst dst_off mac_size
+
+let tag_of key iv iv_off aad aad_off aad_len ct ct_off ct_len =
+  let t = Bytes.create mac_size in
+  tag_into key iv iv_off aad aad_off aad_len ct ct_off ct_len t 0;
+  Bytes.unsafe_to_string t
 
 let tag key ~iv ~aad ct =
   tag_of key (Bytes.unsafe_of_string iv) 0 (Bytes.unsafe_of_string aad) 0
@@ -97,15 +107,27 @@ let xor_region key ~iv buf ~off ~len =
   check_iv "Aead.xor_region" iv;
   Chacha20.xor_into ~key:key.enc ~nonce:iv buf ~off ~len
 
-let tag_region key ~iv buf ~aad_off ~aad_len ~ct_off ~ct_len =
+let tag_region key ~iv buf ~aad_off ~aad_len ~ct_off ~ct_len ~mac_off =
   (* Same transcript as {!tag}, so a region-sealed message verifies against
      a string-sealed one and vice versa. *)
   check_iv "Aead.tag_region" iv;
-  tag_of key (Bytes.unsafe_of_string iv) 0 buf aad_off aad_len buf ct_off ct_len
+  tag_into key (Bytes.unsafe_of_string iv) 0 buf aad_off aad_len buf ct_off ct_len
+    buf mac_off
 
-let check_region key ~iv buf ~aad_off ~aad_len ~ct_off ~ct_len ~mac =
-  String.length mac = mac_size
-  && Hmac.equal_tags mac (tag_region key ~iv buf ~aad_off ~aad_len ~ct_off ~ct_len)
+let check_region key ~iv buf ~aad_off ~aad_len ~ct_off ~ct_len ~mac_off =
+  check_iv "Aead.check_region" iv;
+  if mac_off < 0 || mac_off > Bytes.length buf - mac_size then
+    invalid_arg "Aead.check_region: mac region";
+  tag_into key (Bytes.unsafe_of_string iv) 0 buf aad_off aad_len buf ct_off ct_len
+    scratch 0;
+  (* Timing-safe: every byte is compared. *)
+  let acc = ref 0 in
+  for i = 0 to mac_size - 1 do
+    acc :=
+      !acc
+      lor (Char.code (Bytes.get scratch i) lxor Char.code (Bytes.get buf (mac_off + i)))
+  done;
+  !acc = 0
 
 module Iv_gen = struct
   type t = {

@@ -76,9 +76,11 @@ val tag_region :
   aad_len:int ->
   ct_off:int ->
   ct_len:int ->
-  string
-(** 16-byte truncated tag over [iv], the AAD region and the ciphertext
-    region of one buffer (length-framed like {!seal}). *)
+  mac_off:int ->
+  unit
+(** Write the 16-byte truncated tag over [iv], the AAD region and the
+    ciphertext region of one buffer (length-framed like {!seal}) to
+    [buf.[mac_off .. mac_off+16)]. Allocates nothing. *)
 
 val check_region :
   key ->
@@ -88,10 +90,10 @@ val check_region :
   aad_len:int ->
   ct_off:int ->
   ct_len:int ->
-  mac:string ->
+  mac_off:int ->
   bool
-(** Timing-safe verification of {!tag_region}; [false] on a [mac] that is
-    not {!mac_size} bytes. *)
+(** Timing-safe verification of {!tag_region} against the tag at
+    [buf.[mac_off .. mac_off+16)]. Allocates nothing. *)
 
 (** Deterministic IV generator: a per-key 96-bit counter, never reused.
 

@@ -1,4 +1,15 @@
+(* A key's inner and outer states, computed once. *)
 type t = { inner : Sha256.ctx; outer : Sha256.ctx }
+
+(* Scratch for one MAC at a time, shared by every key: a MAC copies its
+   key's state in and finalizes there, so it allocates only the tag it
+   returns. A MAC never yields, so no two share the scratch. The stream has
+   its own inner state, so a one-shot MAC between a stream's feeds leaves
+   it alone. *)
+let s_inner = Sha256.init ()  (* a one-shot MAC's inner hash *)
+let st_inner = Sha256.init ()  (* the stream's inner hash *)
+let s_outer = Sha256.init ()
+let digest = Bytes.create Sha256.digest_size  (* the inner digest, then the tag *)
 
 let block_size = 64
 
@@ -17,38 +28,52 @@ let create key =
   Sha256.update outer opad 0 block_size;
   { inner; outer }
 
-let finish t inner_ctx =
-  let inner_digest = Sha256.finalize inner_ctx in
-  let outer_ctx = Sha256.copy t.outer in
-  Sha256.update_string outer_ctx inner_digest;
-  Sha256.finalize outer_ctx
+(* Finish [t]'s MAC whose inner hash is [inner]: the tag lands in
+   [digest]. *)
+let finish_into t inner =
+  Sha256.finalize_into inner digest 0;
+  Sha256.copy_into t.outer s_outer;
+  Sha256.update s_outer digest 0 Sha256.digest_size;
+  Sha256.finalize_into s_outer digest 0
+
+let finish t inner =
+  finish_into t inner;
+  Bytes.sub_string digest 0 Sha256.digest_size
+
+let start t =
+  Sha256.copy_into t.inner s_inner;
+  s_inner
 
 let mac t msg =
-  let ctx = Sha256.copy t.inner in
+  let ctx = start t in
   Sha256.update_string ctx msg;
   finish t ctx
 
 let mac_parts t parts =
-  let ctx = Sha256.copy t.inner in
+  let ctx = start t in
   List.iter (Sha256.update_string ctx) parts;
   finish t ctx
 
 let mac_bytes t buf off len =
-  let ctx = Sha256.copy t.inner in
+  let ctx = start t in
   Sha256.update ctx buf off len;
   finish t ctx
 
-type stream = { s_outer : Sha256.ctx; s_inner : Sha256.ctx }
+type stream = t
 
-let stream t = { s_outer = t.outer; s_inner = Sha256.copy t.inner }
-let feed_string s data = Sha256.update_string s.s_inner data
-let feed_bytes s buf off len = Sha256.update s.s_inner buf off len
+let stream t =
+  Sha256.copy_into t.inner st_inner;
+  t
 
-let stream_mac s =
-  let inner_digest = Sha256.finalize s.s_inner in
-  let outer_ctx = Sha256.copy s.s_outer in
-  Sha256.update_string outer_ctx inner_digest;
-  Sha256.finalize outer_ctx
+let feed_string _ data = Sha256.update_string st_inner data
+let feed_bytes _ buf off len = Sha256.update st_inner buf off len
+let stream_mac s = finish s st_inner
+
+let stream_mac_into s dst off len =
+  if len < 0 || len > Sha256.digest_size || off < 0 || off > Bytes.length dst - len
+  then invalid_arg "Hmac.stream_mac_into";
+  finish_into s st_inner;
+  Bytes.blit digest 0 dst off len
 
 let equal_tags a b =
   String.length a = String.length b

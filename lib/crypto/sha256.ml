@@ -63,6 +63,12 @@ let init () =
 let copy c =
   { h = Bytes.copy c.h; buf = Bytes.copy c.buf; buf_len = c.buf_len; total = c.total }
 
+let copy_into src dst =
+  Bytes.blit src.h 0 dst.h 0 32;
+  Bytes.blit src.buf 0 dst.buf 0 src.buf_len;
+  dst.buf_len <- src.buf_len;
+  dst.total <- src.total
+
 let update ctx src off len =
   if off < 0 || len < 0 || off > Bytes.length src - len then
     invalid_arg "Sha256.update";
@@ -93,9 +99,10 @@ let update ctx src off len =
 
 let update_string ctx s = update ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
-let finalize ctx =
-  (* Padding, in place: 0x80, zeros, 8-byte big-endian bit length — spilling
-     into a second block when the length field does not fit. *)
+(* Padding, in place: 0x80, zeros, 8-byte big-endian bit length — spilling
+   into a second block when the length field does not fit. The digest is
+   left in [ctx.h]. *)
+let pad ctx =
   let buf = ctx.buf in
   let n = ctx.buf_len + 1 in
   Bytes.set buf ctx.buf_len '\x80';
@@ -106,8 +113,17 @@ let finalize ctx =
   end
   else Bytes.fill buf n (56 - n) '\000';
   Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
-  compress ctx.h buf 0 1;
+  compress ctx.h buf 0 1
+
+let finalize ctx =
+  pad ctx;
   Bytes.to_string ctx.h
+
+let finalize_into ctx dst off =
+  if off < 0 || off > Bytes.length dst - digest_size then
+    invalid_arg "Sha256.finalize_into";
+  pad ctx;
+  Bytes.blit ctx.h 0 dst off digest_size
 
 let digest_bytes b =
   let ctx = init () in

@@ -17,13 +17,23 @@ val digest_size : int
 
 val init : unit -> ctx
 val copy : ctx -> ctx
+
+val copy_into : ctx -> ctx -> unit
+(** [copy_into src dst] makes [dst] a copy of [src] without allocating. *)
+
 val update : ctx -> bytes -> int -> int -> unit
 (** [update ctx buf off len] absorbs [len] bytes of [buf] starting at [off].
     Raises [Invalid_argument] if the region is not inside [buf]. *)
 
 val update_string : ctx -> string -> unit
 val finalize : ctx -> string
-(** Returns the 32-byte digest. The context must not be reused afterwards. *)
+(** Returns the 32-byte digest. The context must not be reused afterwards
+    (except as the target of {!copy_into}). *)
+
+val finalize_into : ctx -> bytes -> int -> unit
+(** [finalize_into ctx dst off] writes the 32-byte digest to
+    [dst.[off .. off+32)] without allocating; otherwise as {!finalize}.
+    Raises [Invalid_argument] if that region is not inside [dst]. *)
 
 val digest_bytes : bytes -> string
 val digest_string : string -> string

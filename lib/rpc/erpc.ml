@@ -42,6 +42,22 @@ type stats = {
 
 type dedup_entry = Running of string Sim.ivar | Done of string
 
+(* A non-transactional identity's number: the caller's incarnation in the
+   high bits, its call sequence number in the low 32. Its [tx_seq] is the
+   negated number, so it never meets a transaction's. *)
+let seq_bits = 32
+let nontx_number ~incarnation seq = (incarnation lsl seq_bits) lor seq
+let incarnation_of n = n lsr seq_bits
+
+(* What a receiver knows of one caller incarnation's non-transactional
+   calls. *)
+type caller = {
+  mutable c_floor : int;
+      (* Its highest ack: its identities numbered below it have finished at
+         the caller. *)
+  mutable c_live : (int * int * int) list;  (* its keys in [dedup] *)
+}
+
 type t = {
   sim : Sim.t;
   net : Net.t;
@@ -56,11 +72,20 @@ type t = {
       (* Op ids per transactional identity, for [forget_tx]. *)
   dedup_expiry : ((int * int * int) * int) Queue.t;
       (* Keys of non-transactional identities with insertion time, oldest
-         first: their callers never send forget_tx, so they are reclaimed by
-         TTL instead. Each such identity is one call, so its key is enough:
+         first: the backstop for callers that go quiet before their ack
+         frees them. Each such identity is one call, so its key is enough:
          no [dedup_by_tx] entry. *)
+  callers : (int, caller) Hashtbl.t;
+      (* By caller wire id and incarnation ([caller_id]); kept after their
+         keys drain, so an acked identity stays refused. *)
   mutable next_req_id : int;
   mutable next_tx_seq : int;
+  unfinished : (int, unit) Hashtbl.t;
+      (* Sequence numbers of this endpoint's own non-transactional calls
+         that have not returned yet. *)
+  mutable low : int;
+      (* No own non-transactional call numbered below it is unfinished:
+         the watermark every request acks. *)
   outq : (int, (Secure_msg.meta * string) list ref) Hashtbl.t;
       (* dst -> plaintext messages (newest first) awaiting the doorbell;
          sealing happens at flush, once per packet. *)
@@ -166,14 +191,60 @@ let send_wire t ~dst meta data =
 
 let send_response t ~dst (meta : Secure_msg.meta) payload =
   t.stats.responses_sent <- t.stats.responses_sent + 1;
-  send_wire t ~dst { meta with is_response = true; src = t.node_id } payload
+  send_wire t ~dst
+    { meta with is_response = true; src = t.node_id; acked = 0 }
+    payload
+
+(* A caller incarnation: its wire id and the incarnation of the
+   identity number [n]; the latter fits in the 22 bits below the former
+   ({!Treaty_crypto.Aead.Iv_gen} bounds it). *)
+let caller_id ~coord n = (coord lsl 22) lor incarnation_of n
+
+let caller t id =
+  match Hashtbl.find_opt t.callers id with
+  | Some c -> c
+  | None ->
+      let c = { c_floor = 0; c_live = [] } in
+      Hashtbl.replace t.callers id c;
+      c
+
+(* Whether the caller has acked its non-transactional identity [key]. *)
+let acked t (coord, tx_seq, _) =
+  match Hashtbl.find_opt t.callers (caller_id ~coord (-tx_seq)) with
+  | None -> false
+  | Some c -> -tx_seq < c.c_floor
+
+(* Raise the sender's floor to the ack its request carries and drop the
+   replies it frees. An ack covers only its own incarnation's identities,
+   so an older incarnation's entries stay until the TTL. *)
+let note_ack t (meta : Secure_msg.meta) =
+  let a = meta.acked in
+  if a > 0 then begin
+    let c = caller t (caller_id ~coord:meta.src a) in
+    if a > c.c_floor then begin
+      c.c_floor <- a;
+      c.c_live <-
+        List.filter
+          (fun ((_, tx_seq, _) as key) ->
+            if -tx_seq < a then begin
+              Hashtbl.remove t.dedup key;
+              false
+            end
+            else true)
+          c.c_live
+    end
+  end
 
 let record_dedup t key entry =
   Hashtbl.replace t.dedup key entry;
   let coord, tx_seq, op = key in
   (* Non-transactional identities (tx_seq < 0) have no commit/abort to
-     forget them; schedule TTL reclamation instead. *)
-  if tx_seq < 0 then Queue.push (key, Sim.now t.sim) t.dedup_expiry
+     forget them: the caller's ack frees them, the TTL if it goes quiet. *)
+  if tx_seq < 0 then begin
+    let c = caller t (caller_id ~coord (-tx_seq)) in
+    c.c_live <- key :: c.c_live;
+    Queue.push (key, Sim.now t.sim) t.dedup_expiry
+  end
   else
     match Hashtbl.find_opt t.dedup_by_tx (coord, tx_seq) with
     | Some ops -> ops := op :: !ops
@@ -192,7 +263,13 @@ let expire_dedup t =
     match Queue.peek_opt t.dedup_expiry with
     | Some (key, born) when now - born >= t.config.dedup_ttl_ns ->
         ignore (Queue.pop t.dedup_expiry);
-        Hashtbl.remove t.dedup key;
+        if Hashtbl.mem t.dedup key then begin
+          (* Not freed by an ack: drop it from its caller's index too. *)
+          Hashtbl.remove t.dedup key;
+          let coord, tx_seq, _ = key in
+          let c = caller t (caller_id ~coord (-tx_seq)) in
+          c.c_live <- List.filter (fun k -> k <> key) c.c_live
+        end;
         drain ()
     | _ -> ()
   in
@@ -200,8 +277,12 @@ let expire_dedup t =
 
 let dedup_size t = Hashtbl.length t.dedup
 
+let ack_index_size t =
+  Hashtbl.fold (fun _ c n -> n + List.length c.c_live) t.callers 0
+
 let handle_request t (meta : Secure_msg.meta) data =
   expire_dedup t;
+  note_ack t meta;
   let key = Secure_msg.at_most_once_key meta in
   (* A halted enclave's endpoint must not answer — not even from its
      response cache: only the liveness check at reply time covers handlers
@@ -219,6 +300,10 @@ let handle_request t (meta : Secure_msg.meta) data =
       t.stats.replays_suppressed <- t.stats.replays_suppressed + 1;
       let payload = Sim.read t.sim iv in
       reply payload
+  | None when meta.tx_seq < 0 && acked t key ->
+      (* A replay of a call its caller has finished: its reply is freed,
+         and it is neither run again nor answered. *)
+      t.stats.replays_suppressed <- t.stats.replays_suppressed + 1
   | None -> (
       match Hashtbl.find_opt t.handlers meta.kind with
       | None -> () (* unknown kind: drop; caller times out *)
@@ -322,8 +407,11 @@ let create sim ~net ~enclave ~pool ~config ~node_id ?net_config () =
       dedup = Hashtbl.create 256;
       dedup_by_tx = Hashtbl.create 64;
       dedup_expiry = Queue.create ();
+      callers = Hashtbl.create 16;
       next_req_id = 0;
       next_tx_seq = 0;
+      unfinished = Hashtbl.create 16;
+      low = 1;
       outq = Hashtbl.create 8;
       doorbell_active = false;
       stats =
@@ -352,16 +440,18 @@ let call t ~dst ~kind ?coord ?tx_seq ?op_id ?timeout_ns ?span payload =
   let timeout_ns = Option.value timeout_ns ~default:t.config.timeout_ns in
   t.next_req_id <- t.next_req_id + 1;
   let req_id = t.next_req_id in
-  let coord = Option.value coord ~default:t.node_id in
-  let tx_seq =
+  let incarnation = Enclave.incarnation t.enclave in
+  let coord, tx_seq, nontx_seq =
     match tx_seq with
-    | Some s -> s
+    | Some s -> (Option.value coord ~default:t.node_id, s, 0)
     | None ->
-        (* Non-transactional call: fresh identity, unique across the
-           enclave incarnations under this wire id, so peer dedup caches
-           never serve a stale reply. *)
+        (* Non-transactional call: fresh identity under this endpoint's
+           own wire id, unique across the enclave incarnations under it,
+           so peer dedup caches never serve a stale reply and this
+           endpoint's acks cover it. *)
         t.next_tx_seq <- t.next_tx_seq + 1;
-        -((Enclave.incarnation t.enclave * 1_000_000) + t.next_tx_seq)
+        Hashtbl.replace t.unfinished t.next_tx_seq ();
+        (t.node_id, -nontx_number ~incarnation t.next_tx_seq, t.next_tx_seq)
   in
   let op_id = Option.value op_id ~default:req_id in
   let meta =
@@ -373,6 +463,7 @@ let call t ~dst ~kind ?coord ?tx_seq ?op_id ?timeout_ns ?span payload =
       kind;
       is_response = false;
       req_id;
+      acked = nontx_number ~incarnation t.low;
     }
   in
   t.stats.requests_sent <- t.stats.requests_sent + 1;
@@ -392,6 +483,13 @@ let call t ~dst ~kind ?coord ?tx_seq ?op_id ?timeout_ns ?span payload =
   in
   let t0 = Sim.now t.sim in
   let finish status result =
+    if nontx_seq > 0 then begin
+      (* Returned, by reply or by timeout: the watermark may pass it. *)
+      Hashtbl.remove t.unfinished nontx_seq;
+      while t.low <= t.next_tx_seq && not (Hashtbl.mem t.unfinished t.low) do
+        t.low <- t.low + 1
+      done
+    end;
     if cspan <> Trace.none then begin
       Trace.ctx_unregister ~coord ~tx_seq ~op_id;
       Trace.end_span cspan ~args:[ ("status", Trace.Str status) ]

@@ -14,6 +14,21 @@
     a response cache instead of re-executing, and a tampered message fails
     its MAC and is dropped (the caller times out).
 
+    A transaction's cached replies go when it commits or aborts
+    ({!forget_tx}). A non-transactional call (every client request, counter
+    rounds, decision queries) has no such end, so its caller frees it, as
+    in RIFL (Lee et al., SOSP 2015): every request carries the caller's
+    watermark ({!Secure_msg.meta.acked}), its incarnation's smallest
+    non-transactional identity that has not returned yet, by reply or by
+    timeout. The receiver keeps per caller incarnation (wire id and
+    incarnation) the highest watermark and a list of its cached
+    non-transactional keys, and drops the keys below the watermark when it
+    rises. A request below the watermark that has no entry is a replay: it
+    is neither run nor answered. So a watermark covers only its own
+    incarnation's identities. The ack is sealed with the metadata, and the
+    watermark outlives the keys, so replays of acked identities are refused
+    for good.
+
     Burst coalescing (eRPC's TxBurst): messages queued to one destination
     leave together in one packet — one transport traversal, one
     serialization fragmented by MTU, and one {!Secure_msg.Burst} seal. A
@@ -35,9 +50,10 @@ type config = {
   timeout_ns : int;  (** Default request timeout. *)
   dedup_ttl_ns : int;
       (** Lifetime of at-most-once cache entries whose identity is
-          non-transactional (fresh per call, never replayed beyond the
-          network's duplication window): without an owning transaction no
-          commit/abort ever forgets them, so they are reclaimed by age. *)
+          non-transactional when their caller's ack has not freed them
+          first: the backstop for a caller incarnation that goes quiet,
+          such as one a restart or reconnect replaced. An acked identity
+          stays refused after the entry is gone. *)
 }
 
 val default_config : security:Secure_msg.security -> config
@@ -100,8 +116,10 @@ val call :
 (** Issue a request and block the current fiber until the response arrives
     or the timeout fires. The id triple defaults to a fresh, non-transactional
     identity built from the enclave's incarnation number, so no two
-    incarnations under one wire id share one; 2PC passes the real
-    (coord, tx, op). When tracing, [span] parents an [rpc.call] span whose
+    incarnations under one wire id share one; its coord is this endpoint's
+    wire id ([coord] counts only with [tx_seq]). 2PC passes the real
+    (coord, tx, op). Every request, transactional or not, acks the
+    non-transactional calls that have returned. When tracing, [span] parents an [rpc.call] span whose
     id is registered under the triple so the remote handler links to it
     ({!Treaty_obs.Trace.ctx_resolve}). *)
 
@@ -117,6 +135,10 @@ val dedup_size : t -> int
 (** Entries currently held in the at-most-once response cache. After all
     transactions finish, duplicates age out and sweeps run, this returns to
     zero — the leak-freedom invariant the chaos harness checks. *)
+
+val ack_index_size : t -> int
+(** Keys held in the per-caller index of non-transactional entries. It
+    drains with them: zero whenever no such entry is cached. *)
 
 val shutdown : t -> unit
 (** Crash/stop: halt the endpoint's enclave ({!Treaty_tee.Enclave.halt}).

@@ -9,6 +9,7 @@ type meta = {
   kind : int;
   is_response : bool;
   req_id : int;
+  acked : int;
 }
 
 let meta_size = 80
@@ -50,7 +51,8 @@ let encode_meta_into b off m =
   put64 b (off + 24) m.src;
   put64 b (off + 32) m.kind;
   put64 b (off + 40) (if m.is_response then 1 else 0);
-  put64 b (off + 48) m.req_id
+  put64 b (off + 48) m.req_id;
+  put64 b (off + 56) m.acked
 
 let decode_meta_bytes b off =
   {
@@ -61,6 +63,7 @@ let decode_meta_bytes b off =
     kind = get64b b (off + 32);
     is_response = get64b b (off + 40) = 1;
     req_id = get64b b (off + 48);
+    acked = get64b b (off + 56);
   }
 
 let at_most_once_key m = (m.coord, m.tx_seq, m.op_id)
@@ -128,11 +131,8 @@ module Burst = struct
         let body_end = write_bodies () in
         let ct_len = body_end - body_off in
         Aead.xor_region key ~iv buf ~off:body_off ~len:ct_len;
-        let mac =
-          Aead.tag_region key ~iv buf ~aad_off:0 ~aad_len:body_off
-            ~ct_off:body_off ~ct_len
-        in
-        Bytes.blit_string mac 0 buf body_end Aead.mac_size;
+        Aead.tag_region key ~iv buf ~aad_off:0 ~aad_len:body_off
+          ~ct_off:body_off ~ct_len ~mac_off:body_end;
         body_end + Aead.mac_size
 
   (* Slice the (already plaintext) bodies out of [b]. The length table was
@@ -178,14 +178,13 @@ module Burst = struct
             else begin
               let ct_len = pn - body_off - Aead.mac_size in
               let iv = Bytes.sub_string b 1 Aead.iv_size in
-              let mac = Bytes.sub_string b (body_off + ct_len) Aead.mac_size in
               (* Verify before trusting the length table: it is part of the
                  AAD, so a flipped length byte is a MAC failure (`Tampered),
                  not a framing error. *)
               if
                 not
                   (Aead.check_region key ~iv b ~aad_off:0 ~aad_len:body_off
-                     ~ct_off:body_off ~ct_len ~mac)
+                     ~ct_off:body_off ~ct_len ~mac_off:(body_off + ct_len))
               then Error `Tampered
               else begin
                 Aead.xor_region key ~iv b ~off:body_off ~len:ct_len;

@@ -7,7 +7,9 @@
     Metadata carries the coordinator node id, the transaction id
     (monotonically incremented at the coordinator) and the operation id —
     the unique triple that gives at-most-once execution — plus RPC plumbing
-    (source node, handler kind, response flag, request id). Only metadata and
+    (source node, handler kind, response flag, request id) and the sender's
+    ack of its finished non-transactional calls, in eight of the 80 bytes
+    the paper leaves unused (so wire sizes do not change). Only metadata and
     data are encrypted; if the IV or MAC is altered the integrity check
     fails. Plain mode (the native baselines) sends the same metadata
     unencrypted with no IV/MAC.
@@ -27,6 +29,14 @@ type meta = {
   kind : int;  (** Request-handler selector. *)
   is_response : bool;
   req_id : int;  (** RPC-level id matching a response to its request. *)
+  acked : int;
+      (** The sender's at-most-once ack (8 B, bytes 56-63 of the metadata,
+          which the paper leaves unused): every non-transactional identity
+          of the sender's incarnation numbered below it has finished at the
+          sender, so the receiver may drop their cached replies and refuse
+          them from then on ({!Erpc.call}). It is sealed with the rest of
+          the metadata, so no one can forge it, and a replayed packet
+          carries an older, harmless value. [0] on responses. *)
 }
 
 val at_most_once_key : meta -> int * int * int

@@ -81,6 +81,18 @@ let fill iv v = Scheduler.Ivar.fill iv v
 let try_fill iv v = Scheduler.Ivar.try_fill iv v
 let read t iv = Scheduler.Ivar.read t.scheduler iv
 
+let fan_out t xs ~local f =
+  let latch = Scheduler.Latch.create (List.length xs) in
+  List.iter
+    (fun x ->
+      spawn t (fun () ->
+          f x;
+          Scheduler.Latch.arrive latch))
+    xs;
+  let r = local () in
+  Scheduler.Latch.wait t.scheduler latch;
+  r
+
 let read_timeout t ~ns iv =
   match Scheduler.Ivar.peek iv with
   | Some _ as v -> v

@@ -55,6 +55,11 @@ val fill : 'a ivar -> 'a -> unit
 val try_fill : 'a ivar -> 'a -> bool
 val read : t -> 'a ivar -> 'a
 
+val fan_out : t -> 'a list -> local:(unit -> 'b) -> ('a -> unit) -> 'b
+(** [fan_out t xs ~local f] runs [f x] for each of [xs], each in its own
+    fiber, spawned in list order, and [local ()] in the calling fiber
+    meanwhile; it returns [local]'s result once every [f] has returned. *)
+
 val read_timeout : t -> ns:int -> 'a ivar -> 'a option
 (** Wait for the ivar, giving up after [ns] simulated nanoseconds. If the
     ivar fills first the timer is cancelled and its pooled record reclaimed

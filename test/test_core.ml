@@ -557,6 +557,98 @@ let ro_waits_for_inflight_writer () =
           Client.disconnect a;
           Client.disconnect r)
 
+(* The read-only fast path asks its owners at once: three owners cost about
+   one owner's round trip, not three. *)
+let ro_owners_in_parallel () =
+  with_cluster ~isolation:Types.Optimistic ~route:explicit_route (fun sim cluster ->
+      let c = Client.connect_exn cluster ~client_id:1 in
+      let keys = [ "node1:p"; "node2:p"; "node3:p" ] in
+      (match Client.with_txn c (fun txn -> put_all c txn (List.map (fun k -> (k, k)) keys)) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "setup: %s" (Types.abort_reason_to_string e));
+      let timed keys =
+        let t0 = Sim.now sim in
+        (match Client.read_only c keys with
+        | Ok kvs ->
+            Alcotest.(check (list (pair string (option string))))
+              "values" (List.map (fun k -> (k, Some k)) keys) kvs
+        | Error e -> Alcotest.failf "ro: %s" (Types.abort_reason_to_string e));
+        Sim.now sim - t0
+      in
+      (* Warm both shapes once, then time them. *)
+      ignore (timed [ "node1:p" ]);
+      ignore (timed keys);
+      let one = timed [ "node1:p" ] and three = timed keys in
+      Alcotest.(check bool)
+        (Printf.sprintf "three owners (%d ns) < 1.5 x one owner (%d ns)" three one)
+        true
+        (2 * three < 3 * one);
+      Client.disconnect c)
+
+(* An owner that is down fails the call with its own error; the owners
+   that answered still ran their read-only transaction and released its
+   snapshot. *)
+let ro_owner_down_releases_others () =
+  with_cluster ~isolation:Types.Optimistic ~route:explicit_route (fun _sim cluster ->
+      let c = Client.connect_exn cluster ~client_id:1 in
+      (match
+         Client.with_txn c (fun txn ->
+             put_all c txn [ ("node1:d", "1"); ("node2:d", "2"); ("node3:d", "3") ])
+       with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "setup: %s" (Types.abort_reason_to_string e));
+      let served i = (Node.stats (Cluster.node cluster i)).Node.read_only_committed in
+      let before = List.map served [ 0; 2 ] in
+      Cluster.crash_node cluster 1;
+      (match Client.read_only c [ "node1:d"; "node2:d"; "node3:d" ] with
+      | Error Types.Participant_failed -> ()
+      | Error e -> Alcotest.failf "failed as %s" (Types.abort_reason_to_string e)
+      | Ok _ -> Alcotest.fail "read through a crashed owner");
+      Alcotest.(check (list int)) "both live owners served their batch"
+        (List.map succ before) (List.map served [ 0; 2 ]);
+      List.iter
+        (fun i ->
+          Alcotest.(check int)
+            (Printf.sprintf "node %d released its snapshot" (i + 1))
+            0 (Node.residual_state (Cluster.node cluster i)).Node.res_snapshots)
+        [ 0; 2 ];
+      Client.disconnect c)
+
+(* A restarted owner has forgotten the client: inside the fan-out the
+   client re-registers with it once and asks again, and asks the other
+   owners once each. *)
+let ro_restarted_owner_reregisters_once () =
+  with_cluster ~isolation:Types.Optimistic ~route:explicit_route (fun _sim cluster ->
+      let c = Client.connect_exn cluster ~client_id:1 in
+      (match
+         Client.with_txn c (fun txn ->
+             put_all c txn [ ("node1:r", "1"); ("node2:r", "2"); ("node3:r", "3") ])
+       with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "setup: %s" (Types.abort_reason_to_string e));
+      Cluster.crash_node cluster 1;
+      (match Cluster.restart_node cluster 1 with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "restart: %s" m);
+      let sent = Array.make 4 0 in
+      Net.set_adversary (Cluster.net cluster) (fun pkt ->
+          if pkt.Treaty_netsim.Packet.src = 1001 && pkt.dst <= 3 then
+            sent.(pkt.dst) <- sent.(pkt.dst) + 1;
+          Treaty_netsim.Adversary.Deliver);
+      (match Client.read_only c [ "node1:r"; "node2:r"; "node3:r" ] with
+      | Ok kvs ->
+          Alcotest.(check (list (pair string (option string))))
+            "values"
+            [ ("node1:r", Some "1"); ("node2:r", Some "2"); ("node3:r", Some "3") ]
+            kvs
+      | Error e -> Alcotest.failf "ro: %s" (Types.abort_reason_to_string e));
+      Net.clear_adversary (Cluster.net cluster);
+      Alcotest.(check (list int))
+        "packets per owner: one read each; the restarted one also a register and a retry"
+        [ 1; 3; 1 ]
+        [ sent.(1); sent.(2); sent.(3) ];
+      Client.disconnect c)
+
 (* --- crash / recovery matrix -------------------------------------------- *)
 
 let committed_data_survives_crash () =
@@ -1262,4 +1354,10 @@ let suite =
       participant_group_without_quorum_aborts;
     Alcotest.test_case "coordinator crash after its own seal agrees" `Quick
       coordinator_crash_after_own_seal_agrees;
+    Alcotest.test_case "read-only asks its owners in parallel" `Quick
+      ro_owners_in_parallel;
+    Alcotest.test_case "read-only with an owner down releases the others" `Quick
+      ro_owner_down_releases_others;
+    Alcotest.test_case "read-only re-registers a restarted owner once" `Quick
+      ro_restarted_owner_reregisters_once;
   ]

@@ -164,19 +164,22 @@ let aead_region_interverifies () =
   let packed = Aead.seal_packed key ~iv ~aad pt in
   (* packed = iv | ct | mac *)
   let ct_len = String.length pt in
-  let b = Bytes.create (String.length aad + ct_len) in
+  let mac_off = String.length aad + ct_len in
+  let b = Bytes.create (mac_off + 16) in
   Bytes.blit_string aad 0 b 0 (String.length aad);
   Bytes.blit_string packed 12 b (String.length aad) ct_len;
-  let tag =
-    Aead.tag_region key ~iv b ~aad_off:0 ~aad_len:(String.length aad)
-      ~ct_off:(String.length aad) ~ct_len
-  in
+  Aead.tag_region key ~iv b ~aad_off:0 ~aad_len:(String.length aad)
+    ~ct_off:(String.length aad) ~ct_len ~mac_off;
   Alcotest.(check string) "region tag = packed tag"
     (String.sub packed (12 + ct_len) 16)
-    tag;
+    (Bytes.sub_string b mac_off 16);
   Alcotest.(check bool) "check_region accepts" true
     (Aead.check_region key ~iv b ~aad_off:0 ~aad_len:(String.length aad)
-       ~ct_off:(String.length aad) ~ct_len ~mac:tag);
+       ~ct_off:(String.length aad) ~ct_len ~mac_off);
+  Bytes.set b (mac_off + 15) (Char.chr (Char.code (Bytes.get b (mac_off + 15)) lxor 1));
+  Alcotest.(check bool) "check_region rejects a flipped tag bit" false
+    (Aead.check_region key ~iv b ~aad_off:0 ~aad_len:(String.length aad)
+       ~ct_off:(String.length aad) ~ct_len ~mac_off);
   Aead.xor_region key ~iv b ~off:(String.length aad) ~len:ct_len;
   Alcotest.(check string) "region decrypt recovers plaintext" pt
     (Bytes.sub_string b (String.length aad) ct_len)
@@ -349,19 +352,26 @@ let kernel_entry_points_reject_bad_calls () =
   rejects "Aead.xor_region short iv" (fun b ->
       Aead.xor_region k ~iv:"short" b ~off:0 ~len:8);
   region_cases "Aead.tag_region aad" (fun ~off ~len b ->
-      ignore (Aead.tag_region k ~iv b ~aad_off:off ~aad_len:len ~ct_off:0 ~ct_len:8));
+      Aead.tag_region k ~iv b ~aad_off:off ~aad_len:len ~ct_off:0 ~ct_len:8 ~mac_off:48);
   region_cases "Aead.tag_region ct" (fun ~off ~len b ->
-      ignore (Aead.tag_region k ~iv b ~aad_off:0 ~aad_len:8 ~ct_off:off ~ct_len:len));
+      Aead.tag_region k ~iv b ~aad_off:0 ~aad_len:8 ~ct_off:off ~ct_len:len ~mac_off:48);
+  List.iter
+    (fun mac_off ->
+      rejects (Printf.sprintf "Aead.tag_region mac_off=%d" mac_off) (fun b ->
+          Aead.tag_region k ~iv b ~aad_off:0 ~aad_len:8 ~ct_off:8 ~ct_len:8 ~mac_off);
+      rejects (Printf.sprintf "Aead.check_region mac_off=%d" mac_off) (fun b ->
+          ignore
+            (Aead.check_region k ~iv b ~aad_off:0 ~aad_len:8 ~ct_off:8 ~ct_len:8 ~mac_off)))
+    [ -1; 49; max_int ];
   rejects "Aead.tag_region short iv" (fun b ->
-      ignore (Aead.tag_region k ~iv:"short" b ~aad_off:0 ~aad_len:0 ~ct_off:0 ~ct_len:8));
-  let mac = String.make 16 'm' in
+      Aead.tag_region k ~iv:"short" b ~aad_off:0 ~aad_len:0 ~ct_off:0 ~ct_len:8 ~mac_off:48);
   region_cases "Aead.check_region" (fun ~off ~len b ->
       ignore
-        (Aead.check_region k ~iv b ~aad_off:0 ~aad_len:0 ~ct_off:off ~ct_len:len ~mac));
+        (Aead.check_region k ~iv b ~aad_off:0 ~aad_len:0 ~ct_off:off ~ct_len:len ~mac_off:48));
   rejects "Aead.check_region long iv" (fun b ->
       ignore
         (Aead.check_region k ~iv:(String.make 16 'i') b ~aad_off:0 ~aad_len:0 ~ct_off:0
-           ~ct_len:8 ~mac))
+           ~ct_len:8 ~mac_off:48))
 
 (* --- each SHA-256 kernel by name vs the oracle --- *)
 
@@ -630,6 +640,44 @@ let iv_gen_incarnations () =
       | exception Invalid_argument _ -> ())
     [ -1; 1 lsl 22 ]
 
+(* Region tags work in shared scratch: a one-shot MAC between a stream's
+   feeds leaves the stream alone, and sealing or checking a packet region
+   allocates no minor words (a tag never yields, so one scratch serves
+   every key). *)
+let region_tags_reuse_scratch () =
+  let h = Hmac.create "scratch-key" in
+  let s = Hmac.stream h in
+  Hmac.feed_string s "ab";
+  let between = Hmac.mac h "unrelated" in
+  Hmac.feed_string s "cd";
+  let t = Bytes.make 40 '.' in
+  Hmac.stream_mac_into s t 4 32;
+  Alcotest.(check string) "stream survives a one-shot MAC" (Hmac.mac h "abcd")
+    (Bytes.sub_string t 4 32);
+  Alcotest.(check string) "the one-shot MAC is right"
+    (Hmac.mac (Hmac.create "scratch-key") "unrelated")
+    between;
+  let k = Aead.key_of_string "k" and iv = String.make 12 'i' in
+  let b = Bytes.init 256 (fun i -> Char.chr (i land 0xff)) in
+  let seal () =
+    Aead.tag_region k ~iv b ~aad_off:0 ~aad_len:21 ~ct_off:21 ~ct_len:200 ~mac_off:221
+  in
+  let check () =
+    Aead.check_region k ~iv b ~aad_off:0 ~aad_len:21 ~ct_off:21 ~ct_len:200 ~mac_off:221
+  in
+  seal ();
+  let ok = ref true in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    seal ();
+    ok := !ok && check ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "every sealed region checks" true !ok;
+  Alcotest.(check bool)
+    (Printf.sprintf "1000 seals and checks allocate %.0f minor words" words)
+    true (words < 100.)
+
 let suite =
   [
     Alcotest.test_case "sha256 vectors" `Quick sha256_vectors;
@@ -669,4 +717,6 @@ let suite =
     Alcotest.test_case "aead truncations and byte flips" `Quick
       aead_truncations_and_flips;
     Alcotest.test_case "iv generator incarnations" `Quick iv_gen_incarnations;
+    Alcotest.test_case "region tags reuse scratch, allocate nothing" `Quick
+      region_tags_reuse_scratch;
   ]

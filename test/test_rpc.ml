@@ -20,6 +20,7 @@ let meta =
     kind = 7;
     is_response = false;
     req_id = 99;
+    acked = 0;
   }
 
 (* Seal [msgs] as one packet; checks the bytes written against
@@ -96,10 +97,11 @@ let transport_shape () =
 
 (* --- eRPC over the simulated network ----------------------------------- *)
 
-let mk_endpoint sim net ~security ~node_id =
+let mk_endpoint ?incarnation sim net ~security ~node_id =
   let enclave =
-    Enclave.create sim ~mode:Enclave.Scone ~cost:Treaty_sim.Costmodel.default
-      ~cores:4 ~node_id ~code_identity:"rpc-test"
+    Enclave.create ?incarnation sim ~mode:Enclave.Scone
+      ~cost:Treaty_sim.Costmodel.default ~cores:4 ~node_id
+      ~code_identity:"rpc-test"
   in
   let pool = Treaty_memalloc.Mempool.create enclave in
   Erpc.create sim ~net ~enclave ~pool ~config:(Erpc.default_config ~security) ~node_id ()
@@ -335,6 +337,7 @@ let mk_meta i =
     kind = 1 + (i mod 3);
     is_response = i mod 2 = 0;
     req_id = 7000 + i;
+    acked = 1000 * i;
   }
 
 let burst_roundtrip_equiv =
@@ -424,6 +427,156 @@ let rpc_rejects_v1_envelope () =
       Alcotest.(check int) "still one MAC failure" 1 (Erpc.stats b).mac_failures;
       Alcotest.(check int) "the intact packet ran its handler" 1 !runs)
 
+(* --- caller acks ------------------------------------------------------ *)
+
+(* [b] answers kind 1 at once and kind 2 after 1 ms; every execution is
+   counted. *)
+let with_ack_pair f =
+  let key = Aead.key_of_string "net" in
+  with_pair ~security:(Secure_msg.Secure key) (fun sim net a b ->
+      let executions = ref 0 in
+      Erpc.register b ~kind:1 (fun _ p ->
+          incr executions;
+          "r:" ^ p);
+      Erpc.register b ~kind:2 (fun _ p ->
+          incr executions;
+          Sim.sleep sim 1_000_000;
+          "slow:" ^ p);
+      f sim net a b executions)
+
+let call_ok a ~kind p =
+  match Erpc.call a ~dst:2 ~kind p with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.failf "call %S failed" p
+
+(* The held entries and the per-caller index agree. *)
+let check_held b what n =
+  Alcotest.(check int) (what ^ ": dedup entries") n (Erpc.dedup_size b);
+  Alcotest.(check int) (what ^ ": index keys") n (Erpc.ack_index_size b)
+
+(* Once the caller's next request arrives, the peer holds only the calls
+   still in flight when it was sent (that request's own among them). *)
+let rpc_ack_frees_replies () =
+  with_ack_pair (fun sim _net a b _executions ->
+      for i = 1 to 5 do
+        call_ok a ~kind:1 (string_of_int i);
+        check_held b (Printf.sprintf "after sequential call %d" i) 1
+      done;
+      let slow_done = ref 0 in
+      for i = 1 to 3 do
+        Sim.spawn sim (fun () ->
+            call_ok a ~kind:2 (Printf.sprintf "slow%d" i);
+            incr slow_done)
+      done;
+      Sim.sleep sim 1_000;
+      call_ok a ~kind:1 "during";
+      check_held b "three slow calls and one fast one in flight" 4;
+      Sim.sleep sim 5_000_000;
+      Alcotest.(check int) "slow calls returned" 3 !slow_done;
+      call_ok a ~kind:1 "after";
+      check_held b "all returned, then one call" 1)
+
+(* A captured non-transactional request replayed after its caller acked
+   it, and again after the TTL, runs once and is never answered again. *)
+let rpc_acked_replay_refused () =
+  with_ack_pair (fun sim net a b executions ->
+      Net.capture net ~limit:16;
+      call_ok a ~kind:1 "once";
+      let request =
+        List.find (fun p -> p.Treaty_netsim.Packet.dst = 2) (Net.captured net)
+      in
+      call_ok a ~kind:1 "ack";
+      Alcotest.(check int) "two executions" 2 !executions;
+      let answered = (Erpc.stats b).responses_sent in
+      let suppressed = (Erpc.stats b).replays_suppressed in
+      Net.replay net request;
+      Sim.sleep sim 1_000_000;
+      Alcotest.(check int) "replay after the ack: not run" 2 !executions;
+      Alcotest.(check int) "replay after the ack: not answered" answered
+        (Erpc.stats b).responses_sent;
+      Alcotest.(check int) "replay after the ack: suppressed" (suppressed + 1)
+        (Erpc.stats b).replays_suppressed;
+      Sim.sleep sim 2_100_000_000;
+      Erpc.expire_dedup b;
+      check_held b "after the TTL" 0;
+      Net.replay net request;
+      Sim.sleep sim 1_000_000;
+      Alcotest.(check int) "replay after the TTL: not run" 2 !executions;
+      Alcotest.(check int) "replay after the TTL: not answered" answered
+        (Erpc.stats b).responses_sent)
+
+(* A call that has not returned holds the watermark, and with it every
+   later call's entry at the peer, until it returns by timeout. *)
+let rpc_timed_out_call_holds_watermark () =
+  with_ack_pair (fun sim net a b _executions ->
+      (* The first request towards [b] is lost. *)
+      Net.set_adversary net
+        (Adversary.nth_matching
+           (fun pkt -> pkt.Treaty_netsim.Packet.dst = 2)
+           ~n:1 Adversary.Drop);
+      let lost = ref None in
+      Sim.spawn sim (fun () ->
+          lost := Some (Erpc.call a ~dst:2 ~kind:1 ~timeout_ns:5_000_000 "lost"));
+      Sim.sleep sim 1_000;
+      for i = 1 to 3 do
+        call_ok a ~kind:1 (string_of_int i)
+      done;
+      check_held b "lost call pending: every later call held" 3;
+      Sim.sleep sim 6_000_000;
+      (match !lost with
+      | Some (Error `Timeout) -> ()
+      | _ -> Alcotest.fail "the lost call should have timed out");
+      call_ok a ~kind:1 "next";
+      check_held b "lost call timed out: only the next call held" 1)
+
+(* An ack covers its own incarnation only: a new incarnation under the
+   caller's wire id leaves the old one's entry to the TTL, and the old
+   one's acked calls stay refused. *)
+let rpc_ack_per_incarnation () =
+  let key = Aead.key_of_string "net" in
+  let security = Secure_msg.Secure key in
+  let sim = Sim.create () in
+  let net = Net.create sim Treaty_sim.Costmodel.default in
+  Sim.run sim (fun () ->
+      let b = mk_endpoint sim net ~security ~node_id:2 in
+      let executions = ref 0 in
+      Erpc.register b ~kind:1 (fun _ p ->
+          incr executions;
+          "r:" ^ p);
+      let old = mk_endpoint ~incarnation:1 sim net ~security ~node_id:1 in
+      Net.capture net ~limit:16;
+      call_ok old ~kind:1 "old-1";
+      let request =
+        List.find (fun p -> p.Treaty_netsim.Packet.dst = 2) (Net.captured net)
+      in
+      call_ok old ~kind:1 "old-2";
+      check_held b "old incarnation acked its first call" 1;
+      Erpc.shutdown old;
+      let fresh = mk_endpoint ~incarnation:2 sim net ~security ~node_id:1 in
+      call_ok fresh ~kind:1 "new-1";
+      call_ok fresh ~kind:1 "new-2";
+      check_held b "old incarnation's last call outlives the new acks" 2;
+      Net.replay net request;
+      Sim.sleep sim 1_000_000;
+      Alcotest.(check int) "old incarnation's acked call not rerun" 4 !executions;
+      Sim.sleep sim 2_100_000_000;
+      Erpc.expire_dedup b;
+      check_held b "after the TTL" 0)
+
+(* A caller that goes quiet never acks its last call: the TTL frees it. *)
+let rpc_silent_caller_ages_out () =
+  with_ack_pair (fun sim _net a b _executions ->
+      for i = 1 to 3 do
+        call_ok a ~kind:1 (string_of_int i)
+      done;
+      check_held b "last call unacked" 1;
+      Sim.sleep sim 1_000_000_000;
+      Erpc.expire_dedup b;
+      check_held b "inside the TTL" 1;
+      Sim.sleep sim 1_100_000_000;
+      Erpc.expire_dedup b;
+      check_held b "after the TTL" 0)
+
 let suite =
   [
     Alcotest.test_case "secure message roundtrip" `Quick secure_msg_roundtrip;
@@ -448,4 +601,14 @@ let suite =
       rpc_rejects_v1_envelope;
     Alcotest.test_case "bursts flush at the end of the instant" `Quick
       rpc_burst_end_of_instant;
+    Alcotest.test_case "the next request's ack frees replies" `Quick
+      rpc_ack_frees_replies;
+    Alcotest.test_case "acked replay refused, also after the TTL" `Quick
+      rpc_acked_replay_refused;
+    Alcotest.test_case "a timed-out call holds the watermark" `Quick
+      rpc_timed_out_call_holds_watermark;
+    Alcotest.test_case "an ack covers its own incarnation" `Quick
+      rpc_ack_per_incarnation;
+    Alcotest.test_case "a silent caller's entries age out" `Quick
+      rpc_silent_caller_ages_out;
   ]
