@@ -16,7 +16,15 @@ type t = {
       (* The cluster's shard map: read-only transactions are routed straight
          to the owning node instead of through a 2PC coordinator. *)
   mutable rr : int;
-  op_timeout : int;
+  op_timeout : int;  (* A commit's: it may wait out the counter service's retries. *)
+  call_timeout : int;
+      (* An op's or a rollback's. Its handler waits at most for a lock, one
+         node-to-node call and the abort fan-out that follows a failed one,
+         so a node that has not answered by then is down or cut off. *)
+  begin_timeout : int;  (* A begin takes no lock and calls no other node. *)
+  suspects : (int, bool ref) Hashtbl.t;
+      (* Nodes a call to timed out, with whether a probe of one is in
+         flight: new transactions begin elsewhere until a probe succeeds. *)
 }
 
 type txn = { t_coord : int; t_seq : int }
@@ -26,10 +34,15 @@ let coordinator txn = txn.t_coord
 let tx_seq txn = txn.t_seq
 
 (* One request/reply round trip; a lost or tampered reply is a failed
-   participant. *)
-let call t ~dst ~kind payload =
-  Erpc.call t.rpc ~dst ~kind ~timeout_ns:t.op_timeout payload
-  |> Result.map_error (fun (`Timeout | `Tampered) -> Types.Participant_failed)
+   participant, and a node that did not answer in time is suspected. *)
+let call ?timeout_ns t ~dst ~kind payload =
+  let timeout_ns = Option.value timeout_ns ~default:t.call_timeout in
+  match Erpc.call t.rpc ~dst ~kind ~timeout_ns payload with
+  | Ok reply -> Ok reply
+  | Error `Timeout ->
+      if not (Hashtbl.mem t.suspects dst) then Hashtbl.replace t.suspects dst (ref false);
+      Error Types.Participant_failed
+  | Error `Tampered -> Error Types.Participant_failed
 
 (* A node that answers with anything but OK refused the token; one that
    does not answer in time may never have seen it. *)
@@ -84,6 +97,9 @@ let connect cluster ~client_id =
           route = (fun key -> Cluster.route_key cluster key);
           rr = client_id;
           op_timeout = config.client_op_timeout_ns;
+          call_timeout = min (3 * config.rpc_timeout_ns) config.client_op_timeout_ns;
+          begin_timeout = min config.rpc_timeout_ns config.client_op_timeout_ns;
+          suspects = Hashtbl.create 4;
         }
       in
       let rec register_all i =
@@ -106,9 +122,30 @@ let connect_exn cluster ~client_id =
   | Error `Timeout -> raise (Connect_failed "client register timed out")
   | Error `Cas_down -> raise (Connect_failed "CAS down")
 
+(* Ask a suspected node whether it is back, in the background, one probe
+   at a time. The probe re-registers, which a restarted node needs anyway. *)
+let probe t node in_flight =
+  if not !in_flight then begin
+    in_flight := true;
+    Sim.spawn t.sim (fun () ->
+        if register t node = Ok () then Hashtbl.remove t.suspects node;
+        in_flight := false)
+  end
+
+(* The next node round-robin that is not suspected (probing each suspect
+   it passes), or the next one at all if every node is. *)
 let pick_coord t =
-  t.rr <- t.rr + 1;
-  t.nodes.(t.rr mod Array.length t.nodes)
+  let n = Array.length t.nodes in
+  let rec next tries =
+    t.rr <- t.rr + 1;
+    let node = t.nodes.(t.rr mod n) in
+    match Hashtbl.find_opt t.suspects node with
+    | Some in_flight when tries < n ->
+        probe t node in_flight;
+        next (tries + 1)
+    | Some _ | None -> node
+  in
+  next 1
 
 (* How an op, scan or commit reply's failure reaches the client. *)
 let failure_reason = function
@@ -121,7 +158,7 @@ let failure_reason = function
 
 let rec begin_attempt t ~retry coord =
   match
-    call t ~dst:coord ~kind:Txn_wire.k_client_begin
+    call t ~timeout_ns:t.begin_timeout ~dst:coord ~kind:Txn_wire.k_client_begin
       (Txn_wire.encode_begin ~client_id:t.client_id)
   with
   | Error e -> Error e
@@ -144,8 +181,8 @@ let begin_txn t ?coord () =
   begin_attempt t ~retry:true coord
 
 (* A request on the transaction's coordinator, decoded by [decode]. *)
-let on_coord t txn ~kind payload decode =
-  match call t ~dst:txn.t_coord ~kind payload with
+let on_coord ?timeout_ns t txn ~kind payload decode =
+  match call ?timeout_ns t ~dst:txn.t_coord ~kind payload with
   | Error e -> Error e
   | Ok reply -> Result.map_error failure_reason (decode reply)
 
@@ -169,14 +206,19 @@ let put t txn key value =
 let delete t txn key = Result.map ignore (send_op t txn (Txn_wire.Del key))
 
 let commit t txn =
-  on_coord t txn ~kind:Txn_wire.k_client_commit
+  on_coord ~timeout_ns:t.op_timeout t txn ~kind:Txn_wire.k_client_commit
     (Txn_wire.encode_client_tx (header t txn))
     Txn_wire.decode_commit_reply
 
+(* Nobody needs a rollback's answer: one to a suspected coordinator is
+   sent without waiting for it. *)
 let rollback t txn =
-  ignore
-    (call t ~dst:txn.t_coord ~kind:Txn_wire.k_client_abort
-       (Txn_wire.encode_client_tx (header t txn)))
+  let send () =
+    ignore
+      (call t ~dst:txn.t_coord ~kind:Txn_wire.k_client_abort
+         (Txn_wire.encode_client_tx (header t txn)))
+  in
+  if Hashtbl.mem t.suspects txn.t_coord then Sim.spawn t.sim send else send ()
 
 (* Zero-RPC read-only fast path: declare the read set up front, group the
    keys by owning node and ship each group as ONE RPC answered from a

@@ -5,7 +5,12 @@
     [begin_txn] picks a coordinator, [get]/[put]/[delete] execute operations
     through it, and [commit]/[rollback] end the transaction. Any failed
     operation aborts the whole transaction coordinator-side; the client sees
-    the abort reason. *)
+    the abort reason.
+
+    Only a commit waits for the whole client op timeout, since the commit
+    point may wait out the counter service's retries. A begin gives up
+    after one node-to-node RPC timeout and every other request after
+    three, and the call's node is then suspected (see {!begin_txn}). *)
 
 type t
 type txn
@@ -28,7 +33,10 @@ val client_id : t -> int
 
 val begin_txn : t -> ?coord:int -> unit -> txn Types.txn_result
 (** Start a transaction at a coordinator (wire node id; default:
-    round-robin over the nodes). *)
+    round-robin over the nodes). A node that a call of this client timed
+    out on is suspected: the default skips it, unless every node is, and
+    probes it in the background by registering again; the first probe that
+    succeeds ends the suspicion. *)
 
 val coordinator : txn -> int
 val tx_seq : txn -> int

@@ -15,6 +15,10 @@ type t = {
          many RPC handlers: each op re-points it at the live handler span
          (the first op's span is closed by the time a later op blocks). *)
   snapshot : int;
+  prepared_at_begin : (string * Op.t) list list;
+      (* OCC: the write sets prepared on this node when the slice began.
+         One that resolves later installs above [snapshot] a write whose
+         client may already hold an ack. *)
   mutable write_list : (string * Op.t) list;  (* newest first *)
   write_index : (string, Op.t) Hashtbl.t;
   mutable reads : (string * int) list;
@@ -33,6 +37,11 @@ let begin_ ?(span = Trace.none) ~engine ~locks ~isolation ~tx () =
   Lock_table.txn_begin locks ~owner:tx;
   let snapshot = Engine.snapshot engine in
   Engine.retain_snapshot engine snapshot;
+  let prepared_at_begin =
+    match isolation with
+    | Types.Optimistic -> Engine.prepared_write_sets engine
+    | Types.Pessimistic -> []
+  in
   {
     engine;
     locks;
@@ -40,6 +49,7 @@ let begin_ ?(span = Trace.none) ~engine ~locks ~isolation ~tx () =
     txid = tx;
     span;
     snapshot;
+    prepared_at_begin;
     write_list = [];
     write_index = Hashtbl.create 8;
     reads = [];
@@ -78,18 +88,25 @@ let record_read t key seq =
     t.reads <- (key, seq) :: t.reads
   end
 
-(* The snapshot a read uses once its lock is granted or its guard passed.
-   Under 2PL the lock may have been waited on: read the freshest committed
-   version at grant time, not the begin-time snapshot — reading stale data
-   under a lock breaks serializability. OCC reads at its snapshot and
-   validates instead, unless its guard waited for an install. *)
-let read_snapshot t ~waited =
+(* The snapshot for a read of the keys [touched] accepts, once its lock is
+   granted or its guard passed. Under 2PL the lock may have been waited on:
+   read the freshest committed version at grant time, not the begin-time
+   snapshot — reading stale data under a lock breaks serializability. OCC
+   reads at its snapshot and validates instead, unless an install it must
+   see may be newer than the snapshot: its guard waited for one, or a write
+   set on the keys was prepared when the slice began. *)
+let read_snapshot t ~waited touched =
   match t.isolation with
   | Types.Pessimistic -> Engine.snapshot t.engine
-  | Types.Optimistic -> if waited then Engine.snapshot t.engine else t.snapshot
+  | Types.Optimistic ->
+      if
+        waited
+        || List.exists (List.exists (fun (k, _) -> touched k)) t.prepared_at_begin
+      then Engine.snapshot t.engine
+      else t.snapshot
 
 (* A distributed transaction holds its prepared writes on this node until
-   its decision is trusted, after its client's ack (DESIGN §7). Under 2PL
+   its commit reaches it, after its client's ack (DESIGN §7). Under 2PL
    a prepared key is write-locked, so the read lock waits for it; OCC
    takes no lock and waits, as the read-only fast path does, until no
    prepared write set touches the key. [Ok true]: it waited, so the
@@ -112,7 +129,7 @@ let get_with_seq t key =
           | Ok waited ->
               let lookup =
                 Engine.get ~span:t.span t.engine ~key
-                  ~snapshot:(read_snapshot t ~waited)
+                  ~snapshot:(read_snapshot t ~waited (String.equal key))
               in
               let seq_seen, value =
                 match lookup with
@@ -132,12 +149,14 @@ let scan t ~lo ~hi =
   match Lock_table.await_clear t.locks (fun () -> Engine.range_prepared t.engine ~lo ~hi) with
   | Error `Timeout -> Error `Timeout
   | Ok waited -> (
+      let in_range k = k >= lo && k <= hi in
       (* Discover the keys, then lock them, then re-read under the locks: a
          writer may commit between discovery and lock grant, and 2PL
          semantics require the returned values to be the locked (current)
          ones. *)
       let discovered =
-        Engine.scan ~span:t.span t.engine ~lo ~hi ~snapshot:(read_snapshot t ~waited)
+        Engine.scan ~span:t.span t.engine ~lo ~hi
+          ~snapshot:(read_snapshot t ~waited in_range)
       in
       let rec lock_all = function
         | [] -> Ok ()
@@ -149,7 +168,7 @@ let scan t ~lo ~hi =
       match lock_all discovered with
       | Error `Timeout -> Error `Timeout
       | Ok () ->
-          let read_snapshot = read_snapshot t ~waited in
+          let read_snapshot = read_snapshot t ~waited in_range in
           let committed =
             List.filter_map
               (fun (key, _) ->

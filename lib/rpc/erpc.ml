@@ -56,6 +56,9 @@ type caller = {
       (* Its highest ack: its identities numbered below it have finished at
          the caller. *)
   mutable c_live : (int * int * int) list;  (* its keys in [dedup] *)
+  mutable c_seen : int;
+      (* When its last request arrived: a caller quiet for the TTL before its
+         ack freed its keys loses them. *)
 }
 
 type t = {
@@ -70,14 +73,14 @@ type t = {
   dedup : (int * int * int, dedup_entry) Hashtbl.t;
   dedup_by_tx : (int * int, int list ref) Hashtbl.t;
       (* Op ids per transactional identity, for [forget_tx]. *)
-  dedup_expiry : ((int * int * int) * int) Queue.t;
-      (* Keys of non-transactional identities with insertion time, oldest
-         first: the backstop for callers that go quiet before their ack
-         frees them. Each such identity is one call, so its key is enough:
-         no [dedup_by_tx] entry. *)
   callers : (int, caller) Hashtbl.t;
       (* By caller wire id and incarnation ([caller_id]); kept after their
-         keys drain, so an acked identity stays refused. *)
+         keys drain, so an acked identity stays refused. A
+         non-transactional identity is one call, so its key is enough: no
+         [dedup_by_tx] entry. *)
+  mutable next_expiry : int;
+      (* No caller holding keys can have been quiet for the TTL before
+         this time. *)
   mutable next_req_id : int;
   mutable next_tx_seq : int;
   unfinished : (int, unit) Hashtbl.t;
@@ -204,7 +207,7 @@ let caller t id =
   match Hashtbl.find_opt t.callers id with
   | Some c -> c
   | None ->
-      let c = { c_floor = 0; c_live = [] } in
+      let c = { c_floor = 0; c_live = []; c_seen = Sim.now t.sim } in
       Hashtbl.replace t.callers id c;
       c
 
@@ -221,6 +224,7 @@ let note_ack t (meta : Secure_msg.meta) =
   let a = meta.acked in
   if a > 0 then begin
     let c = caller t (caller_id ~coord:meta.src a) in
+    c.c_seen <- Sim.now t.sim;
     if a > c.c_floor then begin
       c.c_floor <- a;
       c.c_live <-
@@ -243,7 +247,8 @@ let record_dedup t key entry =
   if tx_seq < 0 then begin
     let c = caller t (caller_id ~coord (-tx_seq)) in
     c.c_live <- key :: c.c_live;
-    Queue.push (key, Sim.now t.sim) t.dedup_expiry
+    c.c_seen <- Sim.now t.sim;
+    t.next_expiry <- min t.next_expiry (c.c_seen + t.config.dedup_ttl_ns)
   end
   else
     match Hashtbl.find_opt t.dedup_by_tx (coord, tx_seq) with
@@ -257,23 +262,23 @@ let forget_tx t ~coord ~tx_seq =
       List.iter (fun op -> Hashtbl.remove t.dedup (coord, tx_seq, op)) !ops;
       Hashtbl.remove t.dedup_by_tx (coord, tx_seq)
 
+(* Drop the keys of every caller quiet for the TTL: no ack will free
+   them. Its record keeps its floor. *)
 let expire_dedup t =
   let now = Sim.now t.sim in
-  let rec drain () =
-    match Queue.peek_opt t.dedup_expiry with
-    | Some (key, born) when now - born >= t.config.dedup_ttl_ns ->
-        ignore (Queue.pop t.dedup_expiry);
-        if Hashtbl.mem t.dedup key then begin
-          (* Not freed by an ack: drop it from its caller's index too. *)
-          Hashtbl.remove t.dedup key;
-          let coord, tx_seq, _ = key in
-          let c = caller t (caller_id ~coord (-tx_seq)) in
-          c.c_live <- List.filter (fun k -> k <> key) c.c_live
-        end;
-        drain ()
-    | _ -> ()
-  in
-  drain ()
+  if now >= t.next_expiry then begin
+    let ttl = t.config.dedup_ttl_ns in
+    t.next_expiry <- max_int;
+    Hashtbl.iter
+      (fun _ c ->
+        if c.c_live <> [] then
+          if now - c.c_seen >= ttl then begin
+            List.iter (Hashtbl.remove t.dedup) c.c_live;
+            c.c_live <- []
+          end
+          else t.next_expiry <- min t.next_expiry (c.c_seen + ttl))
+      t.callers
+  end
 
 let dedup_size t = Hashtbl.length t.dedup
 
@@ -406,7 +411,7 @@ let create sim ~net ~enclave ~pool ~config ~node_id ?net_config () =
       pending = Hashtbl.create 64;
       dedup = Hashtbl.create 256;
       dedup_by_tx = Hashtbl.create 64;
-      dedup_expiry = Queue.create ();
+      next_expiry = max_int;
       callers = Hashtbl.create 16;
       next_req_id = 0;
       next_tx_seq = 0;

@@ -49,11 +49,11 @@ type config = {
           counter). *)
   timeout_ns : int;  (** Default request timeout. *)
   dedup_ttl_ns : int;
-      (** Lifetime of at-most-once cache entries whose identity is
-          non-transactional when their caller's ack has not freed them
-          first: the backstop for a caller incarnation that goes quiet,
-          such as one a restart or reconnect replaced. An acked identity
-          stays refused after the entry is gone. *)
+      (** How long a caller incarnation may stay quiet before its
+          non-transactional at-most-once entries that its ack has not freed
+          are dropped: the backstop for one that goes quiet, such as one a
+          restart or reconnect replaced. An acked identity stays refused
+          after the entry is gone. *)
 }
 
 val default_config : security:Secure_msg.security -> config
@@ -127,9 +127,10 @@ val forget_tx : t -> coord:int -> tx_seq:int -> unit
 (** Drop the at-most-once response cache for a finished transaction. *)
 
 val expire_dedup : t -> unit
-(** Reclaim non-transactional at-most-once entries older than
-    [dedup_ttl_ns]. Runs automatically on request arrival; background
-    sweepers call it so quiet endpoints drain too. *)
+(** Reclaim the non-transactional at-most-once entries of every caller
+    incarnation whose last request is [dedup_ttl_ns] old. Runs
+    automatically on request arrival; background sweepers call it so quiet
+    endpoints drain too. *)
 
 val dedup_size : t -> int
 (** Entries currently held in the at-most-once response cache. After all
