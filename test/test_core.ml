@@ -1295,6 +1295,178 @@ let coordinator_crash_after_own_seal_agrees () =
           Client.disconnect c;
           Cluster.shutdown cluster)
 
+(* --- commit marks: the window between the fan-out and a trusted decision *)
+
+let restart cluster i =
+  match Cluster.restart_node cluster i with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "restart of node %d: %s" (i + 1) m
+
+let part_engine cluster = Node.engine (Cluster.node cluster 2)
+let marks cluster = List.map fst (Engine.committed_txs (part_engine cluster))
+
+(* Commit [key] on nodes 1 and 3 through coordinator 1 and wait until
+   participant 3 has resolved it: it then holds a commit mark, while the
+   coordinator's commit decision is not yet trusted. Returns the
+   transaction's number. *)
+let commit_until_marked sim cluster c key =
+  let txn =
+    match Client.begin_txn c ~coord:1 () with
+    | Ok txn -> txn
+    | Error e -> Alcotest.failf "begin: %s" (Types.abort_reason_to_string e)
+  in
+  (match put_all c txn [ ("node1:" ^ key, "v"); ("node3:" ^ key, "v") ] with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "puts: %s" (Types.abort_reason_to_string e));
+  (match Client.commit c txn with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "commit: %s" (Types.abort_reason_to_string e));
+  let rec await n =
+    if n = 0 then Alcotest.fail "the participant never resolved the commit";
+    if marks cluster = [] then begin
+      Sim.sleep sim 10_000;
+      await (n - 1)
+    end
+  in
+  await 10_000;
+  let tx_seq = Client.tx_seq txn in
+  Alcotest.(check (list (pair int int))) "the participant holds the commit mark"
+    [ (1, tx_seq) ] (marks cluster);
+  Alcotest.(check int) "and no prepare" 0
+    (List.length (Engine.prepared_txs (part_engine cluster)));
+  (match Node.counter_client (Cluster.node cluster 0) with
+  | Some cc ->
+      Alcotest.(check bool) "the coordinator's decision is not trusted" true
+        (Treaty_counter.Counter_client.stable_value cc ~log:"CLOG" < clog_of cluster 0)
+  | None -> Alcotest.fail "the profile stabilizes");
+  tx_seq
+
+(* After recovery: the coordinator decided commit, both slices are
+   installed, and the recovery's commit carried a watermark past the
+   participant's mark. *)
+let check_recovered_commit sim cluster c ~tx_seq key =
+  Sim.sleep sim 1_000_000_000;
+  Alcotest.(check (option bool)) "recovery decided commit" (Some true)
+    (Node.decision (Cluster.node cluster 0) ~tx_seq);
+  (match read_back c ~coord:2 [ "node1:" ^ key; "node3:" ^ key ] with
+  | Ok [ Some "v"; Some "v" ] -> ()
+  | Ok _ -> Alcotest.fail "a slice of the acked commit is missing"
+  | Error e -> Alcotest.failf "read back: %s" (Types.abort_reason_to_string e));
+  Alcotest.(check (list (pair int int))) "the mark is forgotten" [] (marks cluster);
+  Alcotest.(check int) "no prepare is left" 0
+    (List.length (Engine.prepared_txs (part_engine cluster)))
+
+(* The participant resolved the commit, so it holds no prepare; the
+   coordinator crashes before its decision is trusted. The mark answers
+   its recovery's question, which commits. *)
+let resolved_commit_survives_coordinator_crash () =
+  with_cluster ~route:explicit_route (fun sim cluster ->
+      let c = Client.connect_exn cluster ~client_id:1 in
+      let tx_seq = commit_until_marked sim cluster c "ra" in
+      Cluster.crash_node cluster 0;
+      restart cluster 0;
+      check_recovered_commit sim cluster c ~tx_seq "ra";
+      Client.disconnect c)
+
+(* As above, and the participant crashes too, after a round of its own (a
+   single-node commit) made its Resolve trusted: replay rebuilds the mark
+   from the Prepare and the Resolve. *)
+let trusted_resolve_rebuilds_the_mark () =
+  with_cluster ~route:explicit_route (fun sim cluster ->
+      let c = Client.connect_exn cluster ~client_id:1 in
+      let tx_seq = commit_until_marked sim cluster c "rb" in
+      let wal, resolved = List.nth (Engine.log_last_counters (part_engine cluster)) 2 in
+      (match Client.with_txn c ~coord:3 (fun txn -> Client.put c txn "node3:own" "x") with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "single-node commit: %s" (Types.abort_reason_to_string e));
+      (match Node.counter_client (Cluster.node cluster 2) with
+      | Some cc ->
+          Alcotest.(check bool) "the Resolve is trusted" true
+            (Treaty_counter.Counter_client.stable_value cc ~log:wal >= resolved)
+      | None -> Alcotest.fail "the profile stabilizes");
+      Cluster.crash_node cluster 0;
+      Cluster.crash_node cluster 2;
+      restart cluster 2;
+      Alcotest.(check (list (pair int int))) "replay rebuilt the mark" [ (1, tx_seq) ]
+        (marks cluster);
+      restart cluster 0;
+      check_recovered_commit sim cluster c ~tx_seq "rb";
+      Client.disconnect c)
+
+(* As above, but the participant crashes with its Resolve outside the
+   trusted prefix: replay restores the trusted prepare, which recovery
+   commits again. *)
+let untrusted_resolve_restores_the_prepare () =
+  with_cluster ~route:explicit_route (fun sim cluster ->
+      let c = Client.connect_exn cluster ~client_id:1 in
+      let tx_seq = commit_until_marked sim cluster c "rc" in
+      let wal, resolved = List.nth (Engine.log_last_counters (part_engine cluster)) 2 in
+      (match Node.counter_client (Cluster.node cluster 2) with
+      | Some cc ->
+          Alcotest.(check bool) "the Resolve is not trusted" true
+            (Treaty_counter.Counter_client.stable_value cc ~log:wal < resolved)
+      | None -> Alcotest.fail "the profile stabilizes");
+      Cluster.crash_node cluster 0;
+      Cluster.crash_node cluster 2;
+      restart cluster 2;
+      Alcotest.(check (list (pair int int))) "replay restored the prepare" [ (1, tx_seq) ]
+        (Engine.prepared_txs (part_engine cluster));
+      Alcotest.(check (list (pair int int))) "and no mark" [] (marks cluster);
+      restart cluster 0;
+      check_recovered_commit sim cluster c ~tx_seq "rc";
+      Client.disconnect c)
+
+(* A memtable flush between the resolve and the watermark waits for the
+   mark: the WAL holding its Prepare stays live, so a crash of the
+   participant in that window still replays the mark. *)
+let flush_keeps_a_marked_wal () =
+  with_cluster ~route:explicit_route (fun sim cluster ->
+      let c = Client.connect_exn cluster ~client_id:1 in
+      let tx_seq = commit_until_marked sim cluster c "rd" in
+      (* No watermark can arrive from a crashed coordinator. *)
+      Cluster.crash_node cluster 0;
+      let flushed = ref false in
+      let eng = part_engine cluster in
+      Sim.spawn sim (fun () ->
+          Engine.flush_now eng;
+          flushed := true);
+      Sim.sleep sim 5_000_000;
+      Alcotest.(check bool) "the flush waits for the mark" false !flushed;
+      Cluster.crash_node cluster 2;
+      restart cluster 2;
+      Alcotest.(check (list (pair int int))) "the mark survived the flush" [ (1, tx_seq) ]
+        (marks cluster);
+      restart cluster 0;
+      check_recovered_commit sim cluster c ~tx_seq "rd";
+      Client.disconnect c)
+
+(* An OCC slice begins while a write set on its key is prepared (the
+   commit to its node is held up on the wire) and reads after the resolve:
+   it must see the write, which its client was acked for. *)
+let occ_read_after_resolved_prepare () =
+  with_cluster ~isolation:Types.Optimistic ~route:explicit_route (fun sim cluster ->
+      let c = Client.connect_exn cluster ~client_id:1 in
+      Net.set_adversary (Cluster.net cluster) (fun pkt ->
+          if pkt.Treaty_netsim.Packet.src = 3 && pkt.dst = 1 then Adversary.Delay 2_000_000
+          else Adversary.Deliver);
+      (match Client.with_txn c ~coord:3 (fun txn -> Client.put c txn "node1:k" "0") with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "setup: %s" (Types.abort_reason_to_string e));
+      (match Client.begin_txn c ~coord:1 () with
+      | Error _ -> Alcotest.fail "begin"
+      | Ok txn ->
+          Alcotest.(check int) "the slice began with the write prepared" 1
+            (List.length (Engine.prepared_txs (Node.engine (Cluster.node cluster 0))));
+          Sim.sleep sim 5_000_000;
+          Net.clear_adversary (Cluster.net cluster);
+          (match Client.get c txn "node1:k" with
+          | Ok (Some "0") -> ()
+          | Ok _ -> Alcotest.fail "the read missed an acked write"
+          | Error e -> Alcotest.failf "read: %s" (Types.abort_reason_to_string e));
+          Client.rollback c txn);
+      check_serializable cluster;
+      Client.disconnect c)
+
 let suite =
   [
     Alcotest.test_case "lock modes" `Quick lock_modes;
@@ -1360,4 +1532,14 @@ let suite =
       ro_owner_down_releases_others;
     Alcotest.test_case "read-only re-registers a restarted owner once" `Quick
       ro_restarted_owner_reregisters_once;
+    Alcotest.test_case "resolved commit survives a coordinator crash" `Quick
+      resolved_commit_survives_coordinator_crash;
+    Alcotest.test_case "a trusted Resolve rebuilds the commit mark" `Quick
+      trusted_resolve_rebuilds_the_mark;
+    Alcotest.test_case "an untrusted Resolve restores the prepare" `Quick
+      untrusted_resolve_restores_the_prepare;
+    Alcotest.test_case "a flush keeps a committed mark's WAL" `Quick
+      flush_keeps_a_marked_wal;
+    Alcotest.test_case "occ read after a resolved prepare" `Quick
+      occ_read_after_resolved_prepare;
   ]

@@ -376,9 +376,9 @@ let round_finishes_at_quorum () =
 
 let only_waited_appends_start_rounds () =
   (* An engine over a real counter client: a participant's Prepare and
-     Resolve, a Begin_2pc and a Finished appended on their own start no
-     ROTE round; the decision's wait starts one, and it carries all of
-     their counters. *)
+     Resolve, a Begin_2pc, a commit Decision and a Finished appended on
+     their own start no ROTE round; the next waited append's wait (here an
+     abort decision's) starts one, and it carries all of their counters. *)
   with_group (fun sim group ->
       let module Engine = Treaty_storage.Engine in
       let module Clog_record = Treaty_storage.Clog_record in
@@ -418,23 +418,25 @@ let only_waited_appends_start_rounds () =
       (match Engine.resolve eng ~tx:(2, 7) ~commit:true with
       | Some _ -> ()
       | None -> Alcotest.fail "prepared tx resolves");
-      let finished = Engine.clog_append eng (Clog_record.Finished { tx_seq = 0 }) in
+      ignore
+        (Engine.clog_append eng (Clog_record.Decision { tx_seq = 1; commit = true }));
+      let finished = Engine.clog_append eng (Clog_record.Finished { tx_seq = 1 }) in
       let resolved = List.assoc wal (Engine.log_last_counters eng) in
       Sim.sleep sim 10_000_000;
-      Alcotest.(check int) "Begin_2pc, Resolve and Finished start no round"
-        rounds
+      Alcotest.(check int)
+        "Begin_2pc, Resolve, a commit Decision and Finished start no round" rounds
         (CC.stats cc).CC.rounds_started;
       Alcotest.(check bool) "Resolve not yet trusted" true
         (CC.stable_value cc ~log:wal < resolved);
       Alcotest.(check bool) "Finished not yet trusted" true
         (CC.stable_value cc ~log:"CLOG" < finished);
       let decision =
-        Engine.clog_append eng (Clog_record.Decision { tx_seq = 1; commit = true })
+        Engine.clog_append eng (Clog_record.Decision { tx_seq = 2; commit = false })
       in
-      expect_stable "decision" (Engine.clog_wait_stable eng ~counter:decision ());
-      Alcotest.(check int) "the decision's wait starts one round" (rounds + 1)
+      expect_stable "abort decision" (Engine.clog_wait_stable eng ~counter:decision ());
+      Alcotest.(check int) "the abort decision's wait starts one round" (rounds + 1)
         (CC.stats cc).CC.rounds_started;
-      Alcotest.(check bool) "the round covers Begin_2pc and Finished" true
+      Alcotest.(check bool) "the round covers Begin_2pc, the commit and Finished" true
         (CC.stable_value cc ~log:"CLOG" >= finished);
       Alcotest.(check bool) "the round covers the Resolve" true
         (CC.stable_value cc ~log:wal >= resolved))
