@@ -60,6 +60,9 @@ let samples =
       sample "decision query" 42
         (fun tx_seq -> encode_query ~tx_seq)
         decode_query "2a00000000000000";
+      sample "decision watermark" 42
+        (fun upto -> encode_decided ~upto)
+        decode_decided "2a00000000000000";
       sample "register" (7, "tok")
         (fun (client_id, token) -> encode_register ~client_id ~token)
         decode_register "070000000000000003000000746f6b";
