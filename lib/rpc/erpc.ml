@@ -49,8 +49,20 @@ let seq_bits = 32
 let nontx_number ~incarnation seq = (incarnation lsl seq_bits) lor seq
 let incarnation_of n = n lsr seq_bits
 
-(* What a receiver knows of one caller incarnation's non-transactional
-   calls. *)
+(* An identity's space, the unit a caller acks: a coordinator's
+   transactions (by its wire id: its transaction numbers keep growing
+   across its incarnations), or one caller incarnation's
+   non-transactional calls (by wire id and incarnation). *)
+type space = Txns of int | Calls of int * int
+
+let space_of (coord, tx_seq, _) =
+  if tx_seq >= 0 then Txns coord
+  else Calls (coord, incarnation_of (-tx_seq))
+
+(* An identity's number in its space, the one its caller's ack counts. *)
+let number (_, tx_seq, _) = abs tx_seq
+
+(* What a receiver knows of one space's identities. *)
 type caller = {
   mutable c_floor : int;
       (* Its highest ack: its identities numbered below it have finished at
@@ -71,13 +83,9 @@ type t = {
   handlers : (int, Secure_msg.meta -> string -> string) Hashtbl.t;
   pending : (int, (string, error) result Sim.ivar) Hashtbl.t;
   dedup : (int * int * int, dedup_entry) Hashtbl.t;
-  dedup_by_tx : (int * int, int list ref) Hashtbl.t;
-      (* Op ids per transactional identity, for [forget_tx]. *)
-  callers : (int, caller) Hashtbl.t;
-      (* By caller wire id and incarnation ([caller_id]); kept after their
-         keys drain, so an acked identity stays refused. A
-         non-transactional identity is one call, so its key is enough: no
-         [dedup_by_tx] entry. *)
+  callers : (space, caller) Hashtbl.t;
+      (* Kept after their keys drain, so an acked non-transactional
+         identity stays refused. *)
   mutable next_expiry : int;
       (* No caller holding keys can have been quiet for the TTL before
          this time. *)
@@ -198,69 +206,34 @@ let send_response t ~dst (meta : Secure_msg.meta) payload =
     { meta with is_response = true; src = t.node_id; acked = 0 }
     payload
 
-(* A caller incarnation: its wire id and the incarnation of the
-   identity number [n]; the latter fits in the 22 bits below the former
-   ({!Treaty_crypto.Aead.Iv_gen} bounds it). *)
-let caller_id ~coord n = (coord lsl 22) lor incarnation_of n
-
-let caller t id =
-  match Hashtbl.find_opt t.callers id with
+let caller t space =
+  match Hashtbl.find_opt t.callers space with
   | Some c -> c
   | None ->
       let c = { c_floor = 0; c_live = []; c_seen = Sim.now t.sim } in
-      Hashtbl.replace t.callers id c;
+      Hashtbl.replace t.callers space c;
       c
 
-(* Whether the caller has acked its non-transactional identity [key]. *)
-let acked t (coord, tx_seq, _) =
-  match Hashtbl.find_opt t.callers (caller_id ~coord (-tx_seq)) with
-  | None -> false
-  | Some c -> -tx_seq < c.c_floor
-
-(* Raise the sender's floor to the ack its request carries and drop the
-   replies it frees. An ack covers only its own incarnation's identities,
-   so an older incarnation's entries stay until the TTL. *)
-let note_ack t (meta : Secure_msg.meta) =
-  let a = meta.acked in
-  if a > 0 then begin
-    let c = caller t (caller_id ~coord:meta.src a) in
-    c.c_seen <- Sim.now t.sim;
-    if a > c.c_floor then begin
-      c.c_floor <- a;
-      c.c_live <-
-        List.filter
-          (fun ((_, tx_seq, _) as key) ->
-            if -tx_seq < a then begin
-              Hashtbl.remove t.dedup key;
-              false
-            end
-            else true)
-          c.c_live
-    end
+(* Raise the caller's floor to the ack a request in its space carries and
+   drop the replies it frees. *)
+let note_ack t c acked =
+  if acked > c.c_floor then begin
+    c.c_floor <- acked;
+    c.c_live <-
+      List.filter
+        (fun key ->
+          if number key < acked then begin
+            Hashtbl.remove t.dedup key;
+            false
+          end
+          else true)
+        c.c_live
   end
 
-let record_dedup t key entry =
+let record_dedup t c key entry =
   Hashtbl.replace t.dedup key entry;
-  let coord, tx_seq, op = key in
-  (* Non-transactional identities (tx_seq < 0) have no commit/abort to
-     forget them: the caller's ack frees them, the TTL if it goes quiet. *)
-  if tx_seq < 0 then begin
-    let c = caller t (caller_id ~coord (-tx_seq)) in
-    c.c_live <- key :: c.c_live;
-    c.c_seen <- Sim.now t.sim;
-    t.next_expiry <- min t.next_expiry (c.c_seen + t.config.dedup_ttl_ns)
-  end
-  else
-    match Hashtbl.find_opt t.dedup_by_tx (coord, tx_seq) with
-    | Some ops -> ops := op :: !ops
-    | None -> Hashtbl.replace t.dedup_by_tx (coord, tx_seq) (ref [ op ])
-
-let forget_tx t ~coord ~tx_seq =
-  match Hashtbl.find_opt t.dedup_by_tx (coord, tx_seq) with
-  | None -> ()
-  | Some ops ->
-      List.iter (fun op -> Hashtbl.remove t.dedup (coord, tx_seq, op)) !ops;
-      Hashtbl.remove t.dedup_by_tx (coord, tx_seq)
+  c.c_live <- key :: c.c_live;
+  t.next_expiry <- min t.next_expiry (c.c_seen + t.config.dedup_ttl_ns)
 
 (* Drop the keys of every caller quiet for the TTL: no ack will free
    them. Its record keeps its floor. *)
@@ -287,8 +260,10 @@ let ack_index_size t =
 
 let handle_request t (meta : Secure_msg.meta) data =
   expire_dedup t;
-  note_ack t meta;
   let key = Secure_msg.at_most_once_key meta in
+  let c = caller t (space_of key) in
+  c.c_seen <- Sim.now t.sim;
+  note_ack t c meta.acked;
   (* A halted enclave's endpoint must not answer — not even from its
      response cache: only the liveness check at reply time covers handlers
      and cache reads that blocked across the crash. *)
@@ -305,9 +280,11 @@ let handle_request t (meta : Secure_msg.meta) data =
       t.stats.replays_suppressed <- t.stats.replays_suppressed + 1;
       let payload = Sim.read t.sim iv in
       reply payload
-  | None when meta.tx_seq < 0 && acked t key ->
+  | None when meta.tx_seq < 0 && number key < c.c_floor ->
       (* A replay of a call its caller has finished: its reply is freed,
-         and it is neither run again nor answered. *)
+         and it is neither run again nor answered. A transaction below its
+         coordinator's floor still runs: a recovering coordinator re-sends
+         its decisions under their old numbers. *)
       t.stats.replays_suppressed <- t.stats.replays_suppressed + 1
   | None -> (
       match Hashtbl.find_opt t.handlers meta.kind with
@@ -332,17 +309,17 @@ let handle_request t (meta : Secure_msg.meta) data =
             else Trace.none
           in
           let running = Sim.ivar () in
-          record_dedup t key (Running running);
+          record_dedup t c key (Running running);
           let payload = handler meta data in
           if hspan <> Trace.none then begin
             let coord, tx_seq, op_id = key in
             Trace.ctx_unregister ~coord ~tx_seq ~op_id;
             Trace.end_span hspan
           end;
-          (* The handler may have torn down this transaction's dedup state
-             (commit/abort run [forget_tx] while finishing the tx); blindly
-             re-inserting [Done] here would orphan the entry — present in
-             [dedup] but absent from [dedup_by_tx] — and leak it forever. *)
+          (* A request that arrived while the handler ran may have acked
+             this identity and freed its entry; re-inserting [Done] here
+             would orphan it, in [dedup] but in no caller's list, for
+             good. *)
           if Hashtbl.mem t.dedup key then Hashtbl.replace t.dedup key (Done payload);
           Sim.fill running payload;
           reply payload)
@@ -410,7 +387,6 @@ let create sim ~net ~enclave ~pool ~config ~node_id ?net_config () =
       handlers = Hashtbl.create 16;
       pending = Hashtbl.create 64;
       dedup = Hashtbl.create 256;
-      dedup_by_tx = Hashtbl.create 64;
       next_expiry = max_int;
       callers = Hashtbl.create 16;
       next_req_id = 0;
@@ -441,14 +417,15 @@ let stats t = t.stats
 let enclave t = t.enclave
 let register t ~kind handler = Hashtbl.replace t.handlers kind handler
 
-let call t ~dst ~kind ?coord ?tx_seq ?op_id ?timeout_ns ?span payload =
+let call t ~dst ~kind ?coord ?tx_seq ?op_id ?acked ?timeout_ns ?span payload =
   let timeout_ns = Option.value timeout_ns ~default:t.config.timeout_ns in
   t.next_req_id <- t.next_req_id + 1;
   let req_id = t.next_req_id in
   let incarnation = Enclave.incarnation t.enclave in
-  let coord, tx_seq, nontx_seq =
+  let coord, tx_seq, nontx_seq, acked =
     match tx_seq with
-    | Some s -> (Option.value coord ~default:t.node_id, s, 0)
+    | Some s ->
+        (Option.value coord ~default:t.node_id, s, 0, Option.value acked ~default:0)
     | None ->
         (* Non-transactional call: fresh identity under this endpoint's
            own wire id, unique across the enclave incarnations under it,
@@ -456,7 +433,10 @@ let call t ~dst ~kind ?coord ?tx_seq ?op_id ?timeout_ns ?span payload =
            endpoint's acks cover it. *)
         t.next_tx_seq <- t.next_tx_seq + 1;
         Hashtbl.replace t.unfinished t.next_tx_seq ();
-        (t.node_id, -nontx_number ~incarnation t.next_tx_seq, t.next_tx_seq)
+        ( t.node_id,
+          -nontx_number ~incarnation t.next_tx_seq,
+          t.next_tx_seq,
+          nontx_number ~incarnation t.low )
   in
   let op_id = Option.value op_id ~default:req_id in
   let meta =
@@ -468,7 +448,7 @@ let call t ~dst ~kind ?coord ?tx_seq ?op_id ?timeout_ns ?span payload =
       kind;
       is_response = false;
       req_id;
-      acked = nontx_number ~incarnation t.low;
+      acked;
     }
   in
   t.stats.requests_sent <- t.stats.requests_sent + 1;

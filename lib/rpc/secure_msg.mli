@@ -31,12 +31,16 @@ type meta = {
   req_id : int;  (** RPC-level id matching a response to its request. *)
   acked : int;
       (** The sender's at-most-once ack (8 B, bytes 56-63 of the metadata,
-          which the paper leaves unused): every non-transactional identity
-          of the sender's incarnation numbered below it has finished at the
-          sender, so the receiver may drop their cached replies and refuse
-          them from then on ({!Erpc.call}). It is sealed with the rest of
-          the metadata, so no one can forge it, and a replayed packet
-          carries an older, harmless value. [0] on responses. *)
+          which the paper leaves unused), its watermark for the space of
+          this request's identity: every identity of that space numbered
+          below it has finished at the sender, so the receiver may drop
+          their cached replies ({!Erpc.call}). A non-transactional request
+          carries its incarnation's lowest unfinished call, and the
+          receiver refuses that incarnation's calls below it from then on;
+          a 2PC request carries its coordinator's decision watermark plus
+          one. It is sealed with the rest of the metadata, so no one can
+          forge it, and a replayed packet carries an older, harmless value.
+          [0] on responses. *)
 }
 
 val at_most_once_key : meta -> int * int * int

@@ -178,11 +178,6 @@ let rpc_replay_attack_suppressed () =
       Net.replay net request;
       Sim.sleep sim 5_000_000;
       Alcotest.(check int) "replays did not re-execute" 1 !executions;
-      (* After the tx is finished and forgotten, a replay is still safe: the
-         dedup entry is gone but so is the transaction — the handler would
-         create a fresh context, not duplicate the old effect. Here we only
-         check the cache-forget API. *)
-      Erpc.forget_tx b ~coord:1 ~tx_seq:9;
       Alcotest.(check bool) "suppressions recorded" true
         ((Erpc.stats b).replays_suppressed >= 2))
 
@@ -205,27 +200,6 @@ let rpc_plain_mode_vulnerable () =
       match Erpc.call a ~dst:2 ~kind:1 "AAAA" with
       | Ok reply -> Alcotest.(check bool) "silently corrupted" true (reply <> "AAAA")
       | Error _ -> Alcotest.fail "plain call failed")
-
-let rpc_dedup_freed_when_handler_forgets_tx () =
-  (* Regression: commit/abort handlers tear down their transaction's
-     at-most-once state from inside the handler (finish_participant calls
-     forget_tx before the reply goes out). The dispatcher used to re-insert
-     the Done entry afterwards unconditionally, orphaning it — present in
-     the dedup table but absent from the per-tx index, unreachable by any
-     later forget_tx. One cache entry leaked per finished transaction. *)
-  let key = Aead.key_of_string "net" in
-  with_pair ~security:(Secure_msg.Secure key) (fun _sim _net a b ->
-      Erpc.register b ~kind:3 (fun meta _ ->
-          Erpc.forget_tx b ~coord:meta.Secure_msg.coord ~tx_seq:meta.tx_seq;
-          "committed");
-      (match Erpc.call a ~dst:2 ~kind:3 ~coord:1 ~tx_seq:5 ~op_id:1 "" with
-      | Ok "committed" -> ()
-      | Ok r -> Alcotest.failf "unexpected reply %S" r
-      | Error _ -> Alcotest.fail "call failed");
-      Alcotest.(check int) "no orphaned dedup entry" 0 (Erpc.dedup_size b);
-      (* A redundant forget after the fact must stay a no-op. *)
-      Erpc.forget_tx b ~coord:1 ~tx_seq:5;
-      Alcotest.(check int) "still clean" 0 (Erpc.dedup_size b))
 
 let rpc_handler_can_block () =
   let key = Aead.key_of_string "net" in
@@ -577,6 +551,130 @@ let rpc_silent_caller_ages_out () =
       Erpc.expire_dedup b;
       check_held b "after the TTL" 0)
 
+(* --- coordinator watermarks ------------------------------------------ *)
+
+(* A transactional call from [a], as coordinator 1, under the given ack. *)
+let tx_call a ~kind ~tx_seq ~acked =
+  match Erpc.call a ~dst:2 ~kind ~coord:1 ~tx_seq ~op_id:1 ~acked "t" with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.failf "transaction %d's call failed" tx_seq
+
+(* A transaction's entry outlives its handler and goes once a request of a
+   later one carries a watermark above it; a non-transactional ack, in
+   another space, leaves it. A request below the watermark still runs. *)
+let rpc_watermark_frees_transactions () =
+  with_ack_pair (fun sim net a b executions ->
+      Net.capture net ~limit:16;
+      tx_call a ~kind:1 ~tx_seq:5 ~acked:5;
+      let request =
+        List.find (fun p -> p.Treaty_netsim.Packet.dst = 2) (Net.captured net)
+      in
+      check_held b "transaction 5 answered, its reply held" 1;
+      tx_call a ~kind:1 ~tx_seq:6 ~acked:5;
+      check_held b "a watermark at 5 keeps 5" 2;
+      for i = 1 to 8 do
+        call_ok a ~kind:1 (string_of_int i)
+      done;
+      check_held b "non-transactional acks pass 5 and 6 only in their space" 3;
+      tx_call a ~kind:1 ~tx_seq:7 ~acked:7;
+      check_held b "a watermark at 7 frees 5 and 6" 2;
+      Alcotest.(check int) "executions so far" 11 !executions;
+      Net.replay net request;
+      Sim.sleep sim 1_000_000;
+      Alcotest.(check int) "a transaction below the watermark still runs" 12
+        !executions)
+
+(* A coordinator that goes quiet acks none of its last transactions: the
+   TTL frees them. *)
+let rpc_quiet_coordinator_ages_out () =
+  with_ack_pair (fun sim _net a b _executions ->
+      tx_call a ~kind:1 ~tx_seq:5 ~acked:0;
+      tx_call a ~kind:2 ~tx_seq:6 ~acked:0;
+      check_held b "no watermark" 2;
+      Sim.sleep sim 1_000_000_000;
+      Erpc.expire_dedup b;
+      check_held b "inside the TTL" 2;
+      Sim.sleep sim 1_100_000_000;
+      Erpc.expire_dedup b;
+      check_held b "after the TTL" 0)
+
+(* A watermark can pass an entry whose handler is still running (a
+   participant's op parked on a lock, say). Its reply then must not be
+   cached when the handler returns: the entry would be in no caller's list
+   and never freed. *)
+let rpc_watermark_passes_running_handler () =
+  let key = Aead.key_of_string "net" in
+  with_pair ~security:(Secure_msg.Secure key) (fun sim _net a b ->
+      Erpc.register b ~kind:3 (fun _ _ ->
+          Sim.sleep sim 1_000_000;
+          "committed");
+      Erpc.register b ~kind:4 (fun _ _ -> "aborted");
+      let slow = ref None in
+      Sim.spawn sim (fun () ->
+          slow := Some (Erpc.call a ~dst:2 ~kind:3 ~coord:1 ~tx_seq:5 ~op_id:1 ""));
+      Sim.sleep sim 100_000;
+      tx_call a ~kind:4 ~tx_seq:6 ~acked:6;
+      check_held b "the watermark freed the running entry" 1;
+      Sim.sleep sim 2_000_000;
+      (match !slow with
+      | Some (Ok "committed") -> ()
+      | _ -> Alcotest.fail "the running handler's reply was lost");
+      check_held b "no orphaned dedup entry" 1)
+
+(* A duplicate of a participant's op that arrives after the participant's
+   abort, while no watermark has passed the op, is answered from the cache
+   and starts no second slice. Node 1 stands in for the coordinator of
+   transaction (1, 9001) and acks nothing; the TTL frees its entries. *)
+let rpc_duplicate_op_after_abort () =
+  let open Treaty_core in
+  let sim = Sim.create () in
+  Sim.run sim (fun () ->
+      let config =
+        {
+          (Config.with_profile Config.default Config.treaty_enc_stab) with
+          Config.dedup_ttl_ns = 200_000_000;
+        }
+      in
+      match Cluster.create sim config () with
+      | Error m -> Alcotest.failf "bootstrap: %s" m
+      | Ok cluster ->
+          let coord = Cluster.node cluster 0 and part = Cluster.node cluster 1 in
+          let net = Cluster.net cluster in
+          let call kind ~op_id payload =
+            Erpc.call (Node.rpc coord) ~dst:(Node.node_id part) ~kind
+              ~coord:(Node.node_id coord) ~tx_seq:9001 ~op_id
+              ~timeout_ns:1_000_000_000 payload
+          in
+          let to_part = ref [] in
+          Net.set_adversary net (fun pkt ->
+              if pkt.Treaty_netsim.Packet.dst = Node.node_id part then
+                to_part := pkt :: !to_part;
+              Adversary.Deliver);
+          (match
+             call Txn_wire.k_txn_op ~op_id:1
+               (Txn_wire.encode_op (Txn_wire.Put ("dup:k", "v")))
+           with
+          | Ok reply when Result.is_ok (Txn_wire.decode_op_reply reply) -> ()
+          | _ -> Alcotest.fail "participant refused the write");
+          Net.clear_adversary net;
+          let part_txs () = (Node.residual_state part).Node.res_part_txs in
+          Alcotest.(check int) "the op began a slice" 1 (part_txs ());
+          (match call Txn_wire.k_abort ~op_id:1_000_000 "" with
+          | Ok _ -> ()
+          | Error _ -> Alcotest.fail "abort call failed");
+          Alcotest.(check int) "the abort ended it" 0 (part_txs ());
+          let suppressed = (Erpc.stats (Node.rpc part)).replays_suppressed in
+          List.iter (Net.replay net) (List.rev !to_part);
+          Sim.sleep sim 5_000_000;
+          Alcotest.(check int) "the duplicate began no slice" 0 (part_txs ());
+          Alcotest.(check bool) "the duplicate was answered from the cache" true
+            ((Erpc.stats (Node.rpc part)).replays_suppressed > suppressed);
+          Sim.sleep sim 3_000_000_000;
+          (match Cluster.check_quiescent cluster with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "residual state: %s" m);
+          Cluster.shutdown cluster)
+
 let suite =
   [
     Alcotest.test_case "secure message roundtrip" `Quick secure_msg_roundtrip;
@@ -590,8 +688,8 @@ let suite =
     Alcotest.test_case "duplicate not re-executed" `Quick rpc_duplicate_not_reexecuted;
     Alcotest.test_case "replay attack suppressed" `Quick rpc_replay_attack_suppressed;
     Alcotest.test_case "plain mode is vulnerable (baseline)" `Quick rpc_plain_mode_vulnerable;
-    Alcotest.test_case "handler-forgotten tx leaves no dedup entry" `Quick
-      rpc_dedup_freed_when_handler_forgets_tx;
+    Alcotest.test_case "a watermark passing a running handler's entry leaves none"
+      `Quick rpc_watermark_passes_running_handler;
     Alcotest.test_case "handlers run on fibers" `Quick rpc_handler_can_block;
     Alcotest.test_case "burst window coalesces packets" `Quick rpc_burst_coalescing;
     QCheck_alcotest.to_alcotest burst_roundtrip_equiv;
@@ -611,4 +709,10 @@ let suite =
       rpc_ack_per_incarnation;
     Alcotest.test_case "a silent caller's entries age out" `Quick
       rpc_silent_caller_ages_out;
+    Alcotest.test_case "a coordinator's watermark frees its transactions" `Quick
+      rpc_watermark_frees_transactions;
+    Alcotest.test_case "a quiet coordinator's entries age out" `Quick
+      rpc_quiet_coordinator_ages_out;
+    Alcotest.test_case "a duplicate op after its abort starts no slice" `Quick
+      rpc_duplicate_op_after_abort;
   ]
