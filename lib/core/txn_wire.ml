@@ -159,8 +159,6 @@ let encode_range ~lo ~hi = build w_range (lo, hi)
 let decode_range = request r_range
 let encode_query ~tx_seq = build Wire.w64 tx_seq
 let decode_query = request Wire.r64
-let encode_decided ~upto = build Wire.w64 upto
-let decode_decided = request Wire.r64
 
 let encode_register ~client_id ~token =
   build (w_pair Wire.w64 Wire.wstr) (client_id, token)

@@ -9,7 +9,13 @@
 
 (** {1 RPC kinds} *)
 
-(** Coordinator → participant. *)
+(** Coordinator → participant, under the transaction's at-most-once
+    identity. Each request's metadata acks the coordinator's decision
+    watermark plus one ({!Treaty_rpc.Secure_msg.meta.acked}): the
+    participant frees its cached replies of that coordinator's
+    transactions numbered below the ack, and [k_commit] also forgets their
+    commit marks. [k_prepare], [k_commit] and [k_abort] have empty
+    bodies. *)
 
 val k_txn_op : int
 val k_txn_scan : int
@@ -97,13 +103,6 @@ val decode_range : string -> (string * string) decoded
 
 val encode_query : tx_seq:int -> string
 val decode_query : string -> int decoded
-
-val encode_decided : upto:int -> string
-val decode_decided : string -> int decoded
-(** The body of {!k_commit}: the coordinator's decision watermark. Every
-    transaction it numbered at or below [upto] has ended, and each commit
-    decision among them is trusted, so participants may forget their
-    commit marks up to it. *)
 
 val encode_register : client_id:int -> token:string -> string
 val decode_register : string -> (int * string) decoded

@@ -1077,8 +1077,8 @@ let forget_where t forget =
 
 let forget_commit t ~tx = forget_where t (fun tx' -> tx' = tx)
 
-let forget_commits t ~coord ~upto =
-  forget_where t (fun (c, seq) -> c = coord && seq <= upto)
+let forget_commits t ~coord ~below =
+  forget_where t (fun (c, seq) -> c = coord && seq < below)
 
 (* Prepared writes a reader must wait for, those a resolve is applying
    included. *)

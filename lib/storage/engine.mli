@@ -221,9 +221,9 @@ val committed_txs : t -> (Wal_record.txid * int) list
 val forget_commit : t -> tx:Wal_record.txid -> unit
 (** Drop [tx]'s commit mark, if any, and unpin its WAL. *)
 
-val forget_commits : t -> coord:int -> upto:int -> unit
-(** Drop every commit mark of coordinator [coord] numbered at most [upto]:
-    the coordinator's decision watermark. *)
+val forget_commits : t -> coord:int -> below:int -> unit
+(** Drop every commit mark of coordinator [coord] numbered below [below]:
+    the coordinator's ack, its decision watermark plus one. *)
 
 val prepared_write_sets : t -> (string * Op.t) list list
 (** The write sets of {!prepared_txs} and of the slices a {!resolve} is
