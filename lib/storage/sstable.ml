@@ -62,14 +62,22 @@ let write_block entries b off =
           incr pos)
     entries
 
-let decode_block data =
+(* Decode the whole of [data] with [read]: truncated, corrupt or over-long
+   input is an [Error], never an exception. *)
+let decode_whole what read data =
   let r = Wire.reader data in
-  let n = Wire.r32 r in
-  List.init n (fun _ ->
-      let key = Wire.rstr r in
-      let seq = Wire.r64 r in
-      let op = Op.decode r in
-      (key, seq, op))
+  match read r with
+  | v when Wire.at_end r -> Ok v
+  | _ -> Error ("trailing bytes after an sstable " ^ what)
+  | exception Wire.Malformed m -> Error m
+
+let decode_block =
+  decode_whole "block" (fun r ->
+      Wire.rlist r (fun r ->
+          let key = Wire.rstr r in
+          let seq = Wire.r64 r in
+          let op = Op.decode r in
+          (key, seq, op)))
 
 let encode_index b index =
   Wire.wlist b
@@ -103,17 +111,17 @@ let encode_footer bloom index =
   encode_index b index;
   Buffer.contents b
 
-let decode_footer ~version data =
-  let r = Wire.reader data in
-  match version with
-  | 1 -> (None, decode_index r)
-  | 2 ->
-      let tag = Wire.r8 r in
-      if tag <> footer_version then
-        raise (Wire.Malformed (Printf.sprintf "bad footer version tag %d" tag));
-      let bloom = Bloom.decode r in
-      (Some bloom, decode_index r)
-  | v -> raise (Wire.Malformed (Printf.sprintf "unknown footer version %d" v))
+let decode_footer ~version =
+  decode_whole "footer" (fun r ->
+      match version with
+      | 1 -> (None, decode_index r)
+      | 2 ->
+          let tag = Wire.r8 r in
+          if tag <> footer_version then
+            raise (Wire.Malformed (Printf.sprintf "bad footer version tag %d" tag));
+          let bloom = Bloom.decode r in
+          (Some bloom, decode_index r)
+      | v -> raise (Wire.Malformed (Printf.sprintf "unknown footer version %d" v)))
 
 (* Split sorted entries into blocks of roughly [block_bytes] plaintext,
    never splitting the versions of one user key across blocks, and hand
@@ -239,8 +247,9 @@ let open_ ?(version = footer_version) ssd sec ~file_id ~footer_digest =
   Sec.check_digest sec ~what:(name ^ ": footer digest") ~data:footer
     ~expected:footer_digest;
   let bloom, index =
-    try decode_footer ~version footer
-    with Wire.Malformed m -> raise (Sec.Integrity_violation (name ^ ": " ^ m))
+    match decode_footer ~version footer with
+    | Ok footer -> footer
+    | Error m -> raise (Sec.Integrity_violation (name ^ ": " ^ m))
   in
   if Array.length index = 0 then raise (Sec.Integrity_violation (name ^ ": empty index"));
   account_bloom sec bloom;
@@ -277,8 +286,9 @@ let read_stored_block ssd sec h meta =
     ~expected:meta.bhash;
   let plain = Sec.unprotect sec stored in
   let entries =
-    try decode_block plain
-    with Wire.Malformed m -> raise (Sec.Integrity_violation (h.name ^ ": " ^ m))
+    match decode_block plain with
+    | Ok entries -> entries
+    | Error m -> raise (Sec.Integrity_violation (h.name ^ ": " ^ m))
   in
   (entries, plain)
 

@@ -47,6 +47,21 @@ val open_ :
     the footer format the MANIFEST recorded for the file. Raises
     {!Sec.Integrity_violation} on mismatch. *)
 
+type block_meta
+(** A block's entry in the footer's index: its key span, where it lies in
+    the file and its digest. *)
+
+val decode_footer :
+  version:int -> string -> (Bloom.t option * block_meta array, string) result
+(** A footer of format [version]: its Bloom filter (none in v1) and block
+    index. Total, as {!Wal_record.decode} is: truncated, corrupt or
+    over-long input is an [Error], never an exception. {!open_} checks the
+    footer's digest first and maps an [Error] to
+    {!Sec.Integrity_violation}. *)
+
+val decode_block : string -> (entry list, string) result
+(** A block's plaintext, decoded as totally as {!decode_footer}. *)
+
 val release : Sec.t -> handle -> unit
 (** Drop the handle's enclave residency (the Bloom filter) when the file
     leaves the live hierarchy (compaction input). *)
