@@ -7,8 +7,10 @@
 # Builds <rev> in a temporary git worktree, runs the five traced chaos runs
 # below on both trees and compares the trace files with cmp. Seeds 11 and
 # 47 (OCC) crash and restart nodes, so recovery is covered too. Prints one
-# line per run and exits 1 if any trace differs or any run fails. A change
-# that alters timing on purpose (a perf change) is expected to differ.
+# line per run and exits 1 if any trace differs or any run fails; a run
+# that differs also prints both trees' summary lines (committed, aborted,
+# faults). A change that alters timing on purpose (a perf change) is
+# expected to differ.
 set -u
 
 rev=${1:?usage: sh tools/trace_oracle.sh <rev>}
@@ -47,6 +49,11 @@ for args in "--seed 1" "--cc occ --seed 1" "--nodes 100 --seed 5" "--seed 11" \
     echo "same    chaos $args"
   else
     echo "DIFFERS chaos $args"
+    # The summary lines (committed, aborted, faults) tell a timing shift
+    # from a change in outcome.
+    for tree in base head; do
+      grep -E '^(PASS|FAIL) ' "$work/$tree.$n.out" | sed "s/^/  $tree: /"
+    done
     status=1
   fi
 done
