@@ -80,7 +80,7 @@ let tests =
                burst_buf burst_msgs));
       Test.make ~name:"burst-open-8x100B"
         (Staged.stage (fun () ->
-             Treaty_rpc.Secure_msg.Burst.decode secure_key burst_wire));
+             Treaty_rpc.Secure_msg.Burst.decode secure_key ~buf:burst_buf burst_wire));
       Test.make ~name:"skiplist-find-10k"
         (Staged.stage (fun () ->
              Treaty_storage.Skiplist.find prefilled_skiplist ~key:"k004242" ~max_seq:max_int));

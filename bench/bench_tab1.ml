@@ -39,7 +39,7 @@ let measure v =
       let log = Storage.Log_auth.create ssd sec ~name:"RECLOG" in
       let payload = String.make entry_size 'e' in
       for _ = 1 to n do
-        ignore (Storage.Log_auth.append log payload)
+        ignore (Storage.Log_auth.append log (fun b -> Buffer.add_string b payload))
       done;
       log_bytes := Storage.Log_auth.bytes_on_disk log;
       (* Fresh handle = a rebooted node replaying from scratch. *)

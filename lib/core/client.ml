@@ -27,7 +27,13 @@ type t = {
          flight: new transactions begin elsewhere until a probe succeeds. *)
 }
 
-type txn = { t_coord : int; t_seq : int }
+type txn = {
+  t_coord : int;
+  t_seq : int;
+  mutable t_writes : Txn_wire.op list;
+      (* Writes not sent yet, newest first: they go with the next request
+         that needs an answer. *)
+}
 
 let client_id t = t.client_id
 let coordinator txn = txn.t_coord
@@ -164,7 +170,7 @@ let rec begin_attempt t ~retry coord =
   | Error e -> Error e
   | Ok reply -> (
       match Txn_wire.decode_begin_reply reply with
-      | Ok seq -> Ok { t_coord = coord; t_seq = seq }
+      | Ok seq -> Ok { t_coord = coord; t_seq = seq; t_writes = [] }
       | Error (Refused St_unauth) ->
           (* A restarted node has an empty client registry: re-register
              (re-presenting the CAS token) and retry once. *)
@@ -188,31 +194,48 @@ let on_coord ?timeout_ns t txn ~kind payload decode =
 
 let header t txn = { Txn_wire.client_id = t.client_id; tx_seq = txn.t_seq }
 
-let send_op t txn op =
+(* The buffered writes in the order they were made, followed by [last];
+   the buffer is empty afterwards. *)
+let take_writes txn last =
+  let ops = List.rev_append txn.t_writes last in
+  txn.t_writes <- [];
+  ops
+
+let send_ops t txn ops =
   on_coord t txn ~kind:Txn_wire.k_client_op
-    (Txn_wire.encode_client_op (header t txn) op)
+    (Txn_wire.encode_client_op (header t txn) ops)
     (fun reply -> Result.map fst (Txn_wire.decode_op_reply reply))
 
-let get t txn key = send_op t txn (Txn_wire.Get key)
+let get t txn key = send_ops t txn (take_writes txn [ Txn_wire.Get key ])
 
 let scan t txn ~lo ~hi =
-  on_coord t txn ~kind:Txn_wire.k_client_scan
-    (Txn_wire.encode_client_scan (header t txn) ~lo ~hi)
-    Txn_wire.decode_scan_reply
+  let flushed =
+    match txn.t_writes with
+    | [] -> Ok ()
+    | _ :: _ -> Result.map ignore (send_ops t txn (take_writes txn []))
+  in
+  Result.bind flushed (fun () ->
+      on_coord t txn ~kind:Txn_wire.k_client_scan
+        (Txn_wire.encode_client_scan (header t txn) ~lo ~hi)
+        Txn_wire.decode_scan_reply)
 
-let put t txn key value =
-  Result.map ignore (send_op t txn (Txn_wire.Put (key, value)))
+let put _t txn key value =
+  txn.t_writes <- Txn_wire.Put (key, value) :: txn.t_writes;
+  Ok ()
 
-let delete t txn key = Result.map ignore (send_op t txn (Txn_wire.Del key))
+let delete _t txn key =
+  txn.t_writes <- Txn_wire.Del key :: txn.t_writes;
+  Ok ()
 
 let commit t txn =
   on_coord ~timeout_ns:t.op_timeout t txn ~kind:Txn_wire.k_client_commit
-    (Txn_wire.encode_client_tx (header t txn))
+    (Txn_wire.encode_client_commit (header t txn) (take_writes txn []))
     Txn_wire.decode_commit_reply
 
 (* Nobody needs a rollback's answer: one to a suspected coordinator is
    sent without waiting for it. *)
 let rollback t txn =
+  txn.t_writes <- [];
   let send () =
     ignore
       (call t ~dst:txn.t_coord ~kind:Txn_wire.k_client_abort

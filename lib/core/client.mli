@@ -3,9 +3,11 @@
     Clients authenticate with the CAS, register with the storage nodes over
     the (1 GbE) client network, and then drive interactive transactions:
     [begin_txn] picks a coordinator, [get]/[put]/[delete] execute operations
-    through it, and [commit]/[rollback] end the transaction. Any failed
-    operation aborts the whole transaction coordinator-side; the client sees
-    the abort reason.
+    through it, and [commit]/[rollback] end the transaction. Writes are
+    buffered here and travel with the transaction's next request that needs
+    an answer (see {!put}). Any failed operation aborts the whole
+    transaction coordinator-side; the client sees the abort reason on the
+    request that carried it.
 
     Only a commit waits for the whole client op timeout, since the commit
     point may wait out the counter service's retries. A begin gives up
@@ -42,11 +44,15 @@ val coordinator : txn -> int
 val tx_seq : txn -> int
 
 val get : t -> txn -> string -> string option Types.txn_result
+(** Read a key, the transaction's own writes included. The writes buffered
+    since the last request go with it, in one request, ahead of the
+    read. *)
 
 val scan : t -> txn -> lo:string -> hi:string -> (string * string) list Types.txn_result
 (** Snapshot-consistent range scan over the closed interval from [lo] to
-    [hi], across all shards, merged with the transaction's own writes. Under
-    2PL the returned keys are read-locked (no gap locks: phantoms are
+    [hi], across all shards, merged with the transaction's own writes (any
+    buffered ones are sent first, in a request of their own). Under 2PL
+    the returned keys are read-locked (no gap locks: phantoms are
     possible). *)
 
 val read_only : t -> string list -> (string * string option) list Types.txn_result
@@ -64,9 +70,22 @@ val read_only : t -> string list -> (string * string option) list Types.txn_resu
     snapshot — use {!with_txn} when cross-shard atomicity matters. *)
 
 val put : t -> txn -> string -> string -> unit Types.txn_result
+(** Buffer a write and return [Ok ()] at once, without a request: the
+    write is sent with the transaction's next {!get}, {!scan} or
+    {!commit}, and takes its write lock then. A write that fails there
+    (a lock timeout, a failed participant) aborts the transaction, and
+    that request returns the reason. *)
+
 val delete : t -> txn -> string -> unit Types.txn_result
+(** Buffer a delete, as {!put} buffers a write. *)
+
 val commit : t -> txn -> unit Types.txn_result
+(** Send the writes not sent yet and commit. An [Error] is the reason the
+    transaction aborted, a buffered write's included. *)
+
 val rollback : t -> txn -> unit
+(** Drop the buffered writes and abort the transaction at its
+    coordinator. *)
 
 val disconnect : t -> unit
 

@@ -59,7 +59,11 @@ let create ?(sanitize = false) ?(node = 0) sim ~enclave ~shards ~timeout_ns =
     sim;
     enclave;
     node;
-    shards = Array.init (max 1 shards) (fun _ -> Hashtbl.create 64);
+    shards =
+      (* A shard holds only the keys locked right now (a released key's
+         entry is removed), a handful at most: start each one small, or
+         the 256 shards of every node preallocate 16k buckets. *)
+      Array.init (max 1 shards) (fun _ -> Hashtbl.create 2);
     owner_keys = Hashtbl.create 64;
     timeout_ns;
     stats = { acquisitions = 0; waits = 0; timeouts = 0; upgrades = 0 };

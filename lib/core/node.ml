@@ -166,6 +166,14 @@ let exec_local ltx = function
       | Ok () -> Ok (None, 0)
       | Error `Timeout -> Error `Timeout)
 
+(* Run a well-shaped share of a request in order: its writes, then its
+   read, whose value and version are the answer. The first lock timeout
+   ends it. *)
+let rec exec_ops ltx = function
+  | [] -> Ok (None, 0)
+  | [ op ] -> exec_local ltx op
+  | op :: rest -> Result.bind (exec_local ltx op) (fun _ -> exec_ops ltx rest)
+
 let namespaced node key = Printf.sprintf "n%d:%s" node key
 
 let record_history t ctx ~installed_local_seq =
@@ -214,13 +222,13 @@ let handler_span (meta : Secure_msg.meta) =
   Trace.ctx_resolve ~coord:meta.coord ~tx_seq:meta.tx_seq ~op_id:meta.op_id
 
 let handle_txn_op t (meta : Secure_msg.meta) payload =
-  t.stats.remote_ops_served <- t.stats.remote_ops_served + 1;
-  match Txn_wire.decode_op payload with
+  match Txn_wire.decode_ops payload with
   | Error _ -> Txn_wire.status_reply St_unknown_tx
-  | Ok op -> (
+  | Ok ops -> (
+      t.stats.remote_ops_served <- t.stats.remote_ops_served + List.length ops;
       let ctx = part_ctx t ~coord:meta.coord ~tx_seq:meta.tx_seq in
       Local_txn.set_span ctx (handler_span meta);
-      match exec_local ctx op with
+      match exec_ops ctx ops with
       | Ok (value, seq) -> Txn_wire.encode_op_reply value seq
       | Error `Timeout -> Txn_wire.status_reply St_lock_timeout)
 
@@ -337,12 +345,19 @@ let decided_upto t =
   Hashtbl.iter lower t.undecided;
   !low - 1
 
-(* Wait until [tx_seq]'s commit decision, if unsettled, is trusted. *)
+(* Wait until [tx_seq]'s commit decision, if unsettled, is trusted. One
+   the trusted Clog value already covers is settled without a wait, so
+   whether [decided_upto] happened to prune it first changes nothing. *)
 let settle_decision t tx_seq =
   match Hashtbl.find_opt t.unsettled tx_seq with
   | None -> true
   | Some counter -> (
-      match Engine.clog_wait_stable t.engine ~counter () with
+      let trusted =
+        match t.counter_client with
+        | None -> true
+        | Some cc -> counter <= Counter_client.stable_value cc ~log:Engine.clog_log
+      in
+      match if trusted then Ok () else Engine.clog_wait_stable t.engine ~counter () with
       | Ok () ->
           Hashtbl.remove t.unsettled tx_seq;
           true
@@ -493,33 +508,114 @@ let remote_slice ctx node =
       Hashtbl.replace ctx.ct_remote node s;
       s
 
-(* Forward one op to the owning participant (Figure 2, steps 1-4). *)
-let forward_op t ctx ~span ~owner op =
-  ctx.ct_next_op <- ctx.ct_next_op + 1;
-  (* Register the participant before the call, not on its reply: once the
-     request is on the wire the participant may have begun its slice (which
-     pins an engine snapshot and, under 2PL, holds locks) even if the op
-     then times out or the reply is lost — the eventual abort fan-out must
-     reach it rather than leaving the slice to the staleness sweeper. *)
+(* Forward one participant's share of a request (Figure 2, steps 1-4). *)
+let forward_ops t ctx ~span ~owner ~op_id ops =
+  (* The participant is registered before the call, not on its reply: once
+     the request is on the wire the participant may have begun its slice
+     (which pins an engine snapshot and, under 2PL, holds locks) even if
+     the call then times out or the reply is lost — the eventual abort
+     fan-out must reach it rather than leaving the slice to the staleness
+     sweeper. *)
   let slice = remote_slice ctx owner in
   match
     call_participant t ~dst:owner ~kind:Txn_wire.k_txn_op ~tx_seq:ctx.ct_seq
-      ~op_id:ctx.ct_next_op ~span (Txn_wire.encode_op op)
+      ~op_id ~span (Txn_wire.encode_ops ops)
   with
   | Error (`Timeout | `Tampered) -> Error `Participant
   | Ok reply -> (
       match Txn_wire.decode_op_reply reply with
       | Ok (value, _seq) ->
           (* Read versions are collected once, from the prepare ACK's
-             read_set; only the write-key routing is tracked per op. *)
-          if Txn_wire.op_is_write op then
-            slice.r_written <- Txn_wire.op_key op :: slice.r_written;
+             read_set; only the write-key routing is tracked here. *)
+          List.iter
+            (fun op ->
+              if Txn_wire.op_is_write op then
+                slice.r_written <- Txn_wire.op_key op :: slice.r_written)
+            ops;
           Ok value
       | Error (Refused St_lock_timeout) -> Error `Lock_timeout
       | Error
           ( Refused (St_ok | St_unknown_tx | St_unauth | St_conflict)
           | Aborted _ | Malformed ) ->
           Error `Participant)
+
+(* Split a request's ops by owner: this node's share, and each remote
+   owner's in the order the owners first appear. A share keeps the
+   request's order, so its read, if it has one, still follows its writes. *)
+let shares t ops =
+  let self = t.deps.node_id in
+  let remote = Hashtbl.create 4 and owners = ref [] and local = ref [] in
+  List.iter
+    (fun op ->
+      let owner = t.deps.route (Txn_wire.op_key op) in
+      if owner = self then local := op :: !local
+      else
+        match Hashtbl.find_opt remote owner with
+        | Some share -> share := op :: !share
+        | None ->
+            Hashtbl.replace remote owner (ref [ op ]);
+            owners := owner :: !owners)
+    ops;
+  ( List.rev !local,
+    List.rev_map (fun owner -> (owner, List.rev !(Hashtbl.find remote owner))) !owners )
+
+(* Execute one client request (its writes in order, then at most one read)
+   under one "execute" span: every remote share goes out at once, one
+   [k_txn_op] per participant, while the local share runs. The answer is
+   the read's value. Any failed share fails the request; a lock timeout
+   is reported before a failed participant. *)
+let execute t ctx ops =
+  let self = t.deps.node_id in
+  let espan =
+    Trace.begin_span ~parent:ctx.ct_span ~node:self ~cat:"txn" "execute"
+      ~args:[ ("ops", Trace.Int (List.length ops)) ]
+  in
+  Local_txn.set_span ctx.ct_local espan;
+  let local, remote = shares t ops in
+  let calls =
+    List.map
+      (fun (owner, share) ->
+        ctx.ct_next_op <- ctx.ct_next_op + 1;
+        (owner, ctx.ct_next_op, share, ref (Ok None)))
+      remote
+  in
+  let local_result =
+    Sim.fan_out t.deps.sim calls
+      ~local:(fun () ->
+        match exec_ops ctx.ct_local local with
+        | Ok (value, _) -> Ok value
+        | Error `Timeout -> Error `Lock_timeout)
+      (fun (owner, op_id, share, result) ->
+        result := forward_ops t ctx ~span:espan ~owner ~op_id share)
+  in
+  Local_txn.set_span ctx.ct_local ctx.ct_span;
+  let results = local_result :: List.map (fun (_, _, _, r) -> !r) calls in
+  let failed reason = List.mem (Error reason) results in
+  let result =
+    if failed `Lock_timeout then Error `Lock_timeout
+    else if failed `Participant then Error `Participant
+    else
+      (* At most one share holds the read; the others answer [None]. *)
+      Ok (List.find_map (function Ok v -> v | Error _ -> None) results)
+  in
+  Trace.end_span espan
+    ~args:
+      [ ( "status",
+          Trace.Str
+            (match result with
+            | Ok _ -> "ok"
+            | Error `Lock_timeout -> "lock_timeout"
+            | Error `Participant -> "participant") ) ];
+  result
+
+(* A failed request aborts the whole transaction. *)
+let abort_failed t ctx = function
+  | `Lock_timeout ->
+      abort_tx t ctx ~reason:"lock_timeout";
+      Types.Lock_timeout
+  | `Participant ->
+      abort_tx t ctx ~reason:"participant_failed";
+      Types.Participant_failed
 
 (* Client requests that continue a transaction carry the (client_id, tx_seq)
    header: decode the request and find the coordinator context it names. *)
@@ -533,37 +629,13 @@ let with_coord_tx t decoded ~unknown k =
 
 let handle_client_op t _meta payload =
   with_coord_tx t (Txn_wire.decode_client_op payload)
-    ~unknown:St_unknown_tx (fun ctx op ->
-      let owner = t.deps.route (Txn_wire.op_key op) in
-      (* One "execute" span per client op: the 2PC execution phase is the
-         union of these (Figure 2, steps 1-4). *)
-      let espan =
-        Trace.begin_span ~parent:ctx.ct_span ~node:t.deps.node_id ~cat:"txn"
-          "execute"
-          ~args:
-            [ ("op", Trace.Int ctx.ct_next_op); ("owner", Trace.Int owner) ]
-      in
-      Local_txn.set_span ctx.ct_local espan;
-      let result =
-        if owner = t.deps.node_id then
-          match exec_local ctx.ct_local op with
-          | Ok (v, _) -> Ok v
-          | Error `Timeout -> Error `Lock_timeout
-        else forward_op t ctx ~span:espan ~owner op
-      in
-      Local_txn.set_span ctx.ct_local ctx.ct_span;
-      match result with
-      | Ok value ->
-          Trace.end_span espan ~args:[ ("status", Trace.Str "ok") ];
-          Txn_wire.encode_op_reply value 0
-      | Error `Lock_timeout ->
-          Trace.end_span espan ~args:[ ("status", Trace.Str "lock_timeout") ];
-          (* Failed op: the coordinator aborts the whole transaction. *)
-          abort_tx t ctx ~reason:"lock_timeout";
-          Txn_wire.status_reply St_lock_timeout
-      | Error `Participant ->
-          Trace.end_span espan ~args:[ ("status", Trace.Str "participant") ];
-          abort_tx t ctx ~reason:"participant_failed";
+    ~unknown:St_unknown_tx (fun ctx ops ->
+      match execute t ctx ops with
+      | Ok value -> Txn_wire.encode_op_reply value 0
+      | Error failure ->
+          (* The client hears the lock-timeout status whatever the failure
+             was. *)
+          ignore (abort_failed t ctx failure);
           Txn_wire.status_reply St_lock_timeout)
 
 let handle_client_scan t _meta payload =
@@ -842,13 +914,18 @@ let commit_single_node t ctx =
           conclude t ctx (`Committed `Single_node);
           Ok ())
 
+(* The commit request carries the writes not sent yet: they run first, as
+   any request's do, and take their write locks before the prepare. *)
 let handle_client_commit t _meta payload =
-  with_coord_tx t (Txn_wire.decode_client_tx payload)
-    ~unknown:St_unknown_tx (fun ctx () ->
+  with_coord_tx t (Txn_wire.decode_client_commit payload)
+    ~unknown:St_unknown_tx (fun ctx writes ->
       ctx.ct_committing <- true;
       Txn_wire.encode_commit_reply
-        (if Hashtbl.length ctx.ct_remote = 0 then commit_single_node t ctx
-         else commit_distributed t ctx))
+        (match if writes = [] then Ok None else execute t ctx writes with
+        | Error failure -> Error (abort_failed t ctx failure)
+        | Ok _ ->
+            if Hashtbl.length ctx.ct_remote = 0 then commit_single_node t ctx
+            else commit_distributed t ctx))
 
 let handle_client_abort t _meta payload =
   with_coord_tx t (Txn_wire.decode_client_tx payload)

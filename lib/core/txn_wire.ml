@@ -37,6 +37,12 @@ type 'a decoded = ('a, failure) result
 let op_key = function Get k | Put (k, _) | Del k -> k
 let op_is_write = function Get _ -> false | Put _ | Del _ -> true
 
+(* A request's shape: its writes in order, then at most one read. *)
+let rec well_shaped = function
+  | [] | [ Get _ ] -> true
+  | Get _ :: _ :: _ -> false
+  | (Put _ | Del _) :: rest -> well_shaped rest
+
 let status_code = function
   | St_ok -> 0
   | St_lock_timeout -> 1
@@ -71,12 +77,17 @@ let reason_of_code = function
 (* --- building blocks ---------------------------------------------------- *)
 
 (* Codecs are built by partial application at module initialisation, so a
-   message costs its buffer and its decoded value, not a chain of closures. *)
+   message costs its bytes and its decoded value, not a chain of closures.
+   One scratch writer serves every message: an encoder never yields, and
+   the scratch keeps the capacity it grew to, so a batched request of many
+   kilobytes is one copy of its bytes, not a buffer doubling its way up. *)
+
+let scratch = Buffer.create 256
 
 let build w x =
-  let b = Buffer.create 64 in
-  w b x;
-  Buffer.contents b
+  Buffer.clear scratch;
+  w scratch x;
+  Buffer.contents scratch
 
 (* Each decoder catches [Wire.Malformed] around its whole read, so no
    truncated or corrupt input escapes as an exception. *)
@@ -122,6 +133,18 @@ let r_op r =
   | 2 -> Del (Wire.rstr r)
   | n -> raise (Wire.Malformed (Printf.sprintf "bad op tag %d" n))
 
+(* A request's op list: [reads] allows a trailing read, and only a commit
+   may be empty. Any other shape is malformed. *)
+let r_ops ~reads r =
+  let ops = Wire.rlist r r_op in
+  let shaped =
+    if reads then ops <> [] && well_shaped ops
+    else List.for_all op_is_write ops
+  in
+  if shaped then ops else raise (Wire.Malformed "op list shape")
+
+let w_ops b ops = Wire.wlist b w_op ops
+
 (* Read [ra] then [rb], in that order. *)
 let pair ra rb r =
   let a = ra r in
@@ -153,8 +176,8 @@ let r_range = pair Wire.rstr Wire.rstr
 
 (* --- requests ----------------------------------------------------------- *)
 
-let encode_op = build w_op
-let decode_op = request r_op
+let encode_ops = build w_ops
+let decode_ops = request (r_ops ~reads:true)
 let encode_range ~lo ~hi = build w_range (lo, hi)
 let decode_range = request r_range
 let encode_query ~tx_seq = build Wire.w64 tx_seq
@@ -166,9 +189,11 @@ let encode_register ~client_id ~token =
 let decode_register = request (pair Wire.r64 Wire.rstr)
 let encode_begin ~client_id = build Wire.w64 client_id
 let decode_begin = request Wire.r64
-let w_client_op = w_pair w_header w_op
-let encode_client_op h op = build w_client_op (h, op)
-let decode_client_op = request (pair r_header r_op)
+let w_client_ops = w_pair w_header w_ops
+let encode_client_op h ops = build w_client_ops (h, ops)
+let decode_client_op = request (pair r_header (r_ops ~reads:true))
+let encode_client_commit h writes = build w_client_ops (h, writes)
+let decode_client_commit = request (pair r_header (r_ops ~reads:false))
 let w_client_scan = w_pair w_header w_range
 let encode_client_scan h ~lo ~hi = build w_client_scan (h, (lo, hi))
 let decode_client_scan = request (pair r_header r_range)

@@ -10,7 +10,8 @@
 (** {1 RPC kinds} *)
 
 (** Coordinator → participant, under the transaction's at-most-once
-    identity. Each request's metadata acks the coordinator's decision
+    identity. A [k_txn_op] carries the participant's share of one client
+    request: its writes in order, then at most one read. Each request's metadata acks the coordinator's decision
     watermark plus one ({!Treaty_rpc.Secure_msg.meta.acked}): the
     participant frees its cached replies of that coordinator's
     transactions numbered below the ack, and [k_commit] also forgets their
@@ -60,7 +61,15 @@ val op_is_write : op -> bool
 
 type header = { client_id : int; tx_seq : int }
 (** Names a coordinator transaction in client op, scan, commit and rollback
-    requests. *)
+    requests.
+
+    A client buffers a transaction's writes and sends them with its next
+    request that needs an answer: an op request carries them followed by
+    the read (or by nothing, ahead of a scan), a commit request carries
+    the rest. The coordinator forwards each participant's share as one
+    [k_txn_op] of the same shape. A decoder refuses any other shape as
+    [Malformed]: a read before a write, a second read, a read on a
+    commit, or an empty op or [k_txn_op] request. *)
 
 (** The coordinator's answer to a decision query. [Decided]: a trusted
     decision; [Unknown]: no memory of the transaction (so it never
@@ -95,8 +104,9 @@ type 'a decoded = ('a, failure) result
 
 (** {1 Requests} *)
 
-val encode_op : op -> string
-val decode_op : string -> op decoded
+val encode_ops : op list -> string
+val decode_ops : string -> op list decoded
+(** A [k_txn_op] body: a well-shaped, non-empty op list. *)
 
 val encode_range : lo:string -> hi:string -> string
 val decode_range : string -> (string * string) decoded
@@ -111,14 +121,20 @@ val encode_begin : client_id:int -> string
 val decode_begin : string -> int decoded
 (** The client id. *)
 
-val encode_client_op : header -> op -> string
-val decode_client_op : string -> (header * op) decoded
+val encode_client_op : header -> op list -> string
+val decode_client_op : string -> (header * op list) decoded
+(** The buffered writes, then at most one [Get]; not empty. *)
 
 val encode_client_scan : header -> lo:string -> hi:string -> string
 val decode_client_scan : string -> (header * (string * string)) decoded
 
+val encode_client_commit : header -> op list -> string
+val decode_client_commit : string -> (header * op list) decoded
+(** A commit request: the header and the writes not yet sent, possibly
+    none. *)
+
 val encode_client_tx : header -> string
-(** Commit and rollback requests: the header alone. *)
+(** A rollback request: the header alone. *)
 
 val decode_client_tx : string -> (header * unit) decoded
 
@@ -134,7 +150,8 @@ val decode_ack : string -> unit decoded
 (** A status-only reply. *)
 
 val encode_op_reply : string option -> int -> string
-(** An op's value and the version it read (0 from a coordinator). *)
+(** A request's read value and the version it read (0 from a coordinator);
+    [None] and 0 for a request without a read. *)
 
 val decode_op_reply : string -> (string option * int) decoded
 

@@ -131,6 +131,16 @@ let encode_packet t msgs =
       in
       Bytes.sub_string buf.Mempool.bytes 0 n)
 
+(* Open a received packet in a mempool buffer of the message-buffer region,
+   held only while the packet is verified, decrypted and sliced. *)
+let decode_packet t payload =
+  let buf =
+    Mempool.alloc t.pool ~owner:t.node_id t.config.msgbuf_region
+      (String.length payload)
+  in
+  Fun.protect ~finally:(fun () -> Mempool.free t.pool ~owner:t.node_id buf)
+    (fun () -> Secure_msg.Burst.decode t.config.security ~buf:buf.Mempool.bytes payload)
+
 (* Ring the doorbell: one netsim packet, one transport traversal and one
    serialization (fragmented by MTU) carry the whole burst to [dst]. *)
 let flush_burst t ~dst msgs =
@@ -356,8 +366,8 @@ let on_packet t (pkt : Treaty_netsim.Packet.t) =
         then rx_malformed t pkt
         else
           (* Verify and decrypt ONCE for the whole burst, then hand out
-             plaintext sub-message views. *)
-          match Secure_msg.Burst.decode t.config.security pkt.payload with
+             each sub-message's plaintext. *)
+          match decode_packet t pkt.payload with
           | Error (`Tampered | `Malformed) ->
               Transport.charge t.config.params t.enclave t.config.transport
                 ~rpc_layer:true ~dir:`Rx ~bytes:pkt.size;

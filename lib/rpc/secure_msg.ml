@@ -154,13 +154,16 @@ module Burst = struct
     if !ok && !off = body_off + body_len then Ok (List.rev !msgs)
     else Error `Malformed
 
-  let decode security packet =
+  (* The packet is copied once into [buf], the caller's reusable scratch,
+     and verified, decrypted and sliced there. *)
+  let decode security ~buf:b packet =
     let pn = String.length packet in
     if pn < 5 || Char.code packet.[0] <> version then Error `Malformed
-    else
+    else if Bytes.length b < pn then invalid_arg "Secure_msg.Burst.decode: buf"
+    else begin
+      Bytes.blit_string packet 0 b 0 pn;
       match security with
       | Plain ->
-          let b = Bytes.of_string packet in
           let n = get32b b 1 in
           let lens_off = 5 in
           let body_off = lens_off + (4 * n) in
@@ -170,7 +173,6 @@ module Burst = struct
           let count_off = 1 + Aead.iv_size in
           if pn < count_off + 4 + Aead.mac_size then Error `Malformed
           else begin
-            let b = Bytes.of_string packet in
             let n = get32b b count_off in
             let lens_off = count_off + 4 in
             let body_off = lens_off + (4 * n) in
@@ -192,4 +194,5 @@ module Burst = struct
               end
             end
           end
+    end
 end

@@ -62,8 +62,9 @@ type security = Plain | Secure of Treaty_crypto.Aead.key
     packet as [`Tampered]. Plain mode uses the same framing without IV/MAC.
 
     Encoding writes through a cursor into a caller-provided (mempool-backed)
-    buffer and seals in place; decoding verifies once, decrypts in place
-    and hands out per-message views. *)
+    buffer and seals in place; decoding copies the packet into another such
+    buffer, verifies once, decrypts in place and copies each message's data
+    out. *)
 module Burst : sig
   val version : int
   (** Leading packet byte: [2]. A packet that leads with anything else is
@@ -84,9 +85,13 @@ module Burst : sig
 
   val decode :
     security ->
+    buf:Bytes.t ->
     string ->
     ((meta * string) list, [ `Tampered | `Malformed ]) result
   (** One verification and one decryption for the whole packet; [`Tampered]
       on any MAC failure (including a framing-length flip), [`Malformed] on
-      structural damage (version byte, truncation). *)
+      structural damage (version byte, truncation). The packet is copied
+      into [buf] (the receiver's mempool buffer, at least as long as the
+      packet; [Invalid_argument] otherwise) and decrypted there; each
+      message's data is copied out, so [buf] is free again on return. *)
 end

@@ -51,9 +51,13 @@ let encode b t =
   Wire.wstr b (Bytes.to_string t.bits)
 
 let decode r =
-  let nbits = Wire.r32 r in
-  let k = Wire.r32 r in
-  let raw = Wire.rstr r in
-  if nbits <= 0 || k <= 0 || k > 32 || String.length raw <> (nbits + 7) / 8 then
-    raise (Wire.Malformed "bloom: bad dimensions");
-  { bits = Bytes.of_string raw; nbits; k }
+  match
+    let nbits = Wire.r32 r in
+    let k = Wire.r32 r in
+    (nbits, k, Wire.rstr r)
+  with
+  | nbits, k, raw ->
+      if nbits <= 0 || k <= 0 || k > 32 || String.length raw <> (nbits + 7) / 8 then
+        Error "bloom: bad dimensions"
+      else Ok { bits = Bytes.of_string raw; nbits; k }
+  | exception Wire.Malformed m -> Error m

@@ -28,5 +28,6 @@ val bytes : t -> int
 
 val encode : Buffer.t -> t -> unit
 
-val decode : Treaty_util.Wire.reader -> t
-(** Raises {!Treaty_util.Wire.Malformed} on corrupt input. *)
+val decode : Treaty_util.Wire.reader -> (t, string) result
+(** Total: corrupt or truncated input is an [Error] naming the fault, never
+    an exception. *)

@@ -109,9 +109,9 @@ type t = {
       (* mutable via Array.set; L0 newest-first (files may overlap), deeper
          levels sorted by min_key with disjoint ranges — the fence arrays
          point lookups binary-search. *)
-  cache : (Sstable.entry list * string) Block_cache.t option;
-      (* Verified block cache: decoded entries + the decrypted
-         plaintext they came from, both enclave-resident. *)
+  cache : (Sstable.entry list * int) Block_cache.t option;
+      (* Verified block cache: decoded entries, enclave-resident, with the
+         size of the decrypted block they came from. *)
   mutable next_file_id : int;
   mutable last_alloc_seq : int;
   mutable visible_seq : int;
@@ -189,7 +189,9 @@ let wait_stable t ~span ~log ~counter =
 let manifest_append t edit =
   if t.config.in_memory then ephemeral_counter t manifest_log
   else begin
-    let c = Log_auth.append t.manifest (Manifest.encode edit) in
+    let c =
+      Log_auth.append t.manifest (fun b -> Buffer.add_string b (Manifest.encode edit))
+    in
     submit t ~span:Trace.none ~log:manifest_log ~counter:c;
     c
   end
@@ -198,7 +200,7 @@ let wal_log t record ~stabilize =
   t.stats.wal_appends <- t.stats.wal_appends + 1;
   if t.config.in_memory then ephemeral_counter t (Log_auth.name t.wal)
   else begin
-    let c = Log_auth.append t.wal (Wal_record.encode record) in
+    let c = Log_auth.append t.wal (fun b -> Wal_record.write b record) in
     stabilize ~log:(Log_auth.name t.wal) ~counter:c;
     c
   end
@@ -256,7 +258,7 @@ let mk_clog_group t =
         | [ record ] -> Clog_record.encode record
         | records -> Clog_record.encode (Clog_record.Batch records)
       in
-      let c = Log_auth.append t.clog payload in
+      let c = Log_auth.append t.clog (fun b -> Buffer.add_string b payload) in
       note t ~log:clog_log ~counter:c;
       c)
     ()
@@ -368,9 +370,10 @@ let level_files_overlapping files ~lo ~hi =
 
 (* Fetch one block's decoded entries: through the verified block cache when
    enabled (a hit skips the SSD read, hash check and decryption), reading
-   and filling on a miss. The decrypted plaintext is enclave-resident and
-   taint-registered: handing it to [Net.send] or a host-memory write is a
-   TreatySan violation. *)
+   and filling on a miss. The decrypted plaintext is taint-registered:
+   handing it to [Net.send] or a host-memory write is a TreatySan
+   violation. The cache keeps only the decoded entries and the block's
+   size, which its enclave accounting charges. *)
 let read_block_cached t ?span lf idx =
   let e = enclave t in
   let file_id = lf.meta.Manifest.file_id in
@@ -390,10 +393,10 @@ let read_block_cached t ?span lf idx =
       finish "ssd" (fst (Sstable.read_block_idx t.ssd t.sec lf.handle idx))
   | Some c -> (
       match Block_cache.find c ~file_id ~block:idx with
-      | Some (entries, plain) ->
+      | Some (entries, bytes) ->
           t.stats.cache_hits <- t.stats.cache_hits + 1;
           Metrics.incr "engine.cache.hit";
-          Enclave.touch_enclave e (String.length plain);
+          Enclave.touch_enclave e bytes;
           finish "cache" entries
       | None ->
           t.stats.cache_misses <- t.stats.cache_misses + 1;
@@ -404,7 +407,7 @@ let read_block_cached t ?span lf idx =
           Treaty_crypto.Taint.register plain;
           let ev0 = (Block_cache.stats c).Block_cache.evictions in
           let freed =
-            Block_cache.insert c ~file_id ~block:idx ~bytes (entries, plain)
+            Block_cache.insert c ~file_id ~block:idx ~bytes (entries, bytes)
           in
           let evicted = (Block_cache.stats c).Block_cache.evictions - ev0 in
           if bytes <= Block_cache.capacity_bytes c then Enclave.alloc_enclave e bytes;

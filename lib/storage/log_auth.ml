@@ -11,6 +11,8 @@ type t = {
   genesis : string;
   mutable next_counter : int;
   mutable last_mac : string;
+  scratch : Buffer.t;
+      (* An entry's payload, written under [lock] and sealed from here. *)
   lock : Treaty_sim.Sim.Resource.resource;
       (* Appends suspend on device I/O; the counter/MAC chain state must not
          interleave ("Clog is thread-safe; coordinators append independently
@@ -38,6 +40,7 @@ let create ssd sec ~name =
     name;
     mac;
     genesis;
+    scratch = Buffer.create 256;
     next_counter = 1;
     last_mac = genesis;
     lock = Treaty_sim.Sim.Resource.create (Ssd.sim ssd) ~capacity:1 ("log:" ^ name);
@@ -59,21 +62,27 @@ let chain_mac t ~counter ~payload ~prev =
 
 (* An entry is [counter | len | stored | mac], appended as those parts
    rather than joined: a WAL entry carries whole values, and a joined copy
-   of one is a fresh major-heap block. *)
-let encode_entry t ~counter payload =
-  let stored = Sec.protect t.sec payload in
+   of one is a fresh major-heap block. The payload is sealed straight out
+   of the scratch it was written to, so no plaintext string of it exists. *)
+let encode_entry t ~counter write =
+  Buffer.clear t.scratch;
+  write t.scratch;
+  let len = Buffer.length t.scratch in
+  let stored =
+    Sec.protect_with t.sec ~len (fun b off -> Buffer.blit t.scratch 0 b off len)
+  in
   let mac = chain_mac t ~counter ~payload:stored ~prev:t.last_mac in
   let header = Buffer.create 12 in
   Wire.w64 header counter;
   Wire.w32 header (String.length stored);
   ([ Buffer.contents header; stored; mac ], mac)
 
-let append t payload =
+let append t write =
   Treaty_sim.Sim.Resource.acquire t.lock;
   Fun.protect ~finally:(fun () -> Treaty_sim.Sim.Resource.release t.lock)
   @@ fun () ->
   let counter = t.next_counter in
-  let entry, mac = encode_entry t ~counter payload in
+  let entry, mac = encode_entry t ~counter write in
   (* Advance the chain before the device write suspends, so a concurrent
      append queued on the lock sees consistent state either way. *)
   t.next_counter <- counter + 1;

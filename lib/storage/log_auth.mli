@@ -36,10 +36,11 @@ val next_counter : t -> int
 val last_counter : t -> int
 (** Counter of the most recent entry (0 if empty). *)
 
-val append : t -> string -> int
-(** Append a payload; returns its counter value. Charges encryption (enc
-    mode), the chain MAC (auth mode), one write syscall and the device
-    write. *)
+val append : t -> (Buffer.t -> unit) -> int
+(** Append the payload the writer puts in the buffer it is given; returns
+    its counter value. The writer runs once the log's lock is held and
+    must not block. Charges encryption (enc mode), the chain MAC (auth
+    mode), one write syscall and the device write. *)
 
 val replay :
   t ->

@@ -9,10 +9,14 @@ let encode b = function
   | Delete -> Wire.w8 b 0
 
 let decode r =
-  match Wire.r8 r with
-  | 1 -> Put (Wire.rstr r)
-  | 0 -> Delete
-  | n -> raise (Wire.Malformed (Printf.sprintf "bad op tag %d" n))
+  match
+    match Wire.r8 r with
+    | 1 -> Ok (Put (Wire.rstr r))
+    | 0 -> Ok Delete
+    | n -> Error (Printf.sprintf "bad op tag %d" n)
+  with
+  | v -> v
+  | exception Wire.Malformed m -> Error m
 
 let size = function Put v -> String.length v | Delete -> 0
 

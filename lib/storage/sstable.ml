@@ -76,7 +76,7 @@ let decode_block =
       Wire.rlist r (fun r ->
           let key = Wire.rstr r in
           let seq = Wire.r64 r in
-          let op = Op.decode r in
+          let op = Wire.expect (Op.decode r) in
           (key, seq, op)))
 
 let encode_index b index =
@@ -119,7 +119,7 @@ let decode_footer ~version =
           let tag = Wire.r8 r in
           if tag <> footer_version then
             raise (Wire.Malformed (Printf.sprintf "bad footer version tag %d" tag));
-          let bloom = Bloom.decode r in
+          let bloom = Wire.expect (Bloom.decode r) in
           (Some bloom, decode_index r)
       | v -> raise (Wire.Malformed (Printf.sprintf "unknown footer version %d" v)))
 

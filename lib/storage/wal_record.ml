@@ -17,12 +17,11 @@ let encode_writes b writes =
 let decode_writes r =
   Wire.rlist r (fun r ->
       let key = Wire.rstr r in
-      let op = Op.decode r in
+      let op = Wire.expect (Op.decode r) in
       (key, op))
 
-let encode record =
-  let b = Buffer.create 128 in
-  (match record with
+let write b record =
+  match record with
   | Commit_batch txs ->
       Wire.w8 b 1;
       Wire.wlist b
@@ -43,7 +42,11 @@ let encode record =
       | Some seq ->
           Wire.w8 b 1;
           Wire.w64 b seq
-      | None -> Wire.w8 b 0));
+      | None -> Wire.w8 b 0)
+
+let encode record =
+  let b = Buffer.create 128 in
+  write b record;
   Buffer.contents b
 
 let read r =

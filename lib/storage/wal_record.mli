@@ -17,6 +17,10 @@ type record =
   | Resolve of txid * int option
       (** [Some commit_seq] = commit at that version; [None] = abort. *)
 
+val write : Buffer.t -> record -> unit
+(** Append the encoding to a buffer: the WAL seals it from there
+    ({!Log_auth.append}), with no string of it in between. *)
+
 val encode : record -> string
 val decode : string -> (record, string) result
 (** Total: truncated, corrupt or over-long input is an [Error] naming the

@@ -68,6 +68,8 @@ let rstr r =
   let n = r32 r in
   rbytes r n
 
+let expect = function Ok v -> v | Error m -> raise (Malformed m)
+
 let rlist r f =
   let n = r32 r in
   if n < 0 || n > String.length r.s then raise (Malformed "bad list length");

@@ -29,3 +29,7 @@ val rstr : reader -> string
 val rlist : reader -> (reader -> 'a) -> 'a list
 val rbytes : reader -> int -> string
 (** Raw bytes without a length prefix. *)
+
+val expect : ('a, string) result -> 'a
+(** Inside a read that runs under a total decoder: a nested decoder's
+    [Error] fails the whole read with {!Malformed}. *)

@@ -532,8 +532,12 @@ let ro_waits_for_inflight_writer () =
       match Client.begin_txn a ~coord:1 () with
       | Error _ -> Alcotest.fail "begin"
       | Ok txa ->
-          (match Client.put a txa "node1:w" "1" with
-          | Ok () -> ()
+          (* The write is buffered until the transaction's next request:
+             a read of the key sends it and takes its write lock. *)
+          ignore (Client.put a txa "node1:w" "1");
+          (match Client.get a txa "node1:w" with
+          | Ok (Some "1") -> ()
+          | Ok _ -> Alcotest.fail "the writer did not read its own write"
           | Error e -> Alcotest.failf "put: %s" (Types.abort_reason_to_string e));
           let got = ref None in
           Sim.spawn sim (fun () -> got := Some (Client.read_only r [ "node1:w" ]));
@@ -848,10 +852,14 @@ let truncated_participant_reply_aborts () =
       (match Client.begin_txn c ~coord:1 () with
       | Error e -> Alcotest.failf "begin: %s" (Types.abort_reason_to_string e)
       | Ok txn ->
-          (* The coordinator answers a failed op with the lock-timeout
-             status, whatever the participant's failure was. *)
+          (* The write is buffered; it fails with the next request, which
+             carries it. The coordinator answers a failed op with the
+             lock-timeout status, whatever the participant's failure
+             was. *)
+          Alcotest.(check bool) "the put is buffered" true
+            (Client.put c txn "node2:x" "v" = Ok ());
           Alcotest.(check bool) "the op fails" true
-            (Client.put c txn "node2:x" "v" = Error Types.Lock_timeout));
+            (Client.get c txn "node2:y" = Error Types.Lock_timeout));
       Alcotest.(check int) "aborted as participant_failed" 1
         (Treaty_obs.Metrics.value "n1.abort.participant_failed");
       Alcotest.(check int) "coordinator context dropped" 0
@@ -871,6 +879,124 @@ let truncated_client_reply_fails_typed () =
           Alcotest.(check bool) "get fails as a failed participant" true
             (Client.get c txn "node1:x" = Error Types.Participant_failed);
           Client.rollback c txn;
+          Client.disconnect c)
+
+(* A transaction's writes are buffered at the client and sent, in order,
+   with its next request: a read after two writes of one key sees the
+   last, whether the key is the coordinator's own or a participant's. *)
+let put_put_get_reads_the_last_write () =
+  with_cluster ~route:explicit_route (fun _sim cluster ->
+      let c = Client.connect_exn cluster ~client_id:1 in
+      let keys = [ "node1:k" (* the coordinator's *); "node2:k" (* a participant's *) ] in
+      List.iter
+        (fun key ->
+          match
+            Client.with_txn c ~coord:1 (fun txn ->
+                ignore (Client.put c txn key "first");
+                ignore (Client.put c txn key "last");
+                Client.get c txn key)
+          with
+          | Ok (Some "last") -> ()
+          | Ok v -> Alcotest.failf "%s read %s" key (Option.value v ~default:"nothing")
+          | Error e -> Alcotest.failf "%s: %s" key (Types.abort_reason_to_string e))
+        keys;
+      (match
+         Client.with_txn c ~coord:2 (fun txn ->
+             Result.map
+               (fun a -> (a, Client.get c txn "node2:k"))
+               (Client.get c txn "node1:k"))
+       with
+      | Ok (Some "last", Ok (Some "last")) -> ()
+      | Ok _ | Error _ -> Alcotest.fail "the last writes were not committed");
+      check_serializable cluster;
+      Client.disconnect c)
+
+let no_slices_left cluster =
+  for i = 0 to Cluster.n_nodes cluster - 1 do
+    let r = Node.residual_state (Cluster.node cluster i) in
+    Alcotest.(check int) (Printf.sprintf "node %d: no locked keys" (i + 1)) 0
+      r.Node.res_locked_keys;
+    Alcotest.(check int) (Printf.sprintf "node %d: no participant slices" (i + 1)) 0
+      r.Node.res_part_txs;
+    Alcotest.(check int) (Printf.sprintf "node %d: no coordinator contexts" (i + 1)) 0
+      r.Node.res_coord_txs
+  done
+
+(* A write sent with the commit that cannot take its lock aborts the
+   transaction, and the commit reply says why. *)
+let buffered_write_lock_timeout_on_commit () =
+  with_cluster ~route:explicit_route (fun sim cluster ->
+      let a = Client.connect_exn cluster ~client_id:1 in
+      let b = Client.connect_exn cluster ~client_id:2 in
+      match (Client.begin_txn a ~coord:1 (), Client.begin_txn b ~coord:1 ()) with
+      | Ok txa, Ok txb ->
+          (* [a] read-locks the participant's key until it rolls back. *)
+          Alcotest.(check bool) "reader holds the key" true
+            (Client.get a txa "node2:k" = Ok None);
+          ignore (Client.put b txb "node1:k" "v");
+          ignore (Client.put b txb "node2:k" "v");
+          Alcotest.(check bool) "the commit carries the lock timeout" true
+            (Client.commit b txb = Error Types.Lock_timeout);
+          Client.rollback a txa;
+          Sim.sleep sim 1_000_000;
+          no_slices_left cluster;
+          Client.disconnect a;
+          Client.disconnect b
+      | Error e, _ | _, Error e -> Alcotest.failf "begin: %s" (Types.abort_reason_to_string e))
+
+(* Writes that were never sent need no participant: a rollback leaves no
+   slice anywhere. *)
+let rollback_of_unsent_writes () =
+  with_cluster ~route:explicit_route (fun sim cluster ->
+      let c = Client.connect_exn cluster ~client_id:1 in
+      let served () =
+        List.init (Cluster.n_nodes cluster) (fun i ->
+            (Node.stats (Cluster.node cluster i)).Node.remote_ops_served)
+      in
+      let before = served () in
+      (match Client.begin_txn c ~coord:1 () with
+      | Error e -> Alcotest.failf "begin: %s" (Types.abort_reason_to_string e)
+      | Ok txn ->
+          List.iter
+            (fun key -> ignore (Client.put c txn key "dirty"))
+            [ "node1:x"; "node2:x"; "node3:x" ];
+          Client.rollback c txn);
+      Sim.sleep sim 1_000_000;
+      Alcotest.(check (list int)) "no participant served an op" before (served ());
+      no_slices_left cluster;
+      (match
+         Client.with_txn c (fun txn ->
+             Result.map (fun v -> v = None) (Client.get c txn "node2:x"))
+       with
+      | Ok true -> ()
+      | Ok false | Error _ -> Alcotest.fail "a rolled-back write became visible");
+      Client.disconnect c)
+
+(* The participant's reply to a commit's batched writes is lost: the
+   coordinator aborts the transaction as a failed participant, and the
+   abort reaches the participant, which ran the writes. *)
+let lost_batched_reply_aborts_the_participant () =
+  with_metrics_cluster (fun sim cluster ->
+      let c = Client.connect_exn cluster ~client_id:1 in
+      match Client.begin_txn c ~coord:1 () with
+      | Error e -> Alcotest.failf "begin: %s" (Types.abort_reason_to_string e)
+      | Ok txn ->
+          ignore (Client.put c txn "node2:x" "v");
+          ignore (Client.put c txn "node2:y" "w");
+          let net = Cluster.net cluster in
+          Net.set_adversary net
+            (Adversary.drop_matching (fun pkt ->
+                 pkt.Treaty_netsim.Packet.src = 2 && pkt.Treaty_netsim.Packet.dst = 1));
+          let outcome = Client.commit c txn in
+          Net.clear_adversary net;
+          Alcotest.(check bool) "the commit fails as a failed participant" true
+            (outcome = Error Types.Participant_failed);
+          Alcotest.(check int) "aborted as participant_failed" 1
+            (Treaty_obs.Metrics.value "n1.abort.participant_failed");
+          Alcotest.(check bool) "the participant ran the writes" true
+            ((Node.stats (Cluster.node cluster 1)).Node.remote_ops_served >= 2);
+          Sim.sleep sim 1_000_000;
+          no_slices_left cluster;
           Client.disconnect c)
 
 let network_tamper_aborts_but_stays_consistent () =
@@ -1542,4 +1668,12 @@ let suite =
       flush_keeps_a_marked_wal;
     Alcotest.test_case "occ read after a resolved prepare" `Quick
       occ_read_after_resolved_prepare;
+    Alcotest.test_case "put-put-get reads the last write" `Quick
+      put_put_get_reads_the_last_write;
+    Alcotest.test_case "a buffered write's lock timeout comes back on commit" `Quick
+      buffered_write_lock_timeout_on_commit;
+    Alcotest.test_case "a rollback of unsent writes leaves no slice" `Quick
+      rollback_of_unsent_writes;
+    Alcotest.test_case "a lost batched reply aborts the participant" `Quick
+      lost_batched_reply_aborts_the_participant;
   ]

@@ -138,7 +138,11 @@ let coordinator_crash_between_decision_and_fanout () =
                    && pkt.Treaty_netsim.Packet.dst < 1000
                    && pkt.Treaty_netsim.Packet.dst <> Cluster.cas_id
                    &&
-                   match Secure_msg.Burst.decode Secure_msg.Plain pkt.payload with
+                   match
+                     Secure_msg.Burst.decode Secure_msg.Plain
+                       ~buf:(Bytes.create (String.length pkt.payload))
+                       pkt.payload
+                   with
                    | Ok msgs ->
                        List.exists
                          (fun ((m : Secure_msg.meta), _) ->

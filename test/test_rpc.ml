@@ -25,6 +25,11 @@ let meta =
 
 (* Seal [msgs] as one packet; checks the bytes written against
    [Burst.wire_size]. *)
+(* Open a packet in a scratch buffer of its own size, as a receiver does
+   in a mempool buffer. *)
+let open_burst security packet =
+  Secure_msg.Burst.decode security ~buf:(Bytes.create (String.length packet)) packet
+
 let seal security ~iv_gen msgs =
   let data_lens = List.map (fun (_, d) -> String.length d) msgs in
   let buf = Bytes.create (Secure_msg.Burst.wire_size security ~data_lens) in
@@ -38,7 +43,7 @@ let secure_msg_roundtrip () =
     (fun security ->
       let ivg = Aead.Iv_gen.create ~incarnation:0 ~node_id:1 in
       let packet = seal security ~iv_gen:ivg [ (meta, "payload-data") ] in
-      match Secure_msg.Burst.decode security packet with
+      match open_burst security packet with
       | Ok [ (m, data) ] ->
           Alcotest.(check bool) "meta preserved" true (m = meta);
           Alcotest.(check string) "data preserved" "payload-data" data
@@ -67,7 +72,7 @@ let secure_msg_tamper () =
   for i = 0 to String.length wire - 1 do
     let b = Bytes.of_string wire in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
-    match Secure_msg.Burst.decode (Secure_msg.Secure key) (Bytes.to_string b) with
+    match open_burst (Secure_msg.Secure key) (Bytes.to_string b) with
     | Error (`Tampered | `Malformed) -> ()
     | Ok _ -> Alcotest.failf "bit flip at %d undetected" i
   done
@@ -328,7 +333,7 @@ let burst_roundtrip_equiv =
       List.for_all
         (fun security ->
           let decode packet =
-            match Secure_msg.Burst.decode security packet with
+            match open_burst security packet with
             | Ok decoded -> decoded
             | Error _ -> QCheck.Test.fail_report "burst decode failed"
           in
@@ -352,7 +357,7 @@ let burst_tamper_whole_packet () =
     [ (mk_meta 0, "alpha"); (mk_meta 1, ""); (mk_meta 2, String.make 100 'z') ]
   in
   let packet = seal security ~iv_gen:ivg msgs in
-  (match Secure_msg.Burst.decode security packet with
+  (match open_burst security packet with
   | Ok m -> Alcotest.(check int) "clean packet decodes" 3 (List.length m)
   | Error _ -> Alcotest.fail "clean packet rejected");
   let iv_size = 12 and mac_size = 16 in
@@ -361,7 +366,7 @@ let burst_tamper_whole_packet () =
   for i = 0 to String.length packet - 1 do
     let b = Bytes.of_string packet in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
-    match Secure_msg.Burst.decode security (Bytes.to_string b) with
+    match open_burst security (Bytes.to_string b) with
     | Ok _ -> Alcotest.failf "bit flip at %d undetected" i
     | Error `Tampered -> ()
     | Error `Malformed ->
@@ -652,7 +657,7 @@ let rpc_duplicate_op_after_abort () =
               Adversary.Deliver);
           (match
              call Txn_wire.k_txn_op ~op_id:1
-               (Txn_wire.encode_op (Txn_wire.Put ("dup:k", "v")))
+               (Txn_wire.encode_ops [ Txn_wire.Put ("dup:k", "v") ])
            with
           | Ok reply when Result.is_ok (Txn_wire.decode_op_reply reply) -> ()
           | _ -> Alcotest.fail "participant refused the write");

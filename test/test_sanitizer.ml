@@ -204,7 +204,7 @@ let with_participant ?(tune = Fun.id) ?(keys = [ "race:k" ]) f =
             (fun i key ->
               match
                 call Txn_wire.k_txn_op ~op_id:(i + 1)
-                  (Txn_wire.encode_op (Txn_wire.Put (key, "v")))
+                  (Txn_wire.encode_ops [ Txn_wire.Put (key, "v") ])
               with
               | Ok reply when Result.is_ok (Txn_wire.decode_op_reply reply) -> ()
               | _ -> Alcotest.fail "participant refused the write")

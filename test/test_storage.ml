@@ -47,7 +47,12 @@ let log_roundtrip () =
       let sec = mk_sec sim in
       let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
       let log = Log_auth.create ssd sec ~name:"L" in
-      let counters = List.map (fun i -> Log_auth.append log (Printf.sprintf "entry%d" i)) [ 1; 2; 3 ] in
+      let counters =
+        List.map
+          (fun i ->
+            Log_auth.append log (fun b -> Buffer.add_string b (Printf.sprintf "entry%d" i)))
+          [ 1; 2; 3 ]
+      in
       Alcotest.(check (list int)) "dense counters" [ 1; 2; 3 ] counters;
       let log2 = Log_auth.create ssd sec ~name:"L" in
       match Log_auth.replay log2 () with
@@ -64,7 +69,8 @@ let log_tamper_detection () =
       let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
       let log = Log_auth.create ssd sec ~name:"L" in
       for i = 1 to 10 do
-        ignore (Log_auth.append log (Printf.sprintf "payload-%d" i))
+        ignore
+          (Log_auth.append log (fun b -> Buffer.add_string b (Printf.sprintf "payload-%d" i)))
       done;
       Ssd.tamper ssd "L" ~off:(Ssd.size ssd "L" / 2);
       let log2 = Log_auth.create ssd sec ~name:"L" in
@@ -79,7 +85,7 @@ let log_truncation_detection () =
       let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
       let log = Log_auth.create ssd sec ~name:"L" in
       for i = 1 to 5 do
-        ignore (Log_auth.append log (string_of_int i))
+        ignore (Log_auth.append log (fun b -> Buffer.add_string b (string_of_int i)))
       done;
       (* Cut mid-entry: structurally invalid. *)
       Ssd.truncate ssd "L" (Ssd.size ssd "L" - 3);
@@ -94,11 +100,11 @@ let log_rollback_detection () =
       let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
       let log = Log_auth.create ssd sec ~name:"L" in
       for i = 1 to 5 do
-        ignore (Log_auth.append log (string_of_int i))
+        ignore (Log_auth.append log (fun b -> Buffer.add_string b (string_of_int i)))
       done;
       let snap = Ssd.snapshot ssd in
       for i = 6 to 9 do
-        ignore (Log_auth.append log (string_of_int i))
+        ignore (Log_auth.append log (fun b -> Buffer.add_string b (string_of_int i)))
       done;
       (* Adversary rolls the disk back to the older (still well-formed)
          state; the trusted counter knows better. *)
@@ -122,13 +128,13 @@ let log_unstable_tail_dropped () =
       let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
       let log = Log_auth.create ssd sec ~name:"L" in
       for i = 1 to 6 do
-        ignore (Log_auth.append log (string_of_int i))
+        ignore (Log_auth.append log (fun b -> Buffer.add_string b (string_of_int i)))
       done;
       let enclave = Sec.enclave sec in
       let contents () = Ssd.read ssd ~enclave "L" ~off:0 ~len:(Ssd.size ssd "L") in
       let stable_prefix = contents () in
       for i = 7 to 8 do
-        ignore (Log_auth.append log (string_of_int i))
+        ignore (Log_auth.append log (fun b -> Buffer.add_string b (string_of_int i)))
       done;
       let replay log ~trusted =
         match Log_auth.replay log ~trusted () with
@@ -151,7 +157,8 @@ let log_unstable_tail_dropped () =
       let entries, dropped = replay log3 ~trusted:6 in
       Alcotest.(check (pair int int)) "cut file replays whole" (6, 0)
         (List.length entries, dropped);
-      Alcotest.(check int) "append continues the chain" 7 (Log_auth.append log3 "7b");
+      Alcotest.(check int) "append continues the chain" 7
+        (Log_auth.append log3 (fun b -> Buffer.add_string b "7b"));
       let entries, _ = replay (Log_auth.create ssd sec ~name:"L") ~trusted:7 in
       Alcotest.(check (list (pair int string))) "chain holds across the cut"
         (List.init 6 (fun i -> (i + 1, string_of_int (i + 1))) @ [ (7, "7b") ])
@@ -162,7 +169,7 @@ let log_plain_mode_no_auth () =
       let sec = mk_sec ~auth:false ~enc:false sim in
       let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
       let log = Log_auth.create ssd sec ~name:"L" in
-      ignore (Log_auth.append log "entry");
+      ignore (Log_auth.append log (fun b -> Buffer.add_string b "entry"));
       (* The native baseline stores plaintext and cannot detect tampering;
          that is the point of the comparison. *)
       let raw = Ssd.read ssd ~enclave:(Sec.enclave sec) "L" ~off:0 ~len:(Ssd.size ssd "L") in
@@ -1015,7 +1022,11 @@ let bloom_codec_roundtrip () =
   List.iter (Bloom.add b) [ "alpha"; "beta"; "gamma" ];
   let buf = Buffer.create 128 in
   Bloom.encode buf b;
-  let b2 = Bloom.decode (Treaty_util.Wire.reader (Buffer.contents buf)) in
+  let b2 =
+    match Bloom.decode (Treaty_util.Wire.reader (Buffer.contents buf)) with
+    | Ok b2 -> b2
+    | Error m -> Alcotest.failf "bloom decode: %s" m
+  in
   List.iter
     (fun k -> Alcotest.(check bool) k true (Bloom.mem b2 k))
     [ "alpha"; "beta"; "gamma" ];

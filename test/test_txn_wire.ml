@@ -52,9 +52,14 @@ let decision_sample name d golden =
 
 let samples =
   Txn_wire.
-    [ sample "op get" (Get "k") encode_op decode_op "00010000006b";
-      sample "op put" (Put ("k", "v")) encode_op decode_op "01010000006b0100000076";
-      sample "op del" (Del "k") encode_op decode_op "02010000006b";
+    [ sample "txn ops get" [ Get "k" ] encode_ops decode_ops
+        "0100000000010000006b";
+      sample "txn ops writes then get" [ Put ("k", "v"); Del "j"; Get "k" ]
+        encode_ops decode_ops
+        "0300000001010000006b01000000760201000000\
+         6a00010000006b";
+      sample "txn ops writes" [ Put ("k", "v"); Del "k" ] encode_ops decode_ops
+        "0200000001010000006b010000007602010000006b";
       sample "scan range" ("a", "z")
         (fun (lo, hi) -> encode_range ~lo ~hi)
         decode_range "0100000061010000007a";
@@ -67,15 +72,32 @@ let samples =
       sample "begin" 7
         (fun client_id -> encode_begin ~client_id)
         decode_begin "0700000000000000";
-      sample "client op" (header, Put ("key", "val"))
-        (fun (h, op) -> encode_client_op h op)
+      sample "client op" (header, [ Put ("key", "val"); Get "key" ])
+        (fun (h, ops) -> encode_client_op h ops)
         decode_client_op
-        "07000000000000002a0000000000000001030000006b65790300000076616c";
+        "07000000000000002a000000000000000200000001030000006b6579030000\
+         0076616c00030000006b6579";
+      sample "client op get" (header, [ Get "k" ])
+        (fun (h, ops) -> encode_client_op h ops)
+        decode_client_op
+        "07000000000000002a000000000000000100000000010000006b";
+      sample "client op writes" (header, [ Del "k" ])
+        (fun (h, ops) -> encode_client_op h ops)
+        decode_client_op
+        "07000000000000002a000000000000000100000002010000006b";
       sample "client scan" (header, ("a", "z"))
         (fun (h, (lo, hi)) -> encode_client_scan h ~lo ~hi)
         decode_client_scan
         "07000000000000002a000000000000000100000061010000007a";
-      sample "client commit/rollback" (header, ())
+      sample "client commit" (header, [ Put ("k", "v"); Del "j" ])
+        (fun (h, writes) -> encode_client_commit h writes)
+        decode_client_commit
+        "07000000000000002a000000000000000200000001010000006b01000000760201\
+         0000006a";
+      sample "client commit without writes" (header, [])
+        (fun (h, writes) -> encode_client_commit h writes)
+        decode_client_commit "07000000000000002a0000000000000000000000";
+      sample "client rollback" (header, ())
         (fun (h, ()) -> encode_client_tx h)
         decode_client_tx "07000000000000002a00000000000000";
       sample "client read-only" (7, [ "a"; "b" ])
@@ -150,6 +172,43 @@ let lossy_mappings () =
   Alcotest.(check bool) "status 2 on an op reply is an unknown tx" true
     (Txn_wire.decode_op_reply "\002" = Error (Refused St_unknown_tx))
 
+(* Requests of any shape but writes-then-at-most-one-read, encoded with the
+   raw encoders, which do not check it. *)
+let bad_shapes =
+  Txn_wire.
+    [ ("read before a write", [ Get "a"; Put ("b", "v") ]);
+      ("two reads", [ Get "a"; Get "b" ]);
+      ("read between writes", [ Del "a"; Get "a"; Del "b" ]) ]
+
+let rejected_requests =
+  List.concat_map
+    (fun (what, ops) ->
+      [ ("txn ops, " ^ what, Txn_wire.encode_ops ops, fun s -> Txn_wire.decode_ops s = Error Malformed);
+        ( "client op, " ^ what,
+          Txn_wire.encode_client_op header ops,
+          fun s -> Txn_wire.decode_client_op s = Error Malformed );
+        ( "client commit, " ^ what,
+          Txn_wire.encode_client_commit header ops,
+          fun s -> Txn_wire.decode_client_commit s = Error Malformed ) ])
+    bad_shapes
+  @ Txn_wire.
+      [ ("empty txn ops", encode_ops [], fun s -> decode_ops s = Error Malformed);
+        ( "empty client op",
+          encode_client_op header [],
+          fun s -> decode_client_op s = Error Malformed );
+        ( "client commit with a read",
+          encode_client_commit header [ Put ("a", "v"); Get "a" ],
+          fun s -> decode_client_commit s = Error Malformed );
+        ( "client commit of a read alone",
+          encode_client_commit header [ Get "a" ],
+          fun s -> decode_client_commit s = Error Malformed ) ]
+
+let rejected_shapes () =
+  List.iter
+    (fun (name, bytes, rejected) ->
+      Alcotest.(check bool) (name ^ " is malformed") true (rejected bytes))
+    rejected_requests
+
 (* An OK status followed by a short body is malformed, not an OK reply. *)
 let truncated_ok_reply () =
   List.iter
@@ -211,6 +270,14 @@ let mutation_sweep () =
       in
       total := !total + runs)
     samples;
+  (* A rejected shape stays rejected cut short or with junk after it. *)
+  List.iter
+    (fun (name, valid, rejected) ->
+      let runs, accepted = sweep rng ~name ~valid rejected in
+      total := !total + runs;
+      Alcotest.(check (list string)) (name ^ ": truncations and junk rejected") []
+        accepted)
+    rejected_requests;
   Alcotest.(check bool) "the sweep ran" true (!total > 1000)
 
 (* The same sweep over the three logs recovery replays. Their payloads are
@@ -279,6 +346,34 @@ let log_record_sweep () =
     ];
   Alcotest.(check bool) "the sweep ran" true (!total > 1000)
 
+(* The readers nested in those decoders are total too: an op and a Bloom
+   filter cut short or mutated give an [Error], never an exception. They
+   read from a cursor and leave what follows to their caller, so junk after
+   a valid encoding is not theirs to reject. *)
+let nested_reader_sweep () =
+  let module Op = Treaty_storage.Op in
+  let module Bloom = Treaty_storage.Bloom in
+  let module Wire = Treaty_util.Wire in
+  let rng = Rng.create 0x6f70_626cL in
+  let encoded w x =
+    let b = Buffer.create 64 in
+    w b x;
+    Buffer.contents b
+  in
+  let bloom = Bloom.create ~expected:8 in
+  List.iter (Bloom.add bloom) [ "a"; "b" ];
+  List.iter
+    (fun (name, valid, decode) ->
+      let runs, accepted = sweep rng ~name ~valid decode in
+      Alcotest.(check bool) (name ^ ": the sweep ran") true (runs > 10);
+      Alcotest.(check (list string)) (name ^ ": truncations rejected") []
+        (List.filter (String.starts_with ~prefix:"truncated") accepted))
+    [
+      ("op put", encoded Op.encode (Op.Put "value"), fun s -> Result.is_error (Op.decode (Wire.reader s)));
+      ("op delete", encoded Op.encode Op.Delete, fun s -> Result.is_error (Op.decode (Wire.reader s)));
+      ("bloom", encoded Bloom.encode bloom, fun s -> Result.is_error (Bloom.decode (Wire.reader s)));
+    ]
+
 (* The same sweep over an SSTable's footer and one of its blocks, cut from
    a table built on a simulated SSD without encryption, so the block is
    stored as its plaintext. Both are digest-checked before they are
@@ -330,10 +425,14 @@ let suite =
       lossy_mappings;
     Alcotest.test_case "truncated ok reply is a typed error" `Quick
       truncated_ok_reply;
+    Alcotest.test_case "op lists of any other shape are malformed" `Quick
+      rejected_shapes;
     Alcotest.test_case "seeded mutation sweep: every decoder total" `Quick
       mutation_sweep;
     Alcotest.test_case
       "seeded mutation sweep: WAL and Clog records, MANIFEST edits" `Quick
       log_record_sweep;
     Alcotest.test_case "seeded mutation sweep: SSTable footer and block" `Quick
-      sstable_sweep ]
+      sstable_sweep;
+    Alcotest.test_case "seeded mutation sweep: op and Bloom readers" `Quick
+      nested_reader_sweep ]
