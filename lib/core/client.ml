@@ -36,7 +36,6 @@ type txn = {
 }
 
 let client_id t = t.client_id
-let coordinator txn = txn.t_coord
 let tx_seq txn = txn.t_seq
 
 (* One request/reply round trip; a lost or tampered reply is a failed
@@ -201,23 +200,17 @@ let take_writes txn last =
   txn.t_writes <- [];
   ops
 
-let send_ops t txn ops =
+(* An op request: the buffered writes, then the read [op]. *)
+let read t txn op decode =
   on_coord t txn ~kind:Txn_wire.k_client_op
-    (Txn_wire.encode_client_op (header t txn) ops)
-    (fun reply -> Result.map fst (Txn_wire.decode_op_reply reply))
+    (Txn_wire.encode_client_op (header t txn) (take_writes txn [ op ]))
+    decode
 
-let get t txn key = send_ops t txn (take_writes txn [ Txn_wire.Get key ])
+let get t txn key =
+  read t txn (Txn_wire.Get key) (fun reply ->
+      Result.map fst (Txn_wire.decode_op_reply reply))
 
-let scan t txn ~lo ~hi =
-  let flushed =
-    match txn.t_writes with
-    | [] -> Ok ()
-    | _ :: _ -> Result.map ignore (send_ops t txn (take_writes txn []))
-  in
-  Result.bind flushed (fun () ->
-      on_coord t txn ~kind:Txn_wire.k_client_scan
-        (Txn_wire.encode_client_scan (header t txn) ~lo ~hi)
-        Txn_wire.decode_scan_reply)
+let scan t txn ~lo ~hi = read t txn (Txn_wire.Scan (lo, hi)) Txn_wire.decode_scan_reply
 
 let put _t txn key value =
   txn.t_writes <- Txn_wire.Put (key, value) :: txn.t_writes;
@@ -265,7 +258,6 @@ let read_only t keys =
           Hashtbl.add groups owner (ref [ key ]);
           owners_rev := owner :: !owners_rev)
     keys;
-  let results = Hashtbl.create 16 in
   let rec fetch ~retry owner batch =
     match
       call t ~dst:owner ~kind:Txn_wire.k_client_ro
@@ -275,8 +267,7 @@ let read_only t keys =
     | Ok reply -> (
         match Txn_wire.decode_ro_reply reply with
         | Ok values when List.length values = List.length batch ->
-            List.iter2 (fun key v -> Hashtbl.replace results key v) batch values;
-            Ok ()
+            Ok (List.combine batch values)
         | Ok _short -> Error Types.Participant_failed
         | Error (Refused St_lock_timeout) ->
             (* The owner's stability guard timed out: the read set stayed
@@ -293,20 +284,15 @@ let read_only t keys =
             | Aborted _ | Malformed ) ->
             Error Types.Participant_failed)
   in
-  let fetches = List.rev_map (fun owner -> (owner, ref (Ok ()))) !owners_rev in
-  Sim.fan_out t.sim fetches ~local:ignore (fun (owner, outcome) ->
-      outcome := fetch ~retry:true owner (List.rev !(Hashtbl.find groups owner)));
-  match
-    List.find_map
-      (fun (_, outcome) -> match !outcome with Error e -> Some e | Ok () -> None)
-      fetches
-  with
+  let (), outcomes =
+    Sim.fan_out t.sim (List.rev !owners_rev) ~local:ignore (fun owner ->
+        fetch ~retry:true owner (List.rev !(Hashtbl.find groups owner)))
+  in
+  match List.find_map (function Error e -> Some e | Ok _ -> None) outcomes with
   | Some e -> Error e
   | None ->
-      Ok
-        (List.map
-           (fun key -> (key, Option.join (Hashtbl.find_opt results key)))
-           keys)
+      let found = List.concat_map (function Ok kvs -> kvs | Error _ -> []) outcomes in
+      Ok (List.map (fun key -> (key, List.assoc key found)) keys)
 
 let disconnect t = Erpc.shutdown t.rpc
 

@@ -40,7 +40,6 @@ val begin_txn : t -> ?coord:int -> unit -> txn Types.txn_result
     probes it in the background by registering again; the first probe that
     succeeds ends the suspicion. *)
 
-val coordinator : txn -> int
 val tx_seq : txn -> int
 
 val get : t -> txn -> string -> string option Types.txn_result
@@ -50,9 +49,10 @@ val get : t -> txn -> string -> string option Types.txn_result
 
 val scan : t -> txn -> lo:string -> hi:string -> (string * string) list Types.txn_result
 (** Snapshot-consistent range scan over the closed interval from [lo] to
-    [hi], across all shards, merged with the transaction's own writes (any
-    buffered ones are sent first, in a request of their own). Under 2PL
-    the returned keys are read-locked (no gap locks: phantoms are
+    [hi], across all shards, merged with the transaction's own writes. As
+    with {!get}, the buffered writes go with it in one request, ahead of
+    the scan; the coordinator sends every node its share. Under 2PL the
+    returned keys are read-locked (no gap locks: phantoms are
     possible). *)
 
 val read_only : t -> string list -> (string * string option) list Types.txn_result

@@ -1,7 +1,6 @@
 module Wire = Treaty_util.Wire
 
 let k_txn_op = 1
-let k_txn_scan = 6
 let k_prepare = 2
 let k_commit = 3
 let k_abort = 4
@@ -10,13 +9,16 @@ let k_query_prepared = 7
 let k_client_register = 10
 let k_client_begin = 11
 let k_client_op = 12
-let k_client_scan = 15
 let k_client_commit = 13
 let k_client_abort = 14
 let k_client_ro = 16
 
 type status = St_ok | St_lock_timeout | St_unknown_tx | St_unauth | St_conflict
-type op = Get of string | Put of string * string | Del of string
+type op =
+  | Get of string
+  | Put of string * string
+  | Del of string
+  | Scan of string * string
 type header = { client_id : int; tx_seq : int }
 type decision = Decided of bool | Pending | Unknown | Recovering
 type prepare_state = Prepared | Not_prepared | Ask_later
@@ -34,13 +36,13 @@ type failure =
 
 type 'a decoded = ('a, failure) result
 
-let op_key = function Get k | Put (k, _) | Del k -> k
-let op_is_write = function Get _ -> false | Put _ | Del _ -> true
+let is_write = function Put _ | Del _ -> true | Get _ | Scan _ -> false
 
-(* A request's shape: its writes in order, then at most one read. *)
+(* A request's shape: its writes in order, then at most one read, a get
+   or a scan. *)
 let rec well_shaped = function
-  | [] | [ Get _ ] -> true
-  | Get _ :: _ :: _ -> false
+  | [] | [ (Get _ | Scan _) ] -> true
+  | (Get _ | Scan _) :: _ :: _ -> false
   | (Put _ | Del _) :: rest -> well_shaped rest
 
 let status_code = function
@@ -122,6 +124,10 @@ let w_op b = function
   | Del key ->
       Wire.w8 b 2;
       Wire.wstr b key
+  | Scan (lo, hi) ->
+      Wire.w8 b 3;
+      Wire.wstr b lo;
+      Wire.wstr b hi
 
 let r_op r =
   match Wire.r8 r with
@@ -131,6 +137,10 @@ let r_op r =
       let value = Wire.rstr r in
       Put (key, value)
   | 2 -> Del (Wire.rstr r)
+  | 3 ->
+      let lo = Wire.rstr r in
+      let hi = Wire.rstr r in
+      Scan (lo, hi)
   | n -> raise (Wire.Malformed (Printf.sprintf "bad op tag %d" n))
 
 (* A request's op list: [reads] allows a trailing read, and only a commit
@@ -139,7 +149,7 @@ let r_ops ~reads r =
   let ops = Wire.rlist r r_op in
   let shaped =
     if reads then ops <> [] && well_shaped ops
-    else List.for_all op_is_write ops
+    else List.for_all is_write ops
   in
   if shaped then ops else raise (Wire.Malformed "op list shape")
 
@@ -171,15 +181,11 @@ let w_opt b = function
 let r_opt r = if Wire.r8 r = 1 then Some (Wire.rstr r) else None
 let w_list w b l = Wire.wlist b w l
 let r_list rd r = Wire.rlist r rd
-let w_range = w_pair Wire.wstr Wire.wstr
-let r_range = pair Wire.rstr Wire.rstr
 
 (* --- requests ----------------------------------------------------------- *)
 
 let encode_ops = build w_ops
 let decode_ops = request (r_ops ~reads:true)
-let encode_range ~lo ~hi = build w_range (lo, hi)
-let decode_range = request r_range
 let encode_query ~tx_seq = build Wire.w64 tx_seq
 let decode_query = request Wire.r64
 
@@ -194,9 +200,6 @@ let encode_client_op h ops = build w_client_ops (h, ops)
 let decode_client_op = request (pair r_header (r_ops ~reads:true))
 let encode_client_commit h writes = build w_client_ops (h, writes)
 let decode_client_commit = request (pair r_header (r_ops ~reads:false))
-let w_client_scan = w_pair w_header w_range
-let encode_client_scan h ~lo ~hi = build w_client_scan (h, (lo, hi))
-let decode_client_scan = request (pair r_header r_range)
 let encode_client_tx = build w_header
 let decode_client_tx = request (fun r -> (r_header r, ()))
 let w_client_ro = w_pair Wire.w64 (w_list Wire.wstr)

@@ -11,15 +11,14 @@
 
 (** Coordinator → participant, under the transaction's at-most-once
     identity. A [k_txn_op] carries the participant's share of one client
-    request: its writes in order, then at most one read. Each request's metadata acks the coordinator's decision
-    watermark plus one ({!Treaty_rpc.Secure_msg.meta.acked}): the
-    participant frees its cached replies of that coordinator's
-    transactions numbered below the ack, and [k_commit] also forgets their
-    commit marks. [k_prepare], [k_commit] and [k_abort] have empty
-    bodies. *)
+    request: its writes in order, then at most one read, a get or a scan.
+    Each request's metadata acks the coordinator's decision watermark plus
+    one ({!Treaty_rpc.Secure_msg.meta.acked}): the participant frees its
+    cached replies of that coordinator's transactions numbered below the
+    ack, and [k_commit] also forgets their commit marks. [k_prepare],
+    [k_commit] and [k_abort] have empty bodies. *)
 
 val k_txn_op : int
-val k_txn_scan : int
 val k_prepare : int
 val k_commit : int
 val k_abort : int
@@ -38,7 +37,6 @@ val k_query_prepared : int
 val k_client_register : int
 val k_client_begin : int
 val k_client_op : int
-val k_client_scan : int
 val k_client_commit : int
 val k_client_abort : int
 
@@ -54,22 +52,26 @@ val k_client_ro : int
     taxonomy can attribute it. *)
 type status = St_ok | St_lock_timeout | St_unknown_tx | St_unauth | St_conflict
 
-type op = Get of string | Put of string * string | Del of string
-
-val op_key : op -> string
-val op_is_write : op -> bool
+(** One operation of a request. [Scan (lo, hi)] reads the closed key
+    interval from [lo] to [hi]. *)
+type op =
+  | Get of string
+  | Put of string * string
+  | Del of string
+  | Scan of string * string
 
 type header = { client_id : int; tx_seq : int }
-(** Names a coordinator transaction in client op, scan, commit and rollback
+(** Names a coordinator transaction in client op, commit and rollback
     requests.
 
     A client buffers a transaction's writes and sends them with its next
     request that needs an answer: an op request carries them followed by
-    the read (or by nothing, ahead of a scan), a commit request carries
-    the rest. The coordinator forwards each participant's share as one
-    [k_txn_op] of the same shape. A decoder refuses any other shape as
-    [Malformed]: a read before a write, a second read, a read on a
-    commit, or an empty op or [k_txn_op] request. *)
+    one read, a [Get] or a [Scan]; a commit request carries the rest. The
+    coordinator forwards each participant's share as one [k_txn_op] of the
+    same shape: a scan goes to every node, after that node's writes. A
+    decoder refuses any other shape as [Malformed]: a read before a write,
+    a second read, a read on a commit, or an empty op or [k_txn_op]
+    request. *)
 
 (** The coordinator's answer to a decision query. [Decided]: a trusted
     decision; [Unknown]: no memory of the transaction (so it never
@@ -106,10 +108,8 @@ type 'a decoded = ('a, failure) result
 
 val encode_ops : op list -> string
 val decode_ops : string -> op list decoded
-(** A [k_txn_op] body: a well-shaped, non-empty op list. *)
-
-val encode_range : lo:string -> hi:string -> string
-val decode_range : string -> (string * string) decoded
+(** A [k_txn_op] body: a well-shaped, non-empty op list. Its reply is a
+    scan reply if the list ends in a [Scan], and an op reply otherwise. *)
 
 val encode_query : tx_seq:int -> string
 val decode_query : string -> int decoded
@@ -123,10 +123,9 @@ val decode_begin : string -> int decoded
 
 val encode_client_op : header -> op list -> string
 val decode_client_op : string -> (header * op list) decoded
-(** The buffered writes, then at most one [Get]; not empty. *)
-
-val encode_client_scan : header -> lo:string -> hi:string -> string
-val decode_client_scan : string -> (header * (string * string)) decoded
+(** The buffered writes, then at most one [Get] or [Scan]; not empty. The
+    reply is as a [k_txn_op]'s: a scan's rows of every node merged in key
+    order, or the get's value. *)
 
 val encode_client_commit : header -> op list -> string
 val decode_client_commit : string -> (header * op list) decoded

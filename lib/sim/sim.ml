@@ -83,15 +83,20 @@ let read t iv = Scheduler.Ivar.read t.scheduler iv
 
 let fan_out t xs ~local f =
   let latch = Scheduler.Latch.create (List.length xs) in
-  List.iter
-    (fun x ->
-      spawn t (fun () ->
-          f x;
-          Scheduler.Latch.arrive latch))
-    xs;
+  let slots =
+    List.map
+      (fun x ->
+        let slot = ref None in
+        spawn t (fun () ->
+            slot := Some (f x);
+            Scheduler.Latch.arrive latch);
+        slot)
+      xs
+  in
   let r = local () in
   Scheduler.Latch.wait t.scheduler latch;
-  r
+  (* Every branch filled its slot before it arrived at the latch. *)
+  (r, List.map (fun slot -> Option.get !slot) slots)
 
 let read_timeout t ~ns iv =
   match Scheduler.Ivar.peek iv with

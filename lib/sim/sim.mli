@@ -55,10 +55,11 @@ val fill : 'a ivar -> 'a -> unit
 val try_fill : 'a ivar -> 'a -> bool
 val read : t -> 'a ivar -> 'a
 
-val fan_out : t -> 'a list -> local:(unit -> 'b) -> ('a -> unit) -> 'b
+val fan_out : t -> 'a list -> local:(unit -> 'b) -> ('a -> 'c) -> 'b * 'c list
 (** [fan_out t xs ~local f] runs [f x] for each of [xs], each in its own
     fiber, spawned in list order, and [local ()] in the calling fiber
-    meanwhile; it returns [local]'s result once every [f] has returned. *)
+    meanwhile. Once every [f] has returned it returns [local]'s result and
+    the branches' results, in the order of [xs]. *)
 
 val read_timeout : t -> ns:int -> 'a ivar -> 'a option
 (** Wait for the ivar, giving up after [ns] simulated nanoseconds. If the

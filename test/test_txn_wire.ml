@@ -60,9 +60,11 @@ let samples =
          6a00010000006b";
       sample "txn ops writes" [ Put ("k", "v"); Del "k" ] encode_ops decode_ops
         "0200000001010000006b010000007602010000006b";
-      sample "scan range" ("a", "z")
-        (fun (lo, hi) -> encode_range ~lo ~hi)
-        decode_range "0100000061010000007a";
+      sample "txn ops scan" [ Scan ("a", "z") ] encode_ops decode_ops
+        "01000000030100000061010000007a";
+      sample "txn ops write then scan" [ Put ("k", "v"); Scan ("a", "z") ]
+        encode_ops decode_ops
+        "0200000001010000006b0100000076030100000061010000007a";
       sample "decision query" 42
         (fun tx_seq -> encode_query ~tx_seq)
         decode_query "2a00000000000000";
@@ -85,10 +87,11 @@ let samples =
         (fun (h, ops) -> encode_client_op h ops)
         decode_client_op
         "07000000000000002a000000000000000100000002010000006b";
-      sample "client scan" (header, ("a", "z"))
-        (fun (h, (lo, hi)) -> encode_client_scan h ~lo ~hi)
-        decode_client_scan
-        "07000000000000002a000000000000000100000061010000007a";
+      sample "client op write then scan" (header, [ Del "k"; Scan ("a", "z") ])
+        (fun (h, ops) -> encode_client_op h ops)
+        decode_client_op
+        "07000000000000002a000000000000000200000002010000006b03010000006101\
+         0000007a";
       sample "client commit" (header, [ Put ("k", "v"); Del "j" ])
         (fun (h, writes) -> encode_client_commit h writes)
         decode_client_commit
@@ -172,13 +175,16 @@ let lossy_mappings () =
   Alcotest.(check bool) "status 2 on an op reply is an unknown tx" true
     (Txn_wire.decode_op_reply "\002" = Error (Refused St_unknown_tx))
 
-(* Requests of any shape but writes-then-at-most-one-read, encoded with the
-   raw encoders, which do not check it. *)
+(* Requests of any shape but writes-then-at-most-one-read (a get or a
+   scan), encoded with the raw encoders, which do not check it. *)
 let bad_shapes =
   Txn_wire.
     [ ("read before a write", [ Get "a"; Put ("b", "v") ]);
       ("two reads", [ Get "a"; Get "b" ]);
-      ("read between writes", [ Del "a"; Get "a"; Del "b" ]) ]
+      ("read between writes", [ Del "a"; Get "a"; Del "b" ]);
+      ("scan before a write", [ Scan ("a", "z"); Put ("b", "v") ]);
+      ("two scans", [ Scan ("a", "m"); Scan ("n", "z") ]);
+      ("get after a scan", [ Scan ("a", "z"); Get "b" ]) ]
 
 let rejected_requests =
   List.concat_map
@@ -201,6 +207,9 @@ let rejected_requests =
           fun s -> decode_client_commit s = Error Malformed );
         ( "client commit of a read alone",
           encode_client_commit header [ Get "a" ],
+          fun s -> decode_client_commit s = Error Malformed );
+        ( "client commit with a scan",
+          encode_client_commit header [ Put ("a", "v"); Scan ("a", "z") ],
           fun s -> decode_client_commit s = Error Malformed ) ]
 
 let rejected_shapes () =
