@@ -74,7 +74,6 @@ type t = {
   isolation : Types.isolation;
   engine : Treaty_storage.Engine.config;
   cost : Treaty_sim.Costmodel.t;
-  transport : Treaty_rpc.Transport.kind;
   rpc_timeout_ns : int;
   client_op_timeout_ns : int;
   decision_query_timeout_ns : int;
@@ -96,7 +95,6 @@ let default =
     isolation = Types.Pessimistic;
     engine = Treaty_storage.Engine.default_config;
     cost = Treaty_sim.Costmodel.default;
-    transport = Treaty_rpc.Transport.Dpdk;
     rpc_timeout_ns = 120_000_000;
     client_op_timeout_ns = 400_000_000;
     decision_query_timeout_ns = 20_000_000;

@@ -59,7 +59,6 @@ type t = {
   isolation : Types.isolation;
   engine : Treaty_storage.Engine.config;
   cost : Treaty_sim.Costmodel.t;
-  transport : Treaty_rpc.Transport.kind;
   rpc_timeout_ns : int;
   client_op_timeout_ns : int;
   decision_query_timeout_ns : int;

@@ -29,7 +29,6 @@ type t = {
          the version, under OCC both reads are at the begin snapshot, so a
          repeat observation can never legitimately differ. *)
   mutable buffer_bytes : int;
-  mutable installed_seq : int option;
   mutable finished : bool;
 }
 
@@ -55,12 +54,10 @@ let begin_ ?(span = Trace.none) ~engine ~locks ~isolation ~tx () =
     reads = [];
     read_index = Hashtbl.create 8;
     buffer_bytes = 0;
-    installed_seq = None;
     finished = false;
   }
 
 let tx t = t.txid
-let snapshot t = t.snapshot
 let set_span t span = t.span <- span
 
 let lock t key mode =
@@ -252,13 +249,6 @@ let prepare t =
           match lock_keys Lock_table.Read (List.map fst t.reads) with
           | Error `Timeout -> Error `Timeout
           | Ok () -> if validate_reads t then Ok () else Error `Conflict))
-
-let set_installed_seq t seq = t.installed_seq <- Some seq
-
-let installed t =
-  match t.installed_seq with
-  | None -> []
-  | Some seq -> List.map (fun (k, _) -> (k, seq)) (writes t)
 
 let finished t = t.finished
 

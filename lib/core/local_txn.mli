@@ -33,7 +33,6 @@ val set_span : t -> Treaty_obs.Trace.span -> unit
     so waits nest under the op that incurred them. *)
 
 val tx : t -> Types.txid
-val snapshot : t -> int
 
 val get : t -> string -> (string option, [ `Timeout ]) result
 (** Read-your-own-writes, then the engine at this transaction's snapshot. *)
@@ -71,7 +70,3 @@ val finished : t -> bool
 (** Whether {!finish} has run. A handler that blocked can use it to see
     that another handler ended the transaction meanwhile. *)
 
-val installed : t -> (string * int) list
-(** (key, installed seq) after commit, for the history recorder. *)
-
-val set_installed_seq : t -> int -> unit
