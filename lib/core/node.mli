@@ -5,10 +5,11 @@
 
     Message kinds on the node's endpoint (their wire format is
     {!Txn_wire}'s):
-    - coordinator→participant: operation execution, scan, prepare, commit,
-      abort, and decision queries from recovering participants;
-    - client→coordinator: register, begin, op, scan, commit, rollback, and
-      the read-only fast path.
+    - coordinator→participant: operation execution (gets, writes and
+      scans), prepare, commit, abort, and decision queries from recovering
+      participants;
+    - client→coordinator: register, begin, op (a get or a scan, with the
+      buffered writes), commit, rollback, and the read-only fast path.
 
     All handlers run on fibers (the userland scheduler), so a coordinator
     blocked on a participant's stabilization simply yields. *)
