@@ -283,28 +283,24 @@ let create sim config ?route () =
          simulated time — deep into any chaos fault schedule. Spawn order
          is fixed, so the interleaving is a pure function of the seed.
          Node startup stays sequential in id order below. *)
-      let results = Array.make config.nodes None in
-      let all_done = Sim.ivar () in
-      let pending = ref config.nodes in
-      for i = 0 to config.nodes - 1 do
-        Sim.spawn sim (fun () ->
-            results.(i) <- Some (attest_node t ~node_id:(i + 1));
-            decr pending;
-            if !pending = 0 then Sim.fill all_done ())
-      done;
-      Sim.read sim all_done;
+      let (), results =
+        Sim.fan_out sim
+          (List.init config.nodes (fun i -> i + 1))
+          ~local:ignore
+          (fun node_id -> attest_node t ~node_id)
+      in
       let failed = ref None in
-      for i = 0 to config.nodes - 1 do
-        if !failed = None then
-          match results.(i) with
-          | None | Some (Error `Rejected) ->
-              failed := Some "node attestation rejected"
-          | Some (Error `Cas_unreachable) -> failed := Some "CAS unreachable"
-          | Some (Ok provision) ->
-              if provision.Cas.Attest.master_secret <> master_secret then
-                failed := Some "provisioned secret mismatch"
-              else t.nodes.(i) <- Live (Node.create (deps_of t ~node_id:(i + 1)))
-      done;
+      List.iteri
+        (fun i result ->
+          if !failed = None then
+            match result with
+            | Error `Rejected -> failed := Some "node attestation rejected"
+            | Error `Cas_unreachable -> failed := Some "CAS unreachable"
+            | Ok provision ->
+                if provision.Cas.Attest.master_secret <> master_secret then
+                  failed := Some "provisioned secret mismatch"
+                else t.nodes.(i) <- Live (Node.create (deps_of t ~node_id:(i + 1))))
+        results;
       match !failed with Some m -> Error m | None -> Ok t)
 
 let client_token t ~client_id =

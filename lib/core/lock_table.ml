@@ -33,7 +33,7 @@ type t = {
   sim : Sim.t;
   enclave : Enclave.t;
   node : int;  (* trace pid lane for lock.wait spans *)
-  shards : (string, lock) Hashtbl.t array;
+  locks : (string, lock) Hashtbl.t;  (* the keys locked right now *)
   owner_keys : (Types.txid, string list ref) Hashtbl.t;
   timeout_ns : int;
   stats : stats;
@@ -54,16 +54,12 @@ let await_clear t busy =
   in
   go false t.timeout_ns
 
-let create ?(sanitize = false) ?(node = 0) sim ~enclave ~shards ~timeout_ns =
+let create ?(sanitize = false) ?(node = 0) sim ~enclave ~timeout_ns =
   {
     sim;
     enclave;
     node;
-    shards =
-      (* A shard holds only the keys locked right now (a released key's
-         entry is removed), a handful at most: start each one small, or
-         the 256 shards of every node preallocate 16k buckets. *)
-      Array.init (max 1 shards) (fun _ -> Hashtbl.create 2);
+    locks = Hashtbl.create 64;
     owner_keys = Hashtbl.create 64;
     timeout_ns;
     stats = { acquisitions = 0; waits = 0; timeouts = 0; upgrades = 0 };
@@ -74,15 +70,12 @@ let create ?(sanitize = false) ?(node = 0) sim ~enclave ~shards ~timeout_ns =
 
 let stats t = t.stats
 
-let shard t key = t.shards.(Treaty_util.Fnv.hash key mod Array.length t.shards)
-
 let lock_of t key =
-  let tbl = shard t key in
-  match Hashtbl.find_opt tbl key with
+  match Hashtbl.find_opt t.locks key with
   | Some l -> l
   | None ->
       let l = { writer = None; readers = []; waiters = [] } in
-      Hashtbl.replace tbl key l;
+      Hashtbl.replace t.locks key l;
       l
 
 let remember t owner key =
@@ -220,15 +213,14 @@ let release_all t ~owner =
       Hashtbl.remove t.owner_keys owner;
       List.iter
         (fun key ->
-          let tbl = shard t key in
-          match Hashtbl.find_opt tbl key with
+          match Hashtbl.find_opt t.locks key with
           | None -> ()
           | Some l ->
               if l.writer = Some owner then l.writer <- None;
               l.readers <- List.filter (fun r -> r <> owner) l.readers;
               promote_waiters t key l;
               if l.writer = None && l.readers = [] && l.waiters = [] then
-                Hashtbl.remove tbl key)
+                Hashtbl.remove t.locks key)
         !keys
 
 let txn_begin t ~owner =
@@ -258,13 +250,12 @@ let leak_check t =
       t.owner_keys
 
 let write_locked t ~key =
-  match Hashtbl.find_opt (shard t key) key with
+  match Hashtbl.find_opt t.locks key with
   | None -> false
   | Some l -> l.writer <> None
 
 let holds t ~owner ~key mode =
-  let tbl = shard t key in
-  match Hashtbl.find_opt tbl key with
+  match Hashtbl.find_opt t.locks key with
   | None -> false
   | Some l -> (
       match mode with
@@ -272,9 +263,6 @@ let holds t ~owner ~key mode =
       | Read -> List.mem owner l.readers || l.writer = Some owner)
 
 let locked_keys t =
-  Array.fold_left
-    (fun acc tbl ->
-      Hashtbl.fold
-        (fun _ l acc -> if l.writer <> None || l.readers <> [] then acc + 1 else acc)
-        tbl acc)
-    0 t.shards
+  Hashtbl.fold
+    (fun _ l acc -> if l.writer <> None || l.readers <> [] then acc + 1 else acc)
+    t.locks 0

@@ -1,7 +1,10 @@
 (** Per-node key lock table (§V-B).
 
-    Read/write locks keyed by user key, divided across shards by key hash to
-    avoid a central bottleneck. Waiters queue FIFO per key; a transaction
+    Read/write locks keyed by user key, in one table of the keys locked
+    right now. The paper splits its table into many shards so that its OS
+    threads do not contend; here the fibers share one OS thread and an
+    acquisition charges the same simulated time either way. Waiters queue
+    FIFO per key; a transaction
     that cannot acquire a lock within the timeout aborts with a timeout
     error — the paper's deadlock-resolution strategy. Locks are reentrant
     for their owner, and a sole reader may upgrade to writer. *)
@@ -21,7 +24,6 @@ val create :
   ?node:int ->
   Treaty_sim.Sim.t ->
   enclave:Treaty_tee.Enclave.t ->
-  shards:int ->
   timeout_ns:int ->
   t
 (** [sanitize] (default off) enables the TreatySan lockset tracker: see

@@ -1112,8 +1112,6 @@ let start_sweeper t =
         end
       done)
 
-(* "TREATY runs with a big number of shards" (§V-B). *)
-let lock_shards = 256
 let lock_timeout_ns = 40_000_000
 
 let build_parts (deps : deps) device =
@@ -1136,8 +1134,7 @@ let build_parts (deps : deps) device =
       (Erpc.default_config ~security) with
       Erpc.timeout_ns = cfg.rpc_timeout_ns;
       dedup_ttl_ns = cfg.dedup_ttl_ns;
-      msgbuf_region = (if cfg.naive_rpc_port then Mempool.Enclave else Mempool.Host);
-      rdtsc_ocalls = cfg.naive_rpc_port;
+      naive_port = cfg.naive_rpc_port;
     }
   in
   let rpc =
@@ -1154,7 +1151,7 @@ let build_parts (deps : deps) device =
   in
   let locks =
     Lock_table.create ~sanitize:cfg.profile.sanitize ~node:deps.node_id
-      deps.sim ~enclave ~shards:lock_shards ~timeout_ns:lock_timeout_ns
+      deps.sim ~enclave ~timeout_ns:lock_timeout_ns
   in
   (* The replica's sealed counter table lives on the node's own SSD so a
      crashed node resumes from its latest confirmed counters even when its

@@ -27,8 +27,6 @@ type t = {
       (* Other owners' entries waiting for the next round, newest first,
          each with the ivar of the waiter that brought them. *)
   stats : stats;
-  attempts : int;
-  retry_backoff_ns : int;
   mutable pump_active : bool;
   mutable round_span : Trace.span;
       (* Open "rote.round" span: begun by the first submit or wait since
@@ -37,7 +35,12 @@ type t = {
          well-formed — and ended when the round that covers it finishes. *)
 }
 
-let create ?(attempts = 40) ?(retry_backoff_ns = 2_000_000) replica ~owner =
+(* Consecutive no-quorum rounds (or recovery queries) before giving up,
+   and the sleep between two of them. *)
+let max_attempts = 40
+let retry_backoff_ns = 2_000_000
+
+let create replica ~owner =
   {
     replica;
     owner;
@@ -45,8 +48,6 @@ let create ?(attempts = 40) ?(retry_backoff_ns = 2_000_000) replica ~owner =
     logs = Hashtbl.create 8;
     foreign = [];
     stats = { submits = 0; rounds_started = 0; waits = 0; failed_waits = 0 };
-    attempts;
-    retry_backoff_ns;
     pump_active = false;
     round_span = Trace.none;
   }
@@ -166,7 +167,7 @@ let rec pump ?(early = false) t ~attempts =
            [`Stability_timeout] — a later submit restarts the pump with a
            fresh retry budget. *)
         if attempts > 0 then begin
-          Sim.sleep t.sim t.retry_backoff_ns;
+          Sim.sleep t.sim retry_backoff_ns;
           pump t ~attempts:(attempts - 1)
         end
         else begin
@@ -185,7 +186,7 @@ let rec pump ?(early = false) t ~attempts =
                 wake_waiters s)
               e.Rote.targets)
           own;
-        pump t ~attempts:t.attempts
+        pump t ~attempts:max_attempts
   end
 
 (* Make sure a round will run: open the "rote.round" span as a child of
@@ -196,7 +197,7 @@ let start_round t ~span =
       Trace.begin_span ~parent:span ~node:t.owner ~cat:"counter" "rote.round";
   if not t.pump_active then begin
     t.pump_active <- true;
-    Sim.spawn t.sim (fun () -> pump t ~attempts:t.attempts)
+    Sim.spawn t.sim (fun () -> pump t ~attempts:max_attempts)
   end
 
 (* Ask for [counter] of [s]'s log to become trusted: the pump carries it in
@@ -221,7 +222,7 @@ let note t ~log ~counter =
 let start_early t =
   if not t.pump_active then begin
     t.pump_active <- true;
-    Sim.spawn t.sim (fun () -> pump ~early:true t ~attempts:t.attempts)
+    Sim.spawn t.sim (fun () -> pump ~early:true t ~attempts:max_attempts)
   end
 
 let wait_stable ?(span = Trace.none) ?(foreign = []) t ~log ~counter =
@@ -268,8 +269,8 @@ let trusted_for_recovery t ~log =
   let rec ask attempts =
     match Rote.query t.replica ~owner:t.owner ~log with
     | Error `No_quorum when attempts > 0 ->
-        Sim.sleep t.sim t.retry_backoff_ns;
+        Sim.sleep t.sim retry_backoff_ns;
         ask (attempts - 1)
     | r -> r
   in
-  ask t.attempts
+  ask max_attempts

@@ -32,16 +32,10 @@ type stats = {
           its quorum retries. *)
 }
 
-val create :
-  ?attempts:int ->
-  ?retry_backoff_ns:int ->
-  Rote.replica ->
-  owner:int ->
-  t
-(** [owner] is the node whose logs this client stabilizes. [attempts]
-    (default 40) bounds consecutive no-quorum retries before pending waiters
-    are failed; [retry_backoff_ns] (default 2 ms) is the sleep between
-    retries. The pump adds no wait of its own: a round's batch forms during
+val create : Rote.replica -> owner:int -> t
+(** [owner] is the node whose logs this client stabilizes. After 40
+    consecutive no-quorum rounds, 2 ms apart, pending waiters are failed.
+    The pump adds no wait of its own: a round's batch forms during
     ROTE's echo1 alignment, the only batching wait a round pays. *)
 
 val stats : t -> stats
@@ -101,6 +95,6 @@ val pending_targets : t -> (string * int) list
 val trusted_for_recovery : t -> log:string -> (int, [ `No_quorum ]) result
 (** Quorum-query the group (used by a recovering node whose local state is
     gone). A query without a quorum is retried with the same budget as the
-    pump's rounds ([attempts], [retry_backoff_ns]); the replica answers
+    pump's rounds (40 tries, 2 ms apart); the replica answers
     other members' queries meanwhile, so after a crash of the whole group
     the members that restart find their quorum in each other. *)

@@ -15,12 +15,11 @@ type stats = {
   mutable live : int;
 }
 
-(* One heap = free lists indexed by size-class exponent, per region. *)
-type heap = { host_free : buf list array; enclave_free : buf list array }
-
+(* Free lists indexed by size-class exponent, per region. *)
 type t = {
   enclave : Treaty_tee.Enclave.t;
-  heaps : heap array;
+  host_free : buf list array;
+  enclave_free : buf list array;
   stats : stats;
   sanitize : bool;
 }
@@ -38,27 +37,21 @@ let class_exp n =
 
 let class_size n = 1 lsl class_exp n
 
-let fresh_heap () =
-  {
-    host_free = Array.make (max_class_exp + 1) [];
-    enclave_free = Array.make (max_class_exp + 1) [];
-  }
-
-let create ?(heaps = 8) ?(sanitize = false) enclave =
+let create ?(sanitize = false) enclave =
   {
     enclave;
-    heaps = Array.init (max 1 heaps) (fun _ -> fresh_heap ());
+    host_free = Array.make (max_class_exp + 1) [];
+    enclave_free = Array.make (max_class_exp + 1) [];
     stats = { allocations = 0; recycled = 0; mapped_host = 0; mapped_enclave = 0; live = 0 };
     sanitize;
   }
 
-let heap_of t owner = t.heaps.(abs (owner * 0x9E3779B1) mod Array.length t.heaps)
+let free_lists t = function Host -> t.host_free | Enclave -> t.enclave_free
 
-let alloc t ?(owner = 0) region n =
+let alloc t region n =
   if n > 1 lsl max_class_exp then invalid_arg "Mempool.alloc: too large";
-  let heap = heap_of t owner in
   let exp = class_exp n in
-  let free = match region with Host -> heap.host_free | Enclave -> heap.enclave_free in
+  let free = free_lists t region in
   t.stats.allocations <- t.stats.allocations + 1;
   t.stats.live <- t.stats.live + 1;
   match free.(exp) with
@@ -81,7 +74,7 @@ let alloc t ?(owner = 0) region n =
           Treaty_tee.Enclave.alloc_enclave t.enclave c);
       { bytes = Bytes.create c; size = n; region; freed = false }
 
-let free t ?(owner = 0) b =
+let free t b =
   if b.freed then begin
     if t.sanitize then
       Treaty_util.Sanitizer.record Treaty_util.Sanitizer.Buf_double_free
@@ -92,12 +85,9 @@ let free t ?(owner = 0) b =
   end;
   b.freed <- true;
   t.stats.live <- t.stats.live - 1;
-  let heap = heap_of t owner in
   let exp = class_exp (Bytes.length b.bytes) in
-  let free_lists =
-    match b.region with Host -> heap.host_free | Enclave -> heap.enclave_free
-  in
-  free_lists.(exp) <- b :: free_lists.(exp)
+  let free = free_lists t b.region in
+  free.(exp) <- b :: free.(exp)
 
 let stats t = t.stats
 

@@ -6,8 +6,9 @@
     stays in the enclave. Its allocator assigns threads to heaps by a hash of
     their id and recycles buffers to keep mapped memory small.
 
-    This model reproduces those mechanics: size-class free lists, multiple
-    heaps selected by a caller id, explicit [Host] vs [Enclave] regions that
+    This model reproduces the recycling: size-class free lists, one set per
+    pool (the simulator's fibers share one OS thread, so per-thread heaps
+    would save no modelled cost), explicit [Host] vs [Enclave] regions that
     feed the {!Treaty_tee.Enclave} EPC accounting (so allocating message
     buffers in the enclave really does trigger simulated paging — the
     ablation in the benchmarks), and recycling statistics. *)
@@ -31,19 +32,17 @@ type stats = {
 
 type t
 
-val create : ?heaps:int -> ?sanitize:bool -> Treaty_tee.Enclave.t -> t
-(** [heaps] (default 8) is the number of independent free-list sets; callers
-    are spread across them by {!alloc}'s [owner] hash. With [sanitize]
-    (default false), double frees and quiescence-time leaks are also
-    recorded with TreatySan ({!Treaty_util.Sanitizer}). *)
+val create : ?sanitize:bool -> Treaty_tee.Enclave.t -> t
+(** With [sanitize] (default false), double frees and quiescence-time leaks
+    are also recorded with TreatySan ({!Treaty_util.Sanitizer}). *)
 
-val alloc : t -> ?owner:int -> region -> int -> buf
-(** [alloc t ~owner region n] returns a buffer of at least [n] bytes from the
-    owner's heap. Fresh enclave allocations are charged to the EPC (possibly
-    paging); recycled ones only pay a touch. *)
+val alloc : t -> region -> int -> buf
+(** [alloc t region n] returns a buffer of at least [n] bytes. Fresh
+    enclave allocations are charged to the EPC (possibly paging); recycled
+    ones only pay a touch. *)
 
-val free : t -> ?owner:int -> buf -> unit
-(** Return a buffer to its heap's free list. Double frees raise
+val free : t -> buf -> unit
+(** Return a buffer to its free list. Double frees raise
     [Invalid_argument]. *)
 
 val stats : t -> stats

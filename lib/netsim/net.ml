@@ -1,5 +1,4 @@
 module Sim = Treaty_sim.Sim
-module Scheduler = Treaty_sched.Scheduler
 
 type endpoint_config = {
   bandwidth_bytes_per_ns : float;
@@ -23,16 +22,6 @@ type stats = {
 
 let no_pkt = { Packet.id = 0; src = 0; dst = 0; size = 0; payload = "" }
 
-(* A same-tick delivery batch: several packets arriving at the same
-   simulated nanosecond ride one simulation event instead of one each. *)
-type batch = {
-  mutable pkts : Packet.t array;
-  mutable n : int;
-  mutable time : int;
-  mutable openb : bool;  (** still the mergeable head batch *)
-  mutable stamp : int;  (** event-schedule stamp right after arming *)
-}
-
 type t = {
   sim : Sim.t;
   cost : Treaty_sim.Costmodel.t;
@@ -46,8 +35,6 @@ type t = {
   mutable capture_limit : int;
   mutable capture_buf : Packet.t array;  (** fixed ring, [capture_limit] slots *)
   mutable capture_n : int;  (** total packets ever captured *)
-  mutable batch : batch;
-  mutable spare : batch;  (** recycled batch record *)
 }
 
 let fabric_config (cost : Treaty_sim.Costmodel.t) =
@@ -57,9 +44,6 @@ let fabric_config (cost : Treaty_sim.Costmodel.t) =
   }
 
 let client_config = { bandwidth_bytes_per_ns = 0.125 (* 1 Gb/s *); propagation_ns = 30_000 }
-
-let fresh_batch () =
-  { pkts = Array.make 8 no_pkt; n = 0; time = -1; openb = false; stamp = -1 }
 
 let create sim cost =
   {
@@ -72,8 +56,6 @@ let create sim cost =
     capture_limit = 0;
     capture_buf = [||];
     capture_n = 0;
-    batch = fresh_batch ();
-    spare = fresh_batch ();
   }
 
 let endpoint t id =
@@ -107,59 +89,6 @@ let deliver_one t pkt =
       ep.handler pkt
   | Some _ | None -> t.stats.dropped <- t.stats.dropped + 1
 
-(* Fire a delivery batch. Between packets we drain the fiber run queue,
-   exactly as the simulator main loop does between two same-tick events —
-   this keeps the interleaving (and therefore same-seed traces) identical
-   to scheduling every packet as its own event. *)
-let fire_batch t b =
-  let sched = Sim.sched t.sim in
-  let i = ref 0 in
-  while !i < b.n do
-    let pkt = b.pkts.(!i) in
-    incr i;
-    deliver_one t pkt;
-    Scheduler.run_pending sched
-  done;
-  b.openb <- false;
-  Array.fill b.pkts 0 b.n no_pkt;
-  b.n <- 0;
-  t.spare <- b
-
-let batch_push b pkt =
-  if b.n = Array.length b.pkts then begin
-    let pkts = Array.make (2 * b.n) no_pkt in
-    Array.blit b.pkts 0 pkts 0 b.n;
-    b.pkts <- pkts
-  end;
-  b.pkts.(b.n) <- pkt;
-  b.n <- b.n + 1
-
-let deliver_at t pkt ~time =
-  let b = t.batch in
-  (* Merging a packet into the open batch is only trace-preserving when no
-     other event has been scheduled since the batch was armed: the merged
-     packets then occupy consecutive (time, seq) positions, so firing them
-     back-to-back is exactly what the event queue would have done. *)
-  if b.openb && b.time = time && Sim.events_stamp t.sim = b.stamp then
-    batch_push b pkt
-  else begin
-    b.openb <- false;
-    let nb =
-      let s = t.spare in
-      if (not s.openb) && s.n = 0 then begin
-        t.spare <- fresh_batch ();
-        s
-      end
-      else fresh_batch ()
-    in
-    nb.time <- time;
-    batch_push nb pkt;
-    nb.openb <- true;
-    t.batch <- nb;
-    ignore (Sim.at t.sim ~time (fun () -> fire_batch t nb));
-    nb.stamp <- Sim.events_stamp t.sim
-  end
-
 let transit t pkt =
   match endpoint t pkt.Packet.src, endpoint t pkt.Packet.dst with
   | None, _ | _, None -> t.stats.dropped <- t.stats.dropped + 1
@@ -174,7 +103,9 @@ let transit t pkt =
       let prop = max src_ep.config.propagation_ns dst_ep.config.propagation_ns in
       t.stats.packets <- t.stats.packets + 1;
       t.stats.bytes <- t.stats.bytes + pkt.size;
-      deliver_at t pkt ~time:(src_ep.nic_free_at + prop)
+      ignore
+        (Sim.at t.sim ~time:(src_ep.nic_free_at + prop) (fun () ->
+             deliver_one t pkt))
 
 let inject t pkt ~interpose =
   if not interpose then transit t pkt

@@ -6,7 +6,10 @@
     at its line rate (FIFO), and delivery adds propagation delay. An
     {!Adversary.t} may interpose on every packet.
 
-    Delivery is a callback into the destination's RPC layer; packets to an
+    Delivery is a callback into the destination's RPC layer, one simulation
+    event per packet at its arrival time (packets arriving at one instant
+    are handed over in send order, and the fibers each one wakes run
+    before the next is delivered); packets to an
     endpoint whose owner is no longer live (a crashed node) are dropped,
     which is how node failure manifests to peers. *)
 

@@ -6,20 +6,16 @@ module Trace = Treaty_obs.Trace
 module Metrics = Treaty_obs.Metrics
 
 type config = {
-  params : Transport.params;
   security : Secure_msg.security;
-  msgbuf_region : Mempool.region;
-  rdtsc_ocalls : bool;
+  naive_port : bool;
   timeout_ns : int;
   dedup_ttl_ns : int;
 }
 
 let default_config ~security =
   {
-    params = Transport.default_params;
     security;
-    msgbuf_region = Mempool.Host;
-    rdtsc_ocalls = false;
+    naive_port = false;
     timeout_ns = 50_000_000 (* 50 ms *);
     dedup_ttl_ns = 2_000_000_000 (* 2 s *);
   }
@@ -113,15 +109,18 @@ let crypto_charge t ~bytes =
    exactly the packet's lifetime — the paper's "buffers remain allocated
    until the entire request has been served" (TreatySan checks it
    drains). *)
+(* The naive port keeps its message buffers in the enclave. *)
+let msgbuf_region t = if t.config.naive_port then Mempool.Enclave else Mempool.Host
+
 let encode_packet t msgs =
   let size =
     Secure_msg.Burst.wire_size t.config.security
       ~data_lens:(List.map (fun (_, data) -> String.length data) msgs)
   in
-  let buf = Mempool.alloc t.pool ~owner:t.node_id t.config.msgbuf_region size in
-  Fun.protect ~finally:(fun () -> Mempool.free t.pool ~owner:t.node_id buf)
+  let buf = Mempool.alloc t.pool (msgbuf_region t) size in
+  Fun.protect ~finally:(fun () -> Mempool.free t.pool buf)
     (fun () ->
-      if t.config.rdtsc_ocalls then Enclave.world_switch t.enclave;
+      if t.config.naive_port then Enclave.world_switch t.enclave;
       crypto_charge t ~bytes:size;
       let n =
         Secure_msg.Burst.encode_into t.config.security
@@ -132,11 +131,8 @@ let encode_packet t msgs =
 (* Open a received packet in a mempool buffer of the message-buffer region,
    held only while the packet is verified, decrypted and sliced. *)
 let decode_packet t payload =
-  let buf =
-    Mempool.alloc t.pool ~owner:t.node_id t.config.msgbuf_region
-      (String.length payload)
-  in
-  Fun.protect ~finally:(fun () -> Mempool.free t.pool ~owner:t.node_id buf)
+  let buf = Mempool.alloc t.pool (msgbuf_region t) (String.length payload) in
+  Fun.protect ~finally:(fun () -> Mempool.free t.pool buf)
     (fun () -> Secure_msg.Burst.decode t.config.security ~buf:buf.Mempool.bytes payload)
 
 (* Ring the doorbell: one netsim packet, one transport traversal and one
@@ -157,7 +153,7 @@ let flush_burst t ~dst msgs =
                 ("bytes", Trace.Int bytes); ("dst", Trace.Int dst) ]
         else Trace.none
       in
-      Transport.charge_burst t.config.params t.enclave Transport.Dpdk
+      Transport.charge_burst Transport.default_params t.enclave Transport.Dpdk
         ~dir:`Tx ~bytes ~msgs:(List.length msgs);
       let frags = Transport.fragments (Enclave.cost t.enclave) ~bytes in
       Net.send t.net ~src:t.node_id ~dst ~wire_overhead:(64 * frags) payload;
@@ -350,7 +346,7 @@ let dispatch_decoded t (meta : Secure_msg.meta) data =
 let rx_malformed t (pkt : Treaty_netsim.Packet.t) =
   (* Empty packet, or one that does not lead with the burst version byte:
      nothing inside is recoverable. *)
-  Transport.charge t.config.params t.enclave Transport.Dpdk ~rpc_layer:true
+  Transport.charge Transport.default_params t.enclave Transport.Dpdk ~rpc_layer:true
     ~dir:`Rx ~bytes:pkt.size;
   t.stats.mac_failures <- t.stats.mac_failures + 1
 
@@ -362,7 +358,7 @@ let on_packet t (pkt : Treaty_netsim.Packet.t) =
   (* Runs as a network-delivery event; spawn a fiber so handlers can block. *)
   Sim.spawn t.sim (fun () ->
       if Enclave.live t.enclave then begin
-        if t.config.rdtsc_ocalls then Enclave.world_switch t.enclave;
+        if t.config.naive_port then Enclave.world_switch t.enclave;
         if
           String.length pkt.payload = 0
           || Char.code pkt.payload.[0] <> Secure_msg.Burst.version
@@ -372,12 +368,12 @@ let on_packet t (pkt : Treaty_netsim.Packet.t) =
              each sub-message's plaintext. *)
           match decode_packet t pkt.payload with
           | Error (`Tampered | `Malformed) ->
-              Transport.charge t.config.params t.enclave Transport.Dpdk
+              Transport.charge Transport.default_params t.enclave Transport.Dpdk
                 ~rpc_layer:true ~dir:`Rx ~bytes:pkt.size;
               crypto_charge t ~bytes:pkt.size;
               t.stats.mac_failures <- t.stats.mac_failures + 1
           | Ok msgs ->
-              Transport.charge_burst t.config.params t.enclave
+              Transport.charge_burst Transport.default_params t.enclave
                 Transport.Dpdk ~dir:`Rx ~bytes:pkt.size
                 ~msgs:(List.length msgs);
               crypto_charge t ~bytes:pkt.size;

@@ -41,18 +41,16 @@
     a queue of 32 messages goes at once. There is no timer. *)
 
 (** An endpoint's settings. Its messages take eRPC's kernel-bypass path,
-    {!Transport.Dpdk}; the kernel paths are priced only by the Figure 8
-    benchmark, through {!Transport} directly. *)
+    {!Transport.Dpdk}, priced with {!Transport.default_params}; the kernel
+    paths are priced only by the Figure 8 benchmark, through {!Transport}
+    directly. *)
 type config = {
-  params : Transport.params;
   security : Secure_msg.security;
-  msgbuf_region : Treaty_memalloc.Mempool.region;
-      (** [Host] for Treaty; [Enclave] models the naive SCONE port of eRPC
-          that triggers EPC paging (§VII-A). *)
-  rdtsc_ocalls : bool;
-      (** Model the unmodified eRPC codebase whose timestamping OCALLs cause
-          a world switch per burst (Treaty replaces rdtsc with a monotonic
-          counter). *)
+  naive_port : bool;
+      (** Model the naive SCONE port of eRPC (§VII-A): message buffers in
+          the enclave, which triggers EPC paging, and timestamping OCALLs
+          that cost a world switch per burst. Treaty keeps the buffers in
+          host memory and replaces rdtsc with a monotonic counter. *)
   timeout_ns : int;  (** Default request timeout. *)
   dedup_ttl_ns : int;
       (** How long a caller may stay quiet before the at-most-once entries

@@ -83,7 +83,6 @@ let create () =
 
 let is_empty t = t.live = 0
 let size t = t.live
-let stamp t = t.next_seq
 let fired t = t.fired_
 let allocated t = Array.length t.cells
 

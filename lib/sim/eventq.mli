@@ -1,7 +1,8 @@
 (** Discrete-event timer queue: hierarchical timer wheel + overflow heap.
 
     Events are (time, callback) pairs dispatched in ascending time order,
-    FIFO among equal timestamps. Near events (within ~1.07 s of simulated
+    FIFO among equal timestamps (so packets due at one instant are
+    delivered in send order). Near events (within ~1.07 s of simulated
     time) live in a six-level timer wheel; far events wait in a 4-ary
     min-heap and migrate inward as the dispatch cursor approaches. Timer
     records are pooled: [add] and [cancel] allocate nothing once the pool
@@ -34,11 +35,6 @@ val cancel : t -> handle -> bool
 
 val pop : t -> (int * (unit -> unit)) option
 (** Remove and return the earliest live event. *)
-
-val stamp : t -> int
-(** Monotone counter incremented by every [add] — lets callers detect
-    whether any event was scheduled between two points (the network's
-    same-tick delivery batching depends on this). *)
 
 val fired : t -> int
 (** Total events dispatched over the queue's lifetime. *)

@@ -54,7 +54,6 @@ let sleep t ns =
 let events_fired t = Eventq.fired t.events
 let events_live t = Eventq.size t.events
 let events_allocated t = Eventq.allocated t.events
-let events_stamp t = Eventq.stamp t.events
 
 let run t main =
   spawn t main;

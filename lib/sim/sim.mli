@@ -5,7 +5,10 @@
     blocking ([sleep], [Ivar] waits with [timeout], {!Resource} queueing);
     everything in between is instantaneous in simulated time. [run] drives
     the simulation to quiescence: it returns when no fiber is runnable and no
-    event is pending. *)
+    event is pending. Between two events it runs every runnable fiber, so
+    the fibers an event's callback wakes run before the next event, even
+    one due at the same instant (the network delivers each packet in its
+    own event and relies on this). *)
 
 type t
 
@@ -76,9 +79,6 @@ val events_live : t -> int
 val events_allocated : t -> int
 (** Timer-record pool capacity; bounded by peak concurrent timers, not by
     how many timeouts were armed and cancelled. *)
-
-val events_stamp : t -> int
-(** Monotone event-schedule counter (see {!Treaty_sim.Eventq.stamp}). *)
 
 (** A simulated multi-server resource (CPU cores, an SSD channel, a NIC):
     [capacity] concurrent holders, FIFO waiting. Models saturation: once all

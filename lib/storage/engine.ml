@@ -12,9 +12,7 @@ type stability = {
 
 type config = {
   memtable_max_bytes : int;
-  block_bytes : int;
   file_bytes : int;
-  l0_trigger : int;
   level_base_bytes : int;
   group_commit : bool;
   values_in_enclave : bool;
@@ -25,9 +23,7 @@ type config = {
 let default_config =
   {
     memtable_max_bytes = 4 * 1024 * 1024;
-    block_bytes = 4096;
     file_bytes = 2 * 1024 * 1024;
-    l0_trigger = 4;
     level_base_bytes = 16 * 1024 * 1024;
     group_commit = true;
     values_in_enclave = false;
@@ -60,6 +56,8 @@ type recovery_info = {
 }
 
 let n_levels = 8
+let block_bytes = 4096  (* plaintext per SSTable block *)
+let l0_trigger = 4  (* L0 file count that triggers compaction *)
 let group_window_ns = 15_000
 let manifest_log = "MANIFEST"
 let clog_log = "CLOG"
@@ -120,7 +118,8 @@ type t = {
   mutable clog_group : Clog_record.record Group_commit.t option;
       (* [None] exactly for an in-memory engine. *)
   prepared : (Wal_record.txid, slice * int (* its Prepare's wal id *)) Hashtbl.t;
-  wal_unresolved : (int, int ref) Hashtbl.t;  (* wal id -> slices it holds *)
+      (* A slice pins the WAL its Prepare went to: the WAL retires only
+         once none is left there. *)
   active_snapshots : (int, int) Hashtbl.t;  (* snapshot seq -> refcount *)
   mutable flushing : bool;
   compact_queue : compact_req Queue.t;
@@ -291,7 +290,6 @@ let create_internal ?(node = 0) sim ssd sec cfg stability =
       group = None;
       clog_group = None;
       prepared = Hashtbl.create 32;
-      wal_unresolved = Hashtbl.create 8;
       active_snapshots = Hashtbl.create 64;
       flushing = false;
       compact_queue = Queue.create ();
@@ -594,7 +592,6 @@ let meta ~file_id ~level ~footer_digest ~size ~min_key ~max_key ~max_seq =
     Manifest.file_id;
     level;
     footer_digest;
-    footer_version = Sstable.footer_version;
     min_key;
     max_key;
     max_seq;
@@ -659,7 +656,7 @@ let build_files t ~level entries =
     (fun file_entries ->
       let file_id = alloc_file_id t in
       let handle, footer_digest =
-        Sstable.build t.ssd t.sec ~file_id ~block_bytes:t.config.block_bytes
+        Sstable.build t.ssd t.sec ~file_id ~block_bytes
           (List.to_seq file_entries)
       in
       let meta =
@@ -676,7 +673,7 @@ let bottommost_below t l =
 
 (* The level the size/count triggers want compacted next, if any. *)
 let compaction_target t =
-  if Array.length t.levels.(0) >= t.config.l0_trigger then Some 0
+  if Array.length t.levels.(0) >= l0_trigger then Some 0
   else
     let rec find l =
       if l >= n_levels - 1 then None
@@ -810,10 +807,8 @@ let maybe_compact t =
 
 let compaction_idle t = Queue.is_empty t.compact_queue && not t.compactor_running
 
-let wal_unresolved_count t wal_id =
-  match Hashtbl.find_opt t.wal_unresolved wal_id with
-  | Some r -> !r
-  | None -> 0
+let wal_pinned t wal_id =
+  Hashtbl.fold (fun _ (_, w) pinned -> pinned || w = wal_id) t.prepared false
 
 (* Write [mt] to a new L0 SSTable (nothing if it is empty). The values
    stream from the memtable into the table's blocks. *)
@@ -822,7 +817,7 @@ let write_l0 t mt =
   | Some (min_key, max_key, max_seq) ->
       let file_id = alloc_file_id t in
       let handle, footer_digest =
-        Sstable.build t.ssd t.sec ~file_id ~block_bytes:t.config.block_bytes
+        Sstable.build t.ssd t.sec ~file_id ~block_bytes
           (Memtable.to_seq mt)
       in
       let meta =
@@ -842,32 +837,20 @@ let open_wal t wal_id =
   t.wal <- Log_auth.create t.ssd t.sec ~name:(Manifest.wal_name wal_id);
   t.wal_id <- wal_id
 
-let pin_wal t wal_id =
-  match Hashtbl.find_opt t.wal_unresolved wal_id with
-  | Some r -> incr r
-  | None -> Hashtbl.replace t.wal_unresolved wal_id (ref 1)
-
-let unpin_wal t wal_id =
-  match Hashtbl.find_opt t.wal_unresolved wal_id with
-  | Some r -> decr r
-  | None -> ()
-
 (* Log a prepare in the current WAL and pin that WAL until its slice is
    aborted or its commit mark forgotten. The prepare is on disk when this
    returns; nobody waits for it here (a coordinator makes it trusted at its
    commit point), so it only notes its counter. *)
 let log_prepare t ~tx writes =
   wal_note t (Wal_record.Prepare (tx, writes));
-  Hashtbl.replace t.prepared tx (Pending writes, t.wal_id);
-  pin_wal t t.wal_id
+  Hashtbl.replace t.prepared tx (Pending writes, t.wal_id)
 
 (* Re-log a commit mark found by replay: a Prepare without writes and its
    Resolve, which the next replay turns into the same mark. *)
 let log_committed t ~tx ~seq =
   wal_note t (Wal_record.Prepare (tx, []));
   wal_note t (Wal_record.Resolve (tx, Some seq));
-  Hashtbl.replace t.prepared tx (Committed { seq; at = Sim.now t.sim }, t.wal_id);
-  pin_wal t t.wal_id
+  Hashtbl.replace t.prepared tx (Committed { seq; at = Sim.now t.sim }, t.wal_id)
 
 (* Retire WALs whose contents are in SSTables: one Obsolete_wal edit each,
    and the files go only once the last edit is stable. Recovery replays the
@@ -899,7 +882,7 @@ let flush_oldest_immutable t =
          their commit marks forgotten. Nothing forgets them in a crashed
          incarnation, whose disk is fenced: its flush stops waiting. *)
       let live () = Enclave.live (enclave t) in
-      while wal_unresolved_count t old_wal_id > 0 && live () do
+      while wal_pinned t old_wal_id && live () do
         Sim.sleep t.sim 200_000
       done;
       if live () then retire_wals t [ old_wal_id ] ~after:(fun () -> Memtable.release mt);
@@ -1042,9 +1025,7 @@ let resolve t ~tx ~commit =
       in
       (match seq with
       | Some seq -> Hashtbl.replace t.prepared tx (Committed { seq; at = Sim.now t.sim }, wal_id)
-      | None ->
-          Hashtbl.remove t.prepared tx;
-          unpin_wal t wal_id);
+      | None -> Hashtbl.remove t.prepared tx);
       maybe_flush t;
       seq
 
@@ -1070,11 +1051,9 @@ let committed_txs t =
 
 let forget_where t forget =
   Hashtbl.filter_map_inplace
-    (fun tx ((slice, wal_id) as entry) ->
+    (fun tx ((slice, _) as entry) ->
       match slice with
-      | Committed _ when forget tx ->
-          unpin_wal t wal_id;
-          None
+      | Committed _ when forget tx -> None
       | Committed _ | Pending _ | Resolving _ -> Some entry)
     t.prepared
 
@@ -1155,8 +1134,7 @@ let recover ?node ssd sec cfg stability ~trusted =
                               {
                                 meta = m;
                                 handle =
-                                  Sstable.open_ ~version:m.footer_version ssd sec
-                                    ~file_id:m.file_id
+                                  Sstable.open_ ssd sec ~file_id:m.file_id
                                     ~footer_digest:m.footer_digest;
                               })
                             metas))

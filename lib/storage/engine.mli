@@ -47,9 +47,7 @@ type stability = {
 
 type config = {
   memtable_max_bytes : int;
-  block_bytes : int;
   file_bytes : int;  (** Target SSTable size from compactions. *)
-  l0_trigger : int;  (** L0 file count that triggers compaction. *)
   level_base_bytes : int;  (** L1 capacity; each level below is 10x. *)
   group_commit : bool;
       (** WAL group commit (§VII-B; [false] is the paper's ablation A). Clog

@@ -4,7 +4,6 @@ type file_meta = {
   file_id : int;
   level : int;
   footer_digest : string;
-  footer_version : int;  (* footer format the file was written with *)
   min_key : string;
   max_key : string;
   max_seq : int;  (* highest version in the file, for seq recovery *)
@@ -52,7 +51,7 @@ let encode edit =
       Wire.w64 b m.file_id;
       Wire.w32 b m.level;
       Wire.wstr b m.footer_digest;
-      Wire.w32 b m.footer_version;
+      Wire.w32 b Sstable.footer_version;
       Wire.wstr b m.min_key;
       Wire.wstr b m.max_key;
       Wire.w64 b m.max_seq;
@@ -79,12 +78,15 @@ let read r =
       let level = Wire.r32 r in
       let footer_digest = Wire.rstr r in
       let footer_version = Wire.r32 r in
+      if footer_version <> Sstable.footer_version then
+        raise
+          (Wire.Malformed (Printf.sprintf "unknown footer version %d" footer_version));
       let min_key = Wire.rstr r in
       let max_key = Wire.rstr r in
       let max_seq = Wire.r64 r in
       let size = Wire.r64 r in
       Add_file
-        { file_id; level; footer_digest; footer_version; min_key; max_key; max_seq; size }
+        { file_id; level; footer_digest; min_key; max_key; max_seq; size }
   | 2 ->
       let level = Wire.r32 r in
       let file_id = Wire.r64 r in

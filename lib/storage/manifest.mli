@@ -12,10 +12,8 @@ type file_meta = {
   file_id : int;
   level : int;
   footer_digest : string;
-  footer_version : int;
-      (** Footer format the file was written with ([Sstable.footer_version]
-          at build time): v2 carries the Bloom filter, v1 is the bare block
-          index. Recovery passes it to [Sstable.open_] so either decodes. *)
+      (** An [Add_file] edit also records the footer format,
+          [Sstable.footer_version]; an edit with any other is malformed. *)
   min_key : string;
   max_key : string;
   max_seq : int;  (** Highest version in the file (sequence recovery). *)

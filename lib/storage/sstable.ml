@@ -14,7 +14,7 @@ type handle = {
   file_id : int;
   name : string;
   index : block_meta array;
-  bloom : Bloom.t option;  (* None for format-v1 files: always "maybe" *)
+  bloom : Bloom.t;
   hmin_key : string;
   hmax_key : string;
   data_bytes : int;
@@ -99,10 +99,8 @@ let decode_index r =
       { first_key; last_key; offset; length; bhash })
   |> Array.of_list
 
-(* Footer format v2 (PR 5): a version tag, the Bloom filter over the user
-   keys, then the block index. v1 footers are the bare index list — still
-   decoded for files recorded with [footer_version = 1] in the MANIFEST.
-   Either way the whole footer is covered by the digest in [Add_file], so
+(* The footer: a version tag, the Bloom filter over the user keys, then the
+   block index. The whole footer is covered by the digest in [Add_file], so
    the filter is as tamper-evident as the index. *)
 let encode_footer bloom index =
   let b = Buffer.create 1024 in
@@ -111,17 +109,13 @@ let encode_footer bloom index =
   encode_index b index;
   Buffer.contents b
 
-let decode_footer ~version =
+let decode_footer =
   decode_whole "footer" (fun r ->
-      match version with
-      | 1 -> (None, decode_index r)
-      | 2 ->
-          let tag = Wire.r8 r in
-          if tag <> footer_version then
-            raise (Wire.Malformed (Printf.sprintf "bad footer version tag %d" tag));
-          let bloom = Wire.expect (Bloom.decode r) in
-          (Some bloom, decode_index r)
-      | v -> raise (Wire.Malformed (Printf.sprintf "unknown footer version %d" v)))
+      let tag = Wire.r8 r in
+      if tag <> footer_version then
+        raise (Wire.Malformed (Printf.sprintf "bad footer version tag %d" tag));
+      let bloom = Wire.expect (Bloom.decode r) in
+      (bloom, decode_index r))
 
 (* Split sorted entries into blocks of roughly [block_bytes] plaintext,
    never splitting the versions of one user key across blocks, and hand
@@ -155,16 +149,12 @@ let bloom_of_keys keys =
   List.iter (Bloom.add bloom) keys;
   bloom
 
-let account_bloom sec = function
-  | None -> ()
-  | Some bloom ->
-      (* The filter is enclave-resident for the file's lifetime. *)
-      Treaty_tee.Enclave.alloc_enclave (Sec.enclave sec) (Bloom.bytes bloom)
+(* The filter is enclave-resident for the file's lifetime. *)
+let account_bloom sec bloom =
+  Treaty_tee.Enclave.alloc_enclave (Sec.enclave sec) (Bloom.bytes bloom)
 
 let release sec h =
-  match h.bloom with
-  | None -> ()
-  | Some bloom -> Treaty_tee.Enclave.free_enclave (Sec.enclave sec) (Bloom.bytes bloom)
+  Treaty_tee.Enclave.free_enclave (Sec.enclave sec) (Bloom.bytes h.bloom)
 
 let build ssd sec ~file_id ~block_bytes entries =
   let name = file_name ~file_id in
@@ -217,13 +207,13 @@ let build ssd sec ~file_id ~block_bytes entries =
   ignore
     (Ssd.append_parts ssd ~enclave:(Sec.enclave sec) name
        (List.rev_append !blocks [ footer; Buffer.contents tail ]));
-  account_bloom sec (Some bloom);
+  account_bloom sec bloom;
   let handle =
     {
       file_id;
       name;
       index;
-      bloom = Some bloom;
+      bloom;
       hmin_key = index.(0).first_key;
       hmax_key = index.(Array.length index - 1).last_key;
       data_bytes;
@@ -231,7 +221,7 @@ let build ssd sec ~file_id ~block_bytes entries =
   in
   (handle, footer_digest)
 
-let open_ ?(version = footer_version) ssd sec ~file_id ~footer_digest =
+let open_ ssd sec ~file_id ~footer_digest =
   let name = file_name ~file_id in
   let total = Ssd.size ssd name in
   let enclave = Sec.enclave sec in
@@ -247,7 +237,7 @@ let open_ ?(version = footer_version) ssd sec ~file_id ~footer_digest =
   Sec.check_digest sec ~what:(name ^ ": footer digest") ~data:footer
     ~expected:footer_digest;
   let bloom, index =
-    match decode_footer ~version footer with
+    match decode_footer footer with
     | Ok footer -> footer
     | Error m -> raise (Sec.Integrity_violation (name ^ ": " ^ m))
   in
@@ -271,8 +261,7 @@ let block_count h = Array.length h.index
 
 let overlaps h ~min ~max = not (h.hmax_key < min || h.hmin_key > max)
 
-let may_contain h key =
-  match h.bloom with None -> true | Some bloom -> Bloom.mem bloom key
+let may_contain h key = Bloom.mem h.bloom key
 
 let read_stored_block ssd sec h meta =
   (* The enclave-resident index says where the block lives; the host decides

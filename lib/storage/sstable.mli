@@ -9,11 +9,10 @@
     footer fails the MANIFEST digest, and replaying an old file fails the
     MANIFEST freshness check.
 
-    Footer format v2 (PR 5) prepends a {!Bloom} filter over the file's user
-    keys, decoded into enclave memory at build/open time so absent-key
-    probes can skip the block read + verify + decrypt entirely. The
-    MANIFEST records each file's footer version; v1 (bare index) files
-    still open. The block-granular API ([find_block_idx]/[read_block_idx])
+    The footer starts with a {!Bloom} filter over the file's user keys,
+    decoded into enclave memory at build/open time so absent-key probes
+    can skip the block read + verify + decrypt entirely. The
+    block-granular API ([find_block_idx]/[read_block_idx])
     lets the engine route reads through its verified block cache.
 
     All versions of one user key always share a block, so a point lookup
@@ -25,7 +24,8 @@ type entry = string * int * Op.t
 type handle
 
 val footer_version : int
-(** The footer format written by {!build} (currently 2). *)
+(** The footer format {!build} writes and {!open_} reads (2): its tag
+    leads the footer, and the MANIFEST's [Add_file] records it. *)
 
 val build :
   Ssd.t ->
@@ -40,21 +40,18 @@ val build :
     are read once, a block at a time, so a lazy sequence is never
     materialized whole. *)
 
-val open_ :
-  ?version:int -> Ssd.t -> Sec.t -> file_id:int -> footer_digest:string -> handle
+val open_ : Ssd.t -> Sec.t -> file_id:int -> footer_digest:string -> handle
 (** Recovery path: re-open a file named by its id, verifying the footer
-    against the MANIFEST-recorded digest. [version] (default current) is
-    the footer format the MANIFEST recorded for the file. Raises
+    against the MANIFEST-recorded digest. Raises
     {!Sec.Integrity_violation} on mismatch. *)
 
 type block_meta
 (** A block's entry in the footer's index: its key span, where it lies in
     the file and its digest. *)
 
-val decode_footer :
-  version:int -> string -> (Bloom.t option * block_meta array, string) result
-(** A footer of format [version]: its Bloom filter (none in v1) and block
-    index. Total, as {!Wal_record.decode} is: truncated, corrupt or
+val decode_footer : string -> (Bloom.t * block_meta array, string) result
+(** A footer: its Bloom filter and block index; any version tag but
+    {!footer_version} is malformed. Total, as {!Wal_record.decode} is: truncated, corrupt or
     over-long input is an [Error], never an exception. {!open_} checks the
     footer's digest first and maps an [Error] to
     {!Sec.Integrity_violation}. *)
@@ -77,7 +74,7 @@ val overlaps : handle -> min:string -> max:string -> bool
 
 val may_contain : handle -> string -> bool
 (** Bloom probe: [false] means the key is definitely absent (skip the file);
-    [true] is only a hint. v1 files (no filter) always answer [true]. *)
+    [true] is only a hint. *)
 
 val find_block_idx : handle -> string -> int option
 (** Binary search over the block index (fence pointers) for the one block

@@ -59,8 +59,8 @@ let cc_modes_reproducible () =
 
 let hundred_node_trace_identity () =
   (* The scale regime the event-engine rewrite targets: at 100 nodes the
-     timer wheel's overflow heap, slot cascades and the network's same-tick
-     delivery batches are all exercised orders of magnitude harder than in
+     timer wheel's overflow heap, slot cascades and the network's
+     same-instant deliveries are all exercised orders of magnitude harder than in
      the 3-node runs above — and determinism must hold just the same: two
      runs from one seed produce byte-identical trace JSON. *)
   let trace_of () =

@@ -22,7 +22,7 @@ let mk_locks ?(timeout_ns = 1_000_000) sim =
     Treaty_tee.Enclave.create sim ~mode:Treaty_tee.Enclave.Native
       ~cost:Treaty_sim.Costmodel.default ~cores:4 ~node_id:1 ~code_identity:"lt"
   in
-  Lock_table.create sim ~enclave ~shards:16 ~timeout_ns
+  Lock_table.create sim ~enclave ~timeout_ns
 
 let lock_modes () =
   let sim = Sim.create () in

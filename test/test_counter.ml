@@ -214,13 +214,15 @@ let abandoned_round_fails_waiters () =
       in
       Erpc.shutdown rpc2;
       Erpc.shutdown rpc3;
-      let cc = CC.create ~attempts:2 ~retry_backoff_ns:1_000_000 r1 ~owner:1 in
+      let cc = CC.create r1 ~owner:1 in
       let outcome = ref `Pending in
       Sim.spawn sim (fun () ->
           match CC.wait_stable cc ~log:"WAL" ~counter:1 with
           | Ok () -> outcome := `Stable
           | Error `Stability_timeout -> outcome := `Failed);
-      Sim.sleep sim 500_000_000;
+      (* The pump's budget, 40 rounds without a quorum 2 ms apart, runs out
+         after about half a second. *)
+      Sim.sleep sim 1_000_000_000;
       (match !outcome with
       | `Failed -> ()
       | `Stable -> Alcotest.fail "stabilized without a quorum"

@@ -166,10 +166,10 @@ let capture_ring_wraps () =
 
 let same_tick_batch_order () =
   with_net (fun sim net ->
-      (* Two packets arriving on the same tick ride one delivery event but
-         must be handed to their endpoints in send order, at the same
-         simulated instant — the batch is a throughput optimization, not a
-         reordering. *)
+      (* Packets arriving on the same tick are handed to their endpoints in
+         send order, at the same simulated instant, each in its own
+         delivery event: the fibers one delivery wakes run before the next
+         packet is handed over. *)
       let arrivals = ref [] in
       Net.register net ~id:1 ~live:always (fun _ -> ());
       Net.register net ~id:2 ~live:always (fun _ -> ());
@@ -183,12 +183,34 @@ let same_tick_batch_order () =
       | [ (ta, "a"); (tb, "b") ] ->
           Alcotest.(check int) "one tick, one instant" ta tb
       | l -> Alcotest.failf "unexpected arrivals (%d)" (List.length l));
-      (* A later send must not be folded into the spent batch. *)
       arrivals := [];
       Net.send net ~src:1 ~dst:3 "c";
       Sim.sleep sim 1_000_000;
       Alcotest.(check int) "separate tick delivers alone" 1
-        (List.length !arrivals))
+        (List.length !arrivals);
+      (* 16 senders on one tick; every handler spawns a fiber, as the RPC
+         layer's does. *)
+      let log = ref [] and times = ref [] in
+      let senders = List.init 16 (fun i -> 10 + i) in
+      List.iter (fun id -> Net.register net ~id ~live:always (fun _ -> ())) senders;
+      Net.register net ~id:4 ~live:always (fun pkt ->
+          let p = pkt.Packet.payload in
+          times := Sim.now sim :: !times;
+          log := ("deliver " ^ p) :: !log;
+          Sim.spawn sim (fun () -> log := ("fiber " ^ p) :: !log));
+      List.iter
+        (fun id -> Net.send net ~src:id ~dst:4 (Printf.sprintf "s%02d" id))
+        senders;
+      Sim.sleep sim 1_000_000;
+      Alcotest.(check int) "16 arrivals, one instant" 1
+        (List.length (List.sort_uniq compare !times));
+      Alcotest.(check (list string)) "send order, each fiber before the next packet"
+        (List.concat_map
+           (fun id ->
+             let p = Printf.sprintf "s%02d" id in
+             [ "deliver " ^ p; "fiber " ^ p ])
+           senders)
+        (List.rev !log))
 
 let client_vs_fabric_nic () =
   with_net (fun sim net ->

@@ -16,7 +16,7 @@ let mk_locks ?(timeout_ns = 1_000_000) sim =
       ~cost:Treaty_sim.Costmodel.default ~cores:4 ~node_id:1
       ~code_identity:"san"
   in
-  Lock_table.create ~sanitize:true sim ~enclave ~shards:16 ~timeout_ns
+  Lock_table.create ~sanitize:true sim ~enclave ~timeout_ns
 
 let lock_leak () =
   San.reset ();

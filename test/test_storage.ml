@@ -459,7 +459,6 @@ let codec_roundtrips () =
           Manifest.file_id = 7;
           level = 2;
           footer_digest = "0123456789abcdef0123456789abcdef";
-          footer_version = Sstable.footer_version;
           min_key = "a";
           max_key = "zz";
           max_seq = 99;
@@ -474,7 +473,32 @@ let codec_roundtrips () =
   List.iter
     (fun e ->
       Alcotest.(check bool) "manifest codec" true (Manifest.decode (Manifest.encode e) = Ok e))
-    edits
+    edits;
+  (* An Add_file edit records the footer format; any other than the one
+     Sstable writes is malformed. *)
+  let add_file version =
+    let module W = Treaty_util.Wire in
+    let b = Buffer.create 64 in
+    W.w8 b 1;
+    W.w64 b 7;
+    W.w32 b 2;
+    W.wstr b "digest";
+    W.w32 b version;
+    W.wstr b "a";
+    W.wstr b "zz";
+    W.w64 b 99;
+    W.w64 b 4096;
+    Buffer.contents b
+  in
+  Alcotest.(check bool) "current footer version decodes" true
+    (Result.is_ok (Manifest.decode (add_file Sstable.footer_version)));
+  List.iter
+    (fun v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "footer version %d is malformed" v)
+        true
+        (Result.is_error (Manifest.decode (add_file v))))
+    [ 0; 1; 3 ]
 
 let manifest_version_fold () =
   let v = Manifest.empty_version 4 in
@@ -483,7 +507,6 @@ let manifest_version_fold () =
       Manifest.file_id = id;
       level;
       footer_digest = "";
-      footer_version = 1;
       min_key = Printf.sprintf "%d" id;
       max_key = Printf.sprintf "%d" id;
       max_seq = 0;
@@ -757,8 +780,7 @@ let local_txn_read_dedup () =
       ignore (Engine.commit eng ~writes:[ ("dup", Op.Put "v") ] ());
       let run isolation =
         let locks =
-          Core.Lock_table.create sim ~enclave:(Sec.enclave sec) ~shards:4
-            ~timeout_ns:1_000_000
+          Core.Lock_table.create sim ~enclave:(Sec.enclave sec) ~timeout_ns:1_000_000
         in
         let txn =
           Core.Local_txn.begin_ ~engine:eng ~locks ~isolation

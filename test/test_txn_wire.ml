@@ -342,7 +342,6 @@ let log_record_sweep () =
           file_id = 12;
           level = 1;
           footer_digest = String.make 32 'd';
-          footer_version = 2;
           min_key = "a";
           max_key = "k";
           max_seq = 40;
@@ -413,9 +412,8 @@ let sstable_sweep () =
       let footer = read data (Ssd.size ssd name - 16 - data) in
       Alcotest.(check bool) "the block decodes" true
         (Sstable.decode_block block = Ok entries);
-      let decode_footer = Sstable.decode_footer ~version:Sstable.footer_version in
       Alcotest.(check bool) "the footer decodes" true
-        (Result.is_ok (decode_footer footer));
+        (Result.is_ok (Sstable.decode_footer footer));
       let rng = Rng.create 0x7373_7462L in
       List.iter
         (fun (name, valid, decode) ->
@@ -425,7 +423,7 @@ let sstable_sweep () =
             [] accepted)
         [
           ("sstable block", block, fun input -> Result.is_error (Sstable.decode_block input));
-          ("sstable footer", footer, fun input -> Result.is_error (decode_footer input));
+          ("sstable footer", footer, fun input -> Result.is_error (Sstable.decode_footer input));
         ])
 
 let suite =
