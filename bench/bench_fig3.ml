@@ -24,6 +24,25 @@ let systems =
     ("Treaty w/ Stab OCC", Config.treaty_enc_stab, Types.Optimistic);
   ]
 
+(* The warehouses that fail TPC-C consistency condition 1 (W_YTD = sum of
+   D_YTD) or 2 (each district's last order exists) after a run. *)
+let inconsistent_warehouses cluster ~tpcc_cfg =
+  let checker = Client.connect_exn cluster ~client_id:901 in
+  let bad =
+    List.filter
+      (fun warehouse ->
+        not
+          (W.Tpcc.Check.warehouse_ytd tpcc_cfg checker ~warehouse
+          && W.Tpcc.Check.district_orders tpcc_cfg checker ~warehouse))
+      (List.init tpcc_cfg.W.Tpcc.warehouses (fun i -> i + 1))
+  in
+  Client.disconnect checker;
+  bad
+
+(* Systems whose run left an inconsistent warehouse: [run] exits non-zero
+   if there are any. *)
+let failed = ref []
+
 let tpcc_result ?(isolation = Types.Pessimistic) sim profile ~tpcc_cfg ~clients =
   let config = { (Common.base_config profile) with Config.isolation } in
   let nodes = config.Config.nodes in
@@ -41,8 +60,9 @@ let tpcc_result ?(isolation = Types.Pessimistic) sim profile ~tpcc_cfg ~clients 
         W.Tpcc.run tpcc_cfg client rng ~nodes ~home (W.Tpcc.pick_kind rng))
       ()
   in
+  let bad = inconsistent_warehouses cluster ~tpcc_cfg in
   Cluster.shutdown cluster;
-  r
+  (r, bad)
 
 let run_warehouses ~label ~tpcc_cfg ~clients =
   Common.subsection label;
@@ -52,7 +72,13 @@ let run_warehouses ~label ~tpcc_cfg ~clients =
         let r = ref None in
         Common.run_sim (fun sim ->
             r := Some (tpcc_result ~isolation sim profile ~tpcc_cfg ~clients));
-        (name, Option.get !r))
+        let r, bad = Option.get !r in
+        if bad <> [] then begin
+          Printf.printf "  %s: TPC-C consistency FAILED at warehouse %s\n%!" name
+            (String.concat "," (List.map string_of_int bad));
+          failed := name :: !failed
+        end;
+        (name, r))
       systems
   in
   let baseline = W.Driver.tps (snd (List.hd results)) in
@@ -76,4 +102,9 @@ let run () =
   in
   run_warehouses ~label:"100 warehouses (low contention)" ~tpcc_cfg:big
     ~clients:(if !Common.full_mode then 84 else 48);
-  Common.expected "overheads drop to 4x-6x (DS-RocksDB ~1200 tps)"
+  Common.expected "overheads drop to 4x-6x (DS-RocksDB ~1200 tps)";
+  if !failed <> [] then begin
+    Printf.eprintf "fig3: TPC-C consistency failed for %s\n%!"
+      (String.concat "; " (List.rev !failed));
+    exit 1
+  end

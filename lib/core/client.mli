@@ -2,10 +2,12 @@
 
     Clients authenticate with the CAS, register with the storage nodes over
     the (1 GbE) client network, and then drive interactive transactions:
-    [begin_txn] picks a coordinator, [get]/[put]/[delete] execute operations
-    through it, and [commit]/[rollback] end the transaction. Writes are
-    buffered here and travel with the transaction's next request that needs
-    an answer (see {!put}). Any failed operation aborts the whole
+    [begin_txn] picks a coordinator, [get]/[get_many]/[put]/[delete]
+    execute operations through it, and [commit]/[rollback] end the
+    transaction. Writes are buffered here and travel with the
+    transaction's next request that needs an answer (see {!put}); one
+    request carries them and then any number of gets ({!get_many}) or one
+    scan. Any failed operation aborts the whole
     transaction coordinator-side; the client sees the abort reason on the
     request that carried it.
 
@@ -47,6 +49,19 @@ val get : t -> txn -> string -> string option Types.txn_result
     since the last request go with it, in one request, ahead of the
     read. *)
 
+val get_many :
+  t -> txn -> (string * Lock_table.mode) list -> string option list Types.txn_result
+(** Read several keys in one request, after the buffered writes, and
+    return their values in the order given; an empty list sends nothing.
+    Each key says the lock a 2PL read of it takes: [Read], as {!get}
+    takes, or [Write], a locking read (RocksDB's [GetForUpdate]) for a key
+    the transaction will write, so the write needs no upgrade and two
+    transactions that read-then-write one row queue for it instead of
+    both holding its read lock. Under OCC both read alike. The
+    coordinator sends each owner its keys in one request, all owners at
+    once, so the call costs one round trip to the coordinator and its
+    slowest owner. One key costs the bytes {!get} does. *)
+
 val scan : t -> txn -> lo:string -> hi:string -> (string * string) list Types.txn_result
 (** Snapshot-consistent range scan over the closed interval from [lo] to
     [hi], across all shards, merged with the transaction's own writes. As
@@ -71,10 +86,10 @@ val read_only : t -> string list -> (string * string option) list Types.txn_resu
 
 val put : t -> txn -> string -> string -> unit Types.txn_result
 (** Buffer a write and return [Ok ()] at once, without a request: the
-    write is sent with the transaction's next {!get}, {!scan} or
-    {!commit}, and takes its write lock then. A write that fails there
-    (a lock timeout, a failed participant) aborts the transaction, and
-    that request returns the reason. *)
+    write is sent with the transaction's next {!get}, {!get_many},
+    {!scan} or {!commit}, and takes its write lock then. A write that
+    fails there (a lock timeout, a failed participant) aborts the
+    transaction, and that request returns the reason. *)
 
 val delete : t -> txn -> string -> unit Types.txn_result
 (** Buffer a delete, as {!put} buffers a write. *)

@@ -113,12 +113,12 @@ let guard t prepared =
   | Types.Pessimistic -> Ok false
   | Types.Optimistic -> Lock_table.await_clear t.locks prepared
 
-let get_with_seq t key =
+let get_with_seq ?(mode = Lock_table.Read) t key =
   match Hashtbl.find_opt t.write_index key with
   | Some (Op.Put v) -> Ok (Some v, 0) (* read-my-own-writes *)
   | Some Op.Delete -> Ok (None, 0)
   | None -> (
-      match lock t key Lock_table.Read with
+      match lock t key mode with
       | Error `Timeout -> Error `Timeout
       | Ok () -> (
           match guard t (fun () -> Engine.key_prepared t.engine ~key) with

@@ -37,9 +37,13 @@ val tx : t -> Types.txid
 val get : t -> string -> (string option, [ `Timeout ]) result
 (** Read-your-own-writes, then the engine at this transaction's snapshot. *)
 
-val get_with_seq : t -> string -> (string option * int, [ `Timeout ]) result
+val get_with_seq :
+  ?mode:Lock_table.mode -> t -> string -> (string option * int, [ `Timeout ]) result
 (** Like {!get}, also returning the version sequence number observed (0 for
-    not-found or own-write reads). *)
+    not-found or own-write reads). [mode] (default [Read]) is the lock a
+    2PL read takes: [Write] is a locking read, which a later write of the
+    key needs no upgrade for. OCC takes no lock either way and validates
+    the read at prepare. *)
 
 val scan : t -> lo:string -> hi:string -> ((string * string) list, [ `Timeout ]) result
 (** Snapshot-consistent range scan merged with the transaction's own

@@ -71,9 +71,12 @@ val leak_check : t -> unit
 
 val write_locked : t -> key:string -> bool
 (** Is any owner currently holding a write lock on [key]? The read-only
-    fast path's stability guard: a write-locked key has an install in
+    fast path's stability guard: a write-locked key may have an install in
     flight, so a snapshot read around it could observe an inconsistent
-    committed prefix. *)
+    committed prefix. A write lock does not imply a buffered write: a
+    locking get ([Txn_wire.Get_for_update]) takes one before its
+    transaction writes the key, or without writing it at all, and the
+    guard then waits for a transaction that installs nothing there. *)
 
 val holds : t -> owner:Types.txid -> key:string -> mode -> bool
 val locked_keys : t -> int

@@ -152,37 +152,24 @@ let begin_local ?span t txid =
   Local_txn.begin_ ?span ~engine:t.engine ~locks:t.locks
     ~isolation:t.deps.config.isolation ~tx:txid ()
 
-(* What a request, or one node's share of it, answers: its get's value
-   and the version read, [Value (None, 0)] without a read, or its scan's
-   rows. *)
-type answer = Value of string option * int | Rows of (string * string) list
-
-let written = Value (None, 0)
-
-let exec_local ltx = function
-  | Txn_wire.Get key ->
-      Result.map (fun (v, seq) -> Value (v, seq)) (Local_txn.get_with_seq ltx key)
-  | Scan (lo, hi) -> Result.map (fun kvs -> Rows kvs) (Local_txn.scan ltx ~lo ~hi)
-  | Put (key, value) -> Result.map (fun () -> written) (Local_txn.put ltx key value)
-  | Del key -> Result.map (fun () -> written) (Local_txn.delete ltx key)
-
 (* Run a well-shaped share of a request in order: its writes, then its
-   read, whose result is the answer. The first lock timeout ends it. *)
-let rec exec_ops ltx = function
-  | [] -> Ok written
-  | [ op ] -> exec_local ltx op
-  | op :: rest -> Result.bind (exec_local ltx op) (fun _ -> exec_ops ltx rest)
-
-let encode_answer = function
-  | Value (v, seq) -> Txn_wire.encode_op_reply v seq
-  | Rows kvs -> Txn_wire.encode_scan_reply kvs
-
-(* A share's reply: a scan reply if the share ends in a scan (a
-   well-shaped share has it nowhere else), an op reply otherwise. *)
-let decode_answer share reply =
-  if List.exists (function Txn_wire.Scan _ -> true | Get _ | Put _ | Del _ -> false) share
-  then Result.map (fun kvs -> Rows kvs) (Txn_wire.decode_scan_reply reply)
-  else Result.map (fun (v, seq) -> Value (v, seq)) (Txn_wire.decode_op_reply reply)
+   gets, whose values and versions are the answer, or its scan (last in the
+   share), whose rows are. The first lock timeout ends it. *)
+let exec_ops ltx ops =
+  let rec go reads = function
+    | [] -> Ok (Txn_wire.Reads (List.rev reads))
+    | Txn_wire.Put (key, value) :: rest ->
+        Result.bind (Local_txn.put ltx key value) (fun () -> go reads rest)
+    | Del key :: rest -> Result.bind (Local_txn.delete ltx key) (fun () -> go reads rest)
+    | Get key :: rest ->
+        Result.bind (Local_txn.get_with_seq ltx key) (fun read -> go (read :: reads) rest)
+    | Get_for_update key :: rest ->
+        Result.bind
+          (Local_txn.get_with_seq ~mode:Lock_table.Write ltx key)
+          (fun read -> go (read :: reads) rest)
+    | Scan (lo, hi) :: _ -> Result.map (fun kvs -> Txn_wire.Rows kvs) (Local_txn.scan ltx ~lo ~hi)
+  in
+  go [] ops
 
 let namespaced node key = Printf.sprintf "n%d:%s" node key
 
@@ -239,7 +226,7 @@ let handle_txn_op t (meta : Secure_msg.meta) payload =
       let ctx = part_ctx t ~coord:meta.coord ~tx_seq:meta.tx_seq in
       Local_txn.set_span ctx (handler_span meta);
       match exec_ops ctx ops with
-      | Ok answer -> encode_answer answer
+      | Ok answer -> Txn_wire.encode_answer answer
       | Error `Timeout -> Txn_wire.status_reply St_lock_timeout)
 
 let finish_participant t ~coord ~tx_seq =
@@ -522,14 +509,14 @@ let forward_ops t ctx ~span ~owner ~op_id ops =
   with
   | Error (`Timeout | `Tampered) -> Error `Participant
   | Ok reply -> (
-      match decode_answer ops reply with
+      match Txn_wire.decode_answer ops reply with
       | Ok answer ->
           (* Read versions are collected once, from the prepare ACK's
              read_set; only the write-key routing is tracked here. *)
           List.iter
             (function
               | Txn_wire.Put (key, _) | Del key -> slice.r_written <- key :: slice.r_written
-              | Get _ | Scan _ -> ())
+              | Get _ | Get_for_update _ | Scan _ -> ())
             ops;
           Ok answer
       | Error (Refused St_lock_timeout) -> Error `Lock_timeout
@@ -538,43 +525,76 @@ let forward_ops t ctx ~span ~owner ~op_id ops =
           | Aborted _ | Malformed ) ->
           Error `Participant)
 
+(* One owner's share of a request: its ops, and the positions of its gets
+   among the request's gets, both newest first. *)
+type share = { mutable s_ops : Txn_wire.op list; mutable s_gets : int list }
+
 (* Split a request's ops by owner: this node's share, and each remote
    owner's in the order the owners first appear. A get or a write goes to
    its key's owner; a scan's range may span every shard, so it goes to
-   every node. A share keeps the request's order, so its read, if it has
-   one, still follows its writes. *)
+   every node. A share keeps the request's order, so its reads still
+   follow its writes. *)
 let shares t ops =
   let self = t.deps.node_id in
-  let remote = Hashtbl.create 4 and owners = ref [] and local = ref [] in
-  let add op owner =
-    if owner = self then local := op :: !local
+  let local = { s_ops = []; s_gets = [] } in
+  let remote = Hashtbl.create 4 and owners = ref [] and gets = ref 0 in
+  let share owner =
+    if owner = self then local
     else
       match Hashtbl.find_opt remote owner with
-      | Some share -> share := op :: !share
+      | Some share -> share
       | None ->
-          Hashtbl.replace remote owner (ref [ op ]);
-          owners := owner :: !owners
+          let share = { s_ops = []; s_gets = [] } in
+          Hashtbl.replace remote owner share;
+          owners := owner :: !owners;
+          share
+  in
+  let add op owner =
+    let share = share owner in
+    share.s_ops <- op :: share.s_ops
+  in
+  let add_get op key =
+    let share = share (t.deps.route key) in
+    share.s_ops <- op :: share.s_ops;
+    share.s_gets <- !gets :: share.s_gets;
+    incr gets
   in
   List.iter
     (function
       | Txn_wire.Scan _ as op -> List.iter (add op) t.deps.peers
-      | (Get key | Put (key, _) | Del key) as op -> add op (t.deps.route key))
+      | (Put (key, _) | Del key) as op -> add op (t.deps.route key)
+      | (Get key | Get_for_update key) as op -> add_get op key)
     ops;
-  ( List.rev !local,
-    List.rev_map (fun owner -> (owner, List.rev !(Hashtbl.find remote owner))) !owners )
+  let ordered share = (List.rev share.s_ops, List.rev share.s_gets) in
+  (ordered local, List.rev_map (fun owner -> (owner, ordered (Hashtbl.find remote owner))) !owners)
 
-(* The request's answer from its shares' answers: a scan's rows, which
-   every share holds, merged in key order, or the get's value, which at
-   most one share holds (the others answer none). *)
+(* The request's answer from its shares' answers, each with its gets'
+   positions: a scan's rows, which every share holds, merged in key order,
+   or the gets' values put back in request order. The coordinator reports
+   no versions. A share that answered another number of values than it
+   had gets failed. *)
 let merge answers =
-  if List.exists (function Rows _ -> true | Value _ -> false) answers then
-    Rows
-      (List.sort compare
-         (List.concat_map (function Rows kvs -> kvs | Value _ -> []) answers))
-  else Value (List.find_map (function Value (v, _) -> v | Rows _ -> None) answers, 0)
+  if List.exists (function _, Txn_wire.Rows _ -> true | _, Reads _ -> false) answers then
+    Ok
+      (Txn_wire.Rows
+         (List.sort compare
+            (List.concat_map (function _, Txn_wire.Rows kvs -> kvs | _, Reads _ -> []) answers)))
+  else
+    let rec place acc = function
+      | [] -> Ok acc
+      | (_, Txn_wire.Rows _) :: rest -> place acc rest
+      | (pos :: gets, Txn_wire.Reads ((value, _) :: reads)) :: rest ->
+          place ((pos, (value, 0)) :: acc) ((gets, Txn_wire.Reads reads) :: rest)
+      | ([], Txn_wire.Reads []) :: rest -> place acc rest
+      | ([], Txn_wire.Reads (_ :: _)) :: _ | (_ :: _, Txn_wire.Reads []) :: _ ->
+          Error `Participant
+    in
+    Result.map
+      (fun placed -> Txn_wire.Reads (List.map snd (List.sort compare placed)))
+      (place [] answers)
 
-(* Execute one client request (its writes in order, then at most one get
-   or scan) under one "execute" span: every remote share goes out at once,
+(* Execute one client request (its writes in order, then its gets or its
+   scan) under one "execute" span: every remote share goes out at once,
    one [k_txn_op] per participant, while the local share runs. Any failed
    share fails the request; a lock timeout is reported before a failed
    participant. *)
@@ -585,7 +605,7 @@ let execute t ctx ops =
       ~args:[ ("ops", Trace.Int (List.length ops)) ]
   in
   Local_txn.set_span ctx.ct_local espan;
-  let local, remote = shares t ops in
+  let (local, local_gets), remote = shares t ops in
   let calls =
     List.map
       (fun (owner, share) ->
@@ -593,11 +613,14 @@ let execute t ctx ops =
         (owner, ctx.ct_next_op, share))
       remote
   in
+  let with_gets gets = Result.map (fun answer -> (gets, answer)) in
   let local_result, remote_results =
     Sim.fan_out t.deps.sim calls
       ~local:(fun () ->
-        Result.map_error (fun `Timeout -> `Lock_timeout) (exec_ops ctx.ct_local local))
-      (fun (owner, op_id, share) -> forward_ops t ctx ~span:espan ~owner ~op_id share)
+        with_gets local_gets
+          (Result.map_error (fun `Timeout -> `Lock_timeout) (exec_ops ctx.ct_local local)))
+      (fun (owner, op_id, (share, gets)) ->
+        with_gets gets (forward_ops t ctx ~span:espan ~owner ~op_id share))
   in
   Local_txn.set_span ctx.ct_local ctx.ct_span;
   let results = local_result :: remote_results in
@@ -605,7 +628,7 @@ let execute t ctx ops =
   let result =
     if failed `Lock_timeout then Error `Lock_timeout
     else if failed `Participant then Error `Participant
-    else Ok (merge (List.filter_map Result.to_option results))
+    else merge (List.filter_map Result.to_option results)
   in
   Trace.end_span espan
     ~args:
@@ -640,7 +663,7 @@ let handle_client_op t _meta payload =
   with_coord_tx t (Txn_wire.decode_client_op payload)
     ~unknown:St_unknown_tx (fun ctx ops ->
       match execute t ctx ops with
-      | Ok answer -> encode_answer answer
+      | Ok answer -> Txn_wire.encode_answer answer
       | Error failure ->
           (* The client hears the lock-timeout status whatever the failure
              was. *)
@@ -873,7 +896,7 @@ let handle_client_commit t _meta payload =
     ~unknown:St_unknown_tx (fun ctx writes ->
       ctx.ct_committing <- true;
       Txn_wire.encode_commit_reply
-        (match if writes = [] then Ok written else execute t ctx writes with
+        (match if writes = [] then Ok (Txn_wire.Reads []) else execute t ctx writes with
         | Error failure -> Error (abort_failed t ctx failure)
         | Ok _ ->
             if Hashtbl.length ctx.ct_remote = 0 then commit_single_node t ctx

@@ -16,6 +16,7 @@ let k_client_ro = 16
 type status = St_ok | St_lock_timeout | St_unknown_tx | St_unauth | St_conflict
 type op =
   | Get of string
+  | Get_for_update of string
   | Put of string * string
   | Del of string
   | Scan of string * string
@@ -35,14 +36,26 @@ type failure =
   | Malformed
 
 type 'a decoded = ('a, failure) result
+type answer = Reads of (string option * int) list | Rows of (string * string) list
 
-let is_write = function Put _ | Del _ -> true | Get _ | Scan _ -> false
+let is_write = function
+  | Put _ | Del _ -> true
+  | Get _ | Get_for_update _ | Scan _ -> false
 
-(* A request's shape: its writes in order, then at most one read, a get
-   or a scan. *)
+let is_get = function
+  | Get _ | Get_for_update _ -> true
+  | Put _ | Del _ | Scan _ -> false
+
+let is_scan = function
+  | Scan _ -> true
+  | Get _ | Get_for_update _ | Put _ | Del _ -> false
+
+(* A request's shape: its writes in order, then either any number of gets,
+   locking or not, or one scan alone. *)
 let rec well_shaped = function
-  | [] | [ (Get _ | Scan _) ] -> true
-  | (Get _ | Scan _) :: _ :: _ -> false
+  | [] | [ Scan _ ] -> true
+  | Scan _ :: _ :: _ -> false
+  | (Get _ | Get_for_update _) :: rest -> List.for_all is_get rest
   | (Put _ | Del _) :: rest -> well_shaped rest
 
 let status_code = function
@@ -128,6 +141,9 @@ let w_op b = function
       Wire.w8 b 3;
       Wire.wstr b lo;
       Wire.wstr b hi
+  | Get_for_update key ->
+      Wire.w8 b 4;
+      Wire.wstr b key
 
 let r_op r =
   match Wire.r8 r with
@@ -141,9 +157,10 @@ let r_op r =
       let lo = Wire.rstr r in
       let hi = Wire.rstr r in
       Scan (lo, hi)
+  | 4 -> Get_for_update (Wire.rstr r)
   | n -> raise (Wire.Malformed (Printf.sprintf "bad op tag %d" n))
 
-(* A request's op list: [reads] allows a trailing read, and only a commit
+(* A request's op list: [reads] allows trailing reads, and only a commit
    may be empty. Any other shape is malformed. *)
 let r_ops ~reads r =
   let ops = Wire.rlist r r_op in
@@ -255,8 +272,34 @@ let decode_commit_reply s =
   | v -> v
   | exception Wire.Malformed _ -> Error Malformed
 
-let encode_ro_reply = build (w_ok (w_list w_opt))
+let w_values = w_ok (w_list w_opt)
+let encode_ro_reply = build w_values
 let decode_ro_reply = reply (r_list r_opt)
+
+(* A reply to a request's gets: the op reply for at most one get, with
+   the version read, and one optional value per get, as a read-only reply
+   carries them, for more. *)
+let encode_answer = function
+  | Reads [] -> encode_op_reply None 0
+  | Reads [ (value, seq) ] -> encode_op_reply value seq
+  | Reads reads -> build w_values (List.map fst reads)
+  | Rows kvs -> encode_scan_reply kvs
+
+let decode_reads ~gets s =
+  if gets <= 1 then
+    Result.map (fun read -> if gets = 0 then [] else [ read ]) (decode_op_reply s)
+  else
+    match decode_ro_reply s with
+    | Ok values when List.length values = gets -> Ok (List.map (fun v -> (v, 0)) values)
+    | Ok _miscounted -> Error Malformed
+    | Error _ as e -> e
+
+let decode_answer ops s =
+  if List.exists is_scan ops then Result.map (fun kvs -> Rows kvs) (decode_scan_reply s)
+  else
+    Result.map
+      (fun reads -> Reads reads)
+      (decode_reads ~gets:(List.fold_left (fun n op -> if is_get op then n + 1 else n) 0 ops) s)
 
 let encode_decision = function
   | Decided true -> "c"

@@ -11,7 +11,7 @@
 
 (** Coordinator → participant, under the transaction's at-most-once
     identity. A [k_txn_op] carries the participant's share of one client
-    request: its writes in order, then at most one read, a get or a scan.
+    request: its writes in order, then its gets, or its share of a scan.
     Each request's metadata acks the coordinator's decision watermark plus
     one ({!Treaty_rpc.Secure_msg.meta.acked}): the participant frees its
     cached replies of that coordinator's transactions numbered below the
@@ -52,10 +52,15 @@ val k_client_ro : int
     taxonomy can attribute it. *)
 type status = St_ok | St_lock_timeout | St_unknown_tx | St_unauth | St_conflict
 
-(** One operation of a request. [Scan (lo, hi)] reads the closed key
-    interval from [lo] to [hi]. *)
+(** One operation of a request. [Get_for_update] is a locking get, as
+    RocksDB's [GetForUpdate]: under 2PL it takes the key's write lock
+    rather than its read lock, so a transaction that reads a row it will
+    write does not wait one request later for the upgrade; under OCC it
+    reads like [Get]. [Scan (lo, hi)] reads the closed key interval from
+    [lo] to [hi]. *)
 type op =
   | Get of string
+  | Get_for_update of string
   | Put of string * string
   | Del of string
   | Scan of string * string
@@ -66,12 +71,13 @@ type header = { client_id : int; tx_seq : int }
 
     A client buffers a transaction's writes and sends them with its next
     request that needs an answer: an op request carries them followed by
-    one read, a [Get] or a [Scan]; a commit request carries the rest. The
-    coordinator forwards each participant's share as one [k_txn_op] of the
-    same shape: a scan goes to every node, after that node's writes. A
-    decoder refuses any other shape as [Malformed]: a read before a write,
-    a second read, a read on a commit, or an empty op or [k_txn_op]
-    request. *)
+    either any number of gets ([Get] or [Get_for_update], in any mix) or
+    one [Scan] alone; a commit request carries the rest. The coordinator
+    forwards each participant's share as one [k_txn_op] of the same shape:
+    a get goes to its key's owner, a scan to every node, each after that
+    node's writes. A decoder refuses any other shape as [Malformed]: a
+    read before a write, a get and a scan together, two scans, a read on
+    a commit, or an empty op or [k_txn_op] request. *)
 
 (** The coordinator's answer to a decision query. [Decided]: a trusted
     decision; [Unknown]: no memory of the transaction (so it never
@@ -108,8 +114,8 @@ type 'a decoded = ('a, failure) result
 
 val encode_ops : op list -> string
 val decode_ops : string -> op list decoded
-(** A [k_txn_op] body: a well-shaped, non-empty op list. Its reply is a
-    scan reply if the list ends in a [Scan], and an op reply otherwise. *)
+(** A [k_txn_op] body: a well-shaped, non-empty op list. Its reply is
+    {!encode_answer}'s for the list's shape. *)
 
 val encode_query : tx_seq:int -> string
 val decode_query : string -> int decoded
@@ -123,9 +129,9 @@ val decode_begin : string -> int decoded
 
 val encode_client_op : header -> op list -> string
 val decode_client_op : string -> (header * op list) decoded
-(** The buffered writes, then at most one [Get] or [Scan]; not empty. The
-    reply is as a [k_txn_op]'s: a scan's rows of every node merged in key
-    order, or the get's value. *)
+(** The buffered writes, then any number of gets or one [Scan]; not
+    empty. The reply is as a [k_txn_op]'s: a scan's rows of every node
+    merged in key order, or the gets' values in request order. *)
 
 val encode_client_commit : header -> op list -> string
 val decode_client_commit : string -> (header * op list) decoded
@@ -147,6 +153,25 @@ val status_reply : status -> string
 
 val decode_ack : string -> unit decoded
 (** A status-only reply. *)
+
+(** What a request answers. [Reads]: each get's value and the version it
+    read, in request order; none for a request of writes alone. [Rows]: a
+    scan's rows in key order. *)
+type answer = Reads of (string option * int) list | Rows of (string * string) list
+
+val encode_answer : answer -> string
+(** [Reads] of at most one get is an op reply ({!encode_op_reply}),
+    [None] and 0 without a get; [Reads] of more is a gets reply, one
+    [opt] value per get in request order and no versions, the format of a
+    read-only reply; [Rows] is a scan reply. *)
+
+val decode_answer : op list -> string -> answer decoded
+(** The reply to a request of these ops, by their shape: a scan reply if
+    they hold a [Scan], else {!decode_reads} of their gets. *)
+
+val decode_reads : gets:int -> string -> (string option * int) list decoded
+(** The reply to a request of [gets] gets: [Malformed] if it carries
+    another number of values. A gets reply's versions read back as 0. *)
 
 val encode_op_reply : string option -> int -> string
 (** A request's read value and the version it read (0 from a coordinator);

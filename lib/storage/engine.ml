@@ -107,9 +107,9 @@ type t = {
       (* mutable via Array.set; L0 newest-first (files may overlap), deeper
          levels sorted by min_key with disjoint ranges — the fence arrays
          point lookups binary-search. *)
-  cache : (Sstable.entry list * int) Block_cache.t option;
-      (* Verified block cache: decoded entries, enclave-resident, with the
-         size of the decrypted block they came from. *)
+  cache : string Block_cache.t option;
+      (* Verified block cache: decrypted blocks, enclave-resident, decoded
+         on each hit. *)
   mutable next_file_id : int;
   mutable last_alloc_seq : int;
   mutable visible_seq : int;
@@ -370,8 +370,9 @@ let level_files_overlapping files ~lo ~hi =
    enabled (a hit skips the SSD read, hash check and decryption), reading
    and filling on a miss. The decrypted plaintext is taint-registered:
    handing it to [Net.send] or a host-memory write is a TreatySan
-   violation. The cache keeps only the decoded entries and the block's
-   size, which its enclave accounting charges. *)
+   violation. The cache keeps the verified plaintext, whose size its
+   enclave accounting charges, and a hit decodes it again: decoded, a
+   TPC-C block's entries take about twice its bytes of heap. *)
 let read_block_cached t ?span lf idx =
   let e = enclave t in
   let file_id = lf.meta.Manifest.file_id in
@@ -391,11 +392,13 @@ let read_block_cached t ?span lf idx =
       finish "ssd" (fst (Sstable.read_block_idx t.ssd t.sec lf.handle idx))
   | Some c -> (
       match Block_cache.find c ~file_id ~block:idx with
-      | Some (entries, bytes) ->
+      | Some plain -> (
           t.stats.cache_hits <- t.stats.cache_hits + 1;
           Metrics.incr "engine.cache.hit";
-          Enclave.touch_enclave e bytes;
-          finish "cache" entries
+          Enclave.touch_enclave e (String.length plain);
+          match Sstable.decode_block plain with
+          | Ok entries -> finish "cache" entries
+          | Error m -> raise (Sec.Integrity_violation ("cached block: " ^ m)))
       | None ->
           t.stats.cache_misses <- t.stats.cache_misses + 1;
           Metrics.incr "engine.cache.miss";
@@ -405,7 +408,7 @@ let read_block_cached t ?span lf idx =
           Treaty_crypto.Taint.register plain;
           let ev0 = (Block_cache.stats c).Block_cache.evictions in
           let freed =
-            Block_cache.insert c ~file_id ~block:idx ~bytes (entries, bytes)
+            Block_cache.insert c ~file_id ~block:idx ~bytes plain
           in
           let evicted = (Block_cache.stats c).Block_cache.evictions - ev0 in
           if bytes <= Block_cache.capacity_bytes c then Enclave.alloc_enclave e bytes;
@@ -899,13 +902,24 @@ let rotate_memtable t =
   t.memtable <- Memtable.create ~values_in_enclave:t.config.values_in_enclave t.sec;
   t.immutables <- (old_mt, old_wal_id) :: t.immutables
 
+(* Rotate under the commit lock. A rotation yields while it registers the
+   new WAL; two rotations interleaved there both made a new memtable, and
+   the writes installed into the first one to be replaced left every read
+   path (lost updates: TPC-C at 100 warehouses read a warehouse row's
+   older version). Holding the lock also keeps a group commit from
+   installing across the swap. *)
+let rotate_locked t ~when_ =
+  Sim.Resource.acquire t.commit_lock;
+  Fun.protect ~finally:(fun () -> Sim.Resource.release t.commit_lock) (fun () ->
+      when_ () && (rotate_memtable t; true))
+
 let maybe_flush t =
-  if
+  let full () =
     (not t.config.in_memory)
     && Memtable.approx_bytes t.memtable > t.config.memtable_max_bytes
     && List.length t.immutables < 4
-  then begin
-    rotate_memtable t;
+  in
+  if full () && rotate_locked t ~when_:full then begin
     if not t.flushing then begin
       t.flushing <- true;
       Sim.spawn t.sim (fun () ->
@@ -917,7 +931,7 @@ let maybe_flush t =
   end
 
 let flush_now t =
-  if Memtable.entries t.memtable > 0 then rotate_memtable t;
+  ignore (rotate_locked t ~when_:(fun () -> Memtable.entries t.memtable > 0));
   while t.immutables <> [] do
     flush_oldest_immutable t
   done

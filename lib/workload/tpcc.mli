@@ -52,6 +52,11 @@ val load : config -> Treaty_core.Client.t -> Treaty_sim.Rng.t -> unit
     aborts. *)
 
 type txn_kind = New_order | Payment | Order_status | Delivery | Stock_level
+(** Each profile reads everything it can in one request
+    ({!Treaty_core.Client.get_many}), and reads a row it will write with
+    its write lock. It draws its inputs from the RNG in the order a
+    profile that made one request per row did, so a seed gives the same
+    inputs, and it reads and writes the same rows. *)
 
 val kind_name : txn_kind -> string
 
@@ -75,4 +80,10 @@ module Check : sig
     config -> Treaty_core.Client.t -> warehouse:int -> bool
   (** C-1/C-2 style: for every district, [d_next_o_id - 1] equals the
       highest order id present. *)
+
+  val warehouse_ytd :
+    config -> Treaty_core.Client.t -> warehouse:int -> bool
+  (** Consistency condition 1: the warehouse's [W_YTD] equals the sum of
+      its districts' [D_YTD], within float rounding. The load sets
+      300000 = 10 × 30000, and every Payment adds its amount to both. *)
 end

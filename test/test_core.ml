@@ -1084,6 +1084,140 @@ let lost_scan_reply_aborts () =
       | Ok () -> ()
       | Error m -> Alcotest.failf "residual state: %s" m)
 
+(* A multi-get reads keys of every owner in one request, with each key's
+   lock mode: the values come back in request order, a key written earlier
+   in the transaction reads that write, and an absent key reads [None]. *)
+let multi_get_across_owners () =
+  with_cluster ~route:explicit_route (fun _sim cluster ->
+      let c = Client.connect_exn cluster ~client_id:1 in
+      (match Client.with_txn c (fun txn -> put_all c txn [ ("node1:a", "1"); ("node2:b", "2") ]) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "setup: %s" (Types.abort_reason_to_string e));
+      let net = Cluster.net cluster in
+      (match
+         Client.with_txn c ~coord:1 (fun txn ->
+             ignore (Client.put c txn "node2:w" "mine");
+             let requests = ref 0 in
+             Net.set_adversary net (fun pkt ->
+                 if pkt.Treaty_netsim.Packet.src = 1001 && pkt.dst = 1 then incr requests;
+                 Adversary.Deliver);
+             let values =
+               Client.get_many c txn
+                 [ ("node2:b", Lock_table.Read);
+                   ("node1:a", Lock_table.Write);
+                   ("node3:c", Lock_table.Read);
+                   ("node2:w", Lock_table.Read);
+                   ("node1:a", Lock_table.Read) ]
+             in
+             Net.clear_adversary net;
+             Alcotest.(check int) "one request to the coordinator" 1 !requests;
+             values)
+       with
+      | Ok values ->
+          Alcotest.(check (list (option string)))
+            "values in request order"
+            [ Some "2"; Some "1"; None; Some "mine"; Some "1" ]
+            values
+      | Error e -> Alcotest.failf "multi-get: %s" (Types.abort_reason_to_string e));
+      check_serializable cluster;
+      Client.disconnect c)
+
+(* One share of a multi-get cannot take its lock: the whole request fails,
+   the transaction aborts with [Lock_timeout], and nothing is left behind
+   once the holder ends. *)
+let multi_get_share_lock_timeout () =
+  with_cluster ~route:explicit_route (fun sim cluster ->
+      let a = Client.connect_exn cluster ~client_id:1 in
+      let b = Client.connect_exn cluster ~client_id:2 in
+      match (Client.begin_txn a ~coord:2 (), Client.begin_txn b ~coord:1 ()) with
+      | Ok txa, Ok txb ->
+          Alcotest.(check bool) "the holder write-locks the key" true
+            (Client.get_many a txa [ ("node2:k", Lock_table.Write) ] = Ok [ None ]);
+          Alcotest.(check bool) "the multi-get times out" true
+            (Client.get_many b txb
+               [ ("node1:x", Lock_table.Read); ("node2:k", Lock_table.Read);
+                 ("node3:y", Lock_table.Read) ]
+            = Error Types.Lock_timeout);
+          Alcotest.(check bool) "the transaction is gone" true
+            (Client.commit b txb = Error Types.Rolled_back);
+          Client.rollback a txa;
+          Sim.sleep sim 1_000_000;
+          no_slices_left cluster;
+          Client.disconnect a;
+          Client.disconnect b
+      | Error e, _ | _, Error e -> Alcotest.failf "begin: %s" (Types.abort_reason_to_string e))
+
+(* A locking get takes the key's write lock: a second locking get of the
+   key waits until the first transaction commits, and then reads its
+   write. *)
+let locking_get_blocks_until_commit () =
+  with_cluster ~route:explicit_route (fun sim cluster ->
+      let a = Client.connect_exn cluster ~client_id:1 in
+      let b = Client.connect_exn cluster ~client_id:2 in
+      match Client.begin_txn a ~coord:1 () with
+      | Error e -> Alcotest.failf "begin: %s" (Types.abort_reason_to_string e)
+      | Ok txa ->
+          Alcotest.(check bool) "first locking get" true
+            (Client.get_many a txa [ ("node2:k", Lock_table.Write) ] = Ok [ None ]);
+          let second = ref None in
+          Sim.spawn sim (fun () ->
+              second :=
+                Some
+                  (Client.with_txn b ~coord:1 (fun txb ->
+                       Client.get_many b txb [ ("node2:k", Lock_table.Write) ])));
+          Sim.sleep sim 5_000_000;
+          Alcotest.(check bool) "the second locking get waits" true (!second = None);
+          ignore (Client.put a txa "node2:k" "a");
+          (match Client.commit a txa with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "commit: %s" (Types.abort_reason_to_string e));
+          Sim.sleep sim 5_000_000;
+          Alcotest.(check bool) "then reads the committed write" true
+            (!second = Some (Ok [ Some "a" ]));
+          check_serializable cluster;
+          Client.disconnect a;
+          Client.disconnect b)
+
+(* Two transactions read one row and then write it. Reading it with a
+   plain get, both hold its read lock and neither can upgrade, so one
+   times out; reading it for update, the second queues behind the first
+   and both commit. *)
+let read_for_update_then_write () =
+  with_cluster ~route:explicit_route (fun sim cluster ->
+      let clients = List.init 2 (fun i -> Client.connect_exn cluster ~client_id:(i + 1)) in
+      (match Client.with_txn (List.hd clients) (fun txn -> Client.put (List.hd clients) txn "node2:n" "0") with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "setup: %s" (Types.abort_reason_to_string e));
+      let increment mode c =
+        Client.with_txn c ~coord:1 (fun txn ->
+            match Client.get_many c txn [ ("node2:n", mode) ] with
+            | Ok [ Some v ] ->
+                (* Both reads are in before either write goes out. *)
+                Sim.sleep sim 1_000_000;
+                Client.put c txn "node2:n" (string_of_int (int_of_string v + 1))
+            | Ok _ -> Error Types.Integrity
+            | Error e -> Error e)
+      in
+      let run mode =
+        let (), outcomes =
+          Sim.fan_out sim clients ~local:ignore (fun c -> increment mode c)
+        in
+        outcomes
+      in
+      Alcotest.(check bool) "plain reads: one upgrade times out" true
+        (List.mem (Error Types.Lock_timeout) (run Lock_table.Read));
+      Alcotest.(check bool) "reads for update: both commit" true
+        (run Lock_table.Write = [ Ok (); Ok () ]);
+      (match
+         Client.with_txn (List.hd clients) (fun txn ->
+             Client.get (List.hd clients) txn "node2:n")
+       with
+      | Ok (Some "3") -> ()
+      | Ok v -> Alcotest.failf "counter reads %s" (Option.value v ~default:"nothing")
+      | Error e -> Alcotest.failf "read back: %s" (Types.abort_reason_to_string e));
+      check_serializable cluster;
+      List.iter Client.disconnect clients)
+
 let network_tamper_aborts_but_stays_consistent () =
   with_cluster ~route:explicit_route (fun sim cluster ->
       let c = Client.connect_exn cluster ~client_id:1 in
@@ -1765,6 +1899,14 @@ let suite =
       lost_batched_reply_aborts_the_participant;
     Alcotest.test_case "a scan carries the buffered writes in one request" `Quick
       scan_carries_buffered_writes;
+    Alcotest.test_case "a multi-get across owners answers in request order" `Quick
+      multi_get_across_owners;
+    Alcotest.test_case "a lock timeout in one share aborts the multi-get" `Quick
+      multi_get_share_lock_timeout;
+    Alcotest.test_case "a locking get blocks a second until commit" `Quick
+      locking_get_blocks_until_commit;
+    Alcotest.test_case "read-for-update then write: both commit" `Quick
+      read_for_update_then_write;
     Alcotest.test_case "a lost scan reply aborts the transaction" `Quick
       lost_scan_reply_aborts;
     Alcotest.test_case "a restarted coordinator's watermark frees its slices" `Quick

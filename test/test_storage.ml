@@ -652,6 +652,35 @@ let engine_compaction_cascade () =
         | _ -> Alcotest.failf "key %d lost in compaction" i
       done)
 
+(* Fibers commit at once while the memtable fills and rotates again and
+   again: every committed write must stay readable. Two rotations that
+   interleaved while one registered its new WAL used to orphan a memtable
+   with its writes. *)
+let engine_concurrent_rotation () =
+  with_sim (fun sim ->
+      let eng, _, _ = mk_engine sim in
+      let fibers = 8 and per_fiber = 150 in
+      let (), (_ : unit list) =
+        Sim.fan_out sim (List.init fibers Fun.id) ~local:ignore (fun f ->
+            for i = 0 to per_fiber - 1 do
+              ignore
+                (Engine.commit eng
+                   ~writes:[ (Printf.sprintf "f%d:%04d" f i, Op.Put (String.make 100 'v')) ]
+                   ())
+            done)
+      in
+      Sim.sleep sim 500_000_000;
+      Alcotest.(check bool) "rotated more than once" true ((Engine.stats eng).flushes > 1);
+      let snap = Engine.snapshot eng in
+      for f = 0 to fibers - 1 do
+        for i = 0 to per_fiber - 1 do
+          match Engine.get eng ~key:(Printf.sprintf "f%d:%04d" f i) ~snapshot:snap with
+          | Memtable.Found _ -> ()
+          | Memtable.Deleted _ | Memtable.Not_found ->
+              Alcotest.failf "fiber %d's write %d was lost" f i
+        done
+      done)
+
 let engine_scan () =
   with_sim (fun sim ->
       let eng, _, _ = mk_engine sim in
@@ -1342,6 +1371,8 @@ let suite =
     Alcotest.test_case "group commit batching" `Quick group_commit_batching;
     Alcotest.test_case "clog group commit + batched replay" `Quick clog_group_batches;
     Alcotest.test_case "engine flush + compaction" `Slow engine_compaction_cascade;
+    Alcotest.test_case "concurrent commits across rotations lose no write" `Quick
+      engine_concurrent_rotation;
     Alcotest.test_case "engine range scan" `Quick engine_scan;
     Alcotest.test_case "sstable range" `Quick sstable_range;
     Alcotest.test_case "memtable range" `Quick memtable_range;

@@ -60,6 +60,11 @@ let samples =
          6a00010000006b";
       sample "txn ops writes" [ Put ("k", "v"); Del "k" ] encode_ops decode_ops
         "0200000001010000006b010000007602010000006b";
+      sample "txn ops gets" [ Get "a"; Get_for_update "b" ] encode_ops decode_ops
+        "02000000000100000061040100000062";
+      sample "txn ops write then locking get" [ Put ("k", "v"); Get_for_update "k" ]
+        encode_ops decode_ops
+        "0200000001010000006b010000007604010000006b";
       sample "txn ops scan" [ Scan ("a", "z") ] encode_ops decode_ops
         "01000000030100000061010000007a";
       sample "txn ops write then scan" [ Put ("k", "v"); Scan ("a", "z") ]
@@ -83,6 +88,11 @@ let samples =
         (fun (h, ops) -> encode_client_op h ops)
         decode_client_op
         "07000000000000002a000000000000000100000000010000006b";
+      sample "client op multi-get" (header, [ Put ("k", "v"); Get "a"; Get_for_update "b" ])
+        (fun (h, ops) -> encode_client_op h ops)
+        decode_client_op
+        "07000000000000002a000000000000000300000001010000006b01000000760001\
+         00000061040100000062";
       sample "client op writes" (header, [ Del "k" ])
         (fun (h, ops) -> encode_client_op h ops)
         decode_client_op
@@ -117,6 +127,16 @@ let samples =
       sample "op reply absent" (None, 0)
         (fun (v, seq) -> encode_op_reply v seq)
         decode_op_reply "00000000000000000000";
+      (* A request's answer: one get's is the op reply byte for byte, more
+         gets' is one optional value per get, in request order. *)
+      sample "answer of one get" (Reads [ (Some "v", 9) ]) encode_answer
+        (decode_answer [ Put ("k", "v"); Get_for_update "k" ])
+        "000101000000760900000000000000";
+      sample "answer of writes alone" (Reads []) encode_answer
+        (decode_answer [ Del "k" ]) "00000000000000000000";
+      sample "multi-get reply" (Reads [ (Some "x", 0); (None, 0) ]) encode_answer
+        (decode_answer [ Get "a"; Get_for_update "b" ])
+        "000200000001010000007800";
       sample "scan reply" [ ("a", "1"); ("b", "2") ] encode_scan_reply
         decode_scan_reply
         "00020000000100000061010000003101000000620100000032";
@@ -175,12 +195,14 @@ let lossy_mappings () =
   Alcotest.(check bool) "status 2 on an op reply is an unknown tx" true
     (Txn_wire.decode_op_reply "\002" = Error (Refused St_unknown_tx))
 
-(* Requests of any shape but writes-then-at-most-one-read (a get or a
-   scan), encoded with the raw encoders, which do not check it. *)
+(* Requests of any shape but writes, then gets or one scan alone, encoded
+   with the raw encoders, which do not check it. *)
 let bad_shapes =
   Txn_wire.
     [ ("read before a write", [ Get "a"; Put ("b", "v") ]);
-      ("two reads", [ Get "a"; Get "b" ]);
+      ("locking get before a write", [ Get_for_update "a"; Del "b" ]);
+      ("scan after a get", [ Get "a"; Scan ("a", "z") ]);
+      ("scan after a locking get", [ Put ("a", "v"); Get_for_update "a"; Scan ("a", "z") ]);
       ("read between writes", [ Del "a"; Get "a"; Del "b" ]);
       ("scan before a write", [ Scan ("a", "z"); Put ("b", "v") ]);
       ("two scans", [ Scan ("a", "m"); Scan ("n", "z") ]);
@@ -208,6 +230,9 @@ let rejected_requests =
         ( "client commit of a read alone",
           encode_client_commit header [ Get "a" ],
           fun s -> decode_client_commit s = Error Malformed );
+        ( "client commit with a locking get",
+          encode_client_commit header [ Put ("a", "v"); Get_for_update "b" ],
+          fun s -> decode_client_commit s = Error Malformed );
         ( "client commit with a scan",
           encode_client_commit header [ Put ("a", "v"); Scan ("a", "z") ],
           fun s -> decode_client_commit s = Error Malformed ) ]
@@ -227,6 +252,13 @@ let truncated_ok_reply () =
     [ "\000"; "\000\001"; "\000\001\005\000\000\000v"; "\000\000\009\000" ];
   Alcotest.(check bool) "read-only value cut short" true
     (Txn_wire.decode_ro_reply "\000\001\000\000\000\001" = Error Malformed);
+  (* A gets reply must carry one value per get of the request. *)
+  let two = Txn_wire.encode_answer (Reads [ (Some "x", 0); (None, 0) ]) in
+  List.iter
+    (fun gets ->
+      Alcotest.(check bool) (Printf.sprintf "two values for %d gets" gets) true
+        (Txn_wire.decode_reads ~gets two = Error Malformed))
+    [ 3; 5 ];
   Alcotest.(check bool) "unknown status code" true
     (Txn_wire.decode_op_reply "\009" = Error Malformed)
 
