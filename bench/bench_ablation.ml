@@ -16,66 +16,50 @@ module Enclave = Treaty_tee.Enclave
 
 let ycsb = { W.Ycsb.default with W.Ycsb.read_fraction = 0.2 }
 
-let throughput ~engine_overrides ~config_overrides =
-  let r = ref None in
-  Common.run_sim (fun sim ->
-      let config = Common.base_config Config.treaty_enc in
-      let config = config_overrides { config with Config.nodes = 1 } in
-      let config = { config with Config.engine = engine_overrides config.Config.engine } in
-      let cluster = Common.make_cluster sim config () in
-      Common.load_ycsb cluster ycsb;
-      let res =
-        W.Driver.run_clients cluster ~clients:(Common.scale_clients 32)
-          ~duration_ns:(Common.duration_ns ()) ~warmup_ns:(Common.warmup_ns ())
-          ~txn:(Common.ycsb_txn ycsb) ()
-      in
-      Cluster.shutdown cluster;
-      r := Some (W.Driver.tps res, W.Driver.mean_ms res));
-  Option.get !r
+(* Single-node treaty-enc under YCSB 20%R, with [overrides] applied. *)
+let throughput overrides =
+  let r =
+    Common.run_sim (fun sim ->
+        let config = Common.base_config Config.treaty_enc in
+        Common.ycsb_run sim
+          (overrides { config with Config.nodes = 1 })
+          ycsb ~clients:(Common.scale_clients 32))
+  in
+  (W.Driver.tps r, W.Driver.mean_ms r)
 
 let row label (tps, ms) =
   Printf.printf "  %-36s %10.1f tps   lat %6.2f ms\n%!" label tps ms
 
+let engine f c = { c with Config.engine = f c.Config.engine }
+let cost f c = { c with Config.cost = f c.Config.cost }
+
 (* Group commit amortizes device write latency: evaluate it on a device
    where that latency is material (SATA-class fsync), not the fast-NVMe
    default the figures use. *)
-let slow_ssd c =
-  { c with
-    Config.cost = { c.Config.cost with Treaty_sim.Costmodel.ssd_write_base_ns = 120_000 } }
+let slow_ssd = cost (fun c -> { c with Treaty_sim.Costmodel.ssd_write_base_ns = 120_000 })
+
+(* Shrink the EPC so the working set overflows it, as a large MemTable
+   does on real SGXv1. *)
+let small_epc = cost (fun c -> { c with Treaty_sim.Costmodel.epc_limit_bytes = 2 * 1024 * 1024 })
 
 let run () =
   Common.section "Ablations";
   Common.subsection "A. group commit (single-node, YCSB 20%R, slow fsync device)";
-  row "group commit ON"
-    (throughput ~engine_overrides:Common.id_engine ~config_overrides:slow_ssd);
+  row "group commit ON" (throughput slow_ssd);
   row "group commit OFF"
-    (throughput
-       ~engine_overrides:(fun e -> { e with Treaty_storage.Engine.group_commit = false })
-       ~config_overrides:slow_ssd);
+    (throughput (fun c ->
+         engine (fun e -> { e with Treaty_storage.Engine.group_commit = false }) (slow_ssd c)));
 
   Common.subsection "B. MemTable values: host memory vs enclave (EPC)";
-  row "values in host memory (Treaty)"
-    (throughput ~engine_overrides:Common.id_engine ~config_overrides:Fun.id);
+  row "values in host memory (Treaty)" (throughput Fun.id);
   row "values inside the enclave"
-    (throughput
-       ~engine_overrides:(fun e ->
-         { e with Treaty_storage.Engine.values_in_enclave = true })
-       ~config_overrides:(fun c ->
-         (* Shrink the EPC so the working set overflows it, as a large
-            MemTable does on real SGXv1. *)
-         { c with Config.cost = { c.Config.cost with Treaty_sim.Costmodel.epc_limit_bytes = 2 * 1024 * 1024 } }));
+    (throughput (fun c ->
+         engine (fun e -> { e with Treaty_storage.Engine.values_in_enclave = true }) (small_epc c)));
 
   Common.subsection "C. message buffers: host memory vs naive enclave port";
-  row "msgbufs in host memory (Treaty)"
-    (throughput ~engine_overrides:Common.id_engine ~config_overrides:Fun.id);
+  row "msgbufs in host memory (Treaty)" (throughput Fun.id);
   row "naive port (enclave msgbufs + rdtsc OCALLs)"
-    (throughput ~engine_overrides:Common.id_engine
-       ~config_overrides:(fun c ->
-         {
-           c with
-           Config.naive_rpc_port = true;
-           cost = { c.Config.cost with Treaty_sim.Costmodel.epc_limit_bytes = 2 * 1024 * 1024 };
-         }));
+    (throughput (fun c -> small_epc { c with Config.naive_rpc_port = true }));
 
   Common.subsection "D. trusted counter: SGX hardware counter vs ROTE service";
   let sim = Sim.create () in

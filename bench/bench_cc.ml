@@ -24,22 +24,16 @@ type row = {
 let modes = [ ("2pl", Types.Pessimistic); ("occ", Types.Optimistic) ]
 
 let run_one ~isolation ~read_fraction =
-  let out = ref None in
   Common.run_sim (fun sim ->
       let ycsb = { W.Ycsb.default with W.Ycsb.read_fraction } in
       let config =
         { (Common.base_config Config.treaty_enc_stab) with Config.isolation }
       in
-      let cluster = Common.make_cluster sim config () in
-      Common.load_ycsb cluster ycsb;
+      let cluster = Common.ycsb_cluster sim config ycsb in
       let ro_fast_path = isolation = Types.Optimistic in
       let r =
-        W.Driver.run_clients cluster
-          ~clients:(Common.scale_clients 96)
-          ~duration_ns:(Common.duration_ns ())
-          ~warmup_ns:(Common.warmup_ns ())
-          ~txn:(Common.ycsb_txn ~ro_fast_path ycsb)
-          ()
+        Common.drive cluster ~clients:(Common.scale_clients 96)
+          (W.Ycsb.terminal ~ro_fast_path ycsb)
       in
       let ro_txns =
         List.fold_left
@@ -49,17 +43,14 @@ let run_one ~isolation ~read_fraction =
           (List.init (Cluster.n_nodes cluster) Fun.id)
       in
       Cluster.shutdown cluster;
-      out :=
-        Some
-          {
-            tps = W.Driver.tps r;
-            mean_ms = W.Driver.mean_ms r;
-            p99_ms = W.Driver.p99_ms r;
-            committed = W.Stats.committed r.W.Driver.stats;
-            aborted = W.Stats.aborted r.W.Driver.stats;
-            ro_txns;
-          });
-  Option.get !out
+      {
+        tps = W.Driver.tps r;
+        mean_ms = W.Driver.mean_ms r;
+        p99_ms = W.Driver.percentile_ms r 99.0;
+        committed = W.Driver.committed r;
+        aborted = r.W.Driver.aborted;
+        ro_txns;
+      })
 
 let print label (r : row) =
   Printf.printf
@@ -67,8 +58,8 @@ let print label (r : row) =
      aborted   %6d via ro fast path\n%!"
     label r.tps r.mean_ms r.p99_ms r.committed r.aborted r.ro_txns
 
-let json_row b ~mix ~mode (r : row) =
-  Printf.bprintf b
+let json_row ~mix ~mode (r : row) =
+  Printf.sprintf
     "    { \"mix\": %S, \"cc\": %S, \"tps\": %.1f, \"mean_ms\": %.3f, \
      \"p99_ms\": %.3f, \"committed\": %d, \"aborted\": %d, \"ro_txns\": %d }"
     mix mode r.tps r.mean_ms r.p99_ms r.committed r.aborted r.ro_txns
@@ -78,8 +69,8 @@ let run () =
   let mixes =
     [ ("read-only", 1.0); ("read-mostly", 0.95); ("write-heavy", 0.2) ]
   in
-  let results =
-    List.map
+  let rows =
+    List.concat_map
       (fun (mix, read_fraction) ->
         Common.subsection
           (Printf.sprintf "%s (%.0f%% reads)" mix (read_fraction *. 100.0));
@@ -95,24 +86,8 @@ let run () =
         | Some p, Some o when p.tps > 0.0 ->
             Printf.printf "  occ/2pl speedup: %.2fx\n%!" (o.tps /. p.tps)
         | _ -> ());
-        (mix, rows))
+        List.map (fun (mode, r) -> json_row ~mix ~mode r) rows)
       mixes
   in
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n  \"bench\": \"cc\",\n  \"mode\": %S,\n  \"rows\": [\n"
-    (if !Common.full_mode then "full" else "quick");
-  let first = ref true in
-  List.iter
-    (fun (mix, rows) ->
-      List.iter
-        (fun (mode, r) ->
-          if not !first then Buffer.add_string b ",\n";
-          first := false;
-          json_row b ~mix ~mode r)
-        rows)
-    results;
-  Buffer.add_string b "\n  ]\n}\n";
-  let oc = open_out "BENCH_cc.json" in
-  output_string oc (Buffer.contents b);
-  close_out oc;
+  Common.write_json "cc" [ ("rows", Common.json_array rows) ];
   Printf.printf "  wrote BENCH_cc.json\n%!"

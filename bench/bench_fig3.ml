@@ -43,50 +43,30 @@ let inconsistent_warehouses cluster ~tpcc_cfg =
    if there are any. *)
 let failed = ref []
 
-let tpcc_result ?(isolation = Types.Pessimistic) sim profile ~tpcc_cfg ~clients =
+let tpcc_result sim (name, profile, isolation) ~tpcc_cfg ~clients =
   let config = { (Common.base_config profile) with Config.isolation } in
   let nodes = config.Config.nodes in
   let route = W.Tpcc.route tpcc_cfg ~nodes in
   let cluster = Common.make_cluster sim config ~route () in
-  let loader = Client.connect_exn cluster ~client_id:900 in
-  W.Tpcc.load tpcc_cfg loader (Treaty_sim.Rng.create 11L);
-  Client.disconnect loader;
-  let warehouses = tpcc_cfg.W.Tpcc.warehouses in
-  let r =
-    W.Driver.run_clients cluster ~clients ~duration_ns:(Common.duration_ns ())
-      ~warmup_ns:(Common.warmup_ns ())
-      ~txn:(fun client ~client_index rng ->
-        let home = 1 + (client_index mod warehouses) in
-        W.Tpcc.run tpcc_cfg client rng ~nodes ~home (W.Tpcc.pick_kind rng))
-      ()
-  in
+  W.Driver.preload cluster (fun loader ->
+      W.Tpcc.load tpcc_cfg loader (Treaty_sim.Rng.create 11L));
+  let r = Common.drive cluster ~clients (W.Tpcc.terminal tpcc_cfg ~nodes) in
   let bad = inconsistent_warehouses cluster ~tpcc_cfg in
   Cluster.shutdown cluster;
-  (r, bad)
+  if bad <> [] then begin
+    Printf.printf "  %s: TPC-C consistency FAILED at warehouse %s\n%!" name
+      (String.concat "," (List.map string_of_int bad));
+    failed := name :: !failed
+  end;
+  r
 
 let run_warehouses ~label ~tpcc_cfg ~clients =
   Common.subsection label;
-  let results =
-    List.map
-      (fun (name, profile, isolation) ->
-        let r = ref None in
-        Common.run_sim (fun sim ->
-            r := Some (tpcc_result ~isolation sim profile ~tpcc_cfg ~clients));
-        let r, bad = Option.get !r in
-        if bad <> [] then begin
-          Printf.printf "  %s: TPC-C consistency FAILED at warehouse %s\n%!" name
-            (String.concat "," (List.map string_of_int bad));
-          failed := name :: !failed
-        end;
-        (name, r))
-      systems
-  in
-  let baseline = W.Driver.tps (snd (List.hd results)) in
-  List.iter
-    (fun (name, r) ->
-      Common.print_row ~label:name ~tps:(W.Driver.tps r) ~baseline_tps:baseline
-        ~mean_ms:(W.Driver.mean_ms r) ~p99:(W.Driver.p99_ms r))
-    results
+  Common.compare_systems
+    (List.map
+       (fun ((name, _, _) as system) ->
+         (name, fun sim -> tpcc_result sim system ~tpcc_cfg ~clients))
+       systems)
 
 let run () =
   Common.section "Figure 3: distributed transactions, TPC-C";

@@ -54,42 +54,30 @@ let frozen_rows =
   ]
 
 let pipeline_run profile ~ycsb ~clients =
-  let row = ref None in
   Common.run_sim (fun sim ->
-      let config = Common.base_config profile in
-      let cluster = Common.make_cluster sim config () in
-      Common.load_ycsb cluster ycsb;
+      let cluster = Common.ycsb_cluster sim (Common.base_config profile) ycsb in
       let p0 = Cluster.pipeline_counters cluster in
       let c0 = Cluster.total_committed cluster in
-      let r =
-        W.Driver.run_clients cluster ~clients
-          ~duration_ns:(Common.duration_ns ()) ~warmup_ns:(Common.warmup_ns ())
-          ~txn:(Common.ycsb_txn ycsb) ()
-      in
+      let r = Common.drive cluster ~clients (W.Ycsb.terminal ycsb) in
       let p1 = Cluster.pipeline_counters cluster in
       let delta name = List.assoc name p1 - List.assoc name p0 in
       let committed = Cluster.total_committed cluster - c0 in
+      Cluster.shutdown cluster;
       let increments = delta "rote.increments" in
       let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den in
-      row :=
-        Some
-          {
-            tps = W.Driver.tps r;
-            committed;
-            increments;
-            rounds_per_txn = ratio increments committed;
-            clog_items_per_batch =
-              ratio (delta "clog.items") (delta "clog.batches");
-            wal_items_per_batch = ratio (delta "wal.items") (delta "wal.batches");
-            msgs_per_packet =
-              ratio (delta "rpc.burst_msgs") (delta "rpc.bursts_sent");
-            crypto_ns_per_txn = ratio (delta "crypto.ns") committed;
-          };
-      Cluster.shutdown cluster);
-  Option.get !row
+      {
+        tps = W.Driver.tps r;
+        committed;
+        increments;
+        rounds_per_txn = ratio increments committed;
+        clog_items_per_batch = ratio (delta "clog.items") (delta "clog.batches");
+        wal_items_per_batch = ratio (delta "wal.items") (delta "wal.batches");
+        msgs_per_packet = ratio (delta "rpc.burst_msgs") (delta "rpc.bursts_sent");
+        crypto_ns_per_txn = ratio (delta "crypto.ns") committed;
+      })
 
-let json_row b ?(frozen = false) name (r : pipeline_row) =
-  Printf.bprintf b
+let json_row ?(frozen = false) name (r : pipeline_row) =
+  Printf.sprintf
     "    { \"name\": %S, \"tps\": %.1f, \"committed\": %d, \
      \"rote_increments\": %d, \"rounds_per_txn\": %.4f, \
      \"clog_items_per_batch\": %.2f, \"wal_items_per_batch\": %.2f, \
@@ -99,16 +87,16 @@ let json_row b ?(frozen = false) name (r : pipeline_row) =
     (if frozen then Common.frozen_field else "")
 
 let write_pipeline_json ~clients live =
-  let b = Buffer.create 512 in
-  Printf.bprintf b "{\n  \"clients\": %d,\n  \"configs\": [\n" clients;
-  json_row b "batched" live;
-  List.iter
-    (fun (name, r) ->
-      Buffer.add_string b ",\n";
-      json_row b ~frozen:true name r)
-    frozen_rows;
-  Buffer.add_string b "\n  ] }";
-  Common.pipeline_json_set ~key:"pipeline" (Buffer.contents b)
+  let rows =
+    json_row "batched" live
+    :: List.map (fun (name, r) -> json_row ~frozen:true name r) frozen_rows
+  in
+  Common.write_json "commit_pipeline"
+    [
+      ( "pipeline",
+        Printf.sprintf "{\n  \"clients\": %d,\n  \"configs\": %s }" clients
+          (Common.json_array rows) );
+    ]
 
 let pipeline_print label (r : pipeline_row) =
   Printf.printf
@@ -145,29 +133,21 @@ let run () =
   let clients = if !Common.full_mode then 300 else 120 in
   Printf.printf "  YCSB 50R/50W, %d ops/tx, %dB values, %d clients, 3 nodes\n%!"
     ycsb.W.Ycsb.ops_per_txn ycsb.W.Ycsb.value_size clients;
-  let results =
-    List.map
-      (fun (label, profile) ->
-        let r = ref None in
-        Common.run_sim (fun sim ->
-            r :=
-              Some
-                (Common.ycsb_result sim profile ~ycsb ~clients
-                   ~engine_overrides:(fun e ->
-                     {
-                       e with
-                       Treaty_storage.Engine.in_memory = true;
-                       group_commit = false;
-                     })));
-        (label, Option.get !r))
-      profiles
-  in
-  let baseline = W.Driver.tps (snd (List.hd results)) in
-  List.iter
-    (fun (label, r) ->
-      Common.print_row ~label ~tps:(W.Driver.tps r) ~baseline_tps:baseline
-        ~mean_ms:(W.Driver.mean_ms r) ~p99:(W.Driver.p99_ms r))
-    results;
+  Common.compare_systems
+    (List.map
+       (fun (label, profile) ->
+         ( label,
+           fun sim ->
+             let config = Common.base_config profile in
+             let engine =
+               {
+                 config.Config.engine with
+                 Treaty_storage.Engine.in_memory = true;
+                 group_commit = false;
+               }
+             in
+             Common.ycsb_run sim { config with Config.engine } ycsb ~clients ))
+       profiles);
   Common.expected
     "Native w/ Enc ~1.0-1.1x, Secure w/o Enc ~1.8x, Secure w/ Enc ~2.0x";
   run_pipeline ()

@@ -29,32 +29,17 @@ let single_node_config profile ~isolation =
   { c with Config.nodes = 1; isolation }
 
 let ycsb_single sim profile ~isolation ~read_fraction ~clients =
-  let config = single_node_config profile ~isolation in
-  let cluster = Common.make_cluster sim config () in
-  let ycsb = { W.Ycsb.default with W.Ycsb.read_fraction } in
-  Common.load_ycsb cluster ycsb;
-  let r =
-    W.Driver.run_clients cluster ~clients ~duration_ns:(Common.duration_ns ())
-      ~warmup_ns:(Common.warmup_ns ()) ~txn:(Common.ycsb_txn ycsb) ()
-  in
-  Cluster.shutdown cluster;
-  r
+  Common.ycsb_run sim
+    (single_node_config profile ~isolation)
+    { W.Ycsb.default with W.Ycsb.read_fraction }
+    ~clients
 
 let tpcc_single sim profile ~isolation ~clients =
-  let config = single_node_config profile ~isolation in
   let tpcc_cfg = W.Tpcc.config ~warehouses:10 () in
-  let cluster = Common.make_cluster sim config () in
-  let loader = Client.connect_exn cluster ~client_id:900 in
-  W.Tpcc.load tpcc_cfg loader (Treaty_sim.Rng.create 13L);
-  Client.disconnect loader;
-  let r =
-    W.Driver.run_clients cluster ~clients ~duration_ns:(Common.duration_ns ())
-      ~warmup_ns:(Common.warmup_ns ())
-      ~txn:(fun client ~client_index rng ->
-        let home = 1 + (client_index mod tpcc_cfg.W.Tpcc.warehouses) in
-        W.Tpcc.run tpcc_cfg client rng ~nodes:1 ~home (W.Tpcc.pick_kind rng))
-      ()
-  in
+  let cluster = Common.make_cluster sim (single_node_config profile ~isolation) () in
+  W.Driver.preload cluster (fun loader ->
+      W.Tpcc.load tpcc_cfg loader (Treaty_sim.Rng.create 13L));
+  let r = Common.drive cluster ~clients (W.Tpcc.terminal tpcc_cfg ~nodes:1) in
   Cluster.shutdown cluster;
   r
 
@@ -62,21 +47,10 @@ let run_table ~isolation ~workloads =
   List.iter
     (fun (wl_label, runner) ->
       Common.subsection wl_label;
-      let results =
-        List.map
-          (fun (name, profile) ->
-            let r = ref None in
-            Common.run_sim (fun sim -> r := Some (runner sim profile ~isolation));
-            (name, Option.get !r))
-          systems
-      in
-      let baseline = W.Driver.tps (snd (List.hd results)) in
-      List.iter
-        (fun (name, r) ->
-          Common.print_row ~label:name ~tps:(W.Driver.tps r)
-            ~baseline_tps:baseline ~mean_ms:(W.Driver.mean_ms r)
-            ~p99:(W.Driver.p99_ms r))
-        results)
+      Common.compare_systems
+        (List.map
+           (fun (name, profile) -> (name, fun sim -> runner sim profile ~isolation))
+           systems))
     workloads
 
 let workloads () =

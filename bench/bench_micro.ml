@@ -251,11 +251,14 @@ let run_event_loop () =
     "  event loop ns/op (RPC-timeout profile, %d ops): timer wheel %.1f, \
      seed heap (frozen) %.1f — %.2fx\n%!"
     (timer_iters * 4) wheel seed_heap_ns speedup;
-  Common.pipeline_json_set ~key:"event_loop"
-    (Printf.sprintf
-       "{ \"seed_ns_per_event\": %.1f, \"wheel_ns_per_event\": %.1f, \
-        \"speedup\": %.2f, \"frozen_at\": %S }"
-       seed_heap_ns wheel speedup seed_heap_frozen_at)
+  Common.write_json "commit_pipeline"
+    [
+      ( "event_loop",
+        Printf.sprintf
+          "{ \"seed_ns_per_event\": %.1f, \"wheel_ns_per_event\": %.1f, \
+           \"speedup\": %.2f, \"frozen_at\": %S }"
+          seed_heap_ns wheel speedup seed_heap_frozen_at );
+    ]
 
 (* The same run over the deleted per-message envelope, which sealed every
    sub-message on its own: frozen from its last run at commit
@@ -333,10 +336,13 @@ let run () =
     "  stabilization rounds/txn (64 concurrent txns, clog+wal): %.3f\n%!"
     (rounds_per_txn ());
   let crypto_per_txn = run_crypto_per_txn () in
-  Common.pipeline_json_set ~key:"micro"
-    (Printf.sprintf
-       "{ \"crypto_ns_per_txn\": %s, \"sha256_kernel\": %S, \"chacha20_kernel\": \
-        %S, \"wall_ns_per_op\": %s }"
-       crypto_per_txn Crypto.Sha256.kernel Crypto.Chacha20.kernel
-       (crypto_rows_json estimates));
+  Common.write_json "commit_pipeline"
+    [
+      ( "micro",
+        Printf.sprintf
+          "{ \"crypto_ns_per_txn\": %s, \"sha256_kernel\": %S, \
+           \"chacha20_kernel\": %S, \"wall_ns_per_op\": %s }"
+          crypto_per_txn Crypto.Sha256.kernel Crypto.Chacha20.kernel
+          (crypto_rows_json estimates) );
+    ];
   run_event_loop ()

@@ -41,9 +41,8 @@ let engine_cfg =
   }
 
 let run_one () =
-  let out = ref None in
   let sim = Sim.create ~seed:0x5EAD_BE7CL () in
-  Sim.run sim (fun () ->
+  Common.run_value sim (fun () ->
       let enclave =
         Enclave.create sim ~mode:Enclave.Scone
           ~cost:Treaty_sim.Costmodel.default ~cores:4 ~node_id:1
@@ -84,19 +83,16 @@ let run_one () =
       done;
       let dt = Sim.now sim - t0 in
       let s = Engine.stats eng in
-      out :=
-        Some
-          {
-            tps = float_of_int reads /. (float_of_int dt /. 1e9);
-            reads;
-            sim_ms = float_of_int dt /. 1e6;
-            block_reads = s.Engine.sst_block_reads - base_blocks;
-            cache_hits = s.Engine.cache_hits;
-            cache_misses = s.Engine.cache_misses;
-            bloom_neg = s.Engine.bloom_negatives;
-            bloom_fp = s.Engine.bloom_false_positives;
-          });
-  Option.get !out
+      {
+        tps = float_of_int reads /. (float_of_int dt /. 1e9);
+        reads;
+        sim_ms = float_of_int dt /. 1e6;
+        block_reads = s.Engine.sst_block_reads - base_blocks;
+        cache_hits = s.Engine.cache_hits;
+        cache_misses = s.Engine.cache_misses;
+        bloom_neg = s.Engine.bloom_negatives;
+        bloom_fp = s.Engine.bloom_false_positives;
+      })
 
 let print label (r : row) =
   Printf.printf
@@ -121,8 +117,8 @@ let off =
     bloom_fp = 0;
   }
 
-let json_row b ?(frozen = false) name (r : row) =
-  Printf.bprintf b
+let json_row ?(frozen = false) name (r : row) =
+  Printf.sprintf
     "    { \"name\": %S, \"reads_per_sec\": %.1f, \"reads\": %d, \
      \"sim_ms\": %.2f, \"sst_block_reads\": %d, \"cache_hits\": %d, \
      \"cache_misses\": %d, \"bloom_negatives\": %d, \
@@ -130,19 +126,6 @@ let json_row b ?(frozen = false) name (r : row) =
     name r.tps r.reads r.sim_ms r.block_reads r.cache_hits r.cache_misses
     r.bloom_neg r.bloom_fp
     (if frozen then Common.frozen_field else "")
-
-let write_json on improvement =
-  let b = Buffer.create 512 in
-  Printf.bprintf b "{\n  \"bench\": \"read_path\",\n  \"mode\": %S,\n"
-    (if !Common.full_mode then "full" else "quick");
-  Printf.bprintf b "  \"improvement_pct\": %.1f,\n  \"configs\": [\n" improvement;
-  json_row b "read_opt_on" on;
-  Buffer.add_string b ",\n";
-  json_row b ~frozen:true "read_opt_off" off;
-  Buffer.add_string b "\n  ]\n}\n";
-  let oc = open_out "BENCH_read_path.json" in
-  output_string oc (Buffer.contents b);
-  close_out oc
 
 let run () =
   Common.section "Authenticated read path: Bloom filters + verified block cache";
@@ -154,5 +137,11 @@ let run () =
   Printf.printf "  * frozen at commit %s\n%!" Common.frozen_at;
   let improvement = (on.tps -. off.tps) /. off.tps *. 100.0 in
   Printf.printf "  point-read throughput improvement: %+.1f%%\n%!" improvement;
-  write_json on improvement;
+  Common.write_json "read_path"
+    [
+      ("improvement_pct", Printf.sprintf "%.1f" improvement);
+      ( "configs",
+        Common.json_array
+          [ json_row "read_opt_on" on; json_row ~frozen:true "read_opt_off" off ] );
+    ];
   Printf.printf "  wrote BENCH_read_path.json\n%!"

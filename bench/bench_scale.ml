@@ -44,55 +44,50 @@ type row = {
 }
 
 let run_size ~clients ~duration_ns ~warmup_ns ycsb nodes =
-  let result = ref None in
   let t0 = Unix.gettimeofday () in
-  Common.run_sim (fun sim ->
-      let config =
-        { (Common.base_config Config.treaty_enc_stab) with Config.nodes }
-      in
-      let cluster = Common.make_cluster sim config () in
-      let start = Sim.now sim + warmup_ns in
-      let first = ref None and last = ref None in
-      ignore
-        (Sim.at sim ~time:start (fun () -> first := Some (snapshot sim cluster)));
-      ignore
-        (Sim.at sim ~time:(start + duration_ns) (fun () ->
-             last := Some (snapshot sim cluster)));
-      let r =
-        W.Driver.run_clients cluster ~clients ~duration_ns ~warmup_ns
-          ~txn:(Common.ycsb_txn ycsb) ()
-      in
-      Cluster.shutdown cluster;
-      match (!first, !last) with
-      | Some a, Some b ->
-          result :=
-            Some
-              ( r,
-                {
-                  events = b.events - a.events;
-                  packets = b.packets - a.packets;
-                  rote_rounds = b.rote_rounds - a.rote_rounds;
-                  alloc = b.alloc -. a.alloc;
-                } )
-      | _ -> failwith "scale: measurement window never closed");
-  let wall_s = Unix.gettimeofday () -. t0 in
-  match !result with
-  | None -> failwith "scale: run did not finish"
-  | Some (r, window) ->
-      {
-        nodes;
-        committed = W.Stats.committed r.W.Driver.stats;
-        aborted = W.Stats.aborted r.W.Driver.stats;
-        tps = W.Driver.tps r;
-        p99_ms = W.Driver.p99_ms r;
-        window;
-        wall_s;
-      }
+  let r, window =
+    Common.run_sim (fun sim ->
+        let config =
+          { (Common.base_config Config.treaty_enc_stab) with Config.nodes }
+        in
+        let cluster = Common.make_cluster sim config () in
+        let start = Sim.now sim + warmup_ns in
+        let first = ref None and last = ref None in
+        ignore
+          (Sim.at sim ~time:start (fun () -> first := Some (snapshot sim cluster)));
+        ignore
+          (Sim.at sim ~time:(start + duration_ns) (fun () ->
+               last := Some (snapshot sim cluster)));
+        let r =
+          W.Driver.run_clients cluster ~clients ~duration_ns ~warmup_ns
+            ~txn:(W.Ycsb.terminal ycsb) ()
+        in
+        Cluster.shutdown cluster;
+        match (!first, !last) with
+        | Some a, Some b ->
+            ( r,
+              {
+                events = b.events - a.events;
+                packets = b.packets - a.packets;
+                rote_rounds = b.rote_rounds - a.rote_rounds;
+                alloc = b.alloc -. a.alloc;
+              } )
+        | _ -> failwith "scale: measurement window never closed")
+  in
+  {
+    nodes;
+    committed = W.Driver.committed r;
+    aborted = r.W.Driver.aborted;
+    tps = W.Driver.tps r;
+    p99_ms = W.Driver.percentile_ms r 99.0;
+    window;
+    wall_s = Unix.gettimeofday () -. t0;
+  }
 
 let per_txn row n =
   if row.committed = 0 then 0. else float_of_int n /. float_of_int row.committed
 
-let row_json row =
+let json_row row =
   Printf.sprintf
     "    {\"nodes\": %d, \"committed\": %d, \"aborted\": %d, \"tps\": %.1f, \
      \"p99_ms\": %.3f, \"events_per_txn\": %.1f, \"packets_per_txn\": %.1f, \
@@ -139,19 +134,10 @@ let run () =
         row)
       sizes
   in
-  let oc = open_out "BENCH_scale.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"scale\",\n\
-    \  \"mode\": %S,\n\
-    \  \"keys\": %d,\n\
-    \  \"clients\": %d,\n\
-    \  \"rows\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (if !Common.full_mode then "full" else "quick")
-    n_keys clients
-    (String.concat ",\n" (List.map row_json rows));
-  close_out oc;
+  Common.write_json "scale"
+    [
+      ("keys", string_of_int n_keys);
+      ("clients", string_of_int clients);
+      ("rows", Common.json_array (List.map json_row rows));
+    ];
   Printf.printf "  wrote BENCH_scale.json\n%!"

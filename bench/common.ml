@@ -17,9 +17,18 @@ let section title =
 
 let subsection title = Printf.printf "\n--- %s ---\n%!" title
 
+(* [Sim.run] for a body that returns a value. *)
+let run_value sim f =
+  let result = ref None in
+  Sim.run sim (fun () -> result := Some (f ()));
+  match !result with
+  | Some v -> v
+  | None -> failwith "the simulation ended before its body returned"
+
+(* Every run of a figure starts a fresh simulator from the same seed. *)
 let run_sim f =
   let sim = Sim.create ~seed:0xBE7CBE7CL () in
-  Sim.run sim (fun () -> f sim)
+  run_value sim (fun () -> f sim)
 
 let cores () = if !full_mode then 8 else 2
 
@@ -34,77 +43,38 @@ let make_cluster sim config ?route () =
   | Ok c -> c
   | Error m -> failwith ("cluster bootstrap failed: " ^ m)
 
-(* Pre-load the YCSB key space through a loader client. *)
-let load_ycsb cluster (cfg : W.Ycsb.config) =
-  let loader = Client.connect_exn cluster ~client_id:900 in
-  let rng = Treaty_sim.Rng.create 7L in
-  let keys = W.Ycsb.load_keys cfg in
-  let rec chunks = function
-    | [] -> ()
-    | l ->
-        let batch, rest =
-          let rec take n acc = function
-            | x :: tl when n > 0 -> take (n - 1) (x :: acc) tl
-            | tl -> (List.rev acc, tl)
-          in
-          take 100 [] l
-        in
-        (match
-           Client.with_txn loader (fun txn ->
-               List.iter
-                 (fun k ->
-                   match Client.put loader txn k (W.Ycsb.make_value cfg rng) with
-                   | Ok () -> ()
-                   | Error e ->
-                       failwith ("ycsb load: " ^ Types.abort_reason_to_string e))
-                 batch;
-               Ok ())
-         with
-        | Ok () -> ()
-        | Error e -> failwith ("ycsb load: " ^ Types.abort_reason_to_string e));
-        chunks rest
-  in
-  chunks keys;
-  Client.disconnect loader
+(* [clients] closed-loop terminals over the mode's warmup and window. *)
+let drive cluster ~clients txn =
+  W.Driver.run_clients cluster ~clients ~duration_ns:(duration_ns ())
+    ~warmup_ns:(warmup_ns ()) ~txn ()
 
-let ycsb_txn ?(ro_fast_path = false) cfg =
-  let generators = Hashtbl.create 16 in
-  fun client ~client_index rng ->
-    let g =
-      match Hashtbl.find_opt generators client_index with
-      | Some g -> g
-      | None ->
-          let g = W.Ycsb.generator cfg rng in
-          Hashtbl.replace generators client_index g;
-          g
-    in
-    W.Ycsb.run_txn ~ro_fast_path client None (W.Ycsb.next_txn g)
-
-(* Run one YCSB configuration on a fresh cluster with the given profile.
-   [isolation] selects the concurrency-control mode; under OCC all-read
-   transactions are declared read-only and take the snapshot fast path, as
-   the CLI does. *)
-let ycsb_result ?(isolation = Types.Pessimistic) sim profile ~ycsb ~clients
-    ~engine_overrides =
-  let config = { (base_config profile) with Config.isolation } in
-  let config = { config with Config.engine = engine_overrides config.Config.engine } in
+(* A fresh cluster of [config] with [ycsb]'s key space preloaded. *)
+let ycsb_cluster sim config ycsb =
   let cluster = make_cluster sim config () in
-  load_ycsb cluster ycsb;
-  let ro_fast_path = isolation = Types.Optimistic in
-  let r =
-    W.Driver.run_clients cluster ~clients ~duration_ns:(duration_ns ())
-      ~warmup_ns:(warmup_ns ()) ~txn:(ycsb_txn ~ro_fast_path ycsb) ()
-  in
+  W.Driver.preload cluster (W.Ycsb.load ycsb);
+  cluster
+
+(* One closed-loop YCSB run on a fresh, preloaded cluster of [config]. *)
+let ycsb_run ?ro_fast_path sim config ycsb ~clients =
+  let cluster = ycsb_cluster sim config ycsb in
+  let r = drive cluster ~clients (W.Ycsb.terminal ?ro_fast_path ycsb) in
   Cluster.shutdown cluster;
   r
 
-(* BENCH_commit_pipeline.json is fed by two benches — fig4's pipeline rows
-   and micro's event-loop and crypto-cost sections — which can run in either
-   order or alone (the CI smoke runs fig4 before micro). Each contributes a
-   named top-level section. The first write of a process reads back the
-   sections already in the file, so a run that regenerates only some of them
-   keeps the rest. *)
-let pipeline_file = "BENCH_commit_pipeline.json"
+(* The figures' table: run each system on a fresh simulator, then print a
+   row per system with its slowdown against the first one's throughput. *)
+let compare_systems systems =
+  let results = List.map (fun (name, run) -> (name, run_sim run)) systems in
+  let baseline_tps = W.Driver.tps (snd (List.hd results)) in
+  List.iter
+    (fun (name, r) ->
+      let tps = W.Driver.tps r in
+      Printf.printf
+        "  %-24s %10.1f tps   slowdown %5.2fx   lat %6.2f ms (p99 %7.2f)\n%!"
+        name tps
+        (if tps > 0.0 then baseline_tps /. tps else nan)
+        (W.Driver.mean_ms r) (W.Driver.percentile_ms r 99.0))
+    results
 
 (* The top-level (key, raw JSON value) pairs of a file this writer wrote. *)
 let read_sections path =
@@ -148,26 +118,30 @@ let read_sections path =
       | Some i -> sections (i + 1) []
       | None -> [])
 
-let pipeline_sections =
-  lazy
-    (ref
-       (List.filter
-          (fun (k, _) -> k <> "bench" && k <> "mode")
-          (read_sections pipeline_file)))
-
-let pipeline_json_set ~key fragment =
-  let sections = Lazy.force pipeline_sections in
-  sections := (key, fragment) :: List.remove_assoc key !sections;
+(* Every BENCH_<name>.json is an object of named sections, after its
+   "bench" and "mode" fields, in key order. A write replaces the sections it
+   names and keeps the file's others, so benches that feed one file (fig4's
+   pipeline rows and micro's event-loop and crypto-cost sections in
+   BENCH_commit_pipeline.json) can run in either order or alone. *)
+let write_json name sections =
+  let file = Printf.sprintf "BENCH_%s.json" name in
+  let kept =
+    List.filter
+      (fun (k, _) ->
+        k <> "bench" && k <> "mode" && not (List.mem_assoc k sections))
+      (read_sections file)
+  in
   let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n  \"bench\": \"commit_pipeline\",\n  \"mode\": %S"
+  Printf.bprintf b "{\n  \"bench\": %S,\n  \"mode\": %S" name
     (if !full_mode then "full" else "quick");
   List.iter
     (fun (k, v) -> Printf.bprintf b ",\n  %S: %s" k v)
-    (List.sort compare !sections);
+    (List.sort compare (sections @ kept));
   Buffer.add_string b "\n}\n";
-  let oc = open_out pipeline_file in
-  output_string oc (Buffer.contents b);
-  close_out oc
+  Out_channel.with_open_bin file (fun oc -> Buffer.output_buffer oc b)
+
+(* A JSON array of rendered rows, one per line. *)
+let json_array rows = "[\n" ^ String.concat ",\n" rows ^ "\n  ]"
 
 (* The commit whose bench run last measured the deleted ablation knobs —
    the per-message envelope, the unbatched commit pipeline and the
@@ -177,15 +151,5 @@ let frozen_at = "87e764d"
 
 (* JSON field appended to a frozen row. *)
 let frozen_field = Printf.sprintf ", \"frozen_at\": %S" frozen_at
-
-let id_engine e = e
-
-let pct x = x *. 100.0
-
-let print_row ~label ~tps ~baseline_tps ~mean_ms ~p99 =
-  Printf.printf "  %-24s %10.1f tps   slowdown %5.2fx   lat %6.2f ms (p99 %7.2f)\n%!"
-    label tps
-    (if tps > 0.0 then baseline_tps /. tps else nan)
-    mean_ms p99
 
 let expected fmt = Printf.printf ("  paper:    " ^^ fmt ^^ "\n%!")

@@ -19,17 +19,17 @@ let benches =
     ("scale", "10/30/100-node million-key scale sweep", Bench_scale.run);
   ]
 
+let ids = List.map (fun (id, _, _) -> id) benches
+
 let run_selected only full =
   Common.full_mode := full;
   let selected =
     match only with
     | [] -> benches
-    | ids ->
-        List.filter (fun (id, _, _) -> List.mem id ids) benches
+    | wanted -> List.filter (fun (id, _, _) -> List.mem id wanted) benches
   in
   if selected = [] then begin
-    Printf.eprintf "unknown bench id; available: %s\n"
-      (String.concat ", " (List.map (fun (id, _, _) -> id) benches));
+    Printf.eprintf "unknown bench id; available: %s\n" (String.concat ", " ids);
     exit 1
   end;
   Printf.printf "Treaty benchmark harness (%s mode)\n"
@@ -46,7 +46,7 @@ let run_selected only full =
 open Cmdliner
 
 let only =
-  let doc = "Comma-separated bench ids (fig3,fig4,fig5,fig6,fig7,fig8,tab1,abl,micro,read,cc)." in
+  let doc = Printf.sprintf "Comma-separated bench ids (%s)." (String.concat "," ids) in
   Arg.(value & opt (list string) [] & info [ "only" ] ~doc)
 
 let full =

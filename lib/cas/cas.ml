@@ -118,7 +118,6 @@ let deploy_las t las =
   Hashtbl.replace t.las_keys (Las.node_id las) (Las.signing_key las)
 
 let master t = t.master
-let node_id t = Erpc.node_id t.rpc
 let register_client t ~client_id = Treaty_crypto.Keys.client_token t.master ~client_id
 
 let shutdown t = Enclave.halt t.enclave

@@ -36,7 +36,6 @@ val deploy_las : t -> Las.t -> unit
 (** Verify a LAS deployment (over IAS) and record its signing key. *)
 
 val master : t -> Treaty_crypto.Keys.master
-val node_id : t -> int
 
 val register_client : t -> client_id:int -> string
 (** Out-of-band client registration; returns the client's auth token. *)

@@ -9,12 +9,6 @@
     region sizes before every call into C, raising [Invalid_argument] on a
     bad one. *)
 
-val key_size : int
-(** 32 bytes. *)
-
-val nonce_size : int
-(** 12 bytes. *)
-
 val xor : key:string -> nonce:string -> ?counter:int -> string -> string
 (** [xor ~key ~nonce msg] encrypts (or, being an involution, decrypts) [msg]
     with the keystream starting at block [counter] (default 1, per RFC 8439

@@ -18,9 +18,6 @@ val network_key : master -> Aead.key
 val storage_key : master -> node_id:int -> Aead.key
 (** Per-node AEAD key for SSTable blocks and log payloads. *)
 
-val sealing_key : master -> node_id:int -> Aead.key
-(** Per-node sealing key (counter-state sealing, §VI). *)
-
 val client_token : master -> client_id:int -> string
 (** Authentication token the CAS hands to a registered client. *)
 

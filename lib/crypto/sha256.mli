@@ -35,7 +35,6 @@ val finalize_into : ctx -> bytes -> int -> unit
     [dst.[off .. off+32)] without allocating; otherwise as {!finalize}.
     Raises [Invalid_argument] if that region is not inside [dst]. *)
 
-val digest_bytes : bytes -> string
 val digest_string : string -> string
 
 val to_hex : string -> string

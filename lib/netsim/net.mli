@@ -20,9 +20,6 @@ type endpoint_config = {
   propagation_ns : int;
 }
 
-val fabric_config : Treaty_sim.Costmodel.t -> endpoint_config
-(** 40 GbE node NIC from the cost model. *)
-
 val client_config : endpoint_config
 (** 1 Gb/s client NIC with WAN-ish propagation, per the testbed. *)
 

@@ -1,4 +1,1 @@
 type t = { id : int; src : int; dst : int; size : int; payload : string }
-
-let pp ppf t =
-  Format.fprintf ppf "pkt#%d %d->%d (%dB)" t.id t.src t.dst t.size

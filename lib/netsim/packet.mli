@@ -11,5 +11,3 @@ type t = {
   size : int;  (** Wire size in bytes (payload + simulated headers). *)
   payload : string;
 }
-
-val pp : Format.formatter -> t -> unit

@@ -85,7 +85,6 @@ type state = { mutable on : bool; tbl : (string, metric) Hashtbl.t }
 
 let state = { on = false; tbl = Hashtbl.create 64 }
 
-let enabled () = state.on
 let enable () = state.on <- true
 let disable () = state.on <- false
 let reset () = Hashtbl.reset state.tbl

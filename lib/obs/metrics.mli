@@ -2,8 +2,8 @@
 
     A single global registry (gated like {!Trace} so instrumentation is a
     branch when [Config.profile] leaves metrics off) plus a standalone
-    {!Hist} usable without the registry — {!Treaty_workload.Stats} builds
-    its percentiles on it unconditionally.
+    {!Hist} usable without the registry — {!Treaty_workload.Driver} keeps
+    a run's latencies in one unconditionally.
 
     Everything is integer-valued and deterministic; there is no clock in
     here, callers observe durations they measured on the sim clock. *)
@@ -33,7 +33,6 @@ module Hist : sig
   (** Fresh histogram holding both operands' samples. *)
 end
 
-val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
 val reset : unit -> unit

@@ -2,11 +2,6 @@ module Enclave = Treaty_tee.Enclave
 
 type kind = Kernel_tcp | Kernel_udp | Dpdk
 
-let kind_to_string = function
-  | Kernel_tcp -> "tcp"
-  | Kernel_udp -> "udp"
-  | Dpdk -> "dpdk"
-
 type params = {
   tcp_fixed_ns : int;
   tcp_per_byte_ns : float;

@@ -17,8 +17,6 @@
 
 type kind = Kernel_tcp | Kernel_udp | Dpdk
 
-val kind_to_string : kind -> string
-
 type params = {
   tcp_fixed_ns : int;  (** Kernel TCP per-message processing (excl. syscall). *)
   tcp_per_byte_ns : float;  (** Copies + checksums (TSO keeps this low). *)

@@ -26,7 +26,6 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let bytes t n =
   let b = Bytes.create n in

@@ -21,8 +21,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val bytes : t -> int -> bytes
 (** [bytes t n] is [n] uniformly random bytes. *)
 

@@ -115,11 +115,3 @@ let invalidate_file t ~file_id =
   in
   go t.head;
   !freed
-
-let clear t =
-  let freed = t.used in
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None;
-  t.used <- 0;
-  freed

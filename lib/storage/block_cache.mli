@@ -45,8 +45,6 @@ val invalidate_file : 'a t -> file_id:int -> int
 (** Drop every block of [file_id] (compaction deleted it); returns bytes
     freed. *)
 
-val clear : 'a t -> int
-
 val stats : 'a t -> stats
 val used_bytes : 'a t -> int
 val capacity_bytes : 'a t -> int

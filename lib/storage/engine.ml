@@ -144,7 +144,6 @@ let ephemeral_counter t name =
   incr r;
   !r
 
-let sim t = t.sim
 let sec t = t.sec
 let stats t = t.stats
 let config t = t.config

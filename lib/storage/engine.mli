@@ -119,16 +119,12 @@ val recover :
     enforcement (the non-Stab configurations). Detected rollback, tampering
     or truncation surfaces as [Error description]. *)
 
-val sim : t -> Treaty_sim.Sim.t
 val sec : t -> Sec.t
 val stats : t -> stats
 val config : t -> config
 
 val snapshot : t -> int
 (** Latest visible sequence number: the read snapshot for new transactions. *)
-
-val next_seq : t -> int
-(** Allocate the next commit sequence number. *)
 
 val get :
   ?span:Treaty_obs.Trace.span -> t -> key:string -> snapshot:int -> Memtable.lookup

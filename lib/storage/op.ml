@@ -19,7 +19,3 @@ let decode r =
   | exception Wire.Malformed m -> Error m
 
 let size = function Put v -> String.length v | Delete -> 0
-
-let pp ppf = function
-  | Put v -> Format.fprintf ppf "Put(%dB)" (String.length v)
-  | Delete -> Format.fprintf ppf "Delete"

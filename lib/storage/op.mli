@@ -8,4 +8,3 @@ val decode : Treaty_util.Wire.reader -> (t, string) result
     never an exception. *)
 
 val size : t -> int
-val pp : Format.formatter -> t -> unit

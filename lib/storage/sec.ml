@@ -23,7 +23,6 @@ let create ~enclave ~auth ~enc () =
 
 let enclave t = t.enclave
 let auth t = t.auth
-let encrypted t = Option.is_some t.enc
 
 let protect t data =
   match t.enc with

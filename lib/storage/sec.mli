@@ -29,7 +29,6 @@ val create :
 
 val enclave : t -> Treaty_tee.Enclave.t
 val auth : t -> bool
-val encrypted : t -> bool
 
 val protect : t -> string -> string
 (** Encrypt a value/block for untrusted memory or disk ([enc] mode), or pass

@@ -88,8 +88,6 @@ let fold t ~init ~f =
   in
   go init t.head.(0)
 
-let iter t f = fold t ~init:() ~f:(fun () ~key ~seq p -> f ~key ~seq p)
-
 let fold_range t ~lo ~hi ~init ~f =
   (* Seek to the first node with key >= lo (any seq), then walk. *)
   let rec go acc = function
@@ -97,19 +95,3 @@ let fold_range t ~lo ~hi ~init ~f =
     | Node _ | Nil -> acc
   in
   go init (seek t ~key:lo ~seq:max_int).(0)
-
-let min_key t = match t.head.(0) with Node n -> Some n.nkey | Nil -> None
-
-let max_key t =
-  let x = ref t.head and last = ref None in
-  for i = t.level - 1 downto 0 do
-    let continue = ref true in
-    while !continue do
-      match !x.(i) with
-      | Node n ->
-          x := n.forward;
-          last := Some n.nkey
-      | Nil -> continue := false
-    done
-  done;
-  !last

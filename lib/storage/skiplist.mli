@@ -24,8 +24,3 @@ val fold : 'a t -> init:'b -> f:('b -> key:string -> seq:int -> 'a -> 'b) -> 'b
 val fold_range :
   'a t -> lo:string -> hi:string -> init:'b -> f:('b -> key:string -> seq:int -> 'a -> 'b) -> 'b
 (** Fold over entries with [lo <= key <= hi], in internal-key order. *)
-
-val iter : 'a t -> (key:string -> seq:int -> 'a -> unit) -> unit
-
-val min_key : 'a t -> string option
-val max_key : 'a t -> string option

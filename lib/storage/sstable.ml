@@ -253,9 +253,6 @@ let open_ ssd sec ~file_id ~footer_digest =
     data_bytes = total - 16 - footer_len;
   }
 
-let id h = h.file_id
-let min_key h = h.hmin_key
-let max_key h = h.hmax_key
 let data_bytes h = h.data_bytes
 let block_count h = Array.length h.index
 

@@ -64,9 +64,6 @@ val release : Sec.t -> handle -> unit
     leaves the live hierarchy (compaction input). *)
 
 val file_name : file_id:int -> string
-val id : handle -> int
-val min_key : handle -> string
-val max_key : handle -> string
 val data_bytes : handle -> int
 val block_count : handle -> int
 

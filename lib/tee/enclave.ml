@@ -142,8 +142,6 @@ let host_used t = t.host_used
 let touch_enclave t n = paging_charge t n
 
 let install_secrets t master = t.master <- Some master
-let secrets t = t.master
-let sealing_key t = t.seal_key
 
 let seal t data =
   let iv = Treaty_crypto.Aead.Iv_gen.next t.iv_gen in

@@ -121,13 +121,10 @@ val touch_enclave : t -> int -> unit
     only through the enclave. *)
 val install_secrets : t -> Treaty_crypto.Keys.master -> unit
 
-val secrets : t -> Treaty_crypto.Keys.master option
-val sealing_key : t -> Treaty_crypto.Aead.key
-(** Per-CPU sealing key: exists even before provisioning (derived from a
-    hardware fuse key in real SGX; modelled from the node id here). *)
-
 val seal : t -> string -> string
-(** Seal data to this enclave identity (AEAD under the sealing key, with the
-    measurement as associated data). *)
+(** Seal data to this enclave identity: AEAD under the per-CPU sealing key,
+    with the measurement as associated data. The key exists even before
+    provisioning (derived from a hardware fuse key in real SGX; modelled
+    from the node id here). *)
 
 val unseal : t -> string -> (string, [ `Mac_mismatch | `Truncated ]) result

@@ -18,4 +18,3 @@ let increment t =
   t.value
 
 let read t = t.value
-let wear t = t.wear

@@ -19,4 +19,3 @@ val increment : t -> int
     {!Worn_out} past the wear limit. *)
 
 val read : t -> int
-val wear : t -> int

@@ -554,6 +554,10 @@ let run config client rng ~nodes ~home kind =
       | Delivery -> delivery config client rng ~home txn
       | Stock_level -> stock_level config client rng ~home txn)
 
+let terminal config ~nodes client ~client_index rng =
+  let home = 1 + (client_index mod config.warehouses) in
+  run config client rng ~nodes ~home (pick_kind rng)
+
 module Check = struct
   let district_orders config client ~warehouse =
     match

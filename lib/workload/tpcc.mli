@@ -74,6 +74,17 @@ val run :
 (** Execute one transaction of the given profile from a terminal homed at
     warehouse [home]. *)
 
+val terminal :
+  config ->
+  nodes:int ->
+  Treaty_core.Client.t ->
+  client_index:int ->
+  Treaty_sim.Rng.t ->
+  unit Treaty_core.Types.txn_result
+(** A closed-loop terminal for {!Driver.run_clients}: client [i] is homed
+    at warehouse [1 + i mod warehouses] and runs the standard mix
+    ({!pick_kind}). *)
+
 (** Consistency conditions (TPC-C §3.3.2), checked by the tests. *)
 module Check : sig
   val district_orders :

@@ -23,10 +23,31 @@ type op = Read of string | Update of string * string
 
 let key_of_index i = Printf.sprintf "user%08d" i
 
-let load_keys config = List.init config.n_keys key_of_index
-
 let make_value config rng =
   String.init config.value_size (fun _ -> Char.chr (97 + Rng.int rng 26))
+
+exception Load_failure of string
+
+let load config client =
+  let rng = Rng.create 7L in
+  let rec batches first =
+    if first < config.n_keys then begin
+      let last = min config.n_keys (first + 100) in
+      let rec puts txn i =
+        if i = last then Ok ()
+        else
+          match Client.put client txn (key_of_index i) (make_value config rng) with
+          | Ok () -> puts txn (i + 1)
+          | Error e -> Error e
+      in
+      (match Client.with_txn client (fun txn -> puts txn first) with
+      | Ok () -> ()
+      | Error e ->
+          raise (Load_failure ("ycsb load failed: " ^ Types.abort_reason_to_string e)));
+      batches last
+    end
+  in
+  batches 0
 
 type generator = { config : config; rng : Rng.t; dist : Zipf.t }
 
@@ -44,7 +65,7 @@ let next_txn g =
       if Rng.float g.rng 1.0 < g.config.read_fraction then Read key
       else Update (key, make_value g.config g.rng))
 
-let run_txn ?(ro_fast_path = false) client coord ops =
+let run_txn ~ro_fast_path client ops =
   let read_keys =
     if ro_fast_path then
       List.fold_left
@@ -63,7 +84,7 @@ let run_txn ?(ro_fast_path = false) client coord ops =
       | Ok _ -> Ok ()
       | Error e -> Error e)
   | None ->
-  Client.with_txn client ?coord (fun txn ->
+  Client.with_txn client (fun txn ->
       let rec go = function
         | [] -> Ok ()
         | Read key :: rest -> (
@@ -76,3 +97,16 @@ let run_txn ?(ro_fast_path = false) client coord ops =
             | Error e -> Error e)
       in
       go ops)
+
+let terminal ?(ro_fast_path = false) config =
+  let generators = Hashtbl.create 16 in
+  fun client ~client_index rng ->
+    let g =
+      match Hashtbl.find_opt generators client_index with
+      | Some g -> g
+      | None ->
+          let g = generator config rng in
+          Hashtbl.replace generators client_index g;
+          g
+    in
+    run_txn ~ro_fast_path client (next_txn g)

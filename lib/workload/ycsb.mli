@@ -20,10 +20,16 @@ type op = Read of string | Update of string * string
 
 val key_of_index : int -> string
 
-val load_keys : config -> string list
-(** The full key space, for pre-loading the store. *)
-
 val make_value : config -> Treaty_sim.Rng.t -> string
+
+exception Load_failure of string
+(** Raised by {!load} when a load transaction aborts: the key space is only
+    partly loaded, so the run must stop. *)
+
+val load : config -> Treaty_core.Client.t -> unit
+(** Pre-load the whole key space through [client], 100 keys per
+    transaction, with values drawn from [Rng.create 7L] in key order. Raises
+    {!Load_failure} if a load transaction aborts. *)
 
 type generator
 
@@ -32,13 +38,17 @@ val generator : config -> Treaty_sim.Rng.t -> generator
 val next_txn : generator -> op list
 (** One transaction's operation list. *)
 
-val run_txn :
+val terminal :
   ?ro_fast_path:bool ->
+  config ->
   Treaty_core.Client.t ->
-  Treaty_core.Types.node_id option ->
-  op list ->
+  client_index:int ->
+  Treaty_sim.Rng.t ->
   unit Treaty_core.Types.txn_result
-(** Execute the operations as one client transaction. With [ro_fast_path]
-    (default off), an all-read transaction is declared read-only up front
-    and executed through {!Treaty_core.Client.read_only} — zero locks, no
-    2PC, one snapshot round per owning shard. *)
+(** A closed-loop terminal for {!Driver.run_clients}: each client draws its
+    transactions from a generator of its own, seeded from the RNG of its
+    first call, and runs each as one client transaction. With
+    [ro_fast_path] (default off), an all-read transaction is declared
+    read-only up front and executed through
+    {!Treaty_core.Client.read_only} — zero locks, no 2PC, one snapshot round
+    per owning shard. *)

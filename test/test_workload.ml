@@ -61,19 +61,65 @@ let ycsb_zipfian_skew () =
     true
     (hot > 5 * (cold + 1))
 
-let stats_percentiles () =
-  let s = W.Stats.create () in
+(* The driver's result from 100 commits of 1..100 ms over one second. *)
+let driver_result_percentiles () =
+  let latency_ns = Treaty_obs.Metrics.Hist.create () in
   for i = 1 to 100 do
-    W.Stats.record s ~latency_ns:(i * 1_000_000)
+    Treaty_obs.Metrics.Hist.record latency_ns (i * 1_000_000)
   done;
-  Alcotest.(check int) "count" 100 (W.Stats.committed s);
+  let r = { W.Driver.latency_ns; aborted = 0; duration_ns = 1_000_000_000 } in
+  Alcotest.(check int) "count" 100 (W.Driver.committed r);
   (* Percentiles come from the log-scale obs histogram: exact rank selection
      over bucket upper bounds, <=0.2% relative error above the exact range. *)
-  Alcotest.(check (float 0.2)) "p50" 50.0 (W.Stats.percentile_ms s 50.0);
-  Alcotest.(check (float 0.2)) "p99" 99.0 (W.Stats.percentile_ms s 99.0);
-  Alcotest.(check (float 0.01)) "mean" 50.5 (W.Stats.mean_latency_ms s);
-  Alcotest.(check (float 1.0)) "tps over 1s" 100.0
-    (W.Stats.throughput_tps s ~duration_ns:1_000_000_000)
+  Alcotest.(check (float 0.2)) "p50" 50.0 (W.Driver.percentile_ms r 50.0);
+  Alcotest.(check (float 0.2)) "p99" 99.0 (W.Driver.percentile_ms r 99.0);
+  Alcotest.(check (float 0.01)) "mean" 50.5 (W.Driver.mean_ms r);
+  Alcotest.(check (float 1.0)) "tps over 1s" 100.0 (W.Driver.tps r)
+
+(* The shared preload writes each key the value the figure benches' and the
+   CLI's own loaders wrote: draws from [Rng.create 7L] in key order, 100
+   keys per transaction. Every YCSB figure row starts from this store. *)
+let ycsb_preload_values () =
+  let cfg = { W.Ycsb.default with W.Ycsb.n_keys = 250; value_size = 16 } in
+  let rng = Rng.create 7L in
+  let expected = List.init cfg.W.Ycsb.n_keys (fun _ -> W.Ycsb.make_value cfg rng) in
+  let sim = Sim.create () in
+  Sim.run sim (fun () ->
+      let config = Config.with_profile Config.default Config.ds_rocksdb in
+      match Cluster.create sim config () with
+      | Error m -> Alcotest.failf "cluster: %s" m
+      | Ok cluster ->
+          W.Driver.preload cluster (W.Ycsb.load cfg);
+          let c = Client.connect_exn cluster ~client_id:1 in
+          let read i =
+            match
+              Client.with_txn c (fun txn -> Client.get c txn (W.Ycsb.key_of_index i))
+            with
+            | Ok v -> v
+            | Error e -> Alcotest.failf "read: %s" (Types.abort_reason_to_string e)
+          in
+          List.iteri
+            (fun i v ->
+              Alcotest.(check (option string)) (W.Ycsb.key_of_index i) (Some v) (read i))
+            expected;
+          Client.disconnect c;
+          Cluster.shutdown cluster)
+
+(* A load transaction that aborts stops the preload with [Load_failure]
+   rather than leaving a partly loaded key space behind. *)
+let ycsb_preload_failure () =
+  let sim = Sim.create () in
+  Sim.run sim (fun () ->
+      let config = Config.with_profile Config.default Config.ds_rocksdb in
+      match Cluster.create sim config () with
+      | Error m -> Alcotest.failf "cluster: %s" m
+      | Ok cluster ->
+          let c = Client.connect_exn cluster ~client_id:1 in
+          List.iter (Cluster.crash_node cluster) [ 0; 1; 2 ];
+          (match W.Ycsb.load { W.Ycsb.default with W.Ycsb.n_keys = 10 } c with
+          | () -> Alcotest.fail "a load on a dead cluster returned"
+          | exception W.Ycsb.Load_failure _ -> ());
+          Cluster.shutdown cluster)
 
 let tpcc_mix () =
   let rng = Rng.create 3L in
@@ -188,7 +234,7 @@ let driver_windows () =
                 Client.with_txn client (fun txn -> Client.put client txn k "v"))
               ()
           in
-          Alcotest.(check bool) "committed work" true (W.Stats.committed r.W.Driver.stats > 0);
+          Alcotest.(check bool) "committed work" true (W.Driver.committed r > 0);
           Alcotest.(check bool) "throughput positive" true (W.Driver.tps r > 0.0);
           Cluster.shutdown cluster)
 
@@ -197,7 +243,9 @@ let suite =
     Alcotest.test_case "zipf skew" `Quick zipf_skew;
     Alcotest.test_case "ycsb mix" `Quick ycsb_mix;
     Alcotest.test_case "ycsb zipfian skew" `Quick ycsb_zipfian_skew;
-    Alcotest.test_case "stats percentiles" `Quick stats_percentiles;
+    Alcotest.test_case "stats percentiles" `Quick driver_result_percentiles;
+    Alcotest.test_case "ycsb preload values" `Quick ycsb_preload_values;
+    Alcotest.test_case "ycsb preload failure" `Quick ycsb_preload_failure;
     Alcotest.test_case "tpcc transaction mix" `Quick tpcc_mix;
     Alcotest.test_case "tpcc warehouse routing" `Quick tpcc_routing;
     Alcotest.test_case "tpcc end-to-end + consistency" `Slow
